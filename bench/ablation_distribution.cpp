@@ -1,10 +1,11 @@
 // Ablation for §IV-D: how the metadata distribution policy interacts with
 // embedded directories.  The paper's limitation: hash-based placement
 // scatters a directory's children across servers, so the embedded layout's
-// co-location cannot help; subtree delegation preserves it.
+// co-location cannot help; subtree delegation preserves it.  Runs on a
+// 4-shard mount, so placement and routing are the mounted file system's own.
 #include <cstdio>
 
-#include "mds/subtree_cluster.hpp"
+#include "core/pfs.hpp"
 #include "obs/report.hpp"
 #include "util/table.hpp"
 
@@ -16,43 +17,53 @@ struct Out {
   mif::u64 fanout;
 };
 
-Out run(mif::mds::DistributionPolicy policy, mif::mfs::DirectoryMode mode,
-        bool quick) {
-  mif::mds::MdsConfig cfg;
-  cfg.mfs.mode = mode;
-  cfg.mfs.cache_blocks = 2048;
-  mif::mds::SubtreeCluster cluster(4, policy, cfg);
+/// Metadata disk accesses and elapsed time summed over every shard, and the
+/// metadata sub-envelopes the router has sent so far.
+Out totals(mif::core::ParallelFileSystem& fs) {
+  Out o{0, 0.0, fs.transport().sharded()->stats().meta_ops};
+  for (std::size_t s = 0; s < fs.mds_shards(); ++s) {
+    o.accesses += fs.mds(s).fs().disk_accesses();
+    o.ms += fs.mds(s).fs().elapsed_ms();
+  }
+  return o;
+}
+
+Out run(mif::shard::Policy policy, mif::mfs::DirectoryMode mode, bool quick) {
+  mif::core::ClusterConfig cfg;
+  cfg.mds.shards = 4;
+  cfg.mds.placement = policy;
+  cfg.mds.mfs.mode = mode;
+  cfg.mds.mfs.cache_blocks = 2048;
+  mif::core::ParallelFileSystem fs(cfg);
 
   const int kDirs = 4, kFiles = quick ? 250 : 2500;
   for (int d = 0; d < kDirs; ++d) {
-    (void)cluster.mkdir("proj" + std::to_string(d));
+    (void)fs.rpc().mkdir("proj" + std::to_string(d));
     for (int f = 0; f < kFiles; ++f) {
-      (void)cluster.create("proj" + std::to_string(d) + "/f" +
-                           std::to_string(f));
+      (void)fs.rpc().create("proj" + std::to_string(d) + "/f" +
+                            std::to_string(f));
     }
   }
-  for (std::size_t s = 0; s < cluster.size(); ++s) {
-    cluster.server(s).finish();
-    cluster.server(s).fs().cache().invalidate_all();
+  for (std::size_t s = 0; s < fs.mds_shards(); ++s) {
+    fs.mds(s).finish();
+    fs.mds(s).fs().cache().invalidate_all();
   }
-  const mif::u64 a0 = cluster.total_disk_accesses();
-  const double t0 = cluster.total_elapsed_ms();
-  const mif::u64 f0 = cluster.stats().fanout_requests;
+  const Out before = totals(fs);
   for (int d = 0; d < kDirs; ++d) {
-    (void)cluster.readdir_stats("proj" + std::to_string(d));
+    (void)fs.rpc().readdir_stats("proj" + std::to_string(d));
   }
-  for (std::size_t s = 0; s < cluster.size(); ++s) cluster.server(s).finish();
-  return {cluster.total_disk_accesses() - a0,
-          cluster.total_elapsed_ms() - t0,
-          cluster.stats().fanout_requests - f0};
+  fs.finish_mds();
+  const Out after = totals(fs);
+  return {after.accesses - before.accesses, after.ms - before.ms,
+          after.fanout - before.fanout};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using mif::Table;
-  using mif::mds::DistributionPolicy;
   using mif::mfs::DirectoryMode;
+  using mif::shard::Policy;
   mif::obs::BenchReport report("ablation_distribution", argc, argv);
   std::printf(
       "Ablation — §IV-D: distribution policy x directory layout\n"
@@ -60,7 +71,7 @@ int main(int argc, char** argv) {
       "cluster)\n\n");
   Table t({"policy", "layout", "disk accesses", "sweep ms",
            "per-dir fan-out"});
-  for (auto policy : {DistributionPolicy::kSubtree, DistributionPolicy::kHash}) {
+  for (auto policy : {Policy::kSubtree, Policy::kHash}) {
     for (auto mode : {DirectoryMode::kNormal, DirectoryMode::kEmbedded}) {
       const Out o = run(policy, mode, report.quick());
       t.add_row({std::string(to_string(policy)),

@@ -27,11 +27,9 @@ ParallelFileSystem::ParallelFileSystem(ClusterConfig cfg) : cfg_(cfg) {
   for (auto& m : mds_) eps.mds.push_back(m.get());
   for (auto& t : targets_) eps.osds.push_back(t.get());
   // The async transport prices per-envelope disk service from the spindle
-  // geometry the targets actually mount; the shard router mirrors the
-  // metadata config (shards <= 1 builds no router at all).
+  // geometry the targets actually mount; the shard router is built from the
+  // metadata servers themselves (one server builds no router at all).
   cfg_.rpc.geometry = cfg_.target.geometry;
-  cfg_.rpc.mds_shards = cfg_.mds.shards;
-  cfg_.rpc.placement = cfg_.mds.placement;
   // Fail fast on an unmountable formation/QoS config (benches validate user
   // flags with exit 2 before getting here; this guards programmatic use).
   assert(rpc::validate(cfg_.rpc.formation).empty());

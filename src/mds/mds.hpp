@@ -41,7 +41,7 @@ struct MdsConfig {
   /// behind shard::ShardedTransport.
   u32 shards{1};
   /// How the sharded namespace is placed across servers (ignored for
-  /// shards == 1).
+  /// shards == 1); the transport stack reads it back from the servers.
   shard::Policy placement{shard::Policy::kSubtree};
 };
 
@@ -88,6 +88,7 @@ class Mds {
   void account_rpc();
 
   // --- observability -------------------------------------------------------
+  const MdsConfig& config() const { return cfg_; }
   mfs::Mfs& fs() { return fs_; }
   const MdsStats& stats() const { return stats_; }
   MdsStats snapshot() const { return stats_; }

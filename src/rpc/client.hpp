@@ -2,9 +2,9 @@
 //
 // One method per operation: it builds the request envelope, sends it through
 // the transport, and unwraps the expected response alternative.  ClientFs,
-// the MDS cluster routers, workloads and benches all speak to servers
-// exclusively through this class; nothing above the transport ever touches
-// a server object's RPC surface directly.
+// workloads and benches all speak to servers exclusively through this
+// class; nothing above the transport ever touches a server object's RPC
+// surface directly.
 #pragma once
 
 #include <string_view>

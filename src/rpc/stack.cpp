@@ -2,9 +2,15 @@
 
 #include <algorithm>
 
+#include "mds/mds.hpp"
+
 namespace mif::rpc {
 
 TransportStack::TransportStack(Endpoints eps, const TransportOptions& opt) {
+  const u32 shards = static_cast<u32>(eps.mds.size());
+  const shard::Policy placement =
+      shards >= 2 ? eps.mds.front()->config().placement
+                  : shard::Policy::kSubtree;
   inproc_ = std::make_unique<InprocTransport>(std::move(eps), opt.meta_net,
                                               opt.data_net);
   top_ = inproc_.get();
@@ -35,9 +41,9 @@ TransportStack::TransportStack(Endpoints eps, const TransportOptions& opt) {
     fault_ = std::make_unique<FaultTransport>(*top_);
     top_ = fault_.get();
   }
-  if (opt.mds_shards >= 2) {
-    sharded_ = std::make_unique<shard::ShardedTransport>(*top_, opt.mds_shards,
-                                                         opt.placement);
+  if (shards >= 2) {
+    sharded_ =
+        std::make_unique<shard::ShardedTransport>(*top_, shards, placement);
     top_ = sharded_.get();
   }
 }

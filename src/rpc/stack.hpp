@@ -11,11 +11,13 @@
 // qos.enabled, above the staging layer so a throttled envelope never
 // occupies a staging queue; the fault decorator is built only when
 // inject_faults is set, so the default request path has zero fault-check
-// overhead; the shard router is built only for mds_shards >= 2 — above the
-// fault layer, because multi-MDS routing is client-library logic and each of
-// its sub-envelopes (fan-out legs, rename phases) must individually cross
-// the "NIC".  core::ParallelFileSystem holds one stack; tests build their
-// own around hand-made Endpoints.
+// overhead; the shard router is built only when the Endpoints hold two or
+// more metadata servers, placing the namespace by the policy those servers
+// were mounted with (MdsConfig::placement) — above the fault layer, because
+// multi-MDS routing is client-library logic and each of its sub-envelopes
+// (fan-out legs, rename phases) must individually cross the "NIC".
+// core::ParallelFileSystem holds one stack; tests build their own around
+// hand-made Endpoints.
 #pragma once
 
 #include <memory>
@@ -57,11 +59,6 @@ struct TransportOptions {
   sim::DiskGeometry geometry{};
   /// Build a FaultTransport on top (disarmed until FaultTransport::arm).
   bool inject_faults{false};
-  /// Metadata shards to route across; <= 1 keeps the single-MDS chain (no
-  /// ShardedTransport is built, so the default figures stay byte-identical).
-  u32 mds_shards{1};
-  /// Namespace placement across shards (ignored for mds_shards <= 1).
-  shard::Policy placement{shard::Policy::kSubtree};
 };
 
 class TransportStack {

@@ -15,6 +15,19 @@ std::string_view to_string(Policy p) {
 
 u64 hash_of(std::string_view key) { return mfs::name_hash(key); }
 
+std::string_view canonical(std::string_view path, std::string& buf) {
+  if (path.empty() || (path.front() != '/' && path.back() != '/' &&
+                       path.find("//") == std::string_view::npos)) {
+    return path;
+  }
+  buf.clear();
+  for (std::string_view part : mfs::split_path(path)) {
+    if (!buf.empty()) buf += '/';
+    buf += part;
+  }
+  return buf;
+}
+
 u32 Map::delegate(std::string_view top_level) {
   const auto [it, inserted] =
       delegation_.emplace(std::string(top_level), next_delegate_ % shards_);

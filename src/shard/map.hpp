@@ -1,4 +1,4 @@
-// shard::Map — the one placement policy every multi-MDS component uses.
+// shard::Map — the one placement policy of the multi-MDS namespace.
 //
 // The paper's §IV-C/§IV-D clusters place metadata two ways:
 //   * kSubtree — a directory and everything beneath it live on the shard its
@@ -7,10 +7,6 @@
 //   * kHash   — every path is placed by a stable name hash.  Load spread
 //     evenly, locality sacrificed: aggregates must fan out to every shard
 //     (the limitation Sears & van Ingen call out for hashed placement).
-//
-// This used to live twice (MdsCluster's name-hash routing, SubtreeCluster's
-// delegation map); both routers and the whole-stack shard::ShardedTransport
-// now share this map, so a placement change lands everywhere at once.
 #pragma once
 
 #include <string>
@@ -28,10 +24,15 @@ enum class Policy : u8 {
 std::string_view to_string(Policy p);
 
 /// The cluster-wide placement hash (FNV-1a, stable across runs and
-/// processes).  Every shard-owner decision — giant-directory striping,
-/// pathname-hash distribution, the primary's negative-lookup set — uses this
-/// one function, so two components never disagree about an owner.
+/// processes).  Every shard-owner decision uses this one function, so two
+/// components never disagree about an owner.
 u64 hash_of(std::string_view key);
+
+/// The spelling-independent form of a path: its mfs::split_path components
+/// joined by '/', with no leading or trailing slash ("" is the root), so
+/// "/d/f", "d/f" and "d//f/" all name "d/f".  Returns `path` itself when it
+/// is already in that form, else the form built in `buf`.
+std::string_view canonical(std::string_view path, std::string& buf);
 
 class Map {
  public:
@@ -39,11 +40,6 @@ class Map {
 
   u32 shards() const { return shards_; }
   Policy policy() const { return policy_; }
-
-  /// Owner of a flat key (subfile name, full pathname) by hash placement.
-  u32 owner_by_hash(std::string_view key) const {
-    return static_cast<u32>(hash_of(key) % shards_);
-  }
 
   /// Delegate a top-level directory round-robin (idempotent: re-delegating
   /// an assigned name keeps its shard).  Returns the home shard.
@@ -53,10 +49,12 @@ class Map {
   /// top-level component, shard 0 for the root and undelegated names.
   u32 home_of(std::string_view path) const;
 
-  /// Placement of `path` under the configured policy.
+  /// Placement of `path` under the configured policy; hash placement hashes
+  /// the canonical form, so every spelling of a path has one owner.
   u32 owner_of(std::string_view path) const {
-    return policy_ == Policy::kSubtree ? home_of(path)
-                                       : owner_by_hash(path);
+    if (policy_ == Policy::kSubtree) return home_of(path);
+    std::string buf;
+    return static_cast<u32>(hash_of(canonical(path, buf)) % shards_);
   }
 
   bool delegated(std::string_view top_level) const {

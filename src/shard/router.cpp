@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
+#include <utility>
 
 #include "mfs/mfs.hpp"
 
@@ -26,6 +28,81 @@ bool Router::needs_fanout(std::string_view path) const {
   // Subtree placement: only the root's own listing spans shards — every
   // top-level entry lives on the shard its subtree was delegated to.
   return mfs::split_path(path).empty();
+}
+
+bool Router::filters_miss(std::string_view path) {
+  if (!hashed()) return false;
+  std::string buf;
+  const std::string_view key = canonical(path, buf);
+  if (key.empty()) return false;  // the root is always live
+  std::lock_guard lock(mu_);
+  if (names_.contains(key)) return false;
+  ++avoided_rpcs_;
+  return true;
+}
+
+bool Router::mirrored_dir(std::string_view path) const {
+  if (!hashed()) return false;
+  std::string buf;
+  const std::string_view key = canonical(path, buf);
+  std::lock_guard lock(mu_);
+  const auto it = names_.find(key);
+  return it != names_.end() && it->second;
+}
+
+void Router::note_created(std::string_view path, bool dir) {
+  if (!hashed()) return;
+  std::string buf;
+  std::string key(canonical(path, buf));
+  std::lock_guard lock(mu_);
+  names_.insert_or_assign(std::move(key), dir);
+}
+
+void Router::note_removed(std::string_view path) {
+  if (!hashed()) return;
+  std::string buf;
+  const std::string_view key = canonical(path, buf);
+  std::lock_guard lock(mu_);
+  if (const auto it = names_.find(key); it != names_.end()) names_.erase(it);
+}
+
+void Router::note_renamed(std::string_view from, std::string_view to,
+                          u32 shard) {
+  if (!hashed()) return;
+  std::string src_buf, dst_buf;
+  const std::string_view src = canonical(from, src_buf);
+  const std::string_view dst = canonical(to, dst_buf);
+  std::lock_guard lock(mu_);
+  const auto it = names_.find(src);
+  if (it == names_.end()) return;
+  if (!it->second) {  // a file moves alone
+    names_.erase(it);
+    names_.insert_or_assign(std::string(dst), false);
+    return;
+  }
+  // A directory: `shard` renamed only its own mirror, carrying the entries
+  // it holds beneath it (every mirrored directory, and the files it owns).
+  // The other mirrors keep the old name and their files stay live there.
+  // A moved entry stops being live if `shard` owned it, and its new name is
+  // live if `shard` owns that.
+  std::vector<std::pair<std::string, bool>> moved;
+  for (auto e = names_.begin(); e != names_.end();) {
+    const std::string& key = e->first;
+    const bool beneath =
+        key.starts_with(src) &&
+        (key.size() == src.size() || key[src.size()] == '/');
+    const bool owned = beneath && map_.owner_of(key) == shard;
+    if (!beneath || !(owned || e->second)) {  // `shard` holds no copy
+      ++e;
+      continue;
+    }
+    std::string renamed = std::string(dst) + key.substr(src.size());
+    if (map_.owner_of(renamed) == shard) {
+      moved.emplace_back(std::move(renamed), e->second);
+    }
+    e = owned ? names_.erase(e) : std::next(e);
+  }
+  for (auto& [key, dir] : moved) names_.insert_or_assign(std::move(key), dir);
 }
 
 void Router::add_alias(InodeNo renamed, InodeNo original) {
@@ -136,6 +213,7 @@ ShardStats Router::stats() const {
   s.renames_cross = renames_cross_;
   s.renames_recovered = renames_recovered_;
   s.rename_failures = rename_failures_;
+  s.avoided_rpcs = avoided_rpcs_;
   return s;
 }
 

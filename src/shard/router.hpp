@@ -16,6 +16,9 @@
 //     (create-on-target, tombstone-on-source) and each phase is a separate
 //     wire envelope a fault can kill; the journal records progress so
 //     recover() can roll a half-done rename back;
+//   * the §IV-C name table: under hash placement the router collects every
+//     live name it has routed (the primary's name-hash set), so a lookup of
+//     an absent name is answered without contacting any shard;
 //   * shard.* statistics (per-shard op counts, fan-out, imbalance).
 //
 // Thread-safety: one mutex over all mutable state.  The metadata path is
@@ -24,8 +27,10 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "shard/map.hpp"
@@ -41,6 +46,7 @@ struct ShardStats {
   u64 renames_cross{0};
   u64 renames_recovered{0};  // half-done renames rolled back by recover()
   u64 rename_failures{0};    // cross-shard renames that lost a phase
+  u64 avoided_rpcs{0};  // lookups of absent names answered by the name table
   /// Load imbalance: max per-shard op count over the per-shard mean
   /// (1.0 = perfectly balanced; kShards = everything on one shard).
   double imbalance() const;
@@ -105,6 +111,23 @@ class Router {
   /// under subtree placement (top-level entries live with their subtrees).
   bool needs_fanout(std::string_view path) const;
 
+  // --- §IV-C name table (hash placement only) -----------------------------
+  // Keyed by canonical path.  A name is live when its owner shard holds it;
+  // the table must never miss a live name, so every namespace change the
+  // transport makes is reported here.  Under subtree placement the table is
+  // unused: nothing is filtered and the notes below do nothing.
+
+  /// True when hash placement knows `path` is absent: the miss is counted in
+  /// avoided_rpcs and the caller answers kNotFound without an envelope.
+  bool filters_miss(std::string_view path);
+  /// True for a directory the hash policy mirrored to every shard.
+  bool mirrored_dir(std::string_view path) const;
+  void note_created(std::string_view path, bool dir);
+  void note_removed(std::string_view path);
+  /// A rename executed by one envelope on `shard`: that shard moved its own
+  /// copy of `from` and of everything it holds beneath it.
+  void note_renamed(std::string_view from, std::string_view to, u32 shard);
+
   // --- data-ino aliases ----------------------------------------------------
   bool has_aliases() const {
     return has_aliases_.load(std::memory_order_relaxed);
@@ -135,8 +158,20 @@ class Router {
  private:
   RenameRecord* find_record(u64 seq);
 
+  bool hashed() const { return map_.policy() == Policy::kHash; }
+
+  /// Lets the name table be probed with a string_view key.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const {
+      return static_cast<std::size_t>(hash_of(key));
+    }
+  };
+
   mutable std::mutex mu_;
   Map map_;
+  /// Live canonical names -> is a mirrored directory (hash placement).
+  std::unordered_map<std::string, bool, NameHash, std::equal_to<>> names_;
   std::unordered_map<u64, u64> aliases_;  // renamed ino.v -> original ino.v
   std::atomic<bool> has_aliases_{false};
   std::vector<RenameRecord> journal_;
@@ -147,6 +182,7 @@ class Router {
   u64 renames_cross_{0};
   u64 renames_recovered_{0};
   u64 rename_failures_{0};
+  u64 avoided_rpcs_{0};
 };
 
 }  // namespace mif::shard

@@ -108,10 +108,20 @@ Result<Response> ShardedTransport::route_meta(const Request& req) {
           rpc::ReportExtentsRequest local = r;
           local.ino = Router::untag(r.ino);
           return send_to(shard, Request{local});
+        } else if constexpr (std::is_same_v<T, rpc::UnlinkRequest>) {
+          return do_unlink(r);
         } else if constexpr (requires { r.path; }) {
+          constexpr bool kLookup = std::is_same_v<T, rpc::StatRequest> ||
+                                   std::is_same_v<T, rpc::ResolveRequest> ||
+                                   std::is_same_v<T, rpc::OpenGetLayoutRequest>;
+          if (kLookup && router_.filters_miss(r.path)) return Errc::kNotFound;
           const u32 shard = router_.route_path(r.path);
           obs::ScopedSpan span(spans_, "rpc.shard", shard);
-          return send_to(shard, Request{r});
+          Result<Response> resp = send_to(shard, Request{r});
+          if constexpr (std::is_same_v<T, rpc::CreateRequest>) {
+            if (resp) router_.note_created(r.path, /*dir=*/false);
+          }
+          return resp;
         } else {
           return Errc::kInvalid;  // data op addressed to an MDS
         }
@@ -131,6 +141,7 @@ Result<Response> ShardedTransport::do_mkdir(const rpc::MkdirRequest& r) {
       if (s == primary) out = std::move(resp);
     }
     router_.count_fanout(router_.shards() - 1);
+    if (out) router_.note_created(r.path, /*dir=*/true);
     return out;
   }
   // Subtree policy: a new top-level directory picks its home round-robin;
@@ -141,6 +152,55 @@ Result<Response> ShardedTransport::do_mkdir(const rpc::MkdirRequest& r) {
                         : router_.route_path(r.path);
   obs::ScopedSpan span(spans_, "rpc.shard", shard);
   return send_to(shard, Request{r});
+}
+
+Result<Response> ShardedTransport::do_unlink(const rpc::UnlinkRequest& r) {
+  if (router_.filters_miss(r.path)) return Errc::kNotFound;
+  if (router_.mirrored_dir(r.path)) return sweep_dir(r);
+  const u32 shard = router_.route_path(r.path);
+  obs::ScopedSpan span(spans_, "rpc.shard", shard);
+  Result<Response> resp = send_to(shard, Request{r});
+  if (resp) router_.note_removed(r.path);
+  return resp;
+}
+
+Result<Response> ShardedTransport::sweep_dir(const rpc::UnlinkRequest& r) {
+  // Every shard holds a copy of a hash-placed directory.  Refuse while any
+  // copy has entries; otherwise unlink the mirrors, then the owner's copy.
+  // A mirror's kNotFound means already removed, so a sweep a fault cut
+  // short leaves the name live (the owner's copy goes last) and a retry
+  // converges.
+  const u32 shards = router_.shards();
+  const u32 owner = router_.route_path(r.path);
+  obs::ScopedSpan span(spans_, "rpc.shard", shards);
+  u64 sent = 0;
+  auto sweep = [&]() -> Result<Response> {
+    for (u32 s = 0; s < shards; ++s) {
+      ++sent;
+      Result<Response> listed =
+          send_to(s, Request{rpc::ReaddirRequest{r.path}});
+      if (!listed && listed.error() != Errc::kNotFound) return listed;
+      if (listed && !std::get<rpc::ReaddirResponse>(*listed).entries.empty()) {
+        return Errc::kNotEmpty;
+      }
+    }
+    Result<Response> out = Errc::kNotFound;
+    for (u32 i = 1; i <= shards; ++i) {
+      const u32 s = (owner + i) % shards;
+      ++sent;
+      Result<Response> gone = send_to(s, Request{r});
+      if (s == owner) {
+        out = std::move(gone);
+      } else if (!gone && gone.error() != Errc::kNotFound) {
+        return gone;
+      }
+    }
+    if (out || out.error() == Errc::kNotFound) router_.note_removed(r.path);
+    return out;
+  };
+  Result<Response> out = sweep();
+  router_.count_fanout(sent - 1);
+  return out;
 }
 
 Result<Response> ShardedTransport::do_readdir(const Request& req,
@@ -184,7 +244,10 @@ Result<Response> ShardedTransport::do_rename(const rpc::RenameRequest& r) {
   if (src == dst) {
     obs::ScopedSpan span(spans_, "rpc.shard", src);
     Result<Response> resp = send_to(src, Request{r});
-    if (resp) router_.count_rename(false);
+    if (resp) {
+      router_.count_rename(false);
+      router_.note_renamed(r.from, r.to, src);
+    }
     return resp;
   }
 
@@ -211,6 +274,7 @@ Result<Response> ShardedTransport::do_rename(const rpc::RenameRequest& r) {
   const InodeNo dst_ino =
       Router::untag(std::get<rpc::InodeResponse>(*created).ino);
   router_.journal_created(seq, dst_ino);
+  router_.note_created(r.to, /*dir=*/false);
 
   Result<Response> gone = send_to(src, Request{rpc::UnlinkRequest{r.from}});
   if (!gone) {
@@ -221,6 +285,7 @@ Result<Response> ShardedTransport::do_rename(const rpc::RenameRequest& r) {
   }
 
   router_.journal_commit(seq);
+  router_.note_removed(r.from);
   // The file's blocks stay keyed by the old ino on the storage targets.
   router_.add_alias(Router::tag(dst, dst_ino), Router::tag(src, src_ino));
   router_.count_rename(true);
@@ -234,6 +299,7 @@ u64 ShardedTransport::recover() {
     Result<Response> resp =
         inner_.call(mds_at(rec.dst_shard), Request{rpc::UnlinkRequest{rec.to}});
     if (!resp && resp.error() != Errc::kNotFound) continue;  // retry later
+    router_.note_removed(rec.to);
     router_.journal_abort(rec.seq);
     router_.count_rename_recovered();
     ++rolled_back;
@@ -257,6 +323,9 @@ void ShardedTransport::export_metrics(obs::MetricsRegistry& reg,
   }
   if (s.rename_failures > 0) {
     reg.counter("shard.rename.failures").inc(s.rename_failures);
+  }
+  if (s.avoided_rpcs > 0) {
+    reg.counter("shard.avoided_rpcs").inc(s.avoided_rpcs);
   }
   reg.gauge("shard.imbalance").set(s.imbalance());
 }

@@ -1,6 +1,7 @@
-// ShardedTransport — multi-MDS routing as an rpc decorator.
-//
-// Sits OUTERMOST in the transport chain:
+// ShardedTransport — multi-MDS routing as an rpc decorator, and the only
+// multi-MDS router: the mounted file system and the §IV-D distribution
+// ablation both place and route metadata through it.  Sits OUTERMOST in the
+// transport chain:
 //
 //   Sharded( Fault( Batching( Async( Inproc ))))
 //
@@ -15,7 +16,13 @@
 //     Address's MDS index is a single-MDS fiction and is ignored);
 //   * mkdir delegates top-level directories round-robin under the subtree
 //     policy; under the hash policy it mirrors the directory skeleton to
-//     every shard so hash-placed children always find their parent;
+//     every shard so hash-placed children always find their parent, and
+//     unlinking such a directory sweeps every mirror (refused with
+//     kNotEmpty while any copy still holds entries);
+//   * §IV-C: under the hash policy a stat, resolve, open_getlayout or
+//     unlink of a name the Router's name table lacks is answered kNotFound
+//     with no envelope sent (ShardStats::avoided_rpcs); create is always
+//     forwarded;
 //   * every inode leaving the transport is tagged with its home shard
 //     (Router::tag) — ino-keyed envelopes (report_extents) route by tag, and
 //     data-path envelopes carry cluster-unique subfile keys;
@@ -29,9 +36,9 @@
 //     keyed by the OLD ino on the storage targets; a data-ino alias rewrites
 //     subsequent data envelopes so the data remains reachable.
 //
-// With ClusterConfig mds.shards <= 1 the TransportStack does not build this
-// decorator at all — the single-MDS hot path is untouched and the default
-// figures stay byte-identical.
+// With one metadata server the TransportStack does not build this decorator
+// at all — the single-MDS hot path is untouched and the default figures stay
+// byte-identical.
 #pragma once
 
 #include "rpc/transport.hpp"
@@ -81,6 +88,8 @@ class ShardedTransport final : public rpc::Transport {
   Result<rpc::Response> route_meta(const rpc::Request& req);
   Result<rpc::Response> send_to(u32 shard, const rpc::Request& req);
   Result<rpc::Response> do_mkdir(const rpc::MkdirRequest& r);
+  Result<rpc::Response> do_unlink(const rpc::UnlinkRequest& r);
+  Result<rpc::Response> sweep_dir(const rpc::UnlinkRequest& r);
   Result<rpc::Response> do_readdir(const rpc::Request& req,
                                    std::string_view path);
   Result<rpc::Response> do_rename(const rpc::RenameRequest& r);

@@ -1,9 +1,9 @@
 // System matrix: miniature versions of every workload, run across the full
-// (allocator × directory-layout × shards × list-I/O/pipeline) configuration
-// grid.  Each cell must (a) complete without errors, (b) leave every storage
-// target and the namespace verifiably consistent, (c) be bit-deterministic
-// across two runs, and (d) conserve the attribution ledger against the
-// global counters — including over multi-run list frames.
+// (allocator × directory-layout × shards/placement × list-I/O/pipeline)
+// configuration grid.  Each cell must (a) complete without errors, (b) leave
+// every storage target and the namespace verifiably consistent, (c) be
+// bit-deterministic across two runs, and (d) conserve the attribution ledger
+// against the global counters — including over multi-run list frames.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "obs/attrib.hpp"
+#include "shard/map.hpp"
 #include "workload/btio.hpp"
 #include "workload/filetree.hpp"
 #include "workload/ior.hpp"
@@ -29,16 +30,21 @@ namespace {
 /// replicated mount fanning every stripe unit to its copy target.
 using IoMode = std::tuple<u64, u32, bool, u32>;
 
+/// (metadata shards, placement): the placement is ignored for one shard.
+using Shards = std::pair<u32, shard::Policy>;
+
 using Config =
-    std::tuple<alloc::AllocatorMode, mfs::DirectoryMode, u32, IoMode>;
+    std::tuple<alloc::AllocatorMode, mfs::DirectoryMode, Shards, IoMode>;
 
 std::string config_name(const ::testing::TestParamInfo<Config>& info) {
   std::string s{alloc::to_string(std::get<0>(info.param))};
   for (auto& c : s)
     if (c == '-') c = '_';
+  const Shards shards = std::get<2>(info.param);
   const IoMode io = std::get<3>(info.param);
   return s + "_" + std::string(to_string(std::get<1>(info.param))) + "_s" +
-         std::to_string(std::get<2>(info.param)) + "_l" +
+         std::to_string(shards.first) +
+         (shards.second == shard::Policy::kHash ? "h" : "") + "_l" +
          std::to_string(std::get<0>(io)) + "d" +
          std::to_string(std::get<1>(io)) + (std::get<2>(io) ? "_qos" : "") +
          (std::get<3>(io) >= 2
@@ -54,7 +60,8 @@ class SystemMatrix : public ::testing::TestWithParam<Config> {
     cfg.target.allocator = std::get<0>(GetParam());
     cfg.mds.mfs.mode = std::get<1>(GetParam());
     cfg.mds.mfs.cache_blocks = 1024;
-    cfg.mds.shards = std::get<2>(GetParam());
+    cfg.mds.shards = std::get<2>(GetParam()).first;
+    cfg.mds.placement = std::get<2>(GetParam()).second;
     const IoMode io = std::get<3>(GetParam());
     cfg.list_io_max_runs = std::get<0>(io);
     if (std::get<1>(io) >= 2) cfg.rpc.pipeline_depth = std::get<1>(io);
@@ -214,9 +221,13 @@ INSTANTIATE_TEST_SUITE_P(
                           alloc::AllocatorMode::kOnDemand),
         ::testing::Values(mfs::DirectoryMode::kNormal,
                           mfs::DirectoryMode::kEmbedded),
-        // Metadata shards: the classic single-MDS stack and a 3-shard mount
-        // routed through shard::ShardedTransport.
-        ::testing::Values(1u, 3u),
+        // Metadata shards: the classic single-MDS stack, and a 3-shard
+        // mount routed through shard::ShardedTransport under each placement
+        // (hash placement runs every namespace op through the §IV-C name
+        // table and mirrored directories).
+        ::testing::Values(Shards{1, shard::Policy::kSubtree},
+                          Shards{3, shard::Policy::kSubtree},
+                          Shards{3, shard::Policy::kHash}),
         // I/O mode: per-block sync (the paper's default), list I/O on the
         // sync chain, list I/O through a depth-4 async pipeline, the
         // pipelined chain under token-bucket QoS admission control, and a

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
     }
   }
   t.print();
-  report.write();
+  if (!report.write()) return 1;
   std::printf(
       "\nUnder subtree delegation the embedded layout answers a listing from "
       "one server's\ncontiguous region; hash placement forces every server "

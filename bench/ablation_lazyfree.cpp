@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     }
   }
   t.print();
-  report.write();
+  if (!report.write()) return 1;
   std::printf(
       "\nBatch=1 degenerates to eager freeing (one bitmap transaction per "
       "unlink); the paper's batching amortises it away.\n");

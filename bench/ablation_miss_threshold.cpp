@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
     }
   }
   t.print();
-  report.write();
+  if (!report.write()) return 1;
   std::printf(
       "\nA threshold around 4 keeps hiccuping sequential streams preallocated "
       "while random streams are cut off quickly.\n");

@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   row("static 256 KiB", run_static(256 * 1024));
   row("on-demand (adaptive)", run_ondemand());
   t.print();
-  report.write();
+  if (!report.write()) return 1;
   std::printf(
       "\nOn-demand sizes its persistent windows from observed write sizes, so "
       "small files pin little while big sequential files still stream.\n");

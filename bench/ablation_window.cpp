@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     }
   }
   t.print();
-  report.write();
+  if (!report.write()) return 1;
   std::printf(
       "\nLarger caps keep long sequential runs contiguous; the scale mostly "
       "affects how fast the window gets there.\n");

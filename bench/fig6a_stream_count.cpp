@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
     }
   }
   t.print();
-  report.write();
+  if (!report.write()) return 1;
   if (sp) mif::obs::write_chrome_trace(spans, report.trace_path());
   return 0;
 }

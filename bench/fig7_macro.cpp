@@ -473,7 +473,7 @@ int main(int argc, char** argv) {
   if (report.attribution_enabled() && report.json_enabled()) {
     report.doc()["critical_path"] = mif::obs::analyze_critical_path(spans);
   }
-  report.write();
+  if (!report.write()) return 1;
   if (sp) {
     std::vector<const mif::obs::Timeline*> tls;
     for (const auto& tl : timelines) tls.push_back(tl.get());

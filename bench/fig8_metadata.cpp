@@ -98,6 +98,6 @@ int main(int argc, char** argv) {
                     "%"});
   }
   t2.print();
-  report.write();
+  if (!report.write()) return 1;
   return 0;
 }

@@ -335,6 +335,6 @@ int main(int argc, char** argv) {
   if (report.json_enabled()) {
     report.doc()["critical_path"] = mif::obs::analyze_critical_path(spans);
   }
-  report.write();
+  if (!report.write()) return 1;
   return 0;
 }

@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     report.add_run("shared_file", obs::Json::Object{}, std::move(results),
                    fs.metrics_json());
     report.doc()["trace"] = trace.to_json();
-    report.write();
+    if (!report.write()) return 1;
   }
   return 0;
 }

@@ -6,8 +6,9 @@
 #
 # Configures one side build (<source>/build-asan) with -DMIF_SANITIZE=
 # address,undefined and runs two subsets through it: the tests that exercise
-# the transport stack, threading and fault paths, and the ones that lean
-# hardest on integer/double arithmetic (disk geometry, extent maps,
+# the transport stack (the formation layer's staged-envelope destructor and
+# sticky-error paths included), threading and fault paths, and the ones that
+# lean hardest on integer/double arithmetic (disk geometry, extent maps,
 # allocator properties, the attribution ledger's pro-rata splitting), where
 # UBSan catches signed overflow, bad shifts, misaligned access and enum
 # abuse.  Skips cleanly (exit 0) when the toolchain has no sanitizer
@@ -28,4 +29,5 @@ export UBSAN_OPTIONS=halt_on_error=1
 mif_sanitized_ctest check_asan "$SRC" "$SRC/build-asan" "$SANITIZERS" \
     rpc_test concurrency_test fault_verify_test client_test mds_test \
     sim_disk_test sim_scheduler_test block_extent_map_test \
-    alloc_property_test qos_test attrib_test span_test redundancy_test
+    alloc_property_test qos_test formation_test attrib_test span_test \
+    redundancy_test

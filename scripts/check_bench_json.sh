@@ -27,7 +27,9 @@
 # Then the cost-attribution gate: without `--attribution` no run carries an
 # attribution section (micro_antagonist excepted — attribution IS that
 # bench); a zero/garbage `--pipeline-depth`/`--mds-shards` fails fast with
-# status 2; a fig7_macro `--attribution` run must conserve — for every cost
+# status 2, as does any value flag given without its value (last, empty, or
+# followed by another flag), and an unwritable `--json` path exits non-zero;
+# a fig7_macro `--attribution` run must conserve — for every cost
 # category the per-principal sums equal the global counters within 1e-9
 # relative — and carry a critical-path report whose per-request segments sum
 # to the request total; micro_antagonist must conserve, report Jain's
@@ -365,6 +367,31 @@ for flag in --pipeline-depth --mds-shards --collective-aggregators --list-io \
   done
 done
 echo "check_bench_json: OK (zero/negative/garbage transport knobs exit 2)"
+
+# A value flag without its value fails fast too — given last, given empty,
+# or followed by another flag (which it must not swallow: `--json --quick`
+# would write a report named "--quick" and run the full sweep).
+for flag in --json --trace --pipeline-depth --mds-shards \
+            --collective-aggregators --list-io --qos --adaptive-depth \
+            --replicas --kill-osd; do
+  for form in "--quick $flag" "$flag --quick" "--quick $flag="; do
+    rc=0
+    # shellcheck disable=SC2086
+    "$BENCH" $form > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ]; then
+      echo "check_bench_json: FAIL: '$form' exited $rc, want 2"
+      exit 1
+    fi
+  done
+done
+# A report that cannot be written is a failed run, not a silent success.
+rc=0
+"$BENCH" --quick --json "$OUT.missing/report.json" > /dev/null 2>&1 || rc=$?
+if [ "$rc" -eq 0 ]; then
+  echo "check_bench_json: FAIL: an unwritable --json path exited 0"
+  exit 1
+fi
+echo "check_bench_json: OK (value flags without a value exit 2, failed write exits $rc)"
 
 # Conservation: a fig7_macro --attribution report must account every
 # simulated millisecond — per-principal sums equal the global counters —

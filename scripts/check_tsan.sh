@@ -5,8 +5,8 @@
 #
 # Configures a side build (<source>/build-tsan) with -DMIF_SANITIZE=thread,
 # builds the subset that exercises the transport stack's locking (the async
-# completion queue, the batching queues, the shared-file workloads, the
-# attribution ledger's concurrent charge sites) and runs it via ctest.
+# completion queue, the formation staging queues, the shared-file workloads,
+# the attribution ledger's concurrent charge sites) and runs it via ctest.
 # Skips cleanly (exit 0) when the toolchain has no TSan runtime, so plain CI
 # environments are not broken.  Registered as a ctest from
 # tests/CMakeLists.txt for sanitizer-less parent builds.

@@ -132,8 +132,8 @@ Status CollectiveWriter::write_round(const FileHandle& fh,
   }
   // A collective round is a synchronisation point (MPI_File_write_all
   // returns only when every aggregator's data is on the servers): drain the
-  // round's tickets, then push out anything a batching transport still
-  // buffers; the first error in completion order wins.
+  // round's tickets, then push out anything the formation layer still
+  // stages; the first error in completion order wins.
   Status drained = client_.drain(tickets);
   Status flushed = client_.fs().rpc().flush();
   return drained.ok() ? flushed : drained;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <string>
 
 #include "obs/attrib.hpp"
@@ -10,6 +11,23 @@
 #include "obs/timeline.hpp"
 
 namespace mif::core {
+
+namespace {
+
+/// Cluster clock: the furthest-ahead simulated timeline, metadata servers
+/// included.  Captures the heap-pinned targets/servers, NOT the
+/// ParallelFileSystem — benches move the PFS value around.
+std::function<double()> cluster_clock(std::vector<osd::StorageTarget*> tgts,
+                                      std::vector<mds::Mds*> servers) {
+  return [tgts = std::move(tgts), servers = std::move(servers)] {
+    double now = 0.0;
+    for (osd::StorageTarget* t : tgts) now = std::max(now, t->sim_now_ms());
+    for (mds::Mds* m : servers) now = std::max(now, m->fs().elapsed_ms());
+    return now;
+  };
+}
+
+}  // namespace
 
 ParallelFileSystem::ParallelFileSystem(ClusterConfig cfg) : cfg_(cfg) {
   assert(cfg_.num_targets >= 1);
@@ -26,10 +44,6 @@ ParallelFileSystem::ParallelFileSystem(ClusterConfig cfg) : cfg_(cfg) {
   rpc::Endpoints eps;
   for (auto& m : mds_) eps.mds.push_back(m.get());
   for (auto& t : targets_) eps.osds.push_back(t.get());
-  // The async transport prices per-envelope disk service from the spindle
-  // geometry the targets actually mount; the shard router is built from the
-  // metadata servers themselves (one server builds no router at all).
-  cfg_.rpc.geometry = cfg_.target.geometry;
   // Fail fast on an unmountable formation/QoS config (benches validate user
   // flags with exit 2 before getting here; this guards programmatic use).
   assert(rpc::validate(cfg_.rpc.formation).empty());
@@ -41,20 +55,16 @@ ParallelFileSystem::ParallelFileSystem(ClusterConfig cfg) : cfg_(cfg) {
   // `this` — benches move the PFS value around.
   std::vector<osd::StorageTarget*> tgts;
   for (auto& t : targets_) tgts.push_back(t.get());
+  std::vector<mds::Mds*> servers;
+  for (auto& m : mds_) servers.push_back(m.get());
+  const std::function<double()> cluster_now = cluster_clock(tgts, servers);
   if (rpc::QosTransport* qos = rpc_stack_.qos()) {
     // Token buckets refill on the cluster-max simulated timeline — metadata
     // servers included, NOT just the data disks: when the scheduler parks a
     // client's whole data stream, the disks idle, and a data-only clock
     // would freeze the refill exactly when the backlog needs it (the
     // throttled state would be an absorbing state).
-    std::vector<mds::Mds*> servers;
-    for (auto& m : mds_) servers.push_back(m.get());
-    qos->set_clock([tgts, servers] {
-      double now = 0.0;
-      for (osd::StorageTarget* t : tgts) now = std::max(now, t->sim_now_ms());
-      for (mds::Mds* m : servers) now = std::max(now, m->fs().elapsed_ms());
-      return now;
-    });
+    qos->set_clock(cluster_now);
   }
   if (rpc::AsyncTransport* async = rpc_stack_.async();
       async && cfg_.rpc.adaptive_depth_max >= 2) {
@@ -72,14 +82,6 @@ ParallelFileSystem::ParallelFileSystem(ClusterConfig cfg) : cfg_(cfg) {
   health_ = std::make_unique<redundancy::HealthMap>();
   health_->resize(static_cast<u32>(cfg_.num_targets));
   red_stats_ = std::make_unique<redundancy::Stats>();
-  std::vector<mds::Mds*> servers;
-  for (auto& m : mds_) servers.push_back(m.get());
-  auto cluster_now = [tgts, servers] {
-    double now = 0.0;
-    for (osd::StorageTarget* t : tgts) now = std::max(now, t->sim_now_ms());
-    for (mds::Mds* m : servers) now = std::max(now, m->fs().elapsed_ms());
-    return now;
-  };
   if (cfg_.redundancy.enabled()) {
     redundancy::RepairConfig rcfg;
     if (cfg_.list_io_max_runs > 0) rcfg.max_runs_per_envelope = cfg_.list_io_max_runs;
@@ -176,7 +178,7 @@ u64 ParallelFileSystem::file_extents(InodeNo ino) const {
 }
 
 void ParallelFileSystem::drain_data() {
-  // Anything a batching transport still buffers has to reach the targets
+  // Anything the formation layer still stages has to reach the targets
   // before their queues can drain, and every outstanding ticket must retire
   // (drain-on-unmount: errors with no claimant are swallowed here, like a
   // close(2) after failed writeback).
@@ -329,14 +331,8 @@ void ParallelFileSystem::set_timeline(obs::Timeline* tl) {
   std::vector<mds::Mds*> servers;
   for (auto& m : mds_) servers.push_back(m.get());
 
-  // Cluster clock: the furthest-ahead simulated timeline — a sample is
-  // stamped with the time the cluster as a whole has reached.
-  tl->set_clock([tgts, servers] {
-    double now = 0.0;
-    for (osd::StorageTarget* t : tgts) now = std::max(now, t->sim_now_ms());
-    for (mds::Mds* m : servers) now = std::max(now, m->fs().elapsed_ms());
-    return now;
-  });
+  // A sample is stamped with the time the cluster as a whole has reached.
+  tl->set_clock(cluster_clock(tgts, servers));
 
   for (std::size_t i = 0; i < tgts.size(); ++i) {
     osd::StorageTarget* t = tgts[i];

@@ -97,7 +97,7 @@ class ParallelFileSystem {
   // --- RPC layer ------------------------------------------------------------
   /// The typed stub every cross-node call goes through (clients, workloads).
   rpc::Client& rpc() { return *rpc_client_; }
-  /// The transport chain itself (metrics, batching/fault decorators).
+  /// The transport chain itself (metrics, formation/fault decorators).
   rpc::TransportStack& transport() { return rpc_stack_; }
   const rpc::TransportStack& transport() const { return rpc_stack_; }
 

@@ -23,7 +23,7 @@
 // network charges, scheduler submits) reads `ambient_principal()`.  Two
 // places need more than the ambient:
 //
-//  * BatchingTransport flushes a coalesced frame on whatever thread tripped
+//  * FormationTransport flushes a packed frame on whatever thread tripped
 //    the watermark — the flusher's ambient is NOT the contributors'.  The
 //    queue carries a parallel per-request principal vector, and the flush
 //    wraps `call_batch` in a ScopedFramePrincipals so InprocTransport can
@@ -101,7 +101,7 @@ class ScopedPrincipal {
 };
 
 /// Per-request principals of a coalesced frame, parallel to the request
-/// vector handed to `Transport::call_batch`.  BatchingTransport sets this
+/// vector handed to `Transport::call_batch`.  FormationTransport sets this
 /// around the inner call (same thread), InprocTransport reads it to split
 /// the frame's cost back to contributors.  Empty when no frame is open.
 std::pair<const Principal*, std::size_t> frame_principals();

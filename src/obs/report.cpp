@@ -2,12 +2,40 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <string_view>
 
 namespace mif::obs {
 
 namespace {
+
+/// The value of a value-taking `flag` at argv[i], in either spelling:
+/// `--flag <v>` (consumes the next argument) or `--flag=<v>`.  nullopt when
+/// argv[i] is a different argument.  A missing value — the flag given last,
+/// an empty `--flag=`, or a value that is itself a flag (`--json --quick`)
+/// — fails fast with status 2 instead of silently dropping the flag or
+/// swallowing the next one.
+std::optional<std::string_view> flag_value(std::string_view bench_name,
+                                           std::string_view flag, int argc,
+                                           char** argv, int& i) {
+  const std::string_view arg = argv[i];
+  std::string_view value;
+  if (arg == flag) {
+    if (i + 1 < argc) value = argv[++i];
+  } else if (arg.size() > flag.size() && arg.starts_with(flag) &&
+             arg[flag.size()] == '=') {
+    value = arg.substr(flag.size() + 1);
+  } else {
+    return std::nullopt;
+  }
+  if (value.empty() || value.starts_with("--")) {
+    std::fprintf(stderr, "%s: %s needs a value\n",
+                 std::string(bench_name).c_str(), std::string(flag).c_str());
+    std::exit(2);
+  }
+  return value;
+}
 
 /// Strict positive-integer parse for count-valued flags.  atoi-style
 /// leniency let `--pipeline-depth garbage` silently mean depth 0 (i.e. the
@@ -61,72 +89,51 @@ void parse_kill_spec(std::string_view bench_name, std::string_view value,
 BenchReport::BenchReport(std::string_view bench_name, int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      path_ = argv[++i];
-    } else if (arg.rfind("--json=", 0) == 0) {
-      path_ = arg.substr(7);
-    } else if (arg == "--trace" && i + 1 < argc) {
-      trace_path_ = argv[++i];
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      trace_path_ = arg.substr(8);
+    const auto value = [&](std::string_view flag) {
+      return flag_value(bench_name, flag, argc, argv, i);
+    };
+    const auto count = [&](std::string_view flag, std::string_view v) {
+      return parse_count_flag(bench_name, flag, v);
+    };
+    std::optional<std::string_view> v;
+    if ((v = value("--json"))) {
+      path_ = *v;
+    } else if ((v = value("--trace"))) {
+      trace_path_ = *v;
     } else if (arg == "--quick") {
       quick_ = true;
     } else if (arg == "--timeseries") {
       timeseries_ = true;
     } else if (arg.rfind("--timeseries=", 0) == 0) {
       timeseries_ = true;
-      const std::string value(arg.substr(13));
+      const std::string interval(arg.substr(13));
       char* end = nullptr;
-      timeline_cfg_.sample_interval_ms = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || (end && *end != '\0'))
+      timeline_cfg_.sample_interval_ms = std::strtod(interval.c_str(), &end);
+      if (end == interval.c_str() || (end && *end != '\0'))
         timeline_cfg_.sample_interval_ms = 0.0;  // force validate() to fail
       if (const std::string err = validate(timeline_cfg_); !err.empty()) {
         std::fprintf(stderr, "%s: bad --timeseries interval '%s': %s\n",
-                     std::string(bench_name).c_str(), value.c_str(),
+                     std::string(bench_name).c_str(), interval.c_str(),
                      err.c_str());
         std::exit(2);
       }
-    } else if (arg == "--pipeline-depth" && i + 1 < argc) {
-      pipeline_depth_ =
-          parse_count_flag(bench_name, "--pipeline-depth", argv[++i]);
-    } else if (arg.rfind("--pipeline-depth=", 0) == 0) {
-      pipeline_depth_ =
-          parse_count_flag(bench_name, "--pipeline-depth", arg.substr(17));
-    } else if (arg == "--mds-shards" && i + 1 < argc) {
-      mds_shards_ = parse_count_flag(bench_name, "--mds-shards", argv[++i]);
-    } else if (arg.rfind("--mds-shards=", 0) == 0) {
-      mds_shards_ =
-          parse_count_flag(bench_name, "--mds-shards", arg.substr(13));
-    } else if (arg == "--collective-aggregators" && i + 1 < argc) {
-      collective_aggregators_ =
-          parse_count_flag(bench_name, "--collective-aggregators", argv[++i]);
-    } else if (arg.rfind("--collective-aggregators=", 0) == 0) {
-      collective_aggregators_ = parse_count_flag(
-          bench_name, "--collective-aggregators", arg.substr(25));
-    } else if (arg == "--list-io" && i + 1 < argc) {
-      list_io_runs_ = parse_count_flag(bench_name, "--list-io", argv[++i]);
-    } else if (arg.rfind("--list-io=", 0) == 0) {
-      list_io_runs_ = parse_count_flag(bench_name, "--list-io", arg.substr(10));
-    } else if (arg == "--qos" && i + 1 < argc) {
-      qos_mbps_ = parse_count_flag(bench_name, "--qos", argv[++i]);
-    } else if (arg.rfind("--qos=", 0) == 0) {
-      qos_mbps_ = parse_count_flag(bench_name, "--qos", arg.substr(6));
-    } else if (arg == "--adaptive-depth" && i + 1 < argc) {
-      adaptive_depth_ =
-          parse_count_flag(bench_name, "--adaptive-depth", argv[++i]);
-    } else if (arg.rfind("--adaptive-depth=", 0) == 0) {
-      adaptive_depth_ =
-          parse_count_flag(bench_name, "--adaptive-depth", arg.substr(17));
-    } else if (arg == "--replicas" && i + 1 < argc) {
-      replicas_ = parse_count_flag(bench_name, "--replicas", argv[++i]);
-    } else if (arg.rfind("--replicas=", 0) == 0) {
-      replicas_ = parse_count_flag(bench_name, "--replicas", arg.substr(11));
-    } else if (arg == "--kill-osd" && i + 1 < argc) {
+    } else if ((v = value("--pipeline-depth"))) {
+      pipeline_depth_ = count("--pipeline-depth", *v);
+    } else if ((v = value("--mds-shards"))) {
+      mds_shards_ = count("--mds-shards", *v);
+    } else if ((v = value("--collective-aggregators"))) {
+      collective_aggregators_ = count("--collective-aggregators", *v);
+    } else if ((v = value("--list-io"))) {
+      list_io_runs_ = count("--list-io", *v);
+    } else if ((v = value("--qos"))) {
+      qos_mbps_ = count("--qos", *v);
+    } else if ((v = value("--adaptive-depth"))) {
+      adaptive_depth_ = count("--adaptive-depth", *v);
+    } else if ((v = value("--replicas"))) {
+      replicas_ = count("--replicas", *v);
+    } else if ((v = value("--kill-osd"))) {
       kill_armed_ = true;
-      parse_kill_spec(bench_name, argv[++i], &kill_target_, &kill_at_ms_);
-    } else if (arg.rfind("--kill-osd=", 0) == 0) {
-      kill_armed_ = true;
-      parse_kill_spec(bench_name, arg.substr(11), &kill_target_, &kill_at_ms_);
+      parse_kill_spec(bench_name, *v, &kill_target_, &kill_at_ms_);
     } else if (arg == "--attribution") {
       attribution_ = true;
     }
@@ -170,15 +177,18 @@ void BenchReport::add_run(std::string_view name, Json config, Json results,
 bool BenchReport::write() const {
   if (path_.empty()) return true;
   std::FILE* f = std::fopen(path_.c_str(), "w");
-  if (!f) {
+  bool ok = f != nullptr;
+  if (ok) {
+    const std::string text = doc_.dump(2);
+    ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
+         std::fputc('\n', f) != EOF;
+    ok = std::fclose(f) == 0 && ok;
+  }
+  if (!ok) {
     std::fprintf(stderr, "obs: cannot write JSON report to %s\n",
                  path_.c_str());
     return false;
   }
-  const std::string text = doc_.dump(2);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
   std::fprintf(stderr, "obs: JSON report written to %s\n", path_.c_str());
   return true;
 }

@@ -38,8 +38,9 @@ class BenchReport {
   /// `--adaptive-depth <N>`, `--replicas <N>` and `--kill-osd <id>@<ms>`
   /// out of argv.
   /// Unknown arguments are ignored (google-benchmark style flags pass
-  /// through).  An invalid `--timeseries` interval, and a
-  /// zero/negative/non-numeric count flag, fail fast: the message goes to
+  /// through).  A value flag with no value (given last, `--flag=` empty, or
+  /// followed by another `--flag`), an invalid `--timeseries` interval, and
+  /// a zero/negative/non-numeric count flag fail fast: the message goes to
   /// stderr and the process exits with status 2.
   BenchReport(std::string_view bench_name, int argc, char** argv);
 
@@ -138,8 +139,9 @@ class BenchReport {
   Json& doc() { return doc_; }
 
   /// Write the report if `--json` was given.  Returns false (and prints to
-  /// stderr) when the file cannot be written.  Safe to call when disabled.
-  bool write() const;
+  /// stderr) when the file cannot be written; benches then exit non-zero.
+  /// Safe to call when disabled.
+  [[nodiscard]] bool write() const;
 
  private:
   std::string path_;

@@ -11,8 +11,6 @@ namespace mif::rpc {
 AsyncTransport::AsyncTransport(Transport& inner, AsyncConfig cfg)
     : inner_(inner),
       cfg_(cfg),
-      meta_model_(cfg.meta_net),
-      data_model_(cfg.data_net),
       pipe_(cfg.depth),
       depth_min_seen_(std::max<u32>(cfg.depth, 1)),
       depth_max_seen_(std::max<u32>(cfg.depth, 1)) {}

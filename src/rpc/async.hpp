@@ -24,8 +24,8 @@
 // rpc.pipeline.* metrics plus the rpc.inflight window-occupancy histogram.
 //
 // Placement in the chain: directly above InprocTransport —
-// Fault(Batching(Async(Inproc))) — so faults fail tickets before issue and
-// batching still coalesces frames underneath its own deferred acks.
+// Fault(Formation(Async(Inproc))) — so faults fail tickets before issue and
+// formation still packs frames underneath its own deferred acks.
 #pragma once
 
 #include <functional>
@@ -48,8 +48,6 @@ struct AsyncConfig {
   /// devices are starved, shrink when queue wait dominates.  The floor of 2
   /// guarantees the window always overlaps at least two exchanges.
   u32 depth_max{0};
-  sim::NetworkConfig meta_net{};
-  sim::NetworkConfig data_net{};
   /// Geometry used for the per-envelope disk service estimate (streaming
   /// floor; the OSDs still charge the real seek-aware cost internally).
   sim::DiskGeometry geometry{};
@@ -139,7 +137,8 @@ class AsyncTransport final : public Transport {
 
   Transport& inner_;
   AsyncConfig cfg_;
-  sim::Network meta_model_;  // cost() only — never charged
+  // cost() only — never charged; the same GbE model InprocTransport charges.
+  sim::Network meta_model_;
   sim::Network data_model_;
   obs::SpanCollector* spans_{nullptr};
   obs::Attribution* attrib_{nullptr};

@@ -11,7 +11,7 @@
 // matters for parallel-I/O cost is how many wire messages a logical
 // operation becomes, so each *aggregated* server operation (open-getlayout,
 // readdirplus) is ONE envelope, and block I/O envelopes carry *batches* of
-// runs so a batching transport can coalesce them.
+// runs so the formation layer can coalesce them.
 //
 // Adding an op (see docs/ARCHITECTURE.md for the walk-through):
 //   1. add the enum value + a row in kOpTraits (same order!),
@@ -79,7 +79,7 @@ struct OpTraits {
   std::string_view span;  // "rpc.mkdir" — span phase name
   bool meta;              // addressed to an MDS (vs a storage target)
   bool free;              // costs no wire message (client-local revalidation)
-  bool deferrable;        // a batching transport may queue + ack it early
+  bool deferrable;        // the formation layer may stage + ack it early
 };
 const OpTraits& traits(Op op);
 std::string_view to_string(Op op);
@@ -183,8 +183,8 @@ struct ReportExtentsRequest {
   u64 body_bytes() const { return 16; }
 };
 
-/// Write `runs` of the target-local subfile on behalf of `stream`.  A
-/// batching transport grows `runs` by coalescing contiguous writes; the data
+/// Write `runs` of the target-local subfile on behalf of `stream`.  The
+/// formation layer grows `runs` by coalescing contiguous writes; the data
 /// payload (blocks × block size) rides along with the envelope.
 struct BlockWriteRequest {
   static constexpr Op kOp = Op::kBlockWrite;

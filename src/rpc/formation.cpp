@@ -34,15 +34,15 @@ FormationTransport::~FormationTransport() {
   if (!sticky_.ok()) {
     ++stats_.dropped_errors;
     if (spans_)
-      spans_->record_sim(
-          cfg_.legacy ? "batch.dropped_error" : "formation.dropped_error",
-          obs::make_track(track_ns_, kFormationLane), 0.0, 0.0,
-          spans_->ambient(), static_cast<u64>(sticky_.error()), 1);
-    std::fprintf(
-        stderr, "[mif.%s] destructor dropped sticky deferred error: %.*s\n",
-        cfg_.legacy ? "batch" : "formation",
-        static_cast<int>(to_string(sticky_.error()).size()),
-        to_string(sticky_.error()).data());
+      spans_->record_sim("formation.dropped_error",
+                         obs::make_track(track_ns_, kFormationLane), 0.0, 0.0,
+                         spans_->ambient(), static_cast<u64>(sticky_.error()),
+                         1);
+    std::fprintf(stderr,
+                 "[mif.formation] destructor dropped sticky deferred error: "
+                 "%.*s\n",
+                 static_cast<int>(to_string(sticky_.error()).size()),
+                 to_string(sticky_.error()).data());
   }
 }
 
@@ -101,7 +101,7 @@ Status FormationTransport::flush_queue_locked(Queue& q) {
     r = std::move(l);
     ++stats_.folded_lists;
   }
-  if (cfg_.urgent_first) order_urgent_locked(q);
+  order_urgent_locked(q);
   const bool tagged = attrib_ && q.principals.size() == q.reqs.size();
   // First-fit packing in queue order.  A frame's wire cost is one header
   // plus the marginal bodies (InprocTransport::call_batch charges exactly

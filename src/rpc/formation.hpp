@@ -1,17 +1,16 @@
-// FormationTransport: first-class RPC frame formation (motr-style).
+// FormationTransport: first-class RPC frame formation (motr-style) — the
+// stack's one staging layer.
 //
-// The batching layer treated "what goes on the wire together" as an emergent
-// property of its flush triggers: everything a destination had queued at the
-// watermark shipped as ONE arbitrarily-large frame.  This layer makes frame
-// formation explicit, the way Lustre/motr's formation engine does: per-
-// destination staging queues accept deferrable envelopes (same early-ack +
-// sticky-error semantics as batching), and a flush *packs* the queue into
-// frames bounded by `max_frame_bytes`, ordered by urgency class —
+// "What goes on the wire together" is explicit here, the way Lustre/motr's
+// formation engine makes it: per-destination staging queues accept
+// deferrable envelopes and ack them early (a later failure is held sticky
+// and surfaced by the next flush() or barrier), and a flush *packs* the
+// queue into frames bounded by `max_frame_bytes`, ordered by urgency class —
 //
 //   barrier   — non-deferrable ops; never staged, they flush the queues and
 //               pass through (order with respect to staged work preserved);
 //   metadata  — deferrable MDS envelopes (utime, extent reports): small,
-//               latency-sensitive, packed ahead of data when `urgent_first`;
+//               latency-sensitive, always packed ahead of data;
 //   data      — block writes: bulk, coalesced into runs (util::append_run)
 //               and folded into kWriteList when noncontiguous.
 //
@@ -21,10 +20,6 @@
 // F, not hiding bytes.  An envelope whose lone marginal body exceeds
 // `max_frame_bytes` ships as an oversize singleton frame (counted) rather
 // than wedging the queue.
-//
-// BatchingTransport is now a thin compatibility adapter over this engine
-// (legacy mode: unbounded frames = exactly the old coalesce-on-watermark
-// behavior, exported under the historical batch.* keys).
 #pragma once
 
 #include <map>
@@ -47,12 +42,6 @@ struct FormationConfig {
   u64 watermark_bytes{4ull << 20};
   /// Flush once this many distinct envelopes are staged for one target.
   std::size_t max_queue_msgs{512};
-  /// Pack deferrable metadata envelopes ahead of data in a mixed queue (and
-  /// MDS destinations already flush before OSD by key order).
-  bool urgent_first{true};
-  /// Batching-compat mode: the adapter sets this so destructor-drop spans
-  /// keep the historical "batch." naming.
-  bool legacy{false};
 };
 
 /// "" when `cfg` is mountable; otherwise a human-readable reason.

@@ -114,9 +114,7 @@ Result<Response> dispatch_osd(osd::StorageTarget& t, const Request& req) {
 
 }  // namespace
 
-InprocTransport::InprocTransport(Endpoints eps, sim::NetworkConfig meta_net,
-                                 sim::NetworkConfig data_net)
-    : eps_(std::move(eps)), meta_net_(meta_net), data_net_(data_net) {}
+InprocTransport::InprocTransport(Endpoints eps) : eps_(std::move(eps)) {}
 
 double InprocTransport::charge(Address::Kind kind, u64 bytes) {
   const bool meta = kind == Address::Kind::kMds;
@@ -186,7 +184,7 @@ Result<Response> InprocTransport::call(const Address& to, const Request& req) {
 Status InprocTransport::call_batch(const Address& to,
                                    std::vector<Request> reqs) {
   if (reqs.empty()) return {};
-  // A flushed frame carries its contributors' principals (BatchingTransport
+  // A flushed frame carries its contributors' principals (FormationTransport
   // runs the flush on whatever thread tripped the watermark — the ambient
   // there is the flusher, not the contributors).
   const auto [fp, fp_n] = obs::frame_principals();
@@ -198,10 +196,10 @@ Status InprocTransport::call_batch(const Address& to,
     return r ? Status{} : Status{r.error()};
   }
   // One wire frame: a single shared header plus every envelope's body (and
-  // data payload).  This — not the dispatch below — is what batching buys.
+  // data payload).  This — not the dispatch below — is what formation buys.
   u64 frame = kHeaderBytes;
   for (const Request& r : reqs) frame += wire_bytes(r) - kHeaderBytes;
-  obs::ScopedSpan span(spans_, "rpc.batch", to.index, reqs.size());
+  obs::ScopedSpan span(spans_, "rpc.frame", to.index, reqs.size());
   double cost_ms = charge(to.kind, frame);
 
   // Frame-cost split, pro-rata by bytes: contributor i owns its own body

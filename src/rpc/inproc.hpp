@@ -12,7 +12,7 @@
 //     aggregates.
 //
 // call_batch() delivers several envelopes as ONE wire frame (one shared
-// header, one network exchange) — the quantity BatchingTransport optimises.
+// header, one network exchange) — the quantity FormationTransport optimises.
 //
 // Thread-safety: dispatch into storage targets may run concurrently (the
 // targets lock internally); both sim::Network instances are plain
@@ -32,8 +32,7 @@ namespace mif::rpc {
 
 class InprocTransport final : public Transport {
  public:
-  explicit InprocTransport(Endpoints eps, sim::NetworkConfig meta_net = {},
-                           sim::NetworkConfig data_net = {});
+  explicit InprocTransport(Endpoints eps);
 
   Result<Response> call(const Address& to, const Request& req) override;
   Status call_batch(const Address& to, std::vector<Request> reqs) override;

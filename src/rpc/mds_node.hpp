@@ -15,10 +15,8 @@ namespace mif::rpc {
 
 class MdsNode {
  public:
-  explicit MdsNode(mds::MdsConfig cfg = {}, sim::NetworkConfig net = {})
-      : mds_(cfg),
-        transport_(Endpoints{{&mds_}, {}}, net, sim::NetworkConfig{}),
-        client_(transport_) {}
+  explicit MdsNode(mds::MdsConfig cfg = {})
+      : mds_(cfg), transport_(Endpoints{{&mds_}, {}}), client_(transport_) {}
 
   MdsNode(const MdsNode&) = delete;
   MdsNode& operator=(const MdsNode&) = delete;

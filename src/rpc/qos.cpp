@@ -220,7 +220,7 @@ Result<Response> QosTransport::call(const Address& to, const Request& req) {
       ++backlog_count_;
       backlog_bytes_ += bytes;
       note_backlog_locked();
-      return Response{VoidResponse{}};  // deferred ack, batching semantics
+      return Response{VoidResponse{}};  // deferred ack, formation semantics
     }
     // Unmetered deferrable work (metadata, system principal) passes through,
     // but still pumps so a waiting backlog drains as the clock advances.
@@ -244,7 +244,7 @@ Result<Response> QosTransport::call(const Address& to, const Request& req) {
   }
 
   // Non-deferrable: an ino-scoped barrier (see release_ino_locked).  A
-  // sticky deferred failure surfaces here, like the batching layer's.
+  // sticky deferred failure surfaces here, like the formation layer's.
   {
     std::lock_guard lock(mu_);
     ++stats_.barriers;

@@ -6,7 +6,7 @@
 // issuing client's token bucket (identity = obs::Principal, the same tag the
 // attribution ledger charges): within rate, the envelope is admitted to the
 // inner transport immediately; over rate, it parks in a per-client backlog
-// and returns a deferred ack (batching semantics — a later failure is held
+// and returns a deferred ack (formation semantics — a later failure is held
 // sticky and surfaces at the next barrier or flush).  Buckets refill on the
 // cluster's simulated clock, and backlogged clients drain in weighted
 // round-robin whenever tokens come back, so one hot streamer is capped at
@@ -18,7 +18,7 @@
 // would hand the antagonist a bypass).  flush() releases everything — the
 // drain-on-unmount path.
 //
-// Placement: above the formation/batching layer, below fault/shard —
+// Placement: above the formation layer, below fault/shard —
 //   Sharded( Fault( Qos( Formation( Async( Inproc )))))
 // so a throttled envelope never reaches a staging queue or the pipeline
 // until its tokens are available.  Built only when QosConfig::enabled, so

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "mds/mds.hpp"
+#include "osd/storage_target.hpp"
 
 namespace mif::rpc {
 
@@ -11,8 +12,10 @@ TransportStack::TransportStack(Endpoints eps, const TransportOptions& opt) {
   const shard::Policy placement =
       shards >= 2 ? eps.mds.front()->config().placement
                   : shard::Policy::kSubtree;
-  inproc_ = std::make_unique<InprocTransport>(std::move(eps), opt.meta_net,
-                                              opt.data_net);
+  const sim::DiskGeometry geometry = eps.osds.empty()
+                                        ? sim::DiskGeometry{}
+                                        : eps.osds.front()->disk().geometry();
+  inproc_ = std::make_unique<InprocTransport>(std::move(eps));
   top_ = inproc_.get();
   if (opt.pipeline_depth >= 2 || opt.adaptive_depth_max >= 2) {
     AsyncConfig acfg;
@@ -20,16 +23,11 @@ TransportStack::TransportStack(Endpoints eps, const TransportOptions& opt) {
     // the floor so the controller earns any deeper window from the gauges.
     acfg.depth = std::max<u32>(opt.pipeline_depth, 2);
     acfg.depth_max = opt.adaptive_depth_max;
-    acfg.meta_net = opt.meta_net;
-    acfg.data_net = opt.data_net;
-    acfg.geometry = opt.geometry;
+    acfg.geometry = geometry;
     async_ = std::make_unique<AsyncTransport>(*top_, acfg);
     top_ = async_.get();
   }
-  if (opt.kind == TransportOptions::Kind::kBatching) {
-    batching_ = std::make_unique<BatchingTransport>(*top_, opt.batching);
-    top_ = batching_.get();
-  } else if (opt.kind == TransportOptions::Kind::kFormation) {
+  if (opt.kind == TransportOptions::Kind::kFormation) {
     formation_ = std::make_unique<FormationTransport>(*top_, opt.formation);
     top_ = formation_.get();
   }

@@ -1,15 +1,15 @@
 // TransportStack: owns and chains the transport decorators for one cluster.
 //
-//   top() == Sharded( [Fault(] [Qos(] [Formation|Batching(] [Async(]
+//   top() == Sharded( [Fault(] [Qos(] [Formation(] [Async(]
 //            Inproc [)] [)] [)] [)] )
 //
 // InprocTransport is always present (it dispatches and charges); the async
 // pipeline is built for pipeline_depth >= 2 OR an adaptive ceiling
-// adaptive_depth_max >= 2 (depth 1 IS the sync chain); staging is opt-in via
-// TransportOptions::kind — kBatching is the legacy coalescer, kFormation the
-// explicit frame-formation engine; the QoS scheduler is built only when
-// qos.enabled, above the staging layer so a throttled envelope never
-// occupies a staging queue; the fault decorator is built only when
+// adaptive_depth_max >= 2 (depth 1 IS the sync chain) and prices disk
+// service from the spindle geometry the Endpoints' targets mount; frame
+// formation is opt-in via TransportOptions::kind; the QoS scheduler is built
+// only when qos.enabled, above the staging layer so a throttled envelope
+// never occupies a staging queue; the fault decorator is built only when
 // inject_faults is set, so the default request path has zero fault-check
 // overhead; the shard router is built only when the Endpoints hold two or
 // more metadata servers, placing the namespace by the policy those servers
@@ -23,7 +23,6 @@
 #include <memory>
 
 #include "rpc/async.hpp"
-#include "rpc/batching.hpp"
 #include "rpc/fault.hpp"
 #include "rpc/formation.hpp"
 #include "rpc/inproc.hpp"
@@ -33,14 +32,11 @@
 namespace mif::rpc {
 
 struct TransportOptions {
-  enum class Kind : u8 { kInproc, kBatching, kFormation };
-  /// kInproc preserves the pre-RPC-layer figures exactly; kBatching trades
-  /// deferred acks for fewer wire messages (legacy unbounded frames);
-  /// kFormation stages per destination and packs size-bounded frames.
+  enum class Kind : u8 { kInproc, kFormation };
+  /// kInproc preserves the pre-RPC-layer figures exactly; kFormation trades
+  /// deferred acks for fewer wire messages: it stages per destination and
+  /// packs size-bounded frames.
   Kind kind{Kind::kInproc};
-  sim::NetworkConfig meta_net{};
-  sim::NetworkConfig data_net{};
-  BatchingConfig batching{};
   /// Frame-formation knobs (Kind::kFormation only).
   FormationConfig formation{};
   /// Per-client token-bucket admission control; qos.enabled builds the
@@ -54,9 +50,6 @@ struct TransportOptions {
   /// in [2, adaptive_depth_max] (builds the async layer even when
   /// pipeline_depth is 1, starting at max(2, pipeline_depth)).  0 = static.
   u32 adaptive_depth_max{0};
-  /// Disk geometry for AsyncTransport's per-envelope service estimate
-  /// (should match the OSDs' spindle geometry).
-  sim::DiskGeometry geometry{};
   /// Build a FaultTransport on top (disarmed until FaultTransport::arm).
   bool inject_faults{false};
 };
@@ -81,7 +74,6 @@ class TransportStack {
   /// Decorators, when configured (nullptr otherwise).
   AsyncTransport* async() { return async_.get(); }
   const AsyncTransport* async() const { return async_.get(); }
-  BatchingTransport* batching() { return batching_.get(); }
   FormationTransport* formation() { return formation_.get(); }
   const FormationTransport* formation() const { return formation_.get(); }
   QosTransport* qos() { return qos_.get(); }
@@ -109,7 +101,6 @@ class TransportStack {
  private:
   std::unique_ptr<InprocTransport> inproc_;
   std::unique_ptr<AsyncTransport> async_;
-  std::unique_ptr<BatchingTransport> batching_;
   std::unique_ptr<FormationTransport> formation_;
   std::unique_ptr<QosTransport> qos_;
   std::unique_ptr<FaultTransport> fault_;

@@ -2,12 +2,12 @@
 //
 // A Transport takes (Address, Request) and produces a Response.  All network
 // charging, rpc.* metrics and rpc.<op> span phases live behind this
-// interface, so swapping the implementation (batching, async, a real socket)
+// interface, so swapping the implementation (formation, async, a real socket)
 // changes cost and concurrency without touching client, MDS or OSD code.
 //
 // Implementations compose as decorators:
 //
-//   FaultTransport( BatchingTransport( AsyncTransport( InprocTransport )))
+//   FaultTransport( FormationTransport( AsyncTransport( InprocTransport )))
 //
 // with InprocTransport always innermost (it owns dispatch + charging) and
 // FaultTransport outermost (faults hit before any queueing, like a NIC).
@@ -162,7 +162,7 @@ class Transport {
 
   /// Deliver several envelopes to one destination as a single wire message.
   /// The default unrolls into individual calls; InprocTransport overrides it
-  /// to charge one frame — that difference is the batching win.
+  /// to charge one frame — that difference is the formation win.
   virtual Status call_batch(const Address& to, std::vector<Request> reqs) {
     for (const Request& r : reqs) {
       if (Result<Response> resp = call(to, r); !resp) return resp.error();

@@ -3,13 +3,13 @@
 // ablation both place and route metadata through it.  Sits OUTERMOST in the
 // transport chain:
 //
-//   Sharded( Fault( Batching( Async( Inproc ))))
+//   Sharded( Fault( Qos( Formation( Async( Inproc )))))
 //
 // i.e. it is client-library logic, above the "NIC": every sub-envelope it
 // emits (each fan-out leg, each phase of a cross-shard rename) separately
-// traverses the fault/batching/async layers and is separately charged by the
-// wire transport — so fault injection can kill a rename between its phases,
-// and a readdir fan-out really costs N exchanges.
+// traverses the fault/QoS/formation/async layers and is separately charged
+// by the wire transport — so fault injection can kill a rename between its
+// phases, and a readdir fan-out really costs N exchanges.
 //
 // Routing:
 //   * path-keyed metadata ops go to shard::Map::owner_of(path) (the incoming

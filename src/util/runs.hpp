@@ -1,7 +1,7 @@
 // Contiguous-run merging — the one place adjacency logic lives.
 //
 // Three layers used to re-implement "extend the tail if the next piece is
-// adjacent": BatchingTransport's coalescer (block runs), CollectiveWriter's
+// adjacent": FormationTransport's coalescer (block runs), CollectiveWriter's
 // Range merge (byte ranges), and the client's slice grouping.  They all call
 // these helpers now, so the semantics (sort, drop empties, merge on
 // touch-or-overlap) are defined exactly once and unit-tested once.

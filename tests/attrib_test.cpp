@@ -1,6 +1,6 @@
 // Cost-attribution tests: the conservation invariant (per-principal sums
 // equal the global counters the stack already keeps), the propagation
-// mechanics (ambient stack, frame principals, batching pro-rata, async
+// mechanics (ambient stack, frame principals, formation pro-rata, async
 // stall, cross-shard rename), Jain's fairness, and the critical-path
 // profiler built on the attribution cost spans.
 #include <gtest/gtest.h>
@@ -233,9 +233,9 @@ TEST(Attribution, QueueWaitChargedToContributors) {
   expect_conservation(fs, attrib);
 }
 
-TEST(Attribution, BatchingSplitsFrameCostProRata) {
+TEST(Attribution, FormationSplitsFrameCostProRata) {
   core::ClusterConfig cfg = small_cluster();
-  cfg.rpc.kind = rpc::TransportOptions::Kind::kBatching;
+  cfg.rpc.kind = rpc::TransportOptions::Kind::kFormation;
   core::ParallelFileSystem fs(cfg);
   obs::Attribution attrib;
   fs.set_attribution(&attrib);

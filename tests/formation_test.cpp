@@ -2,15 +2,13 @@
 // (oversize singletons excepted and counted), metadata frames leave before
 // data, coalescing and list folding survive the packer, watermark/queue-depth
 // backpressure, barrier ordering, deferred-error stickiness, and the
-// destructor's observable-drop contract for both the formation layer and the
-// legacy batching adapter.
+// destructor's observable-drop contract.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "obs/span.hpp"
 #include "osd/storage_target.hpp"
-#include "rpc/batching.hpp"
 #include "rpc/fault.hpp"
 #include "rpc/formation.hpp"
 #include "rpc/inproc.hpp"
@@ -282,39 +280,6 @@ TEST(Formation, DestructorDropIsObservable) {
   for (const obs::SpanRecord& r : spans.spans())
     if (r.name == "formation.dropped_error") saw_drop = true;
   EXPECT_TRUE(saw_drop);
-}
-
-TEST(Batching, AdapterDestructorDropKeepsTheLegacyName) {
-  obs::SpanCollector spans;
-  OsdPair osds;
-  InprocTransport inproc(osds.eps());
-  FaultTransport fault(inproc);
-  {
-    BatchingTransport b(fault, BatchingConfig{});
-    b.set_spans(&spans);
-    ASSERT_TRUE(b.call(osd_at(0), write_req(1, 0, 1)).ok());
-    fault.arm({.drop_after = 0, .drop_count = 1});
-  }
-  bool saw_drop = false;
-  for (const obs::SpanRecord& r : spans.spans())
-    if (r.name == "batch.dropped_error") saw_drop = true;
-  EXPECT_TRUE(saw_drop);
-}
-
-// The adapter's unbounded legacy frames: one frame per destination flush, no
-// matter how much is staged — exactly the historical batching behavior.
-TEST(Batching, AdapterShipsUnboundedLegacyFrames) {
-  ProbeTransport probe;
-  BatchingConfig cfg;
-  cfg.watermark_bytes = 1ull << 40;
-  cfg.max_queue_msgs = 1ull << 20;
-  BatchingTransport b(probe, cfg);
-  for (u64 i = 0; i < 32; ++i)
-    ASSERT_TRUE(b.call(osd_at(0), write_req(100 + i, 0, 1)).ok());
-  ASSERT_TRUE(b.flush().ok());
-  ASSERT_EQ(probe.frames.size(), 1u);
-  EXPECT_EQ(probe.frames[0].reqs.size(), 32u);
-  EXPECT_EQ(b.stats().wire_messages, 1u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // RPC layer tests: envelope codec round trips, InprocTransport equivalence
-// with the pre-RPC direct-call semantics, BatchingTransport coalescing and
-// backpressure, and the fault-injecting transport decorator.
+// with the pre-RPC direct-call semantics, frame formation on a mounted
+// cluster (coalescing, backpressure, deferred errors, list folding), and the
+// fault-injecting transport decorator.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -9,7 +10,6 @@
 #include "core/pfs.hpp"
 #include "mds/mds.hpp"
 #include "obs/metrics.hpp"
-#include "rpc/batching.hpp"
 #include "rpc/envelope.hpp"
 #include "rpc/fault.hpp"
 #include "rpc/mds_node.hpp"
@@ -137,14 +137,14 @@ TEST(Envelope, TraitsClassifyOps) {
     const Op op = static_cast<Op>(i);
     EXPECT_EQ(traits(op).free, op == Op::kResolve) << to_string(op);
   }
-  // Deferrable = safe to queue in a batching transport.
+  // Deferrable = safe to stage in the formation layer.
   EXPECT_TRUE(traits(Op::kUtime).deferrable);
   EXPECT_TRUE(traits(Op::kReportExtents).deferrable);
   EXPECT_TRUE(traits(Op::kBlockWrite).deferrable);
   EXPECT_FALSE(traits(Op::kCreate).deferrable);
   EXPECT_FALSE(traits(Op::kBlockRead).deferrable);
   EXPECT_EQ(to_string(Op::kOpenGetLayout), "open_getlayout");
-  // List/datatype envelopes arrive pre-coalesced: the batching transport
+  // List/datatype envelopes arrive pre-coalesced: the formation layer
   // passes them through (non-deferrable barrier) rather than re-queueing.
   for (Op op : {Op::kWriteList, Op::kReadList, Op::kWriteStrided,
                 Op::kReadStrided}) {
@@ -327,31 +327,35 @@ core::ClusterConfig one_target_cfg() {
   return cfg;
 }
 
-// A sequential writer through the batching transport collapses into one
-// wire message with coalesced runs — and places blocks exactly like the
-// synchronous transport does.
-TEST(Batching, CoalescesContiguousWritesIntoOneWireMessage) {
+core::ClusterConfig formation_cfg() {
   core::ClusterConfig cfg = one_target_cfg();
-  cfg.rpc.kind = TransportOptions::Kind::kBatching;
-  core::ParallelFileSystem fs(cfg);
+  cfg.rpc.kind = TransportOptions::Kind::kFormation;
+  return cfg;
+}
+
+// A sequential writer through the formation layer collapses into one wire
+// message with coalesced runs — and places blocks exactly like the
+// synchronous transport does.
+TEST(FormationMount, CoalescesContiguousWritesIntoOneWireMessage) {
+  core::ParallelFileSystem fs(formation_cfg());
   auto c = fs.connect(ClientId{1});
   auto fh = c.create("seq.odb");
   ASSERT_TRUE(fh);
   for (u64 i = 0; i < 32; ++i)
     ASSERT_TRUE(c.write(*fh, 0, i * 4 * kBlockSize, 4 * kBlockSize).ok());
 
-  BatchingTransport* batching = fs.transport().batching();
-  ASSERT_NE(batching, nullptr);
-  EXPECT_EQ(batching->stats().queued, 32u);
-  EXPECT_EQ(batching->stats().coalesced_runs, 31u);
-  EXPECT_GT(batching->pending_bytes(), 0u);
+  FormationTransport* formation = fs.transport().formation();
+  ASSERT_NE(formation, nullptr);
+  EXPECT_EQ(formation->stats().queued, 32u);
+  EXPECT_EQ(formation->stats().coalesced_runs, 31u);
+  EXPECT_GT(formation->pending_bytes(), 0u);
   // Nothing hit the wire yet.
   EXPECT_EQ(fs.transport().wire().data_network().stats().rpcs, 0u);
 
   ASSERT_TRUE(fs.rpc().flush().ok());
-  EXPECT_EQ(batching->stats().wire_messages, 1u);
+  EXPECT_EQ(formation->stats().wire_messages, 1u);
   EXPECT_EQ(fs.transport().wire().data_network().stats().rpcs, 1u);
-  EXPECT_EQ(batching->pending_bytes(), 0u);
+  EXPECT_EQ(formation->pending_bytes(), 0u);
 
   // Placement is identical to the synchronous transport's.
   core::ParallelFileSystem sync_fs(one_target_cfg());
@@ -365,10 +369,9 @@ TEST(Batching, CoalescesContiguousWritesIntoOneWireMessage) {
   EXPECT_EQ(fs.file_extents(fh->ino), sync_fs.file_extents(fh2->ino));
 }
 
-TEST(Batching, WatermarkForcesFlush) {
-  core::ClusterConfig cfg = one_target_cfg();
-  cfg.rpc.kind = TransportOptions::Kind::kBatching;
-  cfg.rpc.batching.watermark_bytes = 64 * 1024;  // ~4 blocks of payload
+TEST(FormationMount, WatermarkForcesFlush) {
+  core::ClusterConfig cfg = formation_cfg();
+  cfg.rpc.formation.watermark_bytes = 64 * 1024;  // ~4 blocks of payload
   core::ParallelFileSystem fs(cfg);
   auto c = fs.connect(ClientId{1});
   auto fh = c.create("seq.odb");
@@ -376,15 +379,13 @@ TEST(Batching, WatermarkForcesFlush) {
   for (u64 i = 0; i < 16; ++i)
     ASSERT_TRUE(c.write(*fh, 0, i * 4 * kBlockSize, 4 * kBlockSize).ok());
   // Backpressure shipped frames before any explicit flush or barrier.
-  EXPECT_GT(fs.transport().batching()->stats().watermark_flushes, 0u);
+  EXPECT_GT(fs.transport().formation()->stats().watermark_flushes, 0u);
   EXPECT_GT(fs.transport().wire().data_network().stats().rpcs, 0u);
   ASSERT_TRUE(fs.rpc().flush().ok());
 }
 
-TEST(Batching, DeferredErrorSurfacesAtFlush) {
-  core::ClusterConfig cfg = one_target_cfg();
-  cfg.rpc.kind = TransportOptions::Kind::kBatching;
-  core::ParallelFileSystem fs(cfg);
+TEST(FormationMount, DeferredErrorSurfacesAtFlush) {
+  core::ParallelFileSystem fs(formation_cfg());
   auto c = fs.connect(ClientId{1});
   auto fh = c.create("f.odb");
   ASSERT_TRUE(fh);
@@ -393,7 +394,7 @@ TEST(Batching, DeferredErrorSurfacesAtFlush) {
   ASSERT_TRUE(c.write(*fh, 0, 0, 4 * kBlockSize).ok());
   // … and the device error surfaces at the synchronisation point.
   EXPECT_EQ(fs.rpc().flush().error(), Errc::kIo);
-  EXPECT_EQ(fs.transport().batching()->stats().deferred_errors, 1u);
+  EXPECT_EQ(fs.transport().formation()->stats().deferred_errors, 1u);
   // The error is consumed; the system recovers.
   ASSERT_TRUE(c.write(*fh, 0, 0, 4 * kBlockSize).ok());
   EXPECT_TRUE(fs.rpc().flush().ok());
@@ -491,13 +492,11 @@ TEST(ListIo, RangedApisRequireListMount) {
   EXPECT_EQ(c.read_ranges_async(*fh, ranges, tickets).error(), Errc::kInvalid);
 }
 
-// The batching transport folds a coalesced multi-run block write into ONE
-// list envelope at flush (instead of the old run-split dispatch), while a
-// single-run write stays a plain block write.
-TEST(Batching, FoldsNoncontiguousQueueIntoListEnvelope) {
-  core::ClusterConfig cfg = one_target_cfg();
-  cfg.rpc.kind = TransportOptions::Kind::kBatching;
-  core::ParallelFileSystem fs(cfg);
+// The formation layer folds a coalesced multi-run block write into ONE list
+// envelope at flush (instead of a run-split dispatch), while a single-run
+// write stays a plain block write.
+TEST(FormationMount, FoldsNoncontiguousQueueIntoListEnvelope) {
+  core::ParallelFileSystem fs(formation_cfg());
   auto c = fs.connect(ClientId{1});
   auto fh = c.create("gaps.odb");
   ASSERT_TRUE(fh);
@@ -506,7 +505,7 @@ TEST(Batching, FoldsNoncontiguousQueueIntoListEnvelope) {
   for (u64 i = 0; i < 3; ++i)
     ASSERT_TRUE(c.write(*fh, 0, i * 8 * kBlockSize, 4 * kBlockSize).ok());
   ASSERT_TRUE(fs.rpc().flush().ok());
-  const BatchingStats s = fs.transport().batching()->stats();
+  const FormationStats s = fs.transport().formation()->stats();
   EXPECT_EQ(s.queued, 3u);
   EXPECT_EQ(s.folded_lists, 1u);
   EXPECT_EQ(s.wire_messages, 1u);
@@ -514,7 +513,7 @@ TEST(Batching, FoldsNoncontiguousQueueIntoListEnvelope) {
   EXPECT_EQ(fs.transport().wire().op_counters(Op::kBlockWrite).count, 0u);
   fs.drain_data();
 
-  // Placement matches the unbatched per-block mount exactly.
+  // Placement matches the unstaged per-block mount exactly.
   core::ParallelFileSystem plain(one_target_cfg());
   auto c2 = plain.connect(ClientId{1});
   auto fh2 = c2.create("gaps.odb");
@@ -541,19 +540,18 @@ TEST(Fault, DropsSurfaceAsIoThenRecover) {
   EXPECT_EQ(faulty.stats().dropped, 2u);
 }
 
-// The full decorator chain — Fault(Batching(Async(Inproc))) — composes:
+// The full decorator chain — Fault(Formation(Async(Inproc))) — composes:
 // every pass-through (call, call_async, completions, flush, metrics)
 // reaches the right layer, and the whole chain shares ONE completion queue.
 TEST(Stack, FullChainComposesAndSharesOneCompletionQueue) {
-  core::ClusterConfig cfg = one_target_cfg();
+  core::ClusterConfig cfg = formation_cfg();
   cfg.num_targets = 2;
   cfg.stripe = osd::StripeLayout{2, 16};
-  cfg.rpc.kind = TransportOptions::Kind::kBatching;
   cfg.rpc.pipeline_depth = 4;
   cfg.rpc.inject_faults = true;
   core::ParallelFileSystem fs(cfg);
   ASSERT_NE(fs.transport().async(), nullptr);
-  ASSERT_NE(fs.transport().batching(), nullptr);
+  ASSERT_NE(fs.transport().formation(), nullptr);
   ASSERT_NE(fs.transport().fault(), nullptr);
   // completions() forwards through every decorator to the async layer's
   // queue: a ticket issued at the top retires from the same queue the
@@ -570,9 +568,9 @@ TEST(Stack, FullChainComposesAndSharesOneCompletionQueue) {
   ASSERT_TRUE(fs.rpc().flush().ok());
   EXPECT_EQ(fs.transport().top().completions().in_flight(), 0u);
 
-  // Each layer did its job: batching coalesced, inproc charged the wire,
-  // the async layer retired tickets.
-  EXPECT_GT(fs.transport().batching()->stats().queued, 0u);
+  // Each layer did its job: formation staged, inproc charged the wire, the
+  // async layer retired tickets.
+  EXPECT_GT(fs.transport().formation()->stats().queued, 0u);
   EXPECT_GT(fs.transport().wire().op_counters(Op::kBlockWrite).count, 0u);
   EXPECT_GT(fs.transport().async()->report().issued, 0u);
 
@@ -586,7 +584,7 @@ TEST(Stack, FullChainComposesAndSharesOneCompletionQueue) {
   obs::MetricsRegistry reg;
   fs.transport().export_metrics(reg, "rpc");
   const std::string dump = reg.to_json().dump(0);
-  EXPECT_NE(dump.find("rpc.batch"), std::string::npos);
+  EXPECT_NE(dump.find("rpc.formation"), std::string::npos);
   EXPECT_NE(dump.find("rpc.pipeline.depth"), std::string::npos);
   EXPECT_NE(dump.find("rpc.fault"), std::string::npos);
 }

@@ -1,5 +1,5 @@
 // System matrix: miniature versions of every workload, run across the full
-// (allocator × directory-layout × shards/placement × list-I/O/pipeline)
+// (allocator × directory-layout × shards/placement × data-path mount)
 // configuration grid.  Each cell must (a) complete without errors, (b) leave
 // every storage target and the namespace verifiably consistent, (c) be
 // bit-deterministic across two runs, and (d) conserve the attribution ledger
@@ -23,12 +23,18 @@
 namespace mif {
 namespace {
 
-/// (list_io_max_runs, pipeline_depth, qos, replicas): the per-block sync
-/// mount, list I/O over the sync chain, list I/O over a depth-4 async
-/// pipeline, the pipelined mount with per-client token-bucket QoS enforcing
-/// a rate low enough to actually park envelopes mid-workload, and a 2-way
-/// replicated mount fanning every stripe unit to its copy target.
-using IoMode = std::tuple<u64, u32, bool, u32>;
+/// One data-path mount: list-I/O lowering (0 = per-block), async pipeline
+/// depth (1 = sync chain), per-client token-bucket QoS at a rate low enough
+/// to actually park envelopes mid-workload, N-way replication fanning every
+/// stripe unit to its copy targets, and frame formation staging the
+/// deferrable envelopes.
+struct IoMode {
+  u64 list_io_max_runs;
+  u32 pipeline_depth;
+  bool qos;
+  u32 replicas;
+  bool formation;
+};
 
 /// (metadata shards, placement): the placement is ignored for one shard.
 using Shards = std::pair<u32, shard::Policy>;
@@ -45,11 +51,10 @@ std::string config_name(const ::testing::TestParamInfo<Config>& info) {
   return s + "_" + std::string(to_string(std::get<1>(info.param))) + "_s" +
          std::to_string(shards.first) +
          (shards.second == shard::Policy::kHash ? "h" : "") + "_l" +
-         std::to_string(std::get<0>(io)) + "d" +
-         std::to_string(std::get<1>(io)) + (std::get<2>(io) ? "_qos" : "") +
-         (std::get<3>(io) >= 2
-              ? "_r" + std::to_string(std::get<3>(io))
-              : "");
+         std::to_string(io.list_io_max_runs) + "d" +
+         std::to_string(io.pipeline_depth) + (io.qos ? "_qos" : "") +
+         (io.replicas >= 2 ? "_r" + std::to_string(io.replicas) : "") +
+         (io.formation ? "_f" : "");
 }
 
 class SystemMatrix : public ::testing::TestWithParam<Config> {
@@ -63,16 +68,17 @@ class SystemMatrix : public ::testing::TestWithParam<Config> {
     cfg.mds.shards = std::get<2>(GetParam()).first;
     cfg.mds.placement = std::get<2>(GetParam()).second;
     const IoMode io = std::get<3>(GetParam());
-    cfg.list_io_max_runs = std::get<0>(io);
-    if (std::get<1>(io) >= 2) cfg.rpc.pipeline_depth = std::get<1>(io);
-    if (std::get<2>(io)) {
+    cfg.list_io_max_runs = io.list_io_max_runs;
+    if (io.pipeline_depth >= 2) cfg.rpc.pipeline_depth = io.pipeline_depth;
+    if (io.qos) {
       // A rate small against the workloads' bursts, so the scheduler
       // genuinely parks and releases envelopes inside every cell.
       cfg.rpc.qos.enabled = true;
       cfg.rpc.qos.rate_bytes_per_ms = 32.0 * 1024.0;
       cfg.rpc.qos.burst_bytes = 64 * 1024;
     }
-    if (std::get<3>(io) >= 2) cfg.redundancy.replicas = std::get<3>(io);
+    if (io.replicas >= 2) cfg.redundancy.replicas = io.replicas;
+    if (io.formation) cfg.rpc.kind = rpc::TransportOptions::Kind::kFormation;
     return cfg;
   }
 
@@ -230,12 +236,19 @@ INSTANTIATE_TEST_SUITE_P(
                           Shards{3, shard::Policy::kHash}),
         // I/O mode: per-block sync (the paper's default), list I/O on the
         // sync chain, list I/O through a depth-4 async pipeline, the
-        // pipelined chain under token-bucket QoS admission control, and a
+        // pipelined chain under token-bucket QoS admission control, a
         // 2-way replicated pipelined mount (every workload doubles its
-        // stripe-unit writes through the redundancy fan).
-        ::testing::Values(IoMode{0, 1, false, 1}, IoMode{64, 1, false, 1},
-                          IoMode{64, 4, false, 1}, IoMode{64, 4, true, 1},
-                          IoMode{64, 4, false, 2})),
+        // stripe-unit writes through the redundancy fan), and the frame
+        // formation layer staging both the per-block sync mount and the
+        // replicated list-I/O pipeline the stacked_collective benchmark
+        // workload mounts.
+        ::testing::Values(IoMode{0, 1, false, 1, false},
+                          IoMode{64, 1, false, 1, false},
+                          IoMode{64, 4, false, 1, false},
+                          IoMode{64, 4, true, 1, false},
+                          IoMode{64, 4, false, 2, false},
+                          IoMode{0, 1, false, 1, true},
+                          IoMode{64, 4, false, 2, true})),
     config_name);
 
 }  // namespace

@@ -13,7 +13,8 @@
 // timings to each run's results (depth <= 1 output is byte-identical to
 // the synchronous chain); `--adaptive-depth N` (N >= 2) instead floats the
 // window in [2, N] off the live OSD queue gauges and adds the controller's
-// depth trajectory to the pipelined fields.
+// depth trajectory to the pipelined fields.  Every run mounts the harness's
+// ClusterConfig overlay, so `--mds-shards N` and `--list-io N` apply too.
 #include <cstdio>
 #include <vector>
 
@@ -30,22 +31,21 @@ struct RunOut {
   mif::rpc::AsyncReport pipeline{};  // meaningful only when depth >= 2
 };
 
-RunOut run(mif::alloc::AllocatorMode mode, bool static_pre, mif::u32 processes,
-           bool quick, mif::u32 pipeline_depth, mif::u32 adaptive_depth,
+RunOut run(const mif::obs::BenchReport& report, mif::alloc::AllocatorMode mode,
+           bool static_pre, mif::u32 processes,
            mif::obs::SpanCollector* spans) {
   mif::core::ClusterConfig cfg;
+  report.overlay(cfg);
   cfg.num_targets = 5;  // "all data to be striped on five disks"
   cfg.target.allocator = mode;
-  if (pipeline_depth >= 2) cfg.rpc.pipeline_depth = pipeline_depth;
-  if (adaptive_depth >= 2) cfg.rpc.adaptive_depth_max = adaptive_depth;
   mif::core::ParallelFileSystem fs(cfg);
   fs.set_spans(spans);
   mif::workload::SharedFileConfig wcfg;
   wcfg.processes = processes;
   wcfg.threads_per_client = 4;
-  wcfg.blocks_per_process = quick ? 64 : 256;  // 1 MiB per process (full run)
+  wcfg.blocks_per_process = report.quick() ? 64 : 256;  // full: 1 MiB each
   wcfg.request_blocks = 4;        // 16 KiB writes (Fig. 6(b)'s low-mid range)
-  wcfg.read_segments = quick ? 128 : 1024;
+  wcfg.read_segments = report.quick() ? 128 : 1024;
   wcfg.static_prealloc = static_pre;
   RunOut out;
   out.res = mif::workload::run_shared_file(fs, wcfg);
@@ -106,20 +106,18 @@ int main(int argc, char** argv) {
   // One collector across the sweep: the ring keeps the most recent spans,
   // the slow log the slowest traces of the whole bench.
   mif::obs::SpanCollector spans;
-  mif::obs::SpanCollector* sp = report.trace_enabled() ? &spans : nullptr;
+  const std::string& trace_path = report.flags().trace;
+  mif::obs::SpanCollector* sp = trace_path.empty() ? nullptr : &spans;
 
   Table t({"streams", "reservation MB/s", "on-demand MB/s", "static MB/s",
            "on-demand vs reservation"});
   for (mif::u32 procs : sweep) {
-    const auto res = run(mif::alloc::AllocatorMode::kReservation, false, procs,
-                         report.quick(), report.pipeline_depth(),
-                         report.adaptive_depth(), sp);
-    const auto ond = run(mif::alloc::AllocatorMode::kOnDemand, false, procs,
-                         report.quick(), report.pipeline_depth(),
-                         report.adaptive_depth(), sp);
-    const auto sta = run(mif::alloc::AllocatorMode::kStatic, true, procs,
-                         report.quick(), report.pipeline_depth(),
-                         report.adaptive_depth(), sp);
+    const auto res =
+        run(report, mif::alloc::AllocatorMode::kReservation, false, procs, sp);
+    const auto ond =
+        run(report, mif::alloc::AllocatorMode::kOnDemand, false, procs, sp);
+    const auto sta =
+        run(report, mif::alloc::AllocatorMode::kStatic, true, procs, sp);
     t.add_row({std::to_string(procs),
                Table::num(res.res.phase2_throughput_mbps),
                Table::num(ond.res.phase2_throughput_mbps),
@@ -136,10 +134,7 @@ int main(int argc, char** argv) {
         mif::obs::Json config;
         config["streams"] = procs;
         config["mode"] = row.mode;
-        if (report.pipeline_depth() >= 2)
-          config["pipeline_depth"] = report.pipeline_depth();
-        if (report.adaptive_depth() >= 2)
-          config["adaptive_depth"] = report.adaptive_depth();
+        report.describe(config);
         report.add_run("streams=" + std::to_string(procs) +
                            " mode=" + row.mode,
                        std::move(config), results_json(*row.out),
@@ -149,6 +144,6 @@ int main(int argc, char** argv) {
   }
   t.print();
   if (!report.write()) return 1;
-  if (sp) mif::obs::write_chrome_trace(spans, report.trace_path());
+  if (sp) mif::obs::write_chrome_trace(spans, trace_path);
   return 0;
 }

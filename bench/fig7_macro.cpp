@@ -6,7 +6,6 @@
 // allocator's influence.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,7 +15,6 @@
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "obs/timeline.hpp"
-#include "redundancy/redundancy.hpp"
 #include "redundancy/repair.hpp"
 #include "rpc/fault.hpp"
 #include "shard/transport.hpp"
@@ -26,24 +24,21 @@
 
 namespace {
 
-mif::core::ParallelFileSystem make_fs(mif::alloc::AllocatorMode mode,
-                                      mif::u32 pipeline_depth,
-                                      mif::obs::SpanCollector* spans,
-                                      mif::u32 mds_shards = 0,
-                                      mif::shard::Policy placement =
-                                          mif::shard::Policy::kSubtree,
-                                      mif::u64 list_io_runs = 0,
-                                      mif::u32 adaptive_depth = 0) {
+constexpr mif::u32 kTargets = 8;  // "all data are striped in eight disks"
+
+/// Every fig7 mount: the harness's ClusterConfig overlay on eight targets.
+/// Each sweep then sets only the knob it varies.
+mif::core::ClusterConfig fig7_config(const mif::obs::BenchReport& report,
+                                     mif::alloc::AllocatorMode mode) {
   mif::core::ClusterConfig cfg;
-  cfg.num_targets = 8;  // "all data are striped in eight disks"
+  report.overlay(cfg);
+  cfg.num_targets = kTargets;
   cfg.target.allocator = mode;
-  if (pipeline_depth >= 2) cfg.rpc.pipeline_depth = pipeline_depth;
-  if (adaptive_depth >= 2) cfg.rpc.adaptive_depth_max = adaptive_depth;
-  if (mds_shards >= 2) {
-    cfg.mds.shards = mds_shards;
-    cfg.mds.placement = placement;
-  }
-  cfg.list_io_max_runs = list_io_runs;
+  return cfg;
+}
+
+mif::core::ParallelFileSystem make_fs(const mif::core::ClusterConfig& cfg,
+                                      mif::obs::SpanCollector* spans) {
   mif::core::ParallelFileSystem fs(cfg);
   fs.set_spans(spans);
   return fs;
@@ -57,13 +52,15 @@ mif::core::ParallelFileSystem make_fs(mif::alloc::AllocatorMode mode,
 /// byte-identical to the single-MDS output.
 void run_shard_namespace(mif::obs::BenchReport& report,
                          mif::obs::SpanCollector* spans) {
-  const mif::u32 shards = report.mds_shards();
+  const mif::u32 shards = report.flags().mds_shards;
   if (shards < 2) return;
   std::printf("\nmds-shards=%u namespace sweep (%u dirs x 24 files each)\n",
               shards, 2 * shards);
   for (auto policy : {mif::shard::Policy::kSubtree, mif::shard::Policy::kHash}) {
-    auto fs = make_fs(mif::alloc::AllocatorMode::kOnDemand,
-                      report.pipeline_depth(), spans, shards, policy);
+    mif::core::ClusterConfig cfg =
+        fig7_config(report, mif::alloc::AllocatorMode::kOnDemand);
+    cfg.mds.placement = policy;
+    auto fs = make_fs(cfg, spans);
     auto* sharded = fs.transport().sharded();
     for (mif::u32 d = 0; d < 2 * shards; ++d) {
       const std::string dir = "ns" + std::to_string(d);
@@ -85,8 +82,8 @@ void run_shard_namespace(mif::obs::BenchReport& report,
     if (!report.json_enabled()) continue;
     mif::obs::Json config;
     config["benchmark"] = "shard-namespace";
-    config["mds_shards"] = shards;
     config["placement"] = policy_name;
+    report.describe(config);
     mif::obs::Json results;
     results["shard_imbalance"] = s.imbalance();
     results["shard_fanout"] = s.fanout_requests - fanout_before;
@@ -108,7 +105,7 @@ void run_shard_namespace(mif::obs::BenchReport& report,
 void run_list_io_strided(mif::obs::BenchReport& report,
                          mif::obs::SpanCollector* spans,
                          mif::obs::Attribution* attrib) {
-  const mif::u64 max_runs = report.list_io_runs();
+  const mif::u32 max_runs = report.flags().list_io_runs;
   if (max_runs == 0) return;
   constexpr mif::u32 kProcs = 16;
   constexpr mif::u64 kSegments = 128;
@@ -117,9 +114,10 @@ void run_list_io_strided(mif::obs::BenchReport& report,
   double net_ms[2] = {0.0, 0.0};
   mif::obs::Json attribution;
   for (int list = 0; list < 2; ++list) {
-    auto fs = make_fs(mif::alloc::AllocatorMode::kOnDemand,
-                      report.pipeline_depth(), spans, report.mds_shards(),
-                      mif::shard::Policy::kSubtree, list ? max_runs : 0);
+    mif::core::ClusterConfig cfg =
+        fig7_config(report, mif::alloc::AllocatorMode::kOnDemand);
+    if (!list) cfg.list_io_max_runs = 0;  // the per-block arm
+    auto fs = make_fs(cfg, spans);
     if (list) fs.set_attribution(attrib);
     auto client = fs.connect(mif::ClientId{1});
     auto fh = client.create("strided.odb");
@@ -138,19 +136,19 @@ void run_list_io_strided(mif::obs::BenchReport& report,
   const double ratio =
       data_rpcs[1] ? static_cast<double>(data_rpcs[0]) / data_rpcs[1] : 0.0;
   std::printf(
-      "\nlist-io=%llu strided sweep (%u procs x %llu single-block pieces)\n"
+      "\nlist-io=%u strided sweep (%u procs x %llu single-block pieces)\n"
       "  per-block: %llu data rpcs  %.2f net ms\n"
       "  list-io:   %llu data rpcs  %.2f net ms  (%.1fx fewer envelopes)\n",
-      static_cast<unsigned long long>(max_runs), kProcs,
+      max_runs, kProcs,
       static_cast<unsigned long long>(kSegments),
       static_cast<unsigned long long>(data_rpcs[0]), net_ms[0],
       static_cast<unsigned long long>(data_rpcs[1]), net_ms[1], ratio);
   if (!report.json_enabled()) return;
   mif::obs::Json config;
   config["benchmark"] = "strided-list-io";
-  config["list_io_runs"] = max_runs;
   config["processes"] = kProcs;
   config["segments"] = kSegments;
+  report.describe(config);
   mif::obs::Json results;
   results["perblock_data_rpcs"] = data_rpcs[0];
   results["list_data_rpcs"] = data_rpcs[1];
@@ -180,20 +178,14 @@ struct RedundancyRun {
 RedundancyRun run_redundancy_point(const mif::obs::BenchReport& report,
                                    mif::obs::SpanCollector* spans,
                                    bool kill) {
-  constexpr mif::u32 kTargets = 8;
-  mif::core::ClusterConfig cfg;
-  cfg.num_targets = kTargets;
-  cfg.target.allocator = mif::alloc::AllocatorMode::kOnDemand;
-  cfg.redundancy.replicas = report.replicas();
-  if (report.pipeline_depth() >= 2)
-    cfg.rpc.pipeline_depth = report.pipeline_depth();
-  cfg.list_io_max_runs = report.list_io_runs();
-  if (kill) cfg.rpc.inject_faults = true;  // mounts the (disarmed) fault layer
-  mif::core::ParallelFileSystem fs(cfg);
-  fs.set_spans(spans);
+  const mif::obs::BenchFlags& flags = report.flags();
+  mif::core::ClusterConfig cfg =
+      fig7_config(report, mif::alloc::AllocatorMode::kOnDemand);
+  cfg.redundancy.replicas = flags.replicas;
+  cfg.rpc.inject_faults = kill;  // mounts the (disarmed) fault layer
+  auto fs = make_fs(cfg, spans);
   if (kill) {
-    fs.transport().fault()->kill_osd(report.kill_target(),
-                                     report.kill_at_ms());
+    fs.transport().fault()->kill_osd(flags.kill_target, flags.kill_at_ms);
   }
   auto client = fs.connect(mif::ClientId{1});
 
@@ -258,27 +250,12 @@ RedundancyRun run_redundancy_point(const mif::obs::BenchReport& report,
 /// the report is byte-identical to the unreplicated output.
 void run_redundancy_sweep(mif::obs::BenchReport& report,
                           mif::obs::SpanCollector* spans) {
-  const mif::u32 replicas = report.replicas();
-  if (replicas < 2) return;
-  constexpr mif::u32 kTargets = 8;
-  mif::redundancy::Policy policy;
-  policy.replicas = replicas;
-  if (const std::string err = mif::redundancy::validate(policy, kTargets);
-      !err.empty()) {
-    std::fprintf(stderr, "fig7_macro: bad --replicas %u: %s\n", replicas,
-                 err.c_str());
-    std::exit(2);
-  }
-  if (report.kill_armed() && report.kill_target() >= kTargets) {
-    std::fprintf(stderr,
-                 "fig7_macro: bad --kill-osd target %u: the redundancy sweep "
-                 "mounts %u targets\n",
-                 report.kill_target(), kTargets);
-    std::exit(2);
-  }
-  std::printf("\nreplicas=%u redundancy sweep (8 targets%s)\n", replicas,
-              report.kill_armed() ? ", kill-osd armed" : "");
-  for (int kill = 0; kill <= (report.kill_armed() ? 1 : 0); ++kill) {
+  const mif::obs::BenchFlags& flags = report.flags();
+  if (flags.replicas < 2) return;
+  report.check_redundancy(kTargets);
+  std::printf("\nreplicas=%u redundancy sweep (8 targets%s)\n", flags.replicas,
+              flags.kill_osd ? ", kill-osd armed" : "");
+  for (int kill = 0; kill <= (flags.kill_osd ? 1 : 0); ++kill) {
     const RedundancyRun r = run_redundancy_point(report, spans, kill != 0);
     std::printf(
         "  %-10s read_errors=%llu degraded_reads=%llu extents=%llu "
@@ -291,12 +268,13 @@ void run_redundancy_sweep(mif::obs::BenchReport& report,
     if (!report.json_enabled()) continue;
     mif::obs::Json config;
     config["benchmark"] = "redundancy";
-    config["replicas"] = replicas;
+    config["replicas"] = flags.replicas;
     config["killed"] = kill != 0;
     if (kill) {
-      config["kill_target"] = report.kill_target();
-      config["kill_at_ms"] = report.kill_at_ms();
+      config["kill_target"] = flags.kill_target;
+      config["kill_at_ms"] = flags.kill_at_ms;
     }
+    report.describe(config);
     mif::obs::Json results;
     results["read_errors"] = r.read_errors;
     results["degraded_reads"] = r.degraded_reads;
@@ -338,6 +316,7 @@ int main(int argc, char** argv) {
   using mif::Table;
   using mif::alloc::AllocatorMode;
   mif::obs::BenchReport report("fig7_macro", argc, argv);
+  const mif::obs::BenchFlags& flags = report.flags();
 
   // One collector across every run: `--trace <path>` dumps the slowest
   // traces and the most recent spans of the whole macro sweep.
@@ -348,15 +327,14 @@ int main(int argc, char** argv) {
   // attribution alone leaves the default report byte-identical.
   mif::obs::SpanCollector spans;
   mif::obs::SpanCollector* sp =
-      report.trace_enabled() || report.attribution_enabled() ? &spans
-                                                             : nullptr;
+      !flags.trace.empty() || flags.attribution ? &spans : nullptr;
 
   // One cost-attribution ledger per measured on-demand mount
   // (`--attribution`); heap-pinned like the timelines because timeline
   // gauge closures capture the raw ledger pointer.
   std::vector<std::unique_ptr<mif::obs::Attribution>> ledgers;
   auto new_ledger = [&]() -> mif::obs::Attribution* {
-    if (!report.attribution_enabled()) return nullptr;
+    if (!flags.attribution) return nullptr;
     ledgers.push_back(std::make_unique<mif::obs::Attribution>());
     return ledgers.back().get();
   };
@@ -366,9 +344,8 @@ int main(int argc, char** argv) {
   // tracks alongside the spans.
   std::vector<std::unique_ptr<mif::obs::Timeline>> timelines;
   auto new_timeline = [&](const std::string& label) -> mif::obs::Timeline* {
-    if (!report.timeseries_enabled()) return nullptr;
-    timelines.push_back(
-        std::make_unique<mif::obs::Timeline>(report.timeline_config()));
+    if (!flags.timeseries) return nullptr;
+    timelines.push_back(std::make_unique<mif::obs::Timeline>(flags.timeline));
     timelines.back()->set_label(label);
     return timelines.back().get();
   };
@@ -389,11 +366,7 @@ int main(int argc, char** argv) {
     mif::obs::Json config;
     config["benchmark"] = bench;
     config["collective"] = collective;
-    if (report.pipeline_depth() >= 2)
-      config["pipeline_depth"] = report.pipeline_depth();
-    if (report.adaptive_depth() >= 2)
-      config["adaptive_depth"] = report.adaptive_depth();
-    if (report.mds_shards() >= 2) config["mds_shards"] = report.mds_shards();
+    report.describe(config);
     mif::obs::Json results;
     results["reservation_mbps"] = res_mbps;
     results["ondemand_mbps"] = ond_mbps;
@@ -413,14 +386,8 @@ int main(int argc, char** argv) {
     cfg.request_bytes = 64 * 1024;
     cfg.bytes_per_process = report.quick() ? 2 * 1024 * 1024 : 16 * 1024 * 1024;
     cfg.collective = collective;
-    if (report.collective_aggregators() > 0)
-      cfg.collective_cfg.aggregators = report.collective_aggregators();
-    auto rfs = make_fs(AllocatorMode::kReservation, report.pipeline_depth(), sp,
-                       report.mds_shards(), mif::shard::Policy::kSubtree,
-                       report.list_io_runs(), report.adaptive_depth());
-    auto ofs = make_fs(AllocatorMode::kOnDemand, report.pipeline_depth(), sp,
-                       report.mds_shards(), mif::shard::Policy::kSubtree,
-                       report.list_io_runs(), report.adaptive_depth());
+    auto rfs = make_fs(fig7_config(report, AllocatorMode::kReservation), sp);
+    auto ofs = make_fs(fig7_config(report, AllocatorMode::kOnDemand), sp);
     mif::obs::Timeline* tl = new_timeline(
         std::string("IOR2 ") + (collective ? "collective" : "non-collective"));
     ofs.set_timeline(tl);
@@ -442,14 +409,8 @@ int main(int argc, char** argv) {
     cfg.cells_per_process = 16;
     cfg.cell_bytes = 8 * 1024;
     cfg.collective = collective;
-    if (report.collective_aggregators() > 0)
-      cfg.collective_cfg.aggregators = report.collective_aggregators();
-    auto rfs = make_fs(AllocatorMode::kReservation, report.pipeline_depth(), sp,
-                       report.mds_shards(), mif::shard::Policy::kSubtree,
-                       report.list_io_runs(), report.adaptive_depth());
-    auto ofs = make_fs(AllocatorMode::kOnDemand, report.pipeline_depth(), sp,
-                       report.mds_shards(), mif::shard::Policy::kSubtree,
-                       report.list_io_runs(), report.adaptive_depth());
+    auto rfs = make_fs(fig7_config(report, AllocatorMode::kReservation), sp);
+    auto ofs = make_fs(fig7_config(report, AllocatorMode::kOnDemand), sp);
     mif::obs::Timeline* tl = new_timeline(
         std::string("BTIO ") + (collective ? "collective" : "non-collective"));
     ofs.set_timeline(tl);
@@ -470,14 +431,14 @@ int main(int argc, char** argv) {
   run_redundancy_sweep(report, sp);
   // Whole-sweep critical path: top slowest traced requests across every
   // mount, decomposed into the ledger's resource segments.
-  if (report.attribution_enabled() && report.json_enabled()) {
+  if (flags.attribution && report.json_enabled()) {
     report.doc()["critical_path"] = mif::obs::analyze_critical_path(spans);
   }
   if (!report.write()) return 1;
   if (sp) {
     std::vector<const mif::obs::Timeline*> tls;
     for (const auto& tl : timelines) tls.push_back(tl.get());
-    mif::obs::write_chrome_trace(spans, tls, report.trace_path());
+    mif::obs::write_chrome_trace(spans, tls, flags.trace);
   }
   return 0;
 }

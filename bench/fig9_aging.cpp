@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
       const std::string run_name =
           std::string(s.name) + " @" + std::to_string(target);
       std::unique_ptr<mif::obs::Timeline> tl;
-      if (report.timeseries_enabled()) {
-        tl = std::make_unique<mif::obs::Timeline>(report.timeline_config());
+      if (report.flags().timeseries) {
+        tl = std::make_unique<mif::obs::Timeline>(report.flags().timeline);
         tl->set_label(run_name);
       }
       mif::obs::Json metrics;

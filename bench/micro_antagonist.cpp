@@ -23,7 +23,8 @@
 // without the per-client token-bucket transport scheduler (rpc/qos.hpp)
 // mounted, reporting how admission shaping restores the victims' p99 and
 // the attributed-fairness index.  Absent the flag the report stays
-// byte-identical.
+// byte-identical.  The intensity sweep mounts the harness's ClusterConfig
+// overlay (the mount flags); the A/B sweep keeps its fixed mount.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -235,13 +236,11 @@ int main(int argc, char** argv) {
 
   for (u32 intensity : {0u, 4u, 16u}) {
     mif::core::ClusterConfig cfg;
+    report.overlay(cfg);
     cfg.num_targets = 4;
     cfg.stripe = {4, 16};
     cfg.target.allocator = mif::alloc::AllocatorMode::kOnDemand;
     cfg.target.scheduler_queue = 64;
-    if (report.pipeline_depth() >= 2)
-      cfg.rpc.pipeline_depth = report.pipeline_depth();
-    if (report.mds_shards() >= 2) cfg.mds.shards = report.mds_shards();
     mif::core::ParallelFileSystem fs(cfg);
     fs.set_spans(&spans);
     ledgers.push_back(std::make_unique<mif::obs::Attribution>());
@@ -258,10 +257,7 @@ int main(int argc, char** argv) {
       config["hot_intensity"] = intensity;
       config["victims"] = static_cast<u64>(victims);
       config["rounds"] = static_cast<u64>(rounds);
-      if (report.pipeline_depth() >= 2)
-        config["pipeline_depth"] = report.pipeline_depth();
-      if (report.mds_shards() >= 2)
-        config["mds_shards"] = report.mds_shards();
+      report.describe(config);
       mif::obs::Json results;
       results["hot_p99_ms"] = r.hot_p99_ms;
       results["victim_p99_ms"] = r.victim_p99_ms;
@@ -280,10 +276,11 @@ int main(int argc, char** argv) {
   // admitted envelope bytes.  Open-loop rounds (see run_qos_point) so the
   // bucket actually shapes; absent the flag nothing runs and the report is
   // byte-identical.
-  if (report.qos_mbps() > 0) {
+  const u32 qos_mbps = report.flags().qos_mbps;
+  if (qos_mbps > 0) {
     std::printf("\nqos A/B sweep — token bucket at %u MB/s per client, "
                 "open-loop rounds\n\n",
-                report.qos_mbps());
+                qos_mbps);
     Table qt({"hot intensity", "qos", "hot p99 ms", "victim p99 ms",
               "fairness"});
     for (u32 intensity : {4u, 16u}) {
@@ -296,7 +293,7 @@ int main(int argc, char** argv) {
         if (on) {
           cfg.rpc.qos.enabled = true;
           cfg.rpc.qos.rate_bytes_per_ms =
-              static_cast<double>(report.qos_mbps()) * 1000.0;
+              static_cast<double>(qos_mbps) * 1000.0;
         }
         mif::core::ParallelFileSystem fs(cfg);
         fs.set_spans(&spans);
@@ -316,7 +313,7 @@ int main(int argc, char** argv) {
           config["hot_intensity"] = intensity;
           config["victims"] = static_cast<u64>(victims);
           config["rounds"] = static_cast<u64>(rounds);
-          if (on) config["qos_mbps"] = report.qos_mbps();
+          if (on) config["qos_mbps"] = qos_mbps;
           mif::obs::Json results;
           results["hot_p99_ms"] = r.hot_p99_ms;
           results["victim_p99_ms"] = r.victim_p99_ms;

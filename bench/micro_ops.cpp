@@ -1,14 +1,9 @@
 // google-benchmark micro-benchmarks of the hot library primitives: bitmap
 // run search, extent-map insert/lookup, allocator extend per strategy, disk
 // service and scheduler drain.  These guard the simulator's own performance
-// (the figure benches replay hundreds of thousands of operations).
+// (the figure benches replay hundreds of thousands of operations).  Takes
+// google-benchmark's own flags plus the harness flags of obs/report.hpp.
 #include <benchmark/benchmark.h>
-
-#include <cstdio>
-#include <cstdlib>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "alloc/allocator.hpp"
 #include "block/bitmap.hpp"
@@ -22,12 +17,7 @@ namespace {
 
 using namespace mif;
 
-// `--replicas N` / `--kill-osd id@ms` (parsed and validated by BenchReport —
-// bad values exit 2 before google-benchmark sees argv).
-u32 g_replicas = 0;
-bool g_kill = false;
-u32 g_kill_target = 0;
-double g_kill_at_ms = 0.0;
+constexpr u32 kReplicatedTargets = 4;
 
 void BM_BitmapFindRun(benchmark::State& state) {
   block::Bitmap bm(1 << 20);
@@ -132,17 +122,20 @@ void BM_SchedulerDrain128(benchmark::State& state) {
 BENCHMARK(BM_SchedulerDrain128);
 
 // Replicated stripe-unit writes through the whole stack (4 targets,
-// g_replicas-way); with --kill-osd the scheduled fault fires mid-run and the
+// --replicas-way); with --kill-osd the scheduled fault fires mid-run and the
 // fan degrades around the dead target.  Registered only when --replicas >= 2
 // so the default benchmark list is unchanged.
-void BM_ReplicatedStripeWrite(benchmark::State& state) {
+void BM_ReplicatedStripeWrite(benchmark::State& state,
+                              const obs::BenchFlags& flags) {
   core::ClusterConfig cfg;
-  cfg.num_targets = 4;
+  cfg.num_targets = kReplicatedTargets;
   cfg.stripe = {4, 16};
-  cfg.redundancy.replicas = g_replicas;
-  if (g_kill) cfg.rpc.inject_faults = true;
+  cfg.redundancy.replicas = flags.replicas;
+  cfg.rpc.inject_faults = flags.kill_osd;
   core::ParallelFileSystem fs(cfg);
-  if (g_kill) fs.transport().fault()->kill_osd(g_kill_target, g_kill_at_ms);
+  if (flags.kill_osd) {
+    fs.transport().fault()->kill_osd(flags.kill_target, flags.kill_at_ms);
+  }
   auto client = fs.connect(ClientId{1});
   auto fh = client.create("replicated.dat");
   u64 off = 0;
@@ -155,75 +148,18 @@ void BM_ReplicatedStripeWrite(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 
-/// Drop the harness's own flags from argv before handing it to
-/// google-benchmark (which rejects arguments it does not recognize).
-std::vector<char*> strip_harness_flags(int argc, char** argv) {
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  const std::string_view valued[] = {
-      "--json",           "--trace",     "--pipeline-depth",
-      "--mds-shards",     "--collective-aggregators",
-      "--list-io",        "--qos",       "--adaptive-depth",
-      "--replicas",       "--kill-osd"};
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    if (a == "--quick" || a == "--attribution" || a == "--timeseries" ||
-        a.rfind("--timeseries=", 0) == 0) {
-      continue;
-    }
-    bool skip = false;
-    for (const std::string_view f : valued) {
-      if (a == f) {
-        ++i;  // consume the value too
-        skip = true;
-        break;
-      }
-      if (a.size() > f.size() && a.rfind(f, 0) == 0 && a[f.size()] == '=') {
-        skip = true;
-        break;
-      }
-    }
-    if (!skip) args.push_back(argv[i]);
-  }
-  return args;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // BenchReport owns flag validation: zero/negative/garbage counts and a
-  // malformed or unreplicated --kill-osd exit 2 here, before any benchmark
-  // runs.
-  mif::obs::BenchReport report("micro_ops", argc, argv);
-  g_replicas = report.replicas();
-  if (g_replicas >= 2) {
-    mif::redundancy::Policy policy;
-    policy.replicas = g_replicas;
-    if (const std::string err = mif::redundancy::validate(policy, 4);
-        !err.empty()) {
-      std::fprintf(stderr, "micro_ops: bad --replicas %u: %s\n", g_replicas,
-                   err.c_str());
-      std::exit(2);
-    }
-    if (report.kill_armed()) {
-      if (report.kill_target() >= 4) {
-        std::fprintf(stderr,
-                     "micro_ops: bad --kill-osd target %u: the replicated "
-                     "write bench mounts 4 targets\n",
-                     report.kill_target());
-        std::exit(2);
-      }
-      g_kill = true;
-      g_kill_target = report.kill_target();
-      g_kill_at_ms = report.kill_at_ms();
-    }
+  // google-benchmark takes its own flags out of argv first; the harness
+  // table owns what is left, so an argument neither knows exits 2.
+  benchmark::Initialize(&argc, argv);
+  const mif::obs::BenchReport report("micro_ops", argc, argv);
+  if (report.flags().replicas >= 2) {
+    report.check_redundancy(kReplicatedTargets);
     benchmark::RegisterBenchmark("BM_ReplicatedStripeWrite",
-                                 BM_ReplicatedStripeWrite);
+                                 BM_ReplicatedStripeWrite, report.flags());
   }
-  std::vector<char*> args = strip_harness_flags(argc, argv);
-  int bargc = static_cast<int>(args.size());
-  benchmark::Initialize(&bargc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(bargc, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

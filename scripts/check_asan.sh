@@ -11,7 +11,8 @@
 # lean hardest on integer/double arithmetic (disk geometry, extent maps,
 # allocator properties, the attribution ledger's pro-rata splitting), where
 # UBSan catches signed overflow, bad shifts, misaligned access and enum
-# abuse.  Skips cleanly (exit 0) when the toolchain has no sanitizer
+# abuse; plus obs_test, whose bench flag table parses argv from outside the
+# program.  Skips cleanly (exit 0) when the toolchain has no sanitizer
 # runtime, so plain CI environments are not broken.  Registered as a ctest
 # from tests/CMakeLists.txt for sanitizer-less parent builds.
 set -eu
@@ -30,4 +31,4 @@ mif_sanitized_ctest check_asan "$SRC" "$SRC/build-asan" "$SANITIZERS" \
     rpc_test concurrency_test fault_verify_test client_test mds_test \
     sim_disk_test sim_scheduler_test block_extent_map_test \
     alloc_property_test qos_test formation_test attrib_test span_test \
-    redundancy_test
+    redundancy_test obs_test

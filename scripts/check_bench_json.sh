@@ -26,15 +26,17 @@
 #
 # Then the cost-attribution gate: without `--attribution` no run carries an
 # attribution section (micro_antagonist excepted — attribution IS that
-# bench); a zero/garbage `--pipeline-depth`/`--mds-shards` fails fast with
-# status 2, as does any value flag given without its value (last, empty, or
+# bench); a zero/garbage/2^32 count flag fails fast with status 2, as do an
+# argument outside the flag table (misspelled, positional, or a switch given
+# a value) and any value flag given without its value (last, empty, or
 # followed by another flag), and an unwritable `--json` path exits non-zero;
 # a fig7_macro `--attribution` run must conserve — for every cost
 # category the per-principal sums equal the global counters within 1e-9
 # relative — and carry a critical-path report whose per-request segments sum
-# to the request total; micro_antagonist must conserve, report Jain's
-# fairness in (0,1] that DEGRADES as the antagonist's intensity grows, and
-# reproduce byte-identically across two runs.
+# to the request total; micro_antagonist must conserve in all four
+# categories, report Jain's fairness in (0,1] that DEGRADES as the
+# antagonist's intensity grows, and reproduce byte-identically across two
+# runs.
 #
 # Then the redundancy gate: zero/negative/garbage `--replicas` and a
 # malformed `--kill-osd` spec fail fast with status 2, as does `--kill-osd`
@@ -47,12 +49,11 @@
 # post-repair extent count and read time within tolerance of the
 # never-killed replicated baseline in the same report.
 #
-# Then the list-I/O gate: `--collective-aggregators 4` (the built-in default)
-# must be byte-identical to the default fig7 report; a fig7_macro
-# `--list-io 64 --attribution` run must carry the strided sweep with >= 5x
-# fewer data-RPC envelopes and strictly less data-network sim time on the
-# list mount, and every attributed run — now carrying multi-run list/strided
-# frames — must still conserve disk/net/cpu/bytes.
+# Then the list-I/O gate: a fig7_macro `--list-io 64 --attribution` run
+# must carry the strided sweep with >= 5x fewer data-RPC envelopes and
+# strictly less data-network sim time on the list mount, and every
+# attributed run — now carrying multi-run list/strided frames — must still
+# conserve disk/net/cpu/bytes.
 #
 # Then the formation/QoS gate: zero/negative/garbage `--qos` and
 # `--adaptive-depth` values fail fast with status 2 (and `--adaptive-depth 1`
@@ -64,6 +65,7 @@
 # the top intensity — Jain fairness >= 0.9 with the scheduler on, strictly
 # better than off, the victims' p99 restored — while the shaped runs still
 # conserve their attribution ledgers.
+# The python helpers (require, close, conservation) live in gates.py.
 # Registered as a ctest (see bench/CMakeLists.txt).
 set -eu
 
@@ -90,13 +92,10 @@ mif_tmpfile ROUT bench_stdout_red
 
 python3 - "$OUT" <<'EOF'
 import json, sys
+from gates import require
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-
-def require(cond, msg):
-    if not cond:
-        sys.exit(f"check_bench_json: FAIL: {msg}")
 
 require(doc.get("schema_version") == 1, "schema_version != 1")
 require(doc.get("bench") == "fig6a_stream_count", "bench name mismatch")
@@ -206,13 +205,10 @@ for bench in "$@"; do
   "$bench" --quick --json "$SHARD4" --mds-shards 4 > /dev/null 2>&1
   python3 - "$SHARD4" <<'EOF'
 import json, sys
+from gates import require
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-
-def require(cond, msg):
-    if not cond:
-        sys.exit(f"check_bench_json: FAIL: {msg}")
 
 ns = {r["config"].get("placement"): r for r in doc.get("runs", [])
       if r["config"].get("benchmark") == "shard-namespace"}
@@ -276,13 +272,10 @@ for bench in "$@"; do
   "$bench" --quick --json "$TS" --timeseries > /dev/null 2>&1
   python3 - "$TS" <<'EOF'
 import json, sys
+from gates import require
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-
-def require(cond, msg):
-    if not cond:
-        sys.exit(f"check_bench_json: FAIL: {msg}")
 
 runs = doc.get("runs", [])
 require(runs, "fig9 --timeseries report has no runs")
@@ -350,10 +343,11 @@ done
 echo "check_bench_json: OK (no attribution section without --attribution)"
 
 # Invalid transport knobs must fail fast with status 2 — not mount a broken
-# stack and emit a report that silently ignored the flag.
-for flag in --pipeline-depth --mds-shards --collective-aggregators --list-io \
-            --qos --adaptive-depth --replicas; do
-  for bad in 0 -3 many; do
+# stack and emit a report that silently ignored the flag.  2^32 would wrap
+# to 0 in a u32.
+for flag in --pipeline-depth --mds-shards --list-io --qos --adaptive-depth \
+            --replicas; do
+  for bad in 0 -3 many 4294967296; do
     if "$BENCH" --quick --json "$OUT" "$flag" "$bad" > /dev/null 2>&1; then
       echo "check_bench_json: FAIL: $flag $bad did not fail"
       exit 1
@@ -366,14 +360,27 @@ for flag in --pipeline-depth --mds-shards --collective-aggregators --list-io \
     fi
   done
 done
-echo "check_bench_json: OK (zero/negative/garbage transport knobs exit 2)"
+echo "check_bench_json: OK (zero/negative/garbage/2^32 transport knobs exit 2)"
+
+# An argument outside the flag table fails fast too: a misspelled flag, a
+# positional argument and a switch given a value would otherwise run the
+# default report as if they had been understood.
+for form in "--pipline-depth 8" "stray" "--quick=1"; do
+  rc=0
+  # shellcheck disable=SC2086
+  "$BENCH" --quick --json "$OUT" $form > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "check_bench_json: FAIL: '$form' exited $rc, want 2"
+    exit 1
+  fi
+done
+echo "check_bench_json: OK (unknown/positional/valued-switch arguments exit 2)"
 
 # A value flag without its value fails fast too — given last, given empty,
 # or followed by another flag (which it must not swallow: `--json --quick`
 # would write a report named "--quick" and run the full sweep).
-for flag in --json --trace --pipeline-depth --mds-shards \
-            --collective-aggregators --list-io --qos --adaptive-depth \
-            --replicas --kill-osd; do
+for flag in --json --trace --pipeline-depth --mds-shards --list-io --qos \
+            --adaptive-depth --replicas --kill-osd; do
   for form in "--quick $flag" "$flag --quick" "--quick $flag="; do
     rc=0
     # shellcheck disable=SC2086
@@ -401,47 +408,17 @@ for bench in "$@"; do
   "$bench" --quick --json "$ATTR" --attribution > /dev/null 2>&1
   python3 - "$ATTR" <<'EOF'
 import json, sys
+from gates import require, close, require_conserved
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-
-def require(cond, msg):
-    if not cond:
-        sys.exit(f"check_bench_json: FAIL: {msg}")
-
-def close(a, b):
-    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
-
-DISK = ("disk_seek_ms", "disk_rotation_ms", "disk_skip_ms",
-        "disk_transfer_ms")
 
 attributed = [r for r in doc.get("runs", []) if "attribution" in r]
 require(attributed, "fig7 --attribution report has no attributed runs")
 for run in attributed:
     name = run.get("name")
     a = run["attribution"]
-    principals, glob = a.get("principals"), a.get("global")
-    require(isinstance(principals, dict) and principals,
-            f"run '{name}' has no principals")
-    require(isinstance(glob, dict), f"run '{name}' has no global comparands")
-    sums = {"disk": 0.0, "net": 0.0, "cpu": 0.0, "bytes": 0}
-    for label, acct in principals.items():
-        sums["disk"] += sum(acct[k] for k in DISK)
-        sums["net"] += acct["net_ms"]
-        sums["cpu"] += acct["mds_cpu_ms"]
-        sums["bytes"] += acct["net_bytes"]
-    require(close(sums["disk"], glob["disk_ms"]),
-            f"run '{name}' disk not conserved: principals {sums['disk']} "
-            f"vs global {glob['disk_ms']}")
-    require(close(sums["net"], glob["net_ms"]),
-            f"run '{name}' net time not conserved: {sums['net']} vs "
-            f"{glob['net_ms']}")
-    require(close(sums["cpu"], glob["mds_cpu_ms"]),
-            f"run '{name}' MDS cpu not conserved: {sums['cpu']} vs "
-            f"{glob['mds_cpu_ms']}")
-    require(sums["bytes"] == glob["net_bytes"],
-            f"run '{name}' net bytes not conserved: {sums['bytes']} vs "
-            f"{glob['net_bytes']}")
+    require_conserved(name, a)
     fairness = a.get("fairness")
     require(isinstance(fairness, (int, float)) and 0 < fairness <= 1.0,
             f"run '{name}' fairness {fairness} outside (0,1]")
@@ -482,19 +459,10 @@ for bench in "$@"; do
   fi
   python3 - "$ATTR" <<'EOF'
 import json, sys
+from gates import require, close, require_conserved
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-
-def require(cond, msg):
-    if not cond:
-        sys.exit(f"check_bench_json: FAIL: {msg}")
-
-def close(a, b):
-    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
-
-DISK = ("disk_seek_ms", "disk_rotation_ms", "disk_skip_ms",
-        "disk_transfer_ms")
 
 runs = doc.get("runs", [])
 require(len(runs) >= 3, f"expected >= 3 intensity points, got {len(runs)}")
@@ -508,11 +476,7 @@ for run in runs:
     require(0 < res["fairness"] <= 1.0,
             f"run '{name}' fairness {res['fairness']} outside (0,1]")
     a = run.get("attribution")
-    require(isinstance(a, dict), f"run '{name}' has no attribution section")
-    disk = sum(sum(acct[k] for k in DISK) for acct in a["principals"].values())
-    require(close(disk, a["global"]["disk_ms"]),
-            f"run '{name}' disk not conserved: {disk} vs "
-            f"{a['global']['disk_ms']}")
+    require_conserved(name, a)
     require(close(res["fairness"], a["fairness"]),
             f"run '{name}' results fairness != attribution fairness")
     fairness_by_intensity.append(
@@ -588,13 +552,10 @@ for bench in "$@"; do
   "$bench" --quick --json "$RED" --replicas 2 --kill-osd 1@2 > /dev/null 2>&1
   python3 - "$RED" <<'EOF'
 import json, sys
+from gates import require
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-
-def require(cond, msg):
-    if not cond:
-        sys.exit(f"check_bench_json: FAIL: {msg}")
 
 red = {r["name"]: r for r in doc.get("runs", [])
        if r["config"].get("benchmark") == "redundancy"}
@@ -642,38 +603,19 @@ EOF
 done
 
 # ---- list-I/O gate ---------------------------------------------------------
-# Passing the collective-aggregator default explicitly must not change a
-# byte: 4 aggregators IS the built-in CollectiveConfig, so the flag only
-# re-states it.
+# List mount on: the strided sweep must ship an order fewer data-RPC
+# envelopes (>= 5x) in strictly less data-network sim time, and every
+# attributed run — whose frames now carry multiple (offset,len) runs each —
+# must still conserve against the global counters.
 for bench in "$@"; do
   [ "$(basename "$bench")" = "fig7_macro" ] || continue
-  "$bench" --quick --json "$OUT" > /dev/null 2>&1
-  "$bench" --quick --json "$LIST" --collective-aggregators 4 > /dev/null 2>&1
-  if ! cmp -s "$OUT" "$LIST"; then
-    echo "check_bench_json: FAIL: fig7_macro --collective-aggregators 4 is" \
-         "not byte-identical to the default report"
-    diff "$OUT" "$LIST" | head -20 || true
-    exit 1
-  fi
-  echo "check_bench_json: OK (fig7 aggregators-4 report byte-identical to default)"
-
-  # List mount on: the strided sweep must ship an order fewer data-RPC
-  # envelopes (>= 5x) in strictly less data-network sim time, and every
-  # attributed run — whose frames now carry multiple (offset,len) runs each
-  # — must still conserve against the global counters.
   "$bench" --quick --json "$LIST" --list-io 64 --attribution > /dev/null 2>&1
   python3 - "$LIST" <<'EOF'
 import json, sys
+from gates import require, require_conserved
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-
-def require(cond, msg):
-    if not cond:
-        sys.exit(f"check_bench_json: FAIL: {msg}")
-
-def close(a, b):
-    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
 strided = [r for r in doc.get("runs", [])
            if r["config"].get("benchmark") == "strided-list-io"]
@@ -688,34 +630,10 @@ require(res["list_net_ms"] < res["perblock_net_ms"],
         f"list mount was not faster on the data network "
         f"({res['list_net_ms']} vs {res['perblock_net_ms']} ms)")
 
-DISK = ("disk_seek_ms", "disk_rotation_ms", "disk_skip_ms",
-        "disk_transfer_ms")
 attributed = [r for r in doc.get("runs", []) if "attribution" in r]
 require(attributed, "--list-io --attribution report has no attributed runs")
 for run in attributed:
-    name = run.get("name")
-    a = run["attribution"]
-    principals, glob = a.get("principals"), a.get("global")
-    require(isinstance(principals, dict) and principals,
-            f"run '{name}' has no principals")
-    sums = {"disk": 0.0, "net": 0.0, "cpu": 0.0, "bytes": 0}
-    for acct in principals.values():
-        sums["disk"] += sum(acct[k] for k in DISK)
-        sums["net"] += acct["net_ms"]
-        sums["cpu"] += acct["mds_cpu_ms"]
-        sums["bytes"] += acct["net_bytes"]
-    require(close(sums["disk"], glob["disk_ms"]),
-            f"run '{name}' disk not conserved over list frames: "
-            f"{sums['disk']} vs {glob['disk_ms']}")
-    require(close(sums["net"], glob["net_ms"]),
-            f"run '{name}' net time not conserved over list frames: "
-            f"{sums['net']} vs {glob['net_ms']}")
-    require(close(sums["cpu"], glob["mds_cpu_ms"]),
-            f"run '{name}' MDS cpu not conserved over list frames: "
-            f"{sums['cpu']} vs {glob['mds_cpu_ms']}")
-    require(sums["bytes"] == glob["net_bytes"],
-            f"run '{name}' net bytes not conserved over list frames: "
-            f"{sums['bytes']} vs {glob['net_bytes']}")
+    require_conserved(run.get("name"), run["attribution"], " over list frames")
 
 print(f"check_bench_json: OK (list-io: {per}->{lst} data envelopes "
       f"({per / lst:.1f}x), net {res['perblock_net_ms']:.1f}->"
@@ -773,13 +691,10 @@ echo "check_bench_json: OK (no qos/adaptive fields without the flags)"
 "$BENCH" --quick --json "$ADAPT" --adaptive-depth 8 > /dev/null 2>&1
 python3 - "$ADAPT" <<'EOF'
 import json, sys
+from gates import require
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-
-def require(cond, msg):
-    if not cond:
-        sys.exit(f"check_bench_json: FAIL: {msg}")
 
 runs = doc.get("runs", [])
 require(runs, "--adaptive-depth 8 report has no runs")
@@ -821,19 +736,10 @@ for bench in "$@"; do
   "$bench" --quick --json "$QOS" --qos 4 > /dev/null 2>&1
   python3 - "$QOS" <<'EOF'
 import json, sys
+from gates import require, require_conserved
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-
-def require(cond, msg):
-    if not cond:
-        sys.exit(f"check_bench_json: FAIL: {msg}")
-
-def close(a, b):
-    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
-
-DISK = ("disk_seek_ms", "disk_rotation_ms", "disk_skip_ms",
-        "disk_transfer_ms")
 
 ab = {r["name"]: r for r in doc.get("runs", [])
       if r.get("name", "").startswith("qos=")}
@@ -858,27 +764,7 @@ require(v_on < v_off,
         f"{v_off:.2f} off)")
 
 for name, run in ab.items():
-    a = run.get("attribution")
-    require(isinstance(a, dict), f"run '{name}' has no attribution section")
-    sums = {"disk": 0.0, "net": 0.0, "cpu": 0.0, "bytes": 0}
-    for acct in a["principals"].values():
-        sums["disk"] += sum(acct[k] for k in DISK)
-        sums["net"] += acct["net_ms"]
-        sums["cpu"] += acct["mds_cpu_ms"]
-        sums["bytes"] += acct["net_bytes"]
-    glob = a["global"]
-    require(close(sums["disk"], glob["disk_ms"]),
-            f"run '{name}' disk not conserved under qos: {sums['disk']} "
-            f"vs {glob['disk_ms']}")
-    require(close(sums["net"], glob["net_ms"]),
-            f"run '{name}' net time not conserved under qos: "
-            f"{sums['net']} vs {glob['net_ms']}")
-    require(close(sums["cpu"], glob["mds_cpu_ms"]),
-            f"run '{name}' MDS cpu not conserved under qos: "
-            f"{sums['cpu']} vs {glob['mds_cpu_ms']}")
-    require(sums["bytes"] == glob["net_bytes"],
-            f"run '{name}' net bytes not conserved under qos: "
-            f"{sums['bytes']} vs {glob['net_bytes']}")
+    require_conserved(name, run.get("attribution"), " under qos")
 
 print(f"check_bench_json: OK (qos A/B at hot=16: fairness {f_off:.3f} -> "
       f"{f_on:.3f}, victim p99 {v_off:.2f} -> {v_on:.2f} ms, "

@@ -27,13 +27,10 @@ mif_tmpfile METRICS trace_metrics
 
 python3 - "$TRACE" "$METRICS" <<'EOF'
 import json, sys
+from gates import require
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-
-def require(cond, msg):
-    if not cond:
-        sys.exit(f"check_trace_json: FAIL: {msg}")
 
 events = doc.get("traceEvents")
 require(isinstance(events, list) and events, "traceEvents missing or empty")
@@ -110,13 +107,10 @@ EOF
 
 python3 - "$TRACE" "$METRICS" <<'EOF'
 import json, sys
+from gates import require
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-
-def require(cond, msg):
-    if not cond:
-        sys.exit(f"check_trace_json: FAIL: {msg}")
 
 events = doc.get("traceEvents", [])
 require(events, "traceEvents missing or empty")

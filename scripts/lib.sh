@@ -18,8 +18,16 @@
 # The helpers assign through `eval` instead of printing so they work in the
 # parent shell (a $(...) capture would grow the cleanup list in a subshell
 # and leak the file).
+#
+# The gates' python heredocs import scripts/gates.py (require, close, the
+# attribution-conservation check); it reports failures under MIF_GATE, the
+# calling script's name.
 
 MIF_TMP_PATHS=""
+MIF_SCRIPTS="$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)"
+PYTHONPATH="$MIF_SCRIPTS${PYTHONPATH:+:$PYTHONPATH}"
+MIF_GATE="$(basename -- "$0" .sh)"
+export PYTHONPATH MIF_GATE
 
 mif_cleanup() {
   # shellcheck disable=SC2086  # word-splitting of the path list is intended

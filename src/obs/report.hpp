@@ -1,4 +1,4 @@
-// Bench-harness JSON reporting.
+// Bench-harness flags and JSON reporting.
 //
 // Every bench binary keeps printing its human table exactly as before; with
 // `--json <path>` it additionally writes a machine-readable trajectory:
@@ -15,8 +15,12 @@
 //     ]
 //   }
 //
-// `--quick` is also parsed here: CI (scripts/check_bench_json.sh) uses it to
-// run a reduced workload so the schema check stays fast.
+// The constructor parses argv through one flag table (report.cpp) into a
+// BenchFlags; an argument outside the table exits 2.  Benches read flags(),
+// start their mounts from overlay() and record the mount flags in each run's
+// config with describe(), so no bench wires a flag into ClusterConfig by
+// hand.  `--quick` runs a reduced workload so CI
+// (scripts/check_bench_json.sh) stays fast.
 #pragma once
 
 #include <string>
@@ -25,105 +29,90 @@
 #include "obs/config.hpp"
 #include "obs/json.hpp"
 
+namespace mif::core {
+struct ClusterConfig;
+}
+
 namespace mif::obs {
 
 inline constexpr u64 kReportSchemaVersion = 1;
 
+/// Every harness flag's value; a flag that was not given keeps its zero
+/// value (false, empty, 0), which every bench treats as "default mount,
+/// byte-identical report".  Value flags take `--flag <v>` or `--flag=<v>`.
+struct BenchFlags {
+  /// `--quick`: reduced workload for CI.
+  bool quick{false};
+  /// `--attribution`: attach a cost-attribution ledger (obs/attrib.hpp) and
+  /// embed each run's per-principal accounts + critical-path report.
+  bool attribution{false};
+  /// `--json <path>`: where to write the report.
+  std::string json;
+  /// `--trace <path>`: where to write the Chrome-trace / Perfetto span dump
+  /// (the bench attaches an obs::SpanCollector).
+  std::string trace;
+  // Counts: each accepts an integer in [1, 2^32-1]; --adaptive-depth in
+  // [2, 2^32-1], because the adaptive window's floor is 2.
+  /// `--pipeline-depth <N>`: async in-flight window (rpc.pipeline_depth;
+  /// 1 is the synchronous chain).
+  u32 pipeline_depth{0};
+  /// `--adaptive-depth <N>`: adaptive async window ceiling
+  /// (rpc.adaptive_depth_max).
+  u32 adaptive_depth{0};
+  /// `--mds-shards <N>`: metadata shards to mount (mds.shards; 1 is the
+  /// classic single-MDS stack).
+  u32 mds_shards{0};
+  /// `--list-io <N>`: list I/O with at most N (offset,len) runs per
+  /// envelope (list_io_max_runs); also enables the list-I/O sweeps.
+  u32 list_io_runs{0};
+  /// `--qos <N>`: per-client token bucket at N MB/s (micro_antagonist's
+  /// A/B sweep).
+  u32 qos_mbps{0};
+  /// `--replicas <N>`: N-way stripe-unit replication for the benches'
+  /// redundancy sections (redundancy.replicas).
+  u32 replicas{0};
+  /// `--timeseries[=<interval_ms>]`: attach a flight recorder
+  /// (obs/timeline.hpp) configured by `timeline` and embed each run's
+  /// sampled series.
+  bool timeseries{false};
+  Config timeline{};
+  /// `--kill-osd <id>@<ms>`: a whole-target failure of target `kill_target`
+  /// at simulated time `kill_at_ms` (rpc::FaultTransport::kill_osd).
+  /// Requires --replicas >= 2.
+  bool kill_osd{false};
+  u32 kill_target{0};
+  double kill_at_ms{0.0};
+};
+
 class BenchReport {
  public:
-  /// Parses `--json <path>`, `--trace <path>`, `--quick`,
-  /// `--timeseries[=<interval_ms>]`, `--attribution`,
-  /// `--pipeline-depth <N>`, `--mds-shards <N>`,
-  /// `--collective-aggregators <N>`, `--list-io <N>`, `--qos <N>`,
-  /// `--adaptive-depth <N>`, `--replicas <N>` and `--kill-osd <id>@<ms>`
-  /// out of argv.
-  /// Unknown arguments are ignored (google-benchmark style flags pass
-  /// through).  A value flag with no value (given last, `--flag=` empty, or
-  /// followed by another `--flag`), an invalid `--timeseries` interval, and
-  /// a zero/negative/non-numeric count flag fail fast: the message goes to
-  /// stderr and the process exits with status 2.
+  /// Parses argv[1..argc) against the flag table.  Any misuse fails fast —
+  /// the message goes to stderr and the process exits with status 2: an
+  /// argument outside the table (a positional one included), a switch given
+  /// a value (`--quick=1`), a value flag with no value (given last, empty,
+  /// or followed by another `--flag`), a count outside its range, a bad
+  /// `--timeseries` interval or `--kill-osd` spec, and `--kill-osd` without
+  /// `--replicas >= 2`.
   BenchReport(std::string_view bench_name, int argc, char** argv);
 
-  bool json_enabled() const { return !path_.empty(); }
-  bool quick() const { return quick_; }
+  bool json_enabled() const { return !flags_.json.empty(); }
+  bool quick() const { return flags_.quick; }
+  const BenchFlags& flags() const { return flags_; }
 
-  /// `--pipeline-depth <N>` / `--pipeline-depth=<N>`: in-flight window for
-  /// the async transport.  0 when absent; benches treat 0/1 as the default
-  /// synchronous chain (output stays byte-identical).  A zero, negative or
-  /// non-numeric value fails fast with status 2 (like --timeseries).
-  u32 pipeline_depth() const { return pipeline_depth_; }
+  /// Applies the mount flags that were given to `cfg`: --pipeline-depth
+  /// (rpc.pipeline_depth), --adaptive-depth (rpc.adaptive_depth_max),
+  /// --mds-shards (mds.shards) and --list-io (list_io_max_runs).  Leaves
+  /// every other field, and the whole config when none was given, alone.
+  void overlay(core::ClusterConfig& cfg) const;
 
-  /// `--mds-shards <N>` / `--mds-shards=<N>`: metadata shards to mount.
-  /// 0 when absent; benches treat 0/1 as the classic single-MDS stack
-  /// (output stays byte-identical).  Same fail-fast validation as
-  /// --pipeline-depth.
-  u32 mds_shards() const { return mds_shards_; }
+  /// Records the overlay in a run's `config`: pipeline_depth and mds_shards
+  /// when >= 2 (1 mounts the default stack, so the report stays
+  /// byte-identical), adaptive_depth and list_io_runs when given.
+  void describe(Json& config) const;
 
-  /// `--collective-aggregators <N>` / `--collective-aggregators=<N>`:
-  /// aggregator count for benches that run collective rounds (ROMIO
-  /// cb_nodes).  0 when absent; benches substitute their built-in default,
-  /// so passing the default value explicitly stays byte-identical.  Same
-  /// fail-fast validation as --pipeline-depth.
-  u32 collective_aggregators() const { return collective_aggregators_; }
-
-  /// `--list-io <N>` / `--list-io=<N>`: mount list I/O with at most N
-  /// (offset,len) runs per kWriteList/kReadList envelope
-  /// (ClusterConfig::list_io_max_runs) and enable the benches' list-I/O
-  /// comparison sections.  0 when absent — the per-block data path runs and
-  /// output stays byte-identical.  Same fail-fast validation as
-  /// --pipeline-depth.
-  u64 list_io_runs() const { return list_io_runs_; }
-
-  /// `--qos <N>` / `--qos=<N>`: per-client token-bucket QoS at N MB/s of
-  /// admitted envelope bytes (rpc::QosConfig::rate_bytes_per_ms = N * 1000).
-  /// 0 when absent; benches leave the QoS layer unmounted (output stays
-  /// byte-identical).  Same fail-fast validation as --pipeline-depth.
-  u32 qos_mbps() const { return qos_mbps_; }
-
-  /// `--adaptive-depth <N>` / `--adaptive-depth=<N>`: adaptive async window
-  /// ceiling (rpc::TransportOptions::adaptive_depth_max).  0 when absent —
-  /// the static --pipeline-depth (or sync) chain runs and output stays
-  /// byte-identical.  Values must be >= 2 to arm the controller; a bare 1
-  /// is rejected (the window floor is 2).  Same fail-fast validation as
-  /// --pipeline-depth.
-  u32 adaptive_depth() const { return adaptive_depth_; }
-
-  /// `--replicas <N>` / `--replicas=<N>`: mount N-way stripe-unit
-  /// replication (ClusterConfig::redundancy.replicas) and enable the
-  /// benches' redundancy sections.  0 when absent; benches treat 0/1 as the
-  /// unreplicated mount (output stays byte-identical).  Same fail-fast
-  /// validation as --pipeline-depth.
-  u32 replicas() const { return replicas_; }
-
-  /// `--kill-osd <id>@<ms>` / `--kill-osd=<id>@<ms>`: schedule a
-  /// deterministic whole-target failure at simulated time `ms`
-  /// (rpc::FaultTransport::kill_osd).  Requires --replicas >= 2 — killing
-  /// an unreplicated mount's target can only lose data, so the combination
-  /// fails fast with status 2, as does a malformed spec.
-  bool kill_armed() const { return kill_armed_; }
-  u32 kill_target() const { return kill_target_; }
-  double kill_at_ms() const { return kill_at_ms_; }
-
-  /// `--attribution`: attach a cost-attribution ledger (obs/attrib.hpp) and
-  /// embed each run's per-principal accounts + critical-path report.  Off
-  /// by default — reports stay byte-identical without the flag.
-  bool attribution_enabled() const { return attribution_; }
-
-  /// `--trace <path>` / `--trace=<path>`: where to write the Chrome-trace /
-  /// Perfetto span dump; empty when tracing was not requested.  The bench
-  /// attaches an obs::SpanCollector and calls obs::write_chrome_trace.
-  bool trace_enabled() const { return !trace_path_.empty(); }
-  const std::string& trace_path() const { return trace_path_; }
-
-  /// `--timeseries` / `--timeseries=<interval_ms>`: attach a flight
-  /// recorder (obs/timeline.hpp) and embed each run's sampled series as a
-  /// "timeseries" object in the JSON report.  Off by default — reports stay
-  /// byte-identical without the flag.
-  bool timeseries_enabled() const { return timeseries_; }
-
-  /// The validated obs::Config for timelines this invocation should mount
-  /// (sample_interval_ms carries the `--timeseries=<X>` override).
-  const Config& timeline_config() const { return timeline_cfg_; }
+  /// Fails fast (status 2) unless --replicas and --kill-osd fit a mount of
+  /// `num_targets` targets.  A no-op without --replicas.
+  void check_redundancy(u32 num_targets) const;
 
   /// Append one run row.  `name` identifies the configuration point.
   /// `timeseries` (a Timeline::to_json() document) and `attribution`
@@ -144,22 +133,8 @@ class BenchReport {
   [[nodiscard]] bool write() const;
 
  private:
-  std::string path_;
-  std::string trace_path_;
-  bool quick_{false};
-  bool timeseries_{false};
-  bool attribution_{false};
-  Config timeline_cfg_{};
-  u32 pipeline_depth_{0};
-  u32 mds_shards_{0};
-  u32 collective_aggregators_{0};
-  u64 list_io_runs_{0};
-  u32 qos_mbps_{0};
-  u32 adaptive_depth_{0};
-  u32 replicas_{0};
-  bool kill_armed_{false};
-  u32 kill_target_{0};
-  double kill_at_ms_{0.0};
+  std::string bench_;
+  BenchFlags flags_;
   Json doc_;
 };
 

@@ -1,10 +1,15 @@
 // Unit tests for the observability layer: metrics registry registration and
 // lookup, histogram quantiles, JSON round-trip, trace-ring wraparound and
-// per-stream filtering, and the publish() mapping of subsystem stats.
+// per-stream filtering, the publish() mapping of subsystem stats, and the
+// bench harness's flag table with its ClusterConfig overlay.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <tuple>
+#include <vector>
 
+#include "core/pfs.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -337,6 +342,145 @@ TEST(BenchReport, EqualsFormAndDisabledWrite) {
   EXPECT_FALSE(off.json_enabled());
   EXPECT_TRUE(off.write());  // disabled: a no-op, not an error
   std::remove("eq_form.json");
+}
+
+/// A BenchReport parsed from `args` (argv[0] is supplied).
+BenchReport report_from(std::vector<std::string> args) {
+  std::vector<char*> argv{const_cast<char*>("bench")};
+  for (std::string& a : args) argv.push_back(a.data());
+  return BenchReport("bench", static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(BenchFlags, EveryFlagInBothSpellingsSetsItsField) {
+  for (const bool equals : {false, true}) {
+    SCOPED_TRACE(equals ? "--flag=<v>" : "--flag <v>");
+    std::vector<std::string> args{"--quick", "--attribution",
+                                  "--timeseries=25"};
+    const auto value_flag = [&](const std::string& flag,
+                                const std::string& value) {
+      if (equals) {
+        args.push_back(flag + "=" + value);
+      } else {
+        args.push_back(flag);
+        args.push_back(value);
+      }
+    };
+    value_flag("--json", "r.json");
+    value_flag("--trace", "t.json");
+    value_flag("--pipeline-depth", "3");
+    value_flag("--adaptive-depth", "4");
+    value_flag("--mds-shards", "5");
+    value_flag("--list-io", "6");
+    value_flag("--qos", "7");
+    value_flag("--replicas", "2");
+    value_flag("--kill-osd", "1@2.5");
+    const BenchReport report = report_from(args);
+    const BenchFlags& f = report.flags();
+    EXPECT_TRUE(f.quick);
+    EXPECT_TRUE(report.quick());
+    EXPECT_TRUE(f.attribution);
+    EXPECT_EQ(f.json, "r.json");
+    EXPECT_TRUE(report.json_enabled());
+    EXPECT_EQ(f.trace, "t.json");
+    EXPECT_EQ(f.pipeline_depth, 3u);
+    EXPECT_EQ(f.adaptive_depth, 4u);
+    EXPECT_EQ(f.mds_shards, 5u);
+    EXPECT_EQ(f.list_io_runs, 6u);
+    EXPECT_EQ(f.qos_mbps, 7u);
+    EXPECT_EQ(f.replicas, 2u);
+    EXPECT_TRUE(f.kill_osd);
+    EXPECT_EQ(f.kill_target, 1u);
+    EXPECT_DOUBLE_EQ(f.kill_at_ms, 2.5);
+    EXPECT_TRUE(f.timeseries);
+    EXPECT_DOUBLE_EQ(f.timeline.sample_interval_ms, 25.0);
+  }
+  // The bare --timeseries keeps the default sampling interval; the largest
+  // u32 is still a count.
+  const BenchReport bare =
+      report_from({"--timeseries", "--qos", "4294967295"});
+  EXPECT_TRUE(bare.flags().timeseries);
+  EXPECT_DOUBLE_EQ(bare.flags().timeline.sample_interval_ms,
+                   Config{}.sample_interval_ms);
+  EXPECT_EQ(bare.flags().qos_mbps, 4294967295u);
+}
+
+/// The overlay's four fields, then neighbours it must leave alone.
+auto mount_fields(const core::ClusterConfig& c) {
+  return std::tuple{c.rpc.pipeline_depth,   c.rpc.adaptive_depth_max,
+                    c.mds.shards,           c.list_io_max_runs,
+                    c.num_targets,          c.mds.placement,
+                    c.redundancy.replicas,  c.rpc.inject_faults,
+                    c.rpc.qos.enabled,      c.rpc.kind,
+                    c.client_readahead_max_blocks};
+}
+
+TEST(BenchReport, OverlaySetsExactlyTheFourMountFields) {
+  const core::ClusterConfig defaults;
+  core::ClusterConfig cfg;
+  report_from({"--quick", "--replicas", "2", "--qos", "3"}).overlay(cfg);
+  EXPECT_EQ(mount_fields(cfg), mount_fields(defaults));
+
+  report_from({"--pipeline-depth", "3", "--adaptive-depth", "4",
+               "--mds-shards", "5", "--list-io", "6", "--replicas", "2",
+               "--kill-osd", "1@2"})
+      .overlay(cfg);
+  auto want = mount_fields(defaults);
+  std::get<0>(want) = 3;
+  std::get<1>(want) = 4;
+  std::get<2>(want) = 5;
+  std::get<3>(want) = 6;
+  EXPECT_EQ(mount_fields(cfg), want);
+}
+
+TEST(BenchReport, DescribeRecordsOnlyNonDefaultMounts) {
+  Json config;
+  config["streams"] = 8;
+  report_from({"--pipeline-depth", "1", "--mds-shards", "1"})
+      .describe(config);
+  EXPECT_EQ(config.as_object().size(), 1u);
+
+  report_from({"--pipeline-depth", "2", "--adaptive-depth", "4",
+               "--mds-shards", "2", "--list-io", "6"})
+      .describe(config);
+  EXPECT_EQ(config.as_object().size(), 5u);
+  EXPECT_EQ(config.at("pipeline_depth").as_u64(), 2u);
+  EXPECT_EQ(config.at("adaptive_depth").as_u64(), 4u);
+  EXPECT_EQ(config.at("mds_shards").as_u64(), 2u);
+  EXPECT_EQ(config.at("list_io_runs").as_u64(), 6u);
+}
+
+TEST(BenchReportDeathTest, MisuseExitsWithStatusTwo) {
+  using ::testing::ExitedWithCode;
+  EXPECT_EXIT(report_from({"--pipline-depth", "8"}), ExitedWithCode(2),
+              "unknown argument '--pipline-depth'");
+  EXPECT_EXIT(report_from({"stray"}), ExitedWithCode(2),
+              "unknown argument 'stray'");
+  EXPECT_EXIT(report_from({"--quick=1"}), ExitedWithCode(2),
+              "--quick takes no value");
+  EXPECT_EXIT(report_from({"--pipeline-depth", "4294967296"}),
+              ExitedWithCode(2), "bad --pipeline-depth '4294967296'");
+  EXPECT_EXIT(report_from({"--replicas=0"}), ExitedWithCode(2),
+              "bad --replicas '0'");
+  EXPECT_EXIT(report_from({"--json"}), ExitedWithCode(2),
+              "--json needs a value");
+  EXPECT_EXIT(report_from({"--adaptive-depth", "1"}), ExitedWithCode(2),
+              "bad --adaptive-depth '1'");
+  EXPECT_EXIT(report_from({"--kill-osd", "1@2"}), ExitedWithCode(2),
+              "--kill-osd requires --replicas >= 2");
+  EXPECT_EXIT(report_from({"--replicas", "2", "--kill-osd", "1@"}),
+              ExitedWithCode(2), "bad --kill-osd '1@'");
+}
+
+TEST(BenchReportDeathTest, CheckRedundancyBoundsTheMount) {
+  using ::testing::ExitedWithCode;
+  report_from({}).check_redundancy(4);  // unreplicated: nothing to check
+  const BenchReport kill =
+      report_from({"--replicas", "2", "--kill-osd", "3@1"});
+  kill.check_redundancy(4);  // target 3 of 4: in range
+  EXPECT_EXIT(kill.check_redundancy(3), ExitedWithCode(2),
+              "bad --kill-osd target 3: the mount has 3 targets");
+  EXPECT_EXIT(report_from({"--replicas", "5"}).check_redundancy(4),
+              ExitedWithCode(2), "bad --replicas 5");
 }
 
 }  // namespace

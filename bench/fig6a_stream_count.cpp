@@ -20,6 +20,7 @@
 
 #include "obs/report.hpp"
 #include "obs/span.hpp"
+#include "obs/timeline.hpp"
 #include "util/table.hpp"
 #include "workload/shared_file.hpp"
 
@@ -144,6 +145,6 @@ int main(int argc, char** argv) {
   }
   t.print();
   if (!report.write()) return 1;
-  if (sp) mif::obs::write_chrome_trace(spans, trace_path);
+  if (sp && !mif::obs::write_chrome_trace(spans, {}, trace_path)) return 1;
   return 0;
 }

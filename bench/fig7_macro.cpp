@@ -435,10 +435,10 @@ int main(int argc, char** argv) {
     report.doc()["critical_path"] = mif::obs::analyze_critical_path(spans);
   }
   if (!report.write()) return 1;
-  if (sp) {
+  if (!flags.trace.empty()) {
     std::vector<const mif::obs::Timeline*> tls;
     for (const auto& tl : timelines) tls.push_back(tl.get());
-    mif::obs::write_chrome_trace(spans, tls, flags.trace);
+    if (!mif::obs::write_chrome_trace(spans, tls, flags.trace)) return 1;
   }
   return 0;
 }

@@ -47,7 +47,7 @@ mif::workload::AgingResult age(mif::mfs::DirectoryMode mode,
   if (tl) {
     // Final epoch refreshes the fragmentation lens, so the series' last
     // sample and the exported end-of-run gauges are the SAME snapshot —
-    // the invariant scripts/check_bench_json.sh asserts.
+    // the invariant scripts/gates.py asserts.
     tl->mark_epoch("end");
     if (metrics_out) {
       mif::obs::MetricsRegistry reg;

@@ -1,11 +1,10 @@
-# Shared helpers for the scripts/check_*.sh CI gates.  POSIX sh; source it
-# after `set -eu`:
+# Shared helpers for the scripts/check_*.sh sanitizer gates.  POSIX sh;
+# source it after `set -eu`:
 #
 #   . "$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)/lib.sh"
 #
 # Provides:
-#   mif_tmpfile VAR [label]   create a temp file, assign its path to $VAR
-#   mif_tmpdir  VAR [label]   create a temp directory, assign its path to $VAR
+#   mif_tmpdir VAR [label]    create a temp directory, assign its path to $VAR
 #   mif_require_sanitizer NAME SANITIZERS
 #                             exit 0 with a SKIP line when the toolchain
 #                             cannot link -fsanitize=SANITIZERS
@@ -13,33 +12,19 @@
 #                             configure a -DMIF_SANITIZE side build, build
 #                             the listed test targets and run them via ctest
 #
-# Every temporary registered through mif_tmpfile/mif_tmpdir is removed by one
-# shared EXIT trap, so callers never write their own mktemp/trap boilerplate.
-# The helpers assign through `eval` instead of printing so they work in the
-# parent shell (a $(...) capture would grow the cleanup list in a subshell
-# and leak the file).
-#
-# The gates' python heredocs import scripts/gates.py (require, close, the
-# attribution-conservation check); it reports failures under MIF_GATE, the
-# calling script's name.
+# Every temporary registered through mif_tmpdir is removed by one shared
+# EXIT trap, so callers never write their own mktemp/trap boilerplate.  The
+# helper assigns through `eval` instead of printing so it works in the parent
+# shell (a $(...) capture would grow the cleanup list in a subshell and leak
+# the directory).
 
 MIF_TMP_PATHS=""
-MIF_SCRIPTS="$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)"
-PYTHONPATH="$MIF_SCRIPTS${PYTHONPATH:+:$PYTHONPATH}"
-MIF_GATE="$(basename -- "$0" .sh)"
-export PYTHONPATH MIF_GATE
 
 mif_cleanup() {
   # shellcheck disable=SC2086  # word-splitting of the path list is intended
   [ -z "$MIF_TMP_PATHS" ] || rm -rf $MIF_TMP_PATHS
 }
 trap mif_cleanup EXIT
-
-mif_tmpfile() {
-  _mif_path="$(mktemp "/tmp/mif_${2:-tmp}.XXXXXX")"
-  MIF_TMP_PATHS="$MIF_TMP_PATHS $_mif_path"
-  eval "$1=\$_mif_path"
-}
 
 mif_tmpdir() {
   _mif_path="$(mktemp -d "/tmp/mif_${2:-tmp}.XXXXXX")"

@@ -9,7 +9,7 @@
 // sim::Disk, Mds handlers and sim::Network, and accumulates one CostAccount
 // per principal.
 //
-// Invariant (enforced by attrib_test and the check_bench_json gate): for
+// Invariant (enforced by attrib_test and scripts/gates.py): for
 // every cost category, the per-principal sums equal the existing global
 // counters.  Untagged work (no ScopedPrincipal open on the thread) lands on
 // the system principal {client 0, kBackground}, so the invariant holds by

@@ -6,6 +6,7 @@
 // bigger (or tiny) observability footprint changes one knob.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <string>
 
@@ -28,7 +29,7 @@ struct Config {
   double slow_quantile{0.0};
   /// Timeline (obs/timeline.hpp) sampling interval in *simulated*
   /// milliseconds; a sample is taken at the first tick after this much sim
-  /// time has passed since the previous one.  Must be > 0.
+  /// time has passed since the previous one.  Must be finite and > 0.
   double sample_interval_ms{50.0};
   /// Rows retained per timeline before the deterministic downsampler
   /// decimates by two and doubles the interval.  Must be >= 2.
@@ -40,8 +41,9 @@ struct Config {
 /// this on flag-derived configs so a bad `--timeseries=0` fails loudly
 /// instead of being silently clamped.
 inline std::string validate(const Config& cfg) {
-  if (!(cfg.sample_interval_ms > 0.0)) {
-    return "obs.sample_interval_ms must be > 0 (got " +
+  if (!(cfg.sample_interval_ms > 0.0) ||
+      !std::isfinite(cfg.sample_interval_ms)) {
+    return "obs.sample_interval_ms must be finite and > 0 (got " +
            std::to_string(cfg.sample_interval_ms) + ")";
   }
   if (cfg.timeline_capacity < 2) {

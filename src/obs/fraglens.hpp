@@ -11,7 +11,7 @@
 //
 // The cached snapshot is also what `export_metrics` publishes, so the final
 // timeline sample and the end-of-run registry metric are the *same doubles*
-// by construction — the CI gate (scripts/check_bench_json.sh) compares them
+// by construction — the CI gate (scripts/gates.py) compares them
 // for exact equality.
 #pragma once
 

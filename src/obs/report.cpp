@@ -1,6 +1,7 @@
 #include "obs/report.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -115,8 +116,8 @@ void parse_interval(std::string_view bench_name, std::string_view value,
   }
 }
 
-/// `--kill-osd <target>@<at_ms>`: a target id and a non-negative simulated
-/// millisecond timestamp.
+/// `--kill-osd <target>@<at_ms>`: a target id and a finite, non-negative
+/// simulated millisecond timestamp (a kill at `inf` would never happen).
 void parse_kill_spec(std::string_view bench_name, std::string_view value,
                      BenchFlags* flags) {
   const std::string v(value);
@@ -130,7 +131,7 @@ void parse_kill_spec(std::string_view bench_name, std::string_view value,
     at_ms = std::strtod(ms.c_str(), &end);
     if (end == ms.c_str() || *end != '\0') at_ms = -1.0;
   }
-  if (!target || !(at_ms >= 0.0)) {
+  if (!target || !(at_ms >= 0.0 && std::isfinite(at_ms))) {
     usage_error(bench_name,
                 "bad --kill-osd '%s': expected <target>@<at_ms> (e.g. 1@2.5)",
                 v.c_str());

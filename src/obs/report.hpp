@@ -19,8 +19,8 @@
 // BenchFlags; an argument outside the table exits 2.  Benches read flags(),
 // start their mounts from overlay() and record the mount flags in each run's
 // config with describe(), so no bench wires a flag into ClusterConfig by
-// hand.  `--quick` runs a reduced workload so CI
-// (scripts/check_bench_json.sh) stays fast.
+// hand.  `--quick` runs a reduced workload so the CI gate (scripts/gates.py)
+// stays fast.
 #pragma once
 
 #include <string>

@@ -1,7 +1,6 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "obs/metrics.hpp"
 
@@ -307,21 +306,6 @@ Json chrome_trace_json(const SpanCollector& c) {
   doc["traceEvents"] = std::move(events);
   doc["slowTraces"] = c.slow_json()["slow_traces"];
   return doc;
-}
-
-bool write_chrome_trace(const SpanCollector& c, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "obs: cannot write chrome trace to %s\n",
-                 path.c_str());
-    return false;
-  }
-  const std::string text = chrome_trace_json(c).dump(1);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::fprintf(stderr, "obs: chrome trace written to %s\n", path.c_str());
-  return true;
 }
 
 }  // namespace mif::obs

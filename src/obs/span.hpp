@@ -259,8 +259,4 @@ class ScopedSpan {
 /// per disk track.  Load the file at ui.perfetto.dev or chrome://tracing.
 Json chrome_trace_json(const SpanCollector& c);
 
-/// chrome_trace_json() → file.  Returns false (and prints to stderr) when
-/// the file cannot be written.
-bool write_chrome_trace(const SpanCollector& c, const std::string& path);
-
 }  // namespace mif::obs

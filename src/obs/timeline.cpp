@@ -235,15 +235,18 @@ bool write_chrome_trace(const SpanCollector& c,
                         const std::vector<const Timeline*>& timelines,
                         const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
+  bool ok = f != nullptr;
+  if (ok) {
+    const std::string text = chrome_trace_json(c, timelines).dump(1);
+    ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
+         std::fputc('\n', f) != EOF;
+    ok = std::fclose(f) == 0 && ok;
+  }
+  if (!ok) {
     std::fprintf(stderr, "obs: cannot write chrome trace to %s\n",
                  path.c_str());
     return false;
   }
-  const std::string text = chrome_trace_json(c, timelines).dump(1);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
   std::fprintf(stderr, "obs: chrome trace written to %s\n", path.c_str());
   return true;
 }

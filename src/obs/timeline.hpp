@@ -142,8 +142,9 @@ Json chrome_trace_json(const SpanCollector& c,
                        const std::vector<const Timeline*>& timelines);
 
 /// chrome_trace_json(c, timelines) → file; false + stderr on I/O failure.
-bool write_chrome_trace(const SpanCollector& c,
-                        const std::vector<const Timeline*>& timelines,
-                        const std::string& path);
+/// With no timelines the file holds chrome_trace_json(c) alone.
+[[nodiscard]] bool write_chrome_trace(
+    const SpanCollector& c, const std::vector<const Timeline*>& timelines,
+    const std::string& path);
 
 }  // namespace mif::obs

@@ -469,6 +469,13 @@ TEST(BenchReportDeathTest, MisuseExitsWithStatusTwo) {
               "--kill-osd requires --replicas >= 2");
   EXPECT_EXIT(report_from({"--replicas", "2", "--kill-osd", "1@"}),
               ExitedWithCode(2), "bad --kill-osd '1@'");
+  // Non-finite times: a recorder that never samples, a kill that never fires.
+  EXPECT_EXIT(report_from({"--timeseries=inf"}), ExitedWithCode(2),
+              "bad --timeseries interval 'inf'");
+  EXPECT_EXIT(report_from({"--replicas", "2", "--kill-osd", "1@inf"}),
+              ExitedWithCode(2), "bad --kill-osd '1@inf'");
+  EXPECT_EXIT(report_from({"--replicas", "2", "--kill-osd=1@1e999"}),
+              ExitedWithCode(2), "bad --kill-osd '1@1e999'");
 }
 
 TEST(BenchReportDeathTest, CheckRedundancyBoundsTheMount) {

@@ -37,6 +37,8 @@ TEST(ObsConfigValidate, AcceptsDefaultsRejectsNonsense) {
   EXPECT_FALSE(obs::validate(cfg).empty());
   cfg.sample_interval_ms = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(obs::validate(cfg).empty());
+  cfg.sample_interval_ms = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(obs::validate(cfg).empty());
 
   cfg = obs::Config{};
   cfg.timeline_capacity = 1;
@@ -213,7 +215,7 @@ TEST(FragLens, MdsExtentDistributionMatchesReports) {
   EXPECT_GT(s.free_blocks, 0u);
 
   // Timeline series and registry export are the SAME snapshot: the CI gate
-  // in scripts/check_bench_json.sh relies on exact equality.
+  // in scripts/gates.py relies on exact equality.
   EXPECT_EQ(tl.last("frag.extent_count"), 6.0);
   obs::MetricsRegistry reg;
   mds.frag_lens()->export_metrics(reg, "frag");

@@ -1,9 +1,14 @@
 // google-benchmark micro-benchmarks of the hot library primitives: bitmap
-// run search, extent-map insert/lookup, allocator extend per strategy, disk
-// service and scheduler drain.  These guard the simulator's own performance
-// (the figure benches replay hundreds of thousands of operations).  Takes
-// google-benchmark's own flags plus the harness flags of obs/report.hpp.
+// run search (fragmented, young and aged groups), extent-map insert/lookup,
+// allocator extend per strategy (appending, and strided over thousands of
+// extents), disk service and scheduler drain.  These guard the simulator's
+// own performance (the figure benches replay hundreds of thousands of
+// operations).  Takes google-benchmark's own flags plus the harness flags of
+// obs/report.hpp.
 #include <benchmark/benchmark.h>
+
+#include <utility>
+#include <vector>
 
 #include "alloc/allocator.hpp"
 #include "block/bitmap.hpp"
@@ -29,6 +34,50 @@ void BM_BitmapFindRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BitmapFindRun);
+
+constexpr u64 kGroupBlocks = u64{1} << 19;  // one 512 Ki-block group
+
+// A young group: a used prefix in front of an all-free tail.  Every search
+// from a goal in the prefix lands on the tail, so this times how much of a
+// long free run the search reads to place a 4-block write.
+void BM_BitmapFindRunFreshGroup(benchmark::State& state) {
+  constexpr u64 kPrefix = 1024;
+  block::Bitmap bm(kGroupBlocks);
+  bm.set_range(0, kPrefix);
+  Rng rng(2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bm.find_run(rng.uniform(0, kPrefix - 1), 4));
+  }
+}
+BENCHMARK(BM_BitmapFindRunFreshGroup);
+
+// A group aged to state.range(0) % full by seeded churn: allocations of 1-64
+// blocks at random goals, with one live allocation in three freed again, so
+// free space is a mix of short holes and longer runs.
+void BM_BitmapFindRunAged(benchmark::State& state) {
+  const u64 target = kGroupBlocks * static_cast<u64>(state.range(0)) / 100;
+  block::Bitmap bm(kGroupBlocks);
+  Rng rng(5);
+  std::vector<std::pair<u64, u64>> live;
+  while (bm.used_blocks() < target) {
+    const u64 len = rng.uniform(1, 64);
+    if (auto r = bm.find_run(rng.uniform(0, kGroupBlocks - 1), len)) {
+      bm.set_range(*r, len);
+      live.emplace_back(*r, len);
+    }
+    if (rng.chance(1.0 / 3) && !live.empty()) {
+      const std::size_t i = rng.uniform(0, live.size() - 1);
+      bm.clear_range(live[i].first, live[i].second);
+      live[i] = live.back();
+      live.pop_back();
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        bm.find_run(rng.uniform(0, kGroupBlocks - 1), rng.uniform(1, 16)));
+  }
+}
+BENCHMARK(BM_BitmapFindRunAged)->Arg(50)->Arg(80);
 
 void BM_BitmapSetClear(benchmark::State& state) {
   block::Bitmap bm(1 << 20);
@@ -90,6 +139,45 @@ void BM_AllocatorExtend(benchmark::State& state) {
 BENCHMARK(BM_AllocatorExtend)
     ->Arg(static_cast<int>(alloc::AllocatorMode::kVanilla))
     ->Arg(static_cast<int>(alloc::AllocatorMode::kReservation))
+    ->Arg(static_cast<int>(alloc::AllocatorMode::kOnDemand));
+
+// Strided one-block writes at the end of a file that already has thousands
+// of extents: each write leaves a hole behind it, and each extend asks where
+// the hole at the write ends (ExtentMap::next_mapped).
+void BM_AllocatorExtendStrided(benchmark::State& state) {
+  constexpr u64 kExtents = 4096;
+  const auto mode = static_cast<alloc::AllocatorMode>(state.range(0));
+  block::FreeSpace space(DiskBlock{0}, u64{8} * 1024 * 1024, 16);
+  auto a = alloc::make_allocator(mode, space);
+  block::ExtentMap map;
+  u64 logical = 0;
+  auto write = [&] {
+    const bool ok =
+        a->extend({InodeNo{1}, StreamId{1, 0}, FileBlock{logical}, 1}, map)
+            .ok();
+    logical += 2;
+    return ok;
+  };
+  // Start over from a file of kExtents extents, so every timed write sees
+  // between kExtents and twice that many.
+  auto refill = [&] {
+    a->delete_file(InodeNo{1}, map);
+    logical = 0;
+    while (map.extent_count() < kExtents) write();
+  };
+  refill();
+  for (auto _ : state) {
+    if (map.extent_count() >= 2 * kExtents) {
+      state.PauseTiming();
+      refill();
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(write());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_AllocatorExtendStrided)
+    ->Arg(static_cast<int>(alloc::AllocatorMode::kVanilla))
     ->Arg(static_cast<int>(alloc::AllocatorMode::kOnDemand));
 
 void BM_DiskServiceSequential(benchmark::State& state) {

@@ -8,7 +8,8 @@
 # address,undefined and runs two subsets through it: the tests that exercise
 # the transport stack (the formation layer's staged-envelope destructor and
 # sticky-error paths included), threading and fault paths, and the ones that
-# lean hardest on integer/double arithmetic (disk geometry, extent maps,
+# lean hardest on integer/double arithmetic (disk geometry, the free-space
+# bitmap's bounded word scans and the allocation groups over it, extent maps,
 # allocator properties, the attribution ledger's pro-rata splitting), where
 # UBSan catches signed overflow, bad shifts, misaligned access and enum
 # abuse; plus obs_test, whose bench flag table parses argv from outside the
@@ -29,6 +30,6 @@ export ASAN_OPTIONS=detect_leaks=1
 export UBSAN_OPTIONS=halt_on_error=1
 mif_sanitized_ctest check_asan "$SRC" "$SRC/build-asan" "$SANITIZERS" \
     rpc_test concurrency_test fault_verify_test client_test mds_test \
-    sim_disk_test sim_scheduler_test block_extent_map_test \
-    alloc_property_test qos_test formation_test attrib_test span_test \
-    redundancy_test obs_test
+    sim_disk_test sim_scheduler_test block_bitmap_test block_extent_map_test \
+    block_alloc_group_test alloc_property_test qos_test formation_test \
+    attrib_test span_test redundancy_test obs_test

@@ -37,14 +37,8 @@ Status FileAllocator::extend(const AllocContext& ctx, block::ExtentMap& map) {
       pos += run;
       continue;
     }
-    // Hole: find where it ends (next mapped extent or write end).
-    u64 hole_end = end;
-    for (const auto& e : map.extents()) {
-      if (e.file_off.v > pos) {
-        hole_end = std::min(hole_end, e.file_off.v);
-        break;
-      }
-    }
+    // Hole: it ends at the next mapped extent or the write end.
+    const u64 hole_end = map.next_mapped(FileBlock{pos}, end);
     if (Status s = allocate_fresh(ctx, FileBlock{pos}, hole_end - pos, map); !s)
       return s;
     pos = hole_end;

@@ -66,13 +66,7 @@ void OnDemandAllocator::persist_window(Window& w, block::ExtentMap& map) {
       // else: we served this range from the window earlier — accounted.
       b += run;
     } else {
-      u64 hole_end = end;
-      for (const block::Extent& e : map.extents()) {
-        if (e.file_off.v > b) {
-          hole_end = std::min(hole_end, e.file_off.v);
-          break;
-        }
-      }
+      const u64 hole_end = map.next_mapped(FileBlock{b}, end);
       const u64 run = hole_end - b;
       map.insert({FileBlock{b}, DiskBlock{w.disk.v + (b - w.file.v)}, run,
                   block::kExtentUnwritten});
@@ -99,14 +93,7 @@ Result<DiskBlock> OnDemandAllocator::fill_range(const AllocContext& ctx,
       pos += run;
       continue;
     }
-    u64 hole_end = end;
-    for (const block::Extent& e : map.extents()) {
-      if (e.file_off.v > pos) {
-        hole_end = std::min(hole_end, e.file_off.v);
-        break;
-      }
-    }
-    u64 remaining = hole_end - pos;
+    u64 remaining = map.next_mapped(FileBlock{pos}, end) - pos;
     DiskBlock goal = last.valid() ? last : goal_for(ctx.inode, map);
     while (remaining > 0) {
       auto run = space_.allocate_best(goal, 1, remaining);

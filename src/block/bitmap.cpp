@@ -1,5 +1,6 @@
 #include "block/bitmap.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -42,21 +43,8 @@ bool Bitmap::range_free(u64 start, u64 len) const {
 }
 
 u64 Bitmap::free_run_at(u64 start, u64 max_len) const {
-  u64 run = 0;
-  u64 b = start;
-  while (run < max_len && b < size_) {
-    // Fast path: whole free word.
-    if (b % kWordBits == 0 && max_len - run >= kWordBits &&
-        b + kWordBits <= size_ && words_[b / kWordBits] == 0) {
-      run += kWordBits;
-      b += kWordBits;
-      continue;
-    }
-    if (is_set(b)) break;
-    ++run;
-    ++b;
-  }
-  return run;
+  if (start >= size_) return 0;
+  return next_used(start, start + std::min(max_len, size_ - start)) - start;
 }
 
 u64 Bitmap::next_free(u64 from) const {
@@ -76,30 +64,31 @@ u64 Bitmap::next_free(u64 from) const {
   return size_;
 }
 
-u64 Bitmap::next_used(u64 from) const {
+u64 Bitmap::next_used(u64 from, u64 limit) const {
+  assert(limit <= size_);
   u64 b = from;
-  while (b < size_) {
+  while (b < limit) {
     const u64 idx = b / kWordBits;
     const u64 w = words_[idx] >> (b % kWordBits);
-    if (w == 0) {
-      b = (idx + 1) * kWordBits;  // fully free from here in this word
-      continue;
-    }
-    return b + static_cast<u64>(std::countr_zero(w));
+    if (w != 0)
+      return std::min(limit, b + static_cast<u64>(std::countr_zero(w)));
+    b = (idx + 1) * kWordBits;  // fully free from here in this word
   }
-  return size_;
+  return limit;
 }
 
 std::optional<u64> Bitmap::find_run(u64 goal, u64 len) const {
-  if (len == 0 || len > size_) return std::nullopt;
+  // No run of `len` fits in fewer than `len` free blocks.
+  if (len == 0 || len > free_) return std::nullopt;
   auto scan = [&](u64 from, u64 to) -> std::optional<u64> {
     u64 b = from;
     while (b < to) {
       b = next_free(b);
       if (b >= to) break;
-      const u64 run_end = next_used(b);
-      if (run_end - b >= len) return b;
-      b = run_end;
+      // A run is only compared with `len`, so measure it no further.
+      const u64 run = free_run_at(b, len);
+      if (run >= len) return b;
+      b += run + 1;  // past the used block that ended the run
     }
     return std::nullopt;
   };
@@ -114,7 +103,7 @@ u64 Bitmap::add_free_runs(Histogram& h) const {
   while (b < size_) {
     b = next_free(b);
     if (b >= size_) break;
-    const u64 run_end = next_used(b);
+    const u64 run_end = next_used(b, size_);
     h.add(run_end - b);
     ++runs;
     b = run_end;
@@ -125,14 +114,18 @@ u64 Bitmap::add_free_runs(Histogram& h) const {
 std::optional<BlockRange> Bitmap::find_run_best(u64 goal, u64 min_len,
                                                 u64 want_len) const {
   if (min_len == 0) min_len = 1;
+  assert(min_len <= want_len);
+  // Every answer is a run of at least min_len blocks.
+  if (min_len > free_) return std::nullopt;
   std::optional<BlockRange> best;
   auto scan = [&](u64 from, u64 to) -> bool {
     u64 b = from;
     while (b < to) {
       b = next_free(b);
       if (b >= to) break;
-      const u64 run_end = next_used(b);
-      const u64 run = run_end - b;
+      // Runs of want_len or more all end the search alike; measure no
+      // further than that.
+      const u64 run = free_run_at(b, want_len);
       if (run >= want_len) {
         best = BlockRange{DiskBlock{b}, want_len};
         return true;  // first full-size run wins (locality to goal)
@@ -140,7 +133,7 @@ std::optional<BlockRange> Bitmap::find_run_best(u64 goal, u64 min_len,
       if (run >= min_len && (!best || run > best->length)) {
         best = BlockRange{DiskBlock{b}, run};
       }
-      b = run_end;
+      b += run + 1;  // past the used block that ended the run
     }
     return false;
   };

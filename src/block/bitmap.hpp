@@ -32,16 +32,23 @@ class Bitmap {
   bool range_free(u64 start, u64 len) const;
 
   /// Longest free run starting exactly at `start`, capped at `max_len`.
+  /// Reads no word past the cap.
   u64 free_run_at(u64 start, u64 max_len) const;
 
-  /// First free run of exactly `len` blocks at or after `goal`, wrapping
-  /// around once.  Returns the start bit, or nullopt if no such run exists.
+  /// Start of the first free run of at least `len` blocks at or after
+  /// `goal` (< size()), wrapping around once; nullopt if there is none.
+  /// Each candidate run is measured only up to `len` blocks, so a search
+  /// landing on a long free tail reads `len` bits of it, not the whole
+  /// tail.  Fails in O(1) when fewer than `len` blocks are free.
   std::optional<u64> find_run(u64 goal, u64 len) const;
 
   /// Best-effort variant: the first free run at or after `goal` of length in
   /// [min_len, want_len]; prefers the first run that reaches want_len, else
   /// returns the longest run seen (>= min_len).  This is what allocators use
-  /// to degrade gracefully when the disk fills.
+  /// to degrade gracefully when the disk fills.  Requires
+  /// min_len <= want_len (0 counts as 1).  Runs are measured only up to
+  /// `want_len`, and it fails in O(1) when fewer than `min_len` blocks are
+  /// free.
   std::optional<BlockRange> find_run_best(u64 goal, u64 min_len,
                                           u64 want_len) const;
 
@@ -52,7 +59,8 @@ class Bitmap {
 
  private:
   u64 next_free(u64 from) const;  // first free bit >= from, or size_
-  u64 next_used(u64 from) const;  // first used bit >= from, or size_
+  // First used bit in [from, limit), or `limit` (<= size_) if there is none.
+  u64 next_used(u64 from, u64 limit) const;
 
   std::vector<u64> words_;
   u64 size_;

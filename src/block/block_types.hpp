@@ -68,6 +68,11 @@ class ExtentMap {
   /// Find the extent covering logical block `b`.
   std::optional<Extent> lookup(FileBlock b) const;
 
+  /// Start of the first extent that begins after logical block `b`, or
+  /// `limit` if there is none or it starts later.  For an unmapped `b` this
+  /// is where the hole at `b` ends, clamped to `limit`.  O(log extents).
+  u64 next_mapped(FileBlock b, u64 limit) const;
+
   /// Translate a logical run [b, b+len) into physical runs.  Holes and
   /// unmapped tails are skipped (a real FS would return zeros).
   std::vector<BlockRange> map_range(FileBlock b, u64 len) const;
@@ -87,6 +92,9 @@ class ExtentMap {
   u64 mapped_blocks() const;
 
  private:
+  // First extent whose file_off is greater than `b`.
+  std::vector<Extent>::const_iterator first_after(FileBlock b) const;
+
   std::vector<Extent> extents_;  // sorted by file_off
 };
 

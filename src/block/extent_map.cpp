@@ -45,24 +45,30 @@ void ExtentMap::insert(Extent e) {
   extents_.insert(it, e);
 }
 
+std::vector<Extent>::const_iterator ExtentMap::first_after(FileBlock b) const {
+  return std::upper_bound(extents_.begin(), extents_.end(), b,
+                          [](FileBlock lhs, const Extent& rhs) {
+                            return lhs.v < rhs.file_off.v;
+                          });
+}
+
 std::optional<Extent> ExtentMap::lookup(FileBlock b) const {
-  auto it = std::upper_bound(extents_.begin(), extents_.end(), b,
-                             [](FileBlock lhs, const Extent& rhs) {
-                               return lhs.v < rhs.file_off.v;
-                             });
+  auto it = first_after(b);
   if (it == extents_.begin()) return std::nullopt;
   --it;
   if (it->covers(b)) return *it;
   return std::nullopt;
 }
 
+u64 ExtentMap::next_mapped(FileBlock b, u64 limit) const {
+  auto it = first_after(b);
+  return it == extents_.end() ? limit : std::min(limit, it->file_off.v);
+}
+
 std::vector<BlockRange> ExtentMap::map_range(FileBlock b, u64 len) const {
   std::vector<BlockRange> out;
   const u64 end = b.v + len;
-  auto it = std::upper_bound(extents_.begin(), extents_.end(), b,
-                             [](FileBlock lhs, const Extent& rhs) {
-                               return lhs.v < rhs.file_off.v;
-                             });
+  auto it = first_after(b);
   if (it != extents_.begin()) --it;
   for (; it != extents_.end() && it->file_off.v < end; ++it) {
     const u64 lo = std::max(b.v, it->file_off.v);

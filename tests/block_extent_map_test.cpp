@@ -2,6 +2,8 @@
 // metric of Table I lives here).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "block/block_types.hpp"
 #include "util/rng.hpp"
 
@@ -61,6 +63,28 @@ TEST(ExtentMap, OutOfOrderInsertKeepsSorted) {
   EXPECT_EQ(m.extents()[1].file_off.v, 50u);
   EXPECT_EQ(m.extents()[2].file_off.v, 100u);
   EXPECT_EQ(m.logical_end(), 110u);
+}
+
+TEST(ExtentMap, NextMappedFindsWhereTheHoleEnds) {
+  ExtentMap m;
+  EXPECT_EQ(m.next_mapped(FileBlock{0}, 50), 50u);  // empty map
+  m.insert(ext(10, 100, 5));  // [10, 15)
+  m.insert(ext(30, 500, 5));  // [30, 35)
+  // Before the first extent.
+  EXPECT_EQ(m.next_mapped(FileBlock{0}, 100), 10u);
+  EXPECT_EQ(m.next_mapped(FileBlock{9}, 100), 10u);
+  // Between two extents.
+  EXPECT_EQ(m.next_mapped(FileBlock{15}, 100), 30u);
+  EXPECT_EQ(m.next_mapped(FileBlock{29}, 100), 30u);
+  // Inside an extent: the next one that begins after it.
+  EXPECT_EQ(m.next_mapped(FileBlock{10}, 100), 30u);
+  // After the last one only the limit ends the hole.
+  EXPECT_EQ(m.next_mapped(FileBlock{30}, 100), 100u);
+  EXPECT_EQ(m.next_mapped(FileBlock{35}, 100), 100u);
+  // The limit clamps a later extent start.
+  EXPECT_EQ(m.next_mapped(FileBlock{0}, 7), 7u);
+  EXPECT_EQ(m.next_mapped(FileBlock{15}, 20), 20u);
+  EXPECT_EQ(m.next_mapped(FileBlock{15}, 30), 30u);
 }
 
 TEST(ExtentMap, MapRangeCrossesExtentsAndSkipsHoles) {
@@ -138,7 +162,8 @@ TEST(ExtentMapProperty, ShuffledContiguousPiecesAlwaysCoalesce) {
   }
 }
 
-// Property: map_range over random queries agrees with per-block lookup.
+// Property: map_range over random queries agrees with per-block lookup, and
+// next_mapped with a linear scan for the first extent past the query start.
 TEST(ExtentMapProperty, MapRangeMatchesBlockwiseLookup) {
   mif::Rng rng(14);
   ExtentMap m;
@@ -159,6 +184,15 @@ TEST(ExtentMapProperty, MapRangeMatchesBlockwiseLookup) {
     for (u64 b = start; b < start + len; ++b)
       if (m.lookup(FileBlock{b})) ++expect;
     EXPECT_EQ(covered, expect);
+    u64 next = start + len;
+    for (const Extent& e : m.extents()) {
+      if (e.file_off.v > start) {
+        next = std::min(next, e.file_off.v);
+        break;
+      }
+    }
+    EXPECT_EQ(m.next_mapped(FileBlock{start}, start + len), next)
+        << "start " << start << " len " << len;
   }
 }
 

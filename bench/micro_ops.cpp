@@ -1,10 +1,10 @@
 // google-benchmark micro-benchmarks of the hot library primitives: bitmap
 // run search (fragmented, young and aged groups), extent-map insert/lookup,
 // allocator extend per strategy (appending, and strided over thousands of
-// extents), disk service and scheduler drain.  These guard the simulator's
-// own performance (the figure benches replay hundreds of thousands of
-// operations).  Takes google-benchmark's own flags plus the harness flags of
-// obs/report.hpp.
+// extents), the metadata buffer cache's hit and miss-and-evict paths, disk
+// service and scheduler drain.  These guard the simulator's own performance
+// (the figure benches replay hundreds of thousands of operations).  Takes
+// google-benchmark's own flags plus the harness flags of obs/report.hpp.
 #include <benchmark/benchmark.h>
 
 #include <utility>
@@ -12,6 +12,7 @@
 
 #include "alloc/allocator.hpp"
 #include "block/bitmap.hpp"
+#include "block/buffer_cache.hpp"
 #include "core/pfs.hpp"
 #include "obs/report.hpp"
 #include "rpc/fault.hpp"
@@ -179,6 +180,37 @@ void BM_AllocatorExtendStrided(benchmark::State& state) {
 BENCHMARK(BM_AllocatorExtendStrided)
     ->Arg(static_cast<int>(alloc::AllocatorMode::kVanilla))
     ->Arg(static_cast<int>(alloc::AllocatorMode::kOnDemand));
+
+// A re-read of a resident block: one index probe and an LRU relink.
+void BM_BufferCacheHit(benchmark::State& state) {
+  sim::Disk d;
+  sim::IoScheduler s(d);
+  block::BufferCache c(s, 512);
+  c.read(DiskBlock{4096}, 64);
+  s.drain();
+  u64 i = 0;
+  for (auto _ : state) {
+    c.read(DiskBlock{4096 + (i++ % 64)}, 1);
+  }
+  benchmark::DoNotOptimize(c.stats().hits);
+}
+BENCHMARK(BM_BufferCacheHit);
+
+// A 512-block cache cycling over 640 blocks, the shape of perfbench
+// mds_aging's aged volume: every read misses, evicts the coldest block and
+// queues a one-block disk read (the scheduler drains and merges them).
+void BM_BufferCacheMissEvict(benchmark::State& state) {
+  sim::Disk d;
+  sim::IoScheduler s(d);
+  block::BufferCache c(s, 512);
+  u64 i = 0;
+  for (auto _ : state) {
+    c.read(DiskBlock{i++ % 640}, 1);
+  }
+  s.drain();
+  benchmark::DoNotOptimize(c.stats().evictions);
+}
+BENCHMARK(BM_BufferCacheMissEvict);
 
 void BM_DiskServiceSequential(benchmark::State& state) {
   sim::Disk d;

@@ -10,12 +10,15 @@
 # sticky-error paths included), threading and fault paths, and the ones that
 # lean hardest on integer/double arithmetic (disk geometry, the free-space
 # bitmap's bounded word scans and the allocation groups over it, extent maps,
-# allocator properties, the attribution ledger's pro-rata splitting), where
-# UBSan catches signed overflow, bad shifts, misaligned access and enum
-# abuse; plus obs_test, whose bench flag table parses argv from outside the
-# program.  Skips cleanly (exit 0) when the toolchain has no sanitizer
-# runtime, so plain CI environments are not broken.  Registered as a ctest
-# from tests/CMakeLists.txt for sanitizer-less parent builds.
+# the buffer cache's u32 slot pool and paged block index, allocator
+# properties, the attribution ledger's pro-rata splitting), where UBSan
+# catches signed overflow, bad shifts, misaligned access and enum abuse;
+# plus mfs_normal_test (the directory layout driving that cache), osd_test
+# (the storage target's file table) and obs_test, whose bench flag table
+# parses argv from outside the program.  Skips cleanly (exit 0) when the
+# toolchain has no sanitizer runtime, so plain CI environments are not
+# broken.  Registered as a ctest from tests/CMakeLists.txt for
+# sanitizer-less parent builds.
 set -eu
 
 SCRIPT_DIR="$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)"
@@ -31,5 +34,6 @@ export UBSAN_OPTIONS=halt_on_error=1
 mif_sanitized_ctest check_asan "$SRC" "$SRC/build-asan" "$SANITIZERS" \
     rpc_test concurrency_test fault_verify_test client_test mds_test \
     sim_disk_test sim_scheduler_test block_bitmap_test block_extent_map_test \
-    block_alloc_group_test alloc_property_test qos_test formation_test \
-    attrib_test span_test redundancy_test obs_test
+    block_alloc_group_test block_cache_journal_test alloc_property_test \
+    mfs_normal_test osd_test qos_test formation_test attrib_test span_test \
+    redundancy_test obs_test

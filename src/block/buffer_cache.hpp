@@ -5,10 +5,26 @@
 // disk.  This cache sits between the metadata file system and a disk's
 // IoScheduler.  Payload bytes are not stored — the simulation only needs
 // residency and dirtiness to decide which accesses become disk requests.
+//
+// Layout.  Two flat structures, no node allocation per block:
+//   - a slot pool of at most `capacity` entries {block, prev, next, dirty},
+//     threaded on an intrusive doubly linked LRU of u32 slot numbers (head =
+//     most recent).  A hit relinks its slot at the head; a miss in a full
+//     cache reuses the tail's slot after writing it back if dirty.
+//   - a direct block → slot index, split into pages of kPageBlocks u32
+//     entries (4 KiB).  A page is allocated on the first insert into its
+//     block range and parked on a spare list when its last block leaves,
+//     for the next page to reuse, so the index maps only pages that hold
+//     cached blocks and a warm cache allocates nothing.
+// The index is paged because the block space is the whole metadata volume
+// (4 Mi blocks by default): one flat u32 array would cost 16 MiB per MDS
+// whatever the cache holds.  Paged, it never holds more pages than the
+// most cached blocks at once, and far fewer when they cluster: a 512-block
+// cache over a 128 Ki-block volume needs at most 128 pages (512 KiB).
 #pragma once
 
-#include <list>
-#include <unordered_map>
+#include <memory>
+#include <vector>
 
 #include "obs/trace.hpp"
 #include "sim/io_scheduler.hpp"
@@ -31,6 +47,7 @@ class BufferCache {
  public:
   /// `capacity_blocks == 0` disables caching entirely (every access goes to
   /// disk) — used by benches that model cold-cache synchronous metadata.
+  /// Slots are numbered by u32, so the capacity must stay below 2^32 - 1.
   BufferCache(sim::IoScheduler& io, u64 capacity_blocks);
 
   /// Read [start, start+len); issues disk reads for the non-resident subset.
@@ -58,26 +75,44 @@ class BufferCache {
   const CacheStats& stats() const { return stats_; }
   CacheStats snapshot() const { return stats_; }
   void reset_stats() { stats_ = {}; }
-  u64 resident_blocks() const { return map_.size(); }
+  u64 resident_blocks() const { return slots_.size(); }
 
   /// Attach a trace sink for eviction events (nullptr disables).
   void set_trace(obs::TraceBuffer* trace) { trace_ = trace; }
 
  private:
-  struct Entry {
-    std::list<u64>::iterator lru_pos;
+  static constexpr u32 kNone = ~u32{0};
+  static constexpr u32 kPageBits = 10;
+  static constexpr u64 kPageBlocks = u64{1} << kPageBits;
+
+  struct Slot {
+    u64 block{0};
+    u32 prev{kNone};  // towards the head (more recent)
+    u32 next{kNone};  // towards the tail (less recent)
     bool dirty{false};
   };
+  struct Page {
+    std::unique_ptr<u32[]> slot;  // kPageBlocks entries, kNone = absent
+    u32 resident{0};
+  };
 
-  void touch(u64 block);
+  u32 find(u64 block) const;
+  void index(u64 block, u32 slot);
+  void unindex(u64 block);
+  void unlink(u32 s);
+  void push_front(u32 s);
+  void touch(u32 s);
   void insert(u64 block, bool dirty);
-  void evict_one();
+  u32 evict_one();
 
   sim::IoScheduler& io_;
   obs::TraceBuffer* trace_{nullptr};
   u64 capacity_;
-  std::list<u64> lru_;  // front = most recent
-  std::unordered_map<u64, Entry> map_;
+  std::vector<Slot> slots_;  // every slot in use; never more than capacity_
+  u32 head_{kNone};
+  u32 tail_{kNone};
+  std::vector<Page> pages_;  // by block >> kPageBits, grown on demand
+  std::vector<std::unique_ptr<u32[]>> spare_pages_;  // emptied, all kNone
   CacheStats stats_;
 };
 

@@ -18,13 +18,17 @@ bool NameIndex::insert(std::string_view name, u64 ordinal) {
 }
 
 std::optional<u64> NameIndex::find(std::string_view name) const {
-  auto it = map_.find(std::string(name));
+  auto it = map_.find(name);
   if (it == map_.end()) return std::nullopt;
   return it->second;
 }
 
 bool NameIndex::erase(std::string_view name) {
-  return map_.erase(std::string(name)) > 0;
+  // C++20 has no heterogeneous erase(key): find with the view, erase by it.
+  auto it = map_.find(name);
+  if (it == map_.end()) return false;
+  map_.erase(it);
+  return true;
 }
 
 u64 NameIndex::lookup_block_cost(LookupDiscipline d, u64 blocks,

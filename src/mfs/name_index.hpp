@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -46,7 +47,16 @@ class NameIndex {
   static u64 lookup_block_cost(LookupDiscipline d, u64 blocks, u64 found_in);
 
  private:
-  std::unordered_map<std::string, u64> map_;
+  /// Transparent, so find/erase probe with the caller's string_view.  Hashes
+  /// exactly like std::hash<std::string>, so the bucket layout is unchanged.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
+  std::unordered_map<std::string, u64, NameHash, std::equal_to<>> map_;
 };
 
 }  // namespace mif::mfs

@@ -23,6 +23,12 @@ StorageTarget::FileState& StorageTarget::file(InodeNo inode) {
   return *slot;
 }
 
+StorageTarget::FileState* StorageTarget::find_file(InodeNo inode) const {
+  std::lock_guard lock(files_mu_);
+  auto it = files_.find(inode.v);
+  return it == files_.end() ? nullptr : it->second.get();
+}
+
 void StorageTarget::inject_fault(u64 after_ops, u64 count) {
   std::lock_guard lock(fault_mu_);
   fault_after_ = after_ops;
@@ -160,11 +166,12 @@ Status StorageTarget::read(InodeNo inode, FileBlock logical, u64 count) {
 Status StorageTarget::read_runs(InodeNo inode,
                                 std::span<const BlockRun> runs) {
   if (fault_fires()) return Errc::kIo;
-  FileState& f = file(inode);
-  std::lock_guard lock(f.mu);
+  FileState* f = find_file(inode);
+  if (!f) return {};  // nothing mapped: the whole read is a hole
+  std::lock_guard lock(f->mu);
   std::lock_guard io_lock(io_mu_);
   for (const BlockRun& run : runs) {
-    for (const block::BlockRange& r : f.map.map_range(run.start, run.count)) {
+    for (const block::BlockRange& r : f->map.map_range(run.start, run.count)) {
       io_.submit({sim::IoKind::kRead, r.start, r.length});
     }
   }
@@ -178,9 +185,11 @@ Status StorageTarget::preallocate(InodeNo inode, u64 total_blocks) {
 }
 
 void StorageTarget::close_file(InodeNo inode) {
-  FileState& f = file(inode);
-  std::lock_guard lock(f.mu);
-  alloc_->close_file(inode, f.map);
+  // The allocator only holds state for inodes a write or preallocate placed.
+  FileState* f = find_file(inode);
+  if (!f) return;
+  std::lock_guard lock(f->mu);
+  alloc_->close_file(inode, f->map);
 }
 
 void StorageTarget::delete_file(InodeNo inode) {

@@ -178,7 +178,12 @@ class StorageTarget {
     block::ExtentMap map;
     mutable std::mutex mu;
   };
+  /// Find-or-create: only the paths that place blocks (write, preallocate)
+  /// may create an entry.
   FileState& file(InodeNo inode);
+  /// Find-only: nullptr for an inode this target never stored, so reads
+  /// and closes of it leave no empty entry behind.
+  FileState* find_file(InodeNo inode) const;
 
   TargetConfig cfg_;
   obs::SpanCollector* spans_{nullptr};

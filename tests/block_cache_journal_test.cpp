@@ -1,8 +1,15 @@
-// Unit tests for the buffer cache and the write-ahead journal.
+// Unit and differential tests for the buffer cache, and unit tests for the
+// write-ahead journal.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <list>
+#include <unordered_map>
+#include <vector>
 
 #include "block/buffer_cache.hpp"
 #include "block/journal.hpp"
+#include "util/rng.hpp"
 
 namespace mif::block {
 namespace {
@@ -49,10 +56,12 @@ TEST_F(CacheFixture, WriteBackOnFlushMergesRuns) {
 TEST_F(CacheFixture, EvictionWritesDirtyVictims) {
   BufferCache c(io, 4);
   c.write(DiskBlock{0}, 4);
-  c.read(DiskBlock{100}, 2);  // evicts two dirty blocks
+  c.read(DiskBlock{100}, 2);  // evicts blocks 0 and 1, both dirty
   io.drain();
-  EXPECT_GE(c.stats().writebacks, 1u);
-  EXPECT_GE(c.stats().evictions, 2u);
+  EXPECT_EQ(c.stats().writebacks, 2u);
+  EXPECT_EQ(c.stats().evictions, 2u);
+  EXPECT_EQ(disk.stats().blocks_written, 2u);
+  EXPECT_EQ(c.resident_blocks(), 4u);
 }
 
 TEST_F(CacheFixture, LruKeepsHotBlocks) {
@@ -103,6 +112,346 @@ TEST_F(CacheFixture, WriteSyncGoesStraightToDisk) {
   c.write_sync(DiskBlock{7}, 2);
   io.drain();
   EXPECT_EQ(disk.stats().blocks_written, 2u);
+}
+
+// The cache as it was before the slot pool and the paged index: a hash map
+// of entries and a std::list for the LRU order.  Kept verbatim as the
+// reference the flat cache must agree with, step for step.
+class RefCache {
+ public:
+  RefCache(sim::IoScheduler& io, u64 capacity_blocks)
+      : io_(io), capacity_(capacity_blocks) {}
+
+  void read(DiskBlock start, u64 len) {
+    // Coalesce the missing sub-ranges into as few disk requests as possible.
+    u64 miss_start = kNoBlock;
+    for (u64 b = start.v; b < start.v + len; ++b) {
+      if (auto it = map_.find(b); it != map_.end()) {
+        ++stats_.hits;
+        touch(b);
+        if (miss_start != kNoBlock) {
+          io_.submit(
+              {sim::IoKind::kRead, DiskBlock{miss_start}, b - miss_start});
+          miss_start = kNoBlock;
+        }
+      } else {
+        ++stats_.misses;
+        insert(b, /*dirty=*/false);
+        if (miss_start == kNoBlock) miss_start = b;
+      }
+    }
+    if (miss_start != kNoBlock) {
+      io_.submit({sim::IoKind::kRead, DiskBlock{miss_start},
+                  start.v + len - miss_start});
+    }
+  }
+
+  void write(DiskBlock start, u64 len) {
+    if (capacity_ == 0) {
+      io_.submit({sim::IoKind::kWrite, start, len});
+      ++stats_.writebacks;
+      return;
+    }
+    for (u64 b = start.v; b < start.v + len; ++b) {
+      if (auto it = map_.find(b); it != map_.end()) {
+        ++stats_.hits;
+        it->second.dirty = true;
+        touch(b);
+      } else {
+        ++stats_.misses;
+        insert(b, /*dirty=*/true);
+      }
+    }
+  }
+
+  void install(DiskBlock start, u64 len) {
+    if (capacity_ == 0) return;
+    for (u64 b = start.v; b < start.v + len; ++b) {
+      if (auto it = map_.find(b); it != map_.end()) {
+        touch(b);
+      } else {
+        insert(b, /*dirty=*/false);
+      }
+    }
+  }
+
+  void write_sync(DiskBlock start, u64 len) {
+    write(start, len);
+    if (capacity_ == 0) return;
+    // Flush just this range.
+    for (u64 b = start.v; b < start.v + len; ++b) {
+      auto it = map_.find(b);
+      if (it != map_.end() && it->second.dirty) it->second.dirty = false;
+    }
+    io_.submit({sim::IoKind::kWrite, start, len});
+    ++stats_.writebacks;
+  }
+
+  void flush() {
+    std::vector<u64> dirty;
+    for (auto& [block, entry] : map_) {
+      if (entry.dirty) {
+        dirty.push_back(block);
+        entry.dirty = false;
+      }
+    }
+    std::sort(dirty.begin(), dirty.end());
+    // Emit maximal contiguous runs.
+    std::size_t i = 0;
+    while (i < dirty.size()) {
+      std::size_t j = i + 1;
+      while (j < dirty.size() && dirty[j] == dirty[j - 1] + 1) ++j;
+      io_.submit({sim::IoKind::kWrite, DiskBlock{dirty[i]}, j - i});
+      ++stats_.writebacks;
+      i = j;
+    }
+  }
+
+  void invalidate_all() {
+    flush();
+    io_.drain();
+    lru_.clear();
+    map_.clear();
+  }
+
+  const CacheStats& stats() const { return stats_; }
+  void reset_stats() { stats_ = {}; }
+  u64 resident_blocks() const { return map_.size(); }
+  void set_trace(obs::TraceBuffer* trace) { trace_ = trace; }
+
+ private:
+  struct Entry {
+    std::list<u64>::iterator lru_pos;
+    bool dirty{false};
+  };
+
+  void touch(u64 block) {
+    auto it = map_.find(block);
+    lru_.erase(it->second.lru_pos);
+    lru_.push_front(block);
+    it->second.lru_pos = lru_.begin();
+  }
+
+  void insert(u64 block, bool dirty) {
+    if (capacity_ == 0) return;
+    while (map_.size() >= capacity_) evict_one();
+    lru_.push_front(block);
+    map_[block] = Entry{lru_.begin(), dirty};
+  }
+
+  void evict_one() {
+    const u64 victim = lru_.back();
+    auto it = map_.find(victim);
+    const bool dirty = it->second.dirty;
+    if (dirty) {
+      io_.submit({sim::IoKind::kWrite, DiskBlock{victim}, 1});
+      ++stats_.writebacks;
+    }
+    map_.erase(it);
+    lru_.pop_back();
+    ++stats_.evictions;
+    if (trace_) {
+      trace_->record(obs::TraceEventType::kCacheEvict, victim, dirty ? 1 : 0);
+    }
+  }
+
+  sim::IoScheduler& io_;
+  obs::TraceBuffer* trace_{nullptr};
+  u64 capacity_;
+  std::list<u64> lru_;  // front = most recent
+  std::unordered_map<u64, Entry> map_;
+  CacheStats stats_;
+};
+
+// A BufferCache and a RefCache, each in front of its own disk and scheduler
+// and each tracing its evictions, given the same operations.  The small
+// scheduler queue drains mid-operation, so the order of every submit shows
+// in the disks' head movement and timing.
+struct CacheTwin {
+  CacheTwin(u64 capacity, std::size_t queue)
+      : io(disk, queue), ref_io(ref_disk, queue), cache(io, capacity),
+        ref(ref_io, capacity) {
+    cache.set_trace(&trace);
+    ref.set_trace(&ref_trace);
+  }
+
+  sim::Disk disk;
+  sim::Disk ref_disk;
+  sim::IoScheduler io;
+  sim::IoScheduler ref_io;
+  obs::TraceBuffer trace{4096};
+  obs::TraceBuffer ref_trace{4096};
+  BufferCache cache;
+  RefCache ref;
+};
+
+// Everything either side exposes after a step: cache counters, residency,
+// the disks and schedulers, and the evictions since the previous call (the
+// victims in order, with their dirty bit), which are then cleared.
+::testing::AssertionResult same_state(CacheTwin& t) {
+  const CacheStats& a = t.cache.stats();
+  const CacheStats& b = t.ref.stats();
+  if (a.hits != b.hits || a.misses != b.misses ||
+      a.writebacks != b.writebacks || a.evictions != b.evictions) {
+    return ::testing::AssertionFailure()
+           << "cache stats: hits " << a.hits << "/" << b.hits << ", misses "
+           << a.misses << "/" << b.misses << ", writebacks " << a.writebacks
+           << "/" << b.writebacks << ", evictions " << a.evictions << "/"
+           << b.evictions;
+  }
+  if (t.cache.resident_blocks() != t.ref.resident_blocks()) {
+    return ::testing::AssertionFailure()
+           << "resident " << t.cache.resident_blocks() << "/"
+           << t.ref.resident_blocks();
+  }
+  const sim::DiskStats& d = t.disk.stats();
+  const sim::DiskStats& r = t.ref_disk.stats();
+  if (d.requests != r.requests || d.positionings != r.positionings ||
+      d.skips != r.skips || d.sequential_hits != r.sequential_hits ||
+      d.blocks_read != r.blocks_read || d.blocks_written != r.blocks_written ||
+      d.seek_ms != r.seek_ms || d.rotation_ms != r.rotation_ms ||
+      d.skip_ms != r.skip_ms || d.transfer_ms != r.transfer_ms ||
+      t.disk.head().v != t.ref_disk.head().v ||
+      t.disk.now_ms() != t.ref_disk.now_ms()) {
+    return ::testing::AssertionFailure()
+           << "disk: requests " << d.requests << "/" << r.requests
+           << ", read " << d.blocks_read << "/" << r.blocks_read
+           << ", written " << d.blocks_written << "/" << r.blocks_written
+           << ", head " << t.disk.head().v << "/" << t.ref_disk.head().v;
+  }
+  const sim::SchedulerStats& q = t.io.stats();
+  const sim::SchedulerStats& p = t.ref_io.stats();
+  if (q.queued != p.queued || q.dispatched != p.dispatched ||
+      q.merged != p.merged || t.io.queue_depth() != t.ref_io.queue_depth()) {
+    return ::testing::AssertionFailure()
+           << "scheduler: queued " << q.queued << "/" << p.queued
+           << ", dispatched " << q.dispatched << "/" << p.dispatched;
+  }
+  const auto got = t.trace.events();
+  const auto want = t.ref_trace.events();
+  if (t.trace.dropped() != 0 || got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "evictions traced " << got.size() << "/" << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i].arg0 != want[i].arg0 || got[i].arg1 != want[i].arg1) {
+      return ::testing::AssertionFailure()
+             << "eviction " << i << ": block " << got[i].arg0 << "/"
+             << want[i].arg0 << ", dirty " << got[i].arg1 << "/"
+             << want[i].arg1;
+    }
+  }
+  t.trace.clear();
+  t.ref_trace.clear();
+  return ::testing::AssertionSuccess();
+}
+
+// Where the operations land: the first index page, a window across the
+// first page boundary, a window across a boundary mid-volume, and the top
+// of the default 4 Mi-block volume (its last block included).
+struct Window {
+  u64 base;
+  u64 width;
+};
+constexpr u64 kVolumeBlocks = sim::DiskGeometry{}.capacity_blocks;
+constexpr Window kWindows[] = {
+    {0, 700},
+    {1024 - 300, 600},
+    {1954 * 1024 - 250, 500},
+    {kVolumeBlocks - 600, 600},
+};
+
+// One seeded random sequence of reads, writes, installs, synchronous
+// writes, flushes, invalidations, drains and stat resets, checked after
+// every step.  Ranges are mostly short, sometimes repeat a recent one (so
+// small caches hit too) and sometimes exceed the largest capacity.
+void run_differential(u64 capacity, u64 seed, int steps) {
+  SCOPED_TRACE(::testing::Message() << "capacity " << capacity << ", seed "
+                                    << seed);
+  CacheTwin t(capacity, /*queue=*/8);
+  Rng rng(seed);
+  std::vector<BlockRange> recent;
+  for (int step = 0; step < steps; ++step) {
+    BlockRange r;
+    if (!recent.empty() && rng.chance(0.3)) {
+      r = recent[rng.uniform(0, recent.size() - 1)];
+    } else {
+      const Window& w = kWindows[rng.uniform(0, std::size(kWindows) - 1)];
+      const u64 start = w.base + rng.uniform(0, w.width - 1);
+      const u64 len = rng.chance(0.03) ? rng.uniform(9, 700)
+                                       : rng.uniform(1, 8);
+      r = {DiskBlock{start}, std::min(len, kVolumeBlocks - start)};
+      if (recent.size() < 16) {
+        recent.push_back(r);
+      } else {
+        recent[rng.uniform(0, recent.size() - 1)] = r;
+      }
+    }
+    const double op = rng.uniform01();
+    if (op < 0.35) {
+      t.cache.read(r.start, r.length);
+      t.ref.read(r.start, r.length);
+    } else if (op < 0.55) {
+      t.cache.write(r.start, r.length);
+      t.ref.write(r.start, r.length);
+    } else if (op < 0.70) {
+      t.cache.install(r.start, r.length);
+      t.ref.install(r.start, r.length);
+    } else if (op < 0.82) {
+      t.cache.write_sync(r.start, r.length);
+      t.ref.write_sync(r.start, r.length);
+    } else if (op < 0.87) {
+      t.cache.flush();
+      t.ref.flush();
+    } else if (op < 0.89) {
+      t.cache.invalidate_all();
+      t.ref.invalidate_all();
+    } else if (op < 0.99) {
+      t.io.drain();
+      t.ref_io.drain();
+    } else {
+      t.cache.reset_stats();
+      t.ref.reset_stats();
+    }
+    ASSERT_TRUE(same_state(t)) << "step " << step;
+  }
+  t.cache.invalidate_all();
+  t.ref.invalidate_all();
+  ASSERT_TRUE(same_state(t)) << "final invalidate_all";
+  EXPECT_EQ(t.cache.resident_blocks(), 0u);
+}
+
+TEST(CacheDifferential, MatchesReferenceAtEveryCapacity) {
+  for (u64 capacity : {u64{0}, u64{1}, u64{4}, u64{512}}) {
+    for (u64 seed : {u64{1}, u64{2}, u64{3}}) {
+      run_differential(capacity, seed, 4000);
+    }
+  }
+}
+
+// A 512-block cache cycling over 640 blocks that straddle an index page
+// boundary: every access misses and evicts (the aged-MDS shape), pages
+// empty and refill, and the LRU order must still match exactly.
+TEST(CacheDifferential, CyclingWorkingSetLargerThanCapacity) {
+  CacheTwin t(512, /*queue=*/64);
+  for (int pass = 0; pass < 4; ++pass) {
+    for (u64 b = 0; b < 640; ++b) {
+      const DiskBlock blk{3 * 1024 - 320 + b};
+      if (b % 3 == 0) {
+        t.cache.write(blk, 1);
+        t.ref.write(blk, 1);
+      } else {
+        t.cache.read(blk, 1);
+        t.ref.read(blk, 1);
+      }
+      ASSERT_TRUE(same_state(t)) << "pass " << pass << ", block " << b;
+    }
+  }
+  EXPECT_EQ(t.cache.stats().hits, 0u);
+  EXPECT_EQ(t.cache.stats().evictions, 4 * 640u - 512u);
+  t.cache.flush();
+  t.ref.flush();
+  ASSERT_TRUE(same_state(t));
 }
 
 struct JournalFixture : ::testing::Test {

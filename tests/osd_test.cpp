@@ -84,6 +84,22 @@ TEST_F(TargetFixture, ReadOfHoleIsFree) {
   EXPECT_EQ(t.disk().stats().blocks_read, 0u);
 }
 
+TEST_F(TargetFixture, ReadAndCloseOfUnknownInodeLeaveNoEntry) {
+  ASSERT_TRUE(t.read(InodeNo{42}, FileBlock{0}, 100).ok());
+  const BlockRun runs[] = {{FileBlock{0}, 8}, {FileBlock{64}, 8}};
+  ASSERT_TRUE(t.read_runs(InodeNo{43}, runs).ok());
+  t.close_file(InodeNo{44});
+  t.drain();
+  EXPECT_EQ(t.disk().stats().requests, 0u);
+  EXPECT_EQ(t.verify().files, 0u);
+  u64 visited = 0;
+  t.for_each_file([&](InodeNo) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+  // Only a write (or a preallocate) creates the entry.
+  ASSERT_TRUE(t.write(InodeNo{42}, StreamId{1, 0}, FileBlock{0}, 4).ok());
+  EXPECT_EQ(t.verify().files, 1u);
+}
+
 TEST_F(TargetFixture, PreallocateThenStaticBehaviour) {
   TargetConfig c;
   c.allocator = alloc::AllocatorMode::kStatic;

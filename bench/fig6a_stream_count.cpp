@@ -94,7 +94,8 @@ mif::obs::Json results_json(const RunOut& out) {
 
 int main(int argc, char** argv) {
   using mif::Table;
-  mif::obs::BenchReport report("fig6a_stream_count", argc, argv);
+  mif::obs::BenchReport report("fig6a_stream_count", argc, argv,
+                               {.trace = true});
   std::printf(
       "Fig 6(a) — shared-file micro-benchmark, phase-2 throughput vs stream "
       "count\n(paper: on-demand > reservation by ~17%%/27%%/48%% at "

@@ -315,7 +315,9 @@ void add_pipeline_fields(mif::obs::Json& results, const char* prefix,
 int main(int argc, char** argv) {
   using mif::Table;
   using mif::alloc::AllocatorMode;
-  mif::obs::BenchReport report("fig7_macro", argc, argv);
+  mif::obs::BenchReport report(
+      "fig7_macro", argc, argv,
+      {.trace = true, .timeseries = true, .attribution = true});
   const mif::obs::BenchFlags& flags = report.flags();
 
   // One collector across every run: `--trace <path>` dumps the slowest

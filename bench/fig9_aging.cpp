@@ -65,7 +65,8 @@ int main(int argc, char** argv) {
   using mif::Table;
   using mif::mfs::DirectoryMode;
   using mif::mfs::LookupDiscipline;
-  mif::obs::BenchReport report("fig9_aging", argc, argv);
+  mif::obs::BenchReport report("fig9_aging", argc, argv,
+                               {.timeseries = true});
 
   std::printf(
       "Fig 9 — metadata throughput after aging the MDS file system\n"

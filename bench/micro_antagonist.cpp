@@ -215,7 +215,9 @@ RunResult run_qos_point(mif::core::ParallelFileSystem& fs,
 
 int main(int argc, char** argv) {
   using mif::Table;
-  mif::obs::BenchReport report("micro_antagonist", argc, argv);
+  // Attribution is always on here: it is what this bench measures.
+  mif::obs::BenchReport report("micro_antagonist", argc, argv,
+                               {.attribution = true});
 
   const std::size_t victims = report.quick() ? 4 : 8;
   const std::size_t rounds = report.quick() ? 24 : 96;

@@ -7,7 +7,8 @@
                 the bench's default run, so each bench is also deterministic.
   defaults-off  without its flag, no opt-in section or knob reaches a report.
   scenario      one (bench, flags) report shows its feature at work.
-  exit          a misuse exits 2; a report or trace it cannot write exits 1.
+  exit          a misuse exits 2, an observability flag the bench does not
+                act on included; a report or trace it cannot write exits 1.
 
 Each distinct (bench, argv) runs once, one worker per core, in a temporary
 directory of its own, as `--quick --json <tmp>/report.json` (plus `--trace
@@ -35,6 +36,13 @@ BENCHES = (FIG6A, "fig6b_request_size", FIG7, "table1_extents",
            "ablation_prealloc_waste", "ablation_distribution", ANTAGONIST)
 REPORT = ("--json", "{tmp}/report.json")
 TRACE = ("--trace", "{tmp}/trace.json")
+# The observability flags, and the ones each bench acts on (obs::Honoured in
+# its BenchReport); a bench given any other of them exits 2.  micro_ops
+# writes no report but shares the flag table.
+OBSERVERS = {"--trace": TRACE, "--timeseries": ("--timeseries",),
+             "--attribution": ("--attribution",)}
+HONOURED = {FIG6A: ("--trace",), FIG7: tuple(OBSERVERS),
+            FIG9: ("--timeseries",), ANTAGONIST: ("--attribution",)}
 # The four disk-time components an attribution account splits disk_ms into.
 DISK = ("disk_seek_ms", "disk_rotation_ms", "disk_skip_ms",
         "disk_transfer_ms")
@@ -576,8 +584,7 @@ MISUSE = (
     *(("--quick", *form) for form in spellings("--adaptive-depth", "1")),
     # Killing a target of an unreplicated mount is data loss, not a scenario.
     ("--quick", "--kill-osd", "1@2"),
-    # Non-finite times: a recorder that never samples, a kill never fired.
-    ("--quick", "--timeseries=inf"),
+    # A kill at a non-finite time never fires.
     ("--quick", "--replicas", "2", "--kill-osd", "1@inf"),
 )
 UNWRITABLE = "{tmp}/missing/out.json"
@@ -614,7 +621,13 @@ ROWS = (
              lambda doc: named(doc, "qos=on hot=16")["results"].update(
                  fairness=math.nextafter(0.9, 0.0))),
     *(exits(FIG6A, argv) for argv in MISUSE),
+    # fig9 takes --timeseries, so these reach the interval check: a recorder
+    # that never samples.
     exits(FIG9, ("--quick", "--timeseries=0")),
+    exits(FIG9, ("--quick", "--timeseries=inf")),
+    *(exits(bench, ("--quick", *OBSERVERS[flag]))
+      for bench in (*BENCHES, "micro_ops") for flag in OBSERVERS
+      if flag not in HONOURED.get(bench, ())),
     # A report or trace that cannot be written is a failed run.
     exits(FIG6A, ("--quick", "--json", UNWRITABLE), 1),
     exits(FIG6A, ("--quick", "--trace", UNWRITABLE), 1),

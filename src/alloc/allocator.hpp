@@ -22,7 +22,6 @@
 
 #include "block/block_types.hpp"
 #include "block/free_space.hpp"
-#include "obs/trace.hpp"
 #include "util/result.hpp"
 #include "util/types.hpp"
 
@@ -79,12 +78,6 @@ class FileAllocator {
   block::FreeSpace& space() { return space_; }
   virtual AllocatorMode mode() const = 0;
 
-  /// Attach a trace sink for state-machine events (layout_miss,
-  /// pre_alloc_layout, demotion, lazy free).  nullptr (the default)
-  /// disables tracing; the write path then pays a single branch.
-  void set_trace(obs::TraceBuffer* trace) { trace_ = trace; }
-  obs::TraceBuffer* trace() const { return trace_; }
-
  protected:
   /// Strategy hook: map the currently-unmapped logical hole
   /// [logical, logical+count) for this stream.  Must insert written extents.
@@ -100,18 +93,11 @@ class FileAllocator {
   /// or a per-inode home group when the file is empty.
   DiskBlock goal_for(InodeNo inode, const block::ExtentMap& map) const;
 
-  /// Record an event if a trace sink is attached.
-  void emit(obs::TraceEventType t, InodeNo inode, StreamId stream,
-            u64 arg0 = 0, u64 arg1 = 0) {
-    if (trace_) trace_->record(t, inode, stream, arg0, arg1);
-  }
-
   block::FreeSpace& space_;
   // Recursive: strategy hooks run under the lock and may call shared helpers
   // (allocate_near) that also account stats under it.
   mutable std::recursive_mutex mu_;
   AllocatorStats stats_;
-  obs::TraceBuffer* trace_{nullptr};
 };
 
 /// Factory used by the storage target.

@@ -144,25 +144,18 @@ Status OnDemandAllocator::allocate_fresh(const AllocContext& ctx,
     reserve_sequential(st, DiskBlock{st.current.disk.v + st.current.len},
                        FileBlock{st.current.file.v + st.current.len},
                        st.next_window_blocks);
-    emit(obs::TraceEventType::kPreAllocLayout, ctx.inode, ctx.stream,
-         st.current.len, st.sequential.len);
     return {};
   }
 
   // --- layout_miss ----------------------------------------------------------
   ++stats_.layout_misses;
-  emit(obs::TraceEventType::kLayoutMiss, ctx.inode, ctx.stream, logical.v,
-       count);
   if (!first_extend) {
     ++st.misses;
     if (st.prealloc_on && st.misses >= tuning_.miss_threshold) {
       // Workload classified random: preallocation off for this stream.
       st.prealloc_on = false;
       ++stats_.prealloc_disabled;
-      const u64 released = st.sequential.len;
       release_sequential(st);
-      emit(obs::TraceEventType::kStreamDemote, ctx.inode, ctx.stream,
-           st.misses, released);
     }
   }
 
@@ -194,14 +187,7 @@ void OnDemandAllocator::close_file(InodeNo inode, block::ExtentMap& map) {
   // remainders persist in the map, exactly like fallocate space (§III-C).
   for (auto it = streams_.begin(); it != streams_.end();) {
     if (it->first.inode == inode.v) {
-      const u64 released = it->second.sequential.len;
       release_sequential(it->second);
-      if (released > 0) {
-        emit(obs::TraceEventType::kLazyFree, inode,
-             StreamId{static_cast<u32>(it->first.stream >> 32),
-                      static_cast<u32>(it->first.stream)},
-             released);
-      }
       persist_window(it->second.current, map);
       it = streams_.erase(it);
     } else {

@@ -84,9 +84,6 @@ u32 BufferCache::evict_one() {
   unlink(victim);
   unindex(e.block);
   ++stats_.evictions;
-  if (trace_) {
-    trace_->record(obs::TraceEventType::kCacheEvict, e.block, e.dirty ? 1 : 0);
-  }
   return victim;
 }
 

@@ -26,7 +26,6 @@
 #include <memory>
 #include <vector>
 
-#include "obs/trace.hpp"
 #include "sim/io_scheduler.hpp"
 #include "util/types.hpp"
 
@@ -77,8 +76,8 @@ class BufferCache {
   void reset_stats() { stats_ = {}; }
   u64 resident_blocks() const { return slots_.size(); }
 
-  /// Attach a trace sink for eviction events (nullptr disables).
-  void set_trace(obs::TraceBuffer* trace) { trace_ = trace; }
+  /// True if `block` is resident.  Touches neither the LRU nor the counters.
+  bool cached(DiskBlock block) const { return find(block.v) != kNone; }
 
  private:
   static constexpr u32 kNone = ~u32{0};
@@ -106,7 +105,6 @@ class BufferCache {
   u32 evict_one();
 
   sim::IoScheduler& io_;
-  obs::TraceBuffer* trace_{nullptr};
   u64 capacity_;
   std::vector<Slot> slots_;  // every slot in use; never more than capacity_
   u32 head_{kNone};

@@ -438,11 +438,6 @@ void ParallelFileSystem::set_timeline(obs::Timeline* tl) {
   frag_lens_->bind(*tl);
 }
 
-void ParallelFileSystem::set_trace(obs::TraceBuffer* trace) {
-  for (auto& m : mds_) m->set_trace(trace);
-  for (auto& t : targets_) t->set_trace(trace);
-}
-
 void ParallelFileSystem::set_spans(obs::SpanCollector* spans) {
   spans_ = spans;
   for (auto& m : mds_) m->set_spans(spans);

@@ -21,7 +21,6 @@
 #include "mds/mds.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "osd/storage_target.hpp"
 #include "osd/striping.hpp"
 #include "redundancy/redundancy.hpp"
@@ -142,10 +141,6 @@ class ParallelFileSystem {
   void reset_data_stats();
 
   // --- observability -------------------------------------------------------
-  /// Attach one trace sink to the whole cluster: every target's allocator
-  /// state machine plus the MDS journal and buffer cache.  nullptr detaches.
-  void set_trace(obs::TraceBuffer* trace);
-
   /// Attach one span collector to the whole cluster: client ops become root
   /// spans, MDS RPCs / allocator decisions / journal commits become child
   /// phases, and every disk (data disks on tracks 0..N-1, metadata disk on

@@ -88,13 +88,6 @@ class Mfs {
   double elapsed_ms() const { return disk_.now_ms(); }
   void reset_io_stats();
 
-  /// Attach a trace sink for journal commit/checkpoint and cache eviction
-  /// events (nullptr detaches).
-  void set_trace(obs::TraceBuffer* trace) {
-    journal_->set_trace(trace);
-    cache_->set_trace(trace);
-  }
-
   /// Metadata disk's span track *lane* (data disks take lanes 0..N-1 in
   /// their own namespace; compare with obs::track_lane).
   static constexpr u32 kMdsDiskTrack = 255;

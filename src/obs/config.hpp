@@ -1,9 +1,9 @@
 // One observability configuration for the whole obs layer.
 //
-// The allocator event ring (obs/trace.hpp) and the request-span buffer
-// (obs/span.hpp) used to carry their own scattered capacity constants; both
-// now size themselves from this struct, so a bench or test that wants a
-// bigger (or tiny) observability footprint changes one knob.
+// The bounded collectors (the request-span ring in obs/span.hpp and the
+// timeline in obs/timeline.hpp) size themselves from this struct, so a bench
+// or test that wants a bigger (or tiny) observability footprint changes one
+// knob.
 #pragma once
 
 #include <cmath>
@@ -13,8 +13,6 @@
 namespace mif::obs {
 
 struct Config {
-  /// TraceBuffer ring capacity (allocator/journal/cache event records).
-  std::size_t trace_capacity{4096};
   /// SpanCollector ring capacity (completed span records kept for export).
   std::size_t span_capacity{65536};
   /// Slow-request log size: the K slowest root spans retained with their

@@ -143,7 +143,8 @@ void parse_kill_spec(std::string_view bench_name, std::string_view value,
 
 }  // namespace
 
-BenchReport::BenchReport(std::string_view bench_name, int argc, char** argv)
+BenchReport::BenchReport(std::string_view bench_name, int argc, char** argv,
+                         Honoured honoured)
     : bench_(bench_name) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -193,6 +194,21 @@ BenchReport::BenchReport(std::string_view bench_name, int argc, char** argv)
     usage_error(bench_name,
                 "--kill-osd requires --replicas >= 2 (an unreplicated mount "
                 "cannot survive a target loss)");
+  }
+  const struct {
+    std::string_view name;
+    bool given;
+    bool honoured;
+  } observers[] = {
+      {"--trace", !flags_.trace.empty(), honoured.trace},
+      {kTimeseries, flags_.timeseries, honoured.timeseries},
+      {"--attribution", flags_.attribution, honoured.attribution},
+  };
+  for (const auto& o : observers) {
+    if (o.given && !o.honoured) {
+      usage_error(bench_name, "%s is not supported by this bench",
+                  std::string(o.name).c_str());
+    }
   }
   doc_["schema_version"] = kReportSchemaVersion;
   doc_["bench"] = bench_name;

@@ -16,7 +16,8 @@
 //   }
 //
 // The constructor parses argv through one flag table (report.cpp) into a
-// BenchFlags; an argument outside the table exits 2.  Benches read flags(),
+// BenchFlags; an argument outside the table exits 2, and so does an
+// observability flag the bench does not act on.  Benches read flags(),
 // start their mounts from overlay() and record the mount flags in each run's
 // config with describe(), so no bench wires a flag into ClusterConfig by
 // hand.  `--quick` runs a reduced workload so the CI gate (scripts/gates.py)
@@ -84,6 +85,15 @@ struct BenchFlags {
   double kill_at_ms{0.0};
 };
 
+/// The observability flags a bench acts on.  Each one attaches a collector
+/// the bench must wire itself, so a bench that does not would accept the
+/// flag and silently produce nothing.
+struct Honoured {
+  bool trace{false};        // --trace <path>
+  bool timeseries{false};   // --timeseries[=<interval_ms>]
+  bool attribution{false};  // --attribution
+};
+
 class BenchReport {
  public:
   /// Parses argv[1..argc) against the flag table.  Any misuse fails fast —
@@ -91,9 +101,10 @@ class BenchReport {
   /// argument outside the table (a positional one included), a switch given
   /// a value (`--quick=1`), a value flag with no value (given last, empty,
   /// or followed by another `--flag`), a count outside its range, a bad
-  /// `--timeseries` interval or `--kill-osd` spec, and `--kill-osd` without
-  /// `--replicas >= 2`.
-  BenchReport(std::string_view bench_name, int argc, char** argv);
+  /// `--timeseries` interval or `--kill-osd` spec, `--kill-osd` without
+  /// `--replicas >= 2`, and an observability flag outside `honoured`.
+  BenchReport(std::string_view bench_name, int argc, char** argv,
+              Honoured honoured = {});
 
   bool json_enabled() const { return !flags_.json.empty(); }
   bool quick() const { return flags_.quick; }

@@ -51,9 +51,9 @@
 // events, so contention is negligible and export needs no merge step.  The
 // ambient-parent stack is thread_local and needs no lock at all.
 //
-// Costs are bounded like TraceBuffer's: the ring overwrites its oldest
-// records once full (`dropped()` counts), an active trace keeps at most
-// kMaxSpansPerTrace spans, and the slow log holds exactly `slow_k` traces.
+// Costs are bounded: the ring overwrites its oldest records once full
+// (`dropped()` counts), an active trace keeps at most kMaxSpansPerTrace
+// spans, and the slow log holds exactly `slow_k` traces.
 // With no collector attached every instrumentation point is one null check.
 #pragma once
 

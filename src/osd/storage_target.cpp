@@ -29,24 +29,6 @@ StorageTarget::FileState* StorageTarget::find_file(InodeNo inode) const {
   return it == files_.end() ? nullptr : it->second.get();
 }
 
-void StorageTarget::inject_fault(u64 after_ops, u64 count) {
-  std::lock_guard lock(fault_mu_);
-  fault_after_ = after_ops;
-  fault_count_ = count;
-}
-
-bool StorageTarget::fault_fires() {
-  std::lock_guard lock(fault_mu_);
-  if (fault_count_ == 0) return false;
-  if (fault_after_ > 0) {
-    --fault_after_;
-    return false;
-  }
-  --fault_count_;
-  ++failures_seen_;
-  return true;
-}
-
 StorageTarget::VerifyReport StorageTarget::verify() const {
   VerifyReport report;
   std::vector<std::pair<u64, u64>> phys;
@@ -139,7 +121,6 @@ Status StorageTarget::write(InodeNo inode, StreamId stream, FileBlock logical,
 
 Status StorageTarget::write_runs(InodeNo inode, StreamId stream,
                                  std::span<const BlockRun> runs) {
-  if (fault_fires()) return Errc::kIo;
   FileState& f = file(inode);
   std::lock_guard lock(f.mu);
   for (const BlockRun& run : runs) {
@@ -165,7 +146,6 @@ Status StorageTarget::read(InodeNo inode, FileBlock logical, u64 count) {
 
 Status StorageTarget::read_runs(InodeNo inode,
                                 std::span<const BlockRun> runs) {
-  if (fault_fires()) return Errc::kIo;
   FileState* f = find_file(inode);
   if (!f) return {};  // nothing mapped: the whole read is a hole
   std::lock_guard lock(f->mu);
@@ -249,7 +229,6 @@ void StorageTarget::reset_contents() {
   space_ = std::make_unique<block::FreeSpace>(
       DiskBlock{0}, cfg_.geometry.capacity_blocks, cfg_.alloc_groups);
   alloc_ = alloc::make_allocator(cfg_.allocator, *space_, cfg_.tuning);
-  alloc_->set_trace(trace_);
 }
 
 }  // namespace mif::osd

@@ -48,9 +48,8 @@ class StorageTarget {
   Status read(InodeNo inode, FileBlock logical, u64 count);
 
   /// Batched write: the runs of one rpc::BlockWriteRequest envelope, applied
-  /// in order.  One fault-injection check covers the whole envelope (a wire
-  /// message fails as a unit); each run still takes its own allocator
-  /// decision, so placement is identical to issuing the runs one by one.
+  /// in order.  Each run takes its own allocator decision, so placement is
+  /// identical to issuing the runs one by one.
   Status write_runs(InodeNo inode, StreamId stream,
                     std::span<const BlockRun> runs);
 
@@ -87,14 +86,6 @@ class StorageTarget {
   /// the transport caller's thread).
   void reset_contents();
 
-  // --- fault injection ------------------------------------------------------
-  /// After `after_ops` further data operations, the next `count` operations
-  /// fail with kIo before touching allocator or disk.  Models a transient
-  /// device/path fault; callers must see the error and the target must stay
-  /// consistent.
-  void inject_fault(u64 after_ops, u64 count);
-  u64 injected_failures() const { return failures_seen_; }
-
   // --- integrity verification ----------------------------------------------
   struct VerifyReport {
     u64 files{0};
@@ -112,12 +103,6 @@ class StorageTarget {
   VerifyReport verify() const;
 
   // --- observability -------------------------------------------------------
-  /// Attach a trace sink to the allocator state machine (nullptr detaches).
-  void set_trace(obs::TraceBuffer* trace) {
-    trace_ = trace;
-    alloc_->set_trace(trace);
-  }
-
   /// Attach a span collector: allocator decisions record `alloc.decide` and
   /// the data disk records `disk.*` on span track `track` (nullptr
   /// detaches).  The scheduler's aggregated `io.queue_wait` spans get their
@@ -187,7 +172,6 @@ class StorageTarget {
 
   TargetConfig cfg_;
   obs::SpanCollector* spans_{nullptr};
-  obs::TraceBuffer* trace_{nullptr};
   sim::Disk disk_;
   /// The scheduler (and the disk behind it) is single-threaded state; all
   /// submissions and drains serialise here.
@@ -197,13 +181,6 @@ class StorageTarget {
   std::unique_ptr<alloc::FileAllocator> alloc_;
   mutable std::mutex files_mu_;
   std::unordered_map<u64, std::unique_ptr<FileState>> files_;
-
-  /// Returns true if this operation should fail (fault injection).
-  bool fault_fires();
-  mutable std::mutex fault_mu_;
-  u64 fault_after_{0};
-  u64 fault_count_{0};
-  u64 failures_seen_{0};
 };
 
 }  // namespace mif::osd

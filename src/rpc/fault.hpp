@@ -17,7 +17,10 @@
 //     addressed to it fail with kIo here — defense in depth under the
 //     client's own health-aware routing; write-class envelopes pass (they
 //     land on the freshly formatted replacement, which is how the repair
-//     service rebuilds it).
+//     service rebuilds it).  A call_batch frame holding such a read fails
+//     whole.
+//
+// It is the only fault injector: storage targets themselves never fail.
 //
 // Disarmed (the default) it forwards everything untouched; kill scheduling
 // is independent of arm()/disarm() (a kill is a scenario event, not a
@@ -99,6 +102,11 @@ class FaultTransport final : public Transport {
   Status call_batch(const Address& to, std::vector<Request> reqs) override {
     poll_kills();
     if (fires()) return Errc::kIo;  // the whole frame is lost as a unit
+    // Every envelope is checked (and counted); one dead-OSD read refuses
+    // the frame as a unit, like a drop.
+    bool refused = false;
+    for (const Request& req : reqs) refused |= refuses(to, req);
+    if (refused) return Errc::kIo;
     return inner_.call_batch(to, std::move(reqs));
   }
   Status flush() override {

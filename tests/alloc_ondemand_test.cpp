@@ -3,8 +3,9 @@
 // stream isolation, persistence of the current window.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "alloc/ondemand.hpp"
-#include "obs/trace.hpp"
 
 namespace mif::alloc {
 namespace {
@@ -177,115 +178,100 @@ TEST_F(OnDemandFixture, WritesIntoPromotedWindowBypassAllocator) {
   EXPECT_EQ(alloc.stats().prealloc_promotions, promos);
 }
 
-// --- state-machine tracing (obs::TraceBuffer) -------------------------------
+// --- state-machine transitions, step by step --------------------------------
+// Each extend fires at most one trigger; the stats deltas name it, and the
+// window probes show its effect on the stream.
 
-using obs::TraceEventType;
+/// How the stats moved across one step.
+struct Delta {
+  u64 misses;
+  u64 promotions;
+  u64 demotions;
+  u64 released;  // reserved blocks given back to free space
+};
 
-TEST_F(OnDemandFixture, TraceRecordsExactTransitionSequence) {
-  obs::TraceBuffer trace(64);
-  alloc.set_trace(&trace);
+Delta delta(const AllocatorStats& before, const AllocatorStats& after) {
+  return {after.layout_misses - before.layout_misses,
+          after.prealloc_promotions - before.prealloc_promotions,
+          after.prealloc_disabled - before.prealloc_disabled,
+          after.released_blocks - before.released_blocks};
+}
 
-  // Fig. 3 walked with default tuning (scale=2, miss_threshold=4):
-  ASSERT_TRUE(write(1, 0).ok());     // miss: seed seq window [1,3)
-  ASSERT_TRUE(write(1, 1).ok());     // promote: current [1,3), seq 4 blocks
-  ASSERT_TRUE(write(1, 2).ok());     // inside current window — no event
-  ASSERT_TRUE(write(1, 3).ok());     // promote: seq window ramps to 8
-  ASSERT_TRUE(write(1, 1000).ok());  // miss 1 (re-seed)
-  ASSERT_TRUE(write(1, 2000).ok());  // miss 2
-  ASSERT_TRUE(write(1, 3000).ok());  // miss 3
-  ASSERT_TRUE(write(1, 4000).ok());  // miss 4 → demote
-
+TEST_F(OnDemandFixture, TransitionsStepByStep) {
+  // Fig. 3 walked with default tuning (scale=2, miss_threshold=4).
+  const InodeNo ino{1};
+  const StreamId sid{1, 0};
   const struct {
-    TraceEventType type;
-  } expected[] = {
-      {TraceEventType::kLayoutMiss},      {TraceEventType::kPreAllocLayout},
-      {TraceEventType::kPreAllocLayout},  {TraceEventType::kLayoutMiss},
-      {TraceEventType::kLayoutMiss},      {TraceEventType::kLayoutMiss},
-      {TraceEventType::kLayoutMiss},      {TraceEventType::kStreamDemote},
+    u64 logical;
+    Delta want;
+    u64 current;     // window lengths after the step
+    u64 sequential;
+    bool disabled;
+  } steps[] = {
+      {0, {1, 0, 0, 0}, 0, 2, false},     // miss: seed seq window [1,3)
+      {1, {0, 1, 0, 0}, 2, 4, false},     // promote: current 2, seq 4
+      {2, {0, 0, 0, 0}, 2, 4, false},     // inside current window
+      {3, {0, 1, 0, 0}, 4, 8, false},     // promote: seq ramps to 8
+      {1000, {1, 0, 0, 8}, 0, 2, false},  // miss 1: re-seed, seq 8 freed
+      {2000, {1, 0, 0, 2}, 0, 2, false},  // miss 2
+      {3000, {1, 0, 0, 2}, 0, 2, false},  // miss 3
+      {4000, {1, 0, 1, 2}, 0, 0, true},   // miss 4 = threshold: demote
   };
-  const auto evs = trace.events();
-  ASSERT_EQ(evs.size(), std::size(expected));
-  for (std::size_t i = 0; i < evs.size(); ++i) {
-    EXPECT_EQ(evs[i].type, expected[i].type) << "event " << i;
-    EXPECT_EQ(evs[i].inode, 1u) << "event " << i;
-    EXPECT_EQ(evs[i].stream, (StreamId{1, 0}).key()) << "event " << i;
+  for (const auto& step : steps) {
+    SCOPED_TRACE(::testing::Message() << "write at " << step.logical);
+    const AllocatorStats before = alloc.stats();
+    ASSERT_TRUE(write(1, step.logical).ok());
+    const Delta d = delta(before, alloc.stats());
+    EXPECT_EQ(d.misses, step.want.misses);
+    EXPECT_EQ(d.promotions, step.want.promotions);
+    EXPECT_EQ(d.demotions, step.want.demotions);
+    EXPECT_EQ(d.released, step.want.released);
+    EXPECT_EQ(alloc.current_window_blocks(ino, sid), step.current);
+    EXPECT_EQ(alloc.sequential_window_blocks(ino, sid), step.sequential);
+    EXPECT_EQ(alloc.prealloc_disabled(ino, sid), step.disabled);
   }
-  // Promotion args: (promoted current window, newly reserved seq window).
-  EXPECT_EQ(evs[1].arg0, 2u);
-  EXPECT_EQ(evs[1].arg1, 4u);
-  EXPECT_EQ(evs[2].arg0, 4u);
-  EXPECT_EQ(evs[2].arg1, 8u);
-  // The demotion records the miss count that crossed the threshold.
-  EXPECT_EQ(evs[7].arg0, tuning.miss_threshold);
+  // The first extend seeds the stream; the demotion came at the
+  // miss_threshold-th miss after it.
+  EXPECT_EQ(alloc.stats().layout_misses, 1 + tuning.miss_threshold);
 }
 
-TEST_F(OnDemandFixture, TraceLazyFreeOnClose) {
-  obs::TraceBuffer trace(64);
-  alloc.set_trace(&trace);
+TEST_F(OnDemandFixture, LazyFreeOnCloseReleasesTheSequentialWindow) {
   for (u64 b = 0; b < 4; ++b) ASSERT_TRUE(write(1, b).ok());
-  ASSERT_GT(alloc.stats().reserved_blocks, 0u);
+  const u64 window =
+      alloc.sequential_window_blocks(InodeNo{1}, StreamId{1, 0});
+  ASSERT_GT(window, 0u);
+  const AllocatorStats before = alloc.stats();
   alloc.close_file(InodeNo{1}, map);
-  const auto evs = trace.events();
-  ASSERT_FALSE(evs.empty());
-  EXPECT_EQ(evs.back().type, TraceEventType::kLazyFree);
-  EXPECT_GT(evs.back().arg0, 0u);  // blocks returned to free space
-  EXPECT_EQ(evs.back().stream, (StreamId{1, 0}).key());
+  // Exactly the stream's sequential window went back to free space.
+  EXPECT_EQ(delta(before, alloc.stats()).released, window);
+  EXPECT_EQ(alloc.stats().reserved_blocks, 0u);
+  EXPECT_EQ(alloc.sequential_window_blocks(InodeNo{1}, StreamId{1, 0}), 0u);
 }
 
-TEST_F(OnDemandFixture, TraceMultiStreamSharedFileWithFiltering) {
-  // Scripted shared-file write: three streams interleave on inode 1.  The
-  // record-side filter keeps only stream 1; the read-side filter then checks
-  // per-stream isolation on an unfiltered buffer.
-  obs::TraceBuffer filtered(64);
-  alloc.set_trace(&filtered);
-  filtered.set_filter(InodeNo{1}, StreamId{1, 0});
+TEST_F(OnDemandFixture, InterleavedStreamsEachRampFromOneMiss) {
+  // Scripted shared-file write: three streams interleave on inode 1.  Each
+  // step's trigger is charged to the stream that wrote, and every stream
+  // shows the same miss → promote ramp, undisturbed by its siblings.
   const u64 per_stream = 16;
-  for (u64 r = 0; r < per_stream; ++r)
-    for (u32 p = 0; p < 3; ++p)
+  std::vector<char> triggers[3];  // per stream: 'm' miss, 'p' promotion
+  for (u64 r = 0; r < per_stream; ++r) {
+    for (u32 p = 0; p < 3; ++p) {
+      const AllocatorStats before = alloc.stats();
       ASSERT_TRUE(write(p, static_cast<u64>(p) * per_stream + r).ok());
-  for (const auto& ev : filtered.events())
-    EXPECT_EQ(ev.stream, (StreamId{1, 0}).key());
-  EXPECT_GT(filtered.size(), 0u);
-  EXPECT_GT(filtered.filtered(), 0u);  // other streams were rejected
-
-  // Same workload against a fresh allocator, unfiltered: every stream shows
-  // the identical miss→promote ramp.
-  OnDemandAllocator a2(space, tuning);
-  block::ExtentMap m2;
-  obs::TraceBuffer all(256);
-  a2.set_trace(&all);
-  for (u64 r = 0; r < per_stream; ++r)
-    for (u32 p = 0; p < 3; ++p)
-      ASSERT_TRUE(a2.extend({InodeNo{1}, StreamId{p, 0},
-                             FileBlock{static_cast<u64>(p) * per_stream + r},
-                             1},
-                            m2)
-                      .ok());
-  for (u32 p = 0; p < 3; ++p) {
-    const auto evs = all.events(InodeNo{1}, StreamId{p, 0});
-    ASSERT_GE(evs.size(), 3u) << "stream " << p;
-    EXPECT_EQ(evs[0].type, TraceEventType::kLayoutMiss);
-    EXPECT_EQ(evs[1].type, TraceEventType::kPreAllocLayout);
-    for (std::size_t i = 1; i < evs.size(); ++i)
-      EXPECT_EQ(evs[i].type, TraceEventType::kPreAllocLayout)
-          << "stream " << p << " event " << i;
+      const Delta d = delta(before, alloc.stats());
+      ASSERT_LE(d.misses + d.promotions, 1u);
+      if (d.misses) triggers[p].push_back('m');
+      if (d.promotions) triggers[p].push_back('p');
+    }
   }
-}
-
-TEST_F(OnDemandFixture, TraceRingStaysBounded) {
-  obs::TraceBuffer trace(8);
-  alloc.set_trace(&trace);
-  for (u64 b = 0; b < 400; ++b) ASSERT_TRUE(write(1, b).ok());
-  EXPECT_LE(trace.size(), 8u);
-  // Every miss and promotion was recorded; whatever the ring could not
-  // retain is accounted for as dropped.
-  EXPECT_EQ(alloc.stats().prealloc_promotions + alloc.stats().layout_misses,
-            trace.dropped() + trace.size());
-  EXPECT_GT(trace.dropped(), 0u);
-  // What remains is the chronological tail with contiguous sequence numbers.
-  const auto evs = trace.events();
-  for (std::size_t i = 1; i < evs.size(); ++i)
-    EXPECT_EQ(evs[i].seq, evs[i - 1].seq + 1);
+  for (u32 p = 0; p < 3; ++p) {
+    SCOPED_TRACE(::testing::Message() << "stream " << p);
+    ASSERT_GE(triggers[p].size(), 3u);
+    EXPECT_EQ(triggers[p][0], 'm');
+    for (std::size_t i = 1; i < triggers[p].size(); ++i) {
+      EXPECT_EQ(triggers[p][i], 'p') << "trigger " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -69,6 +69,9 @@ TEST_F(CacheFixture, LruKeepsHotBlocks) {
   c.read(DiskBlock{0}, 4);
   c.read(DiskBlock{0}, 1);  // touch block 0 → hottest
   c.read(DiskBlock{50}, 1); // evicts block 1 (coldest)
+  EXPECT_FALSE(c.cached(DiskBlock{1}));
+  EXPECT_TRUE(c.cached(DiskBlock{0}));
+  EXPECT_EQ(c.stats().hits + c.stats().misses, 6u);  // probes count nothing
   io.drain();
   disk.reset_stats();
   c.read(DiskBlock{0}, 1);
@@ -217,7 +220,8 @@ class RefCache {
   const CacheStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
   u64 resident_blocks() const { return map_.size(); }
-  void set_trace(obs::TraceBuffer* trace) { trace_ = trace; }
+  /// Resident blocks, most recently used first.
+  const std::list<u64>& lru() const { return lru_; }
 
  private:
   struct Entry {
@@ -250,45 +254,36 @@ class RefCache {
     map_.erase(it);
     lru_.pop_back();
     ++stats_.evictions;
-    if (trace_) {
-      trace_->record(obs::TraceEventType::kCacheEvict, victim, dirty ? 1 : 0);
-    }
   }
 
   sim::IoScheduler& io_;
-  obs::TraceBuffer* trace_{nullptr};
   u64 capacity_;
   std::list<u64> lru_;  // front = most recent
   std::unordered_map<u64, Entry> map_;
   CacheStats stats_;
 };
 
-// A BufferCache and a RefCache, each in front of its own disk and scheduler
-// and each tracing its evictions, given the same operations.  The small
-// scheduler queue drains mid-operation, so the order of every submit shows
-// in the disks' head movement and timing.
+// A BufferCache and a RefCache, each in front of its own disk and scheduler,
+// given the same operations.  The small scheduler queue drains
+// mid-operation, so the order of every submit shows in the disks' head
+// movement and timing.
 struct CacheTwin {
   CacheTwin(u64 capacity, std::size_t queue)
       : io(disk, queue), ref_io(ref_disk, queue), cache(io, capacity),
-        ref(ref_io, capacity) {
-    cache.set_trace(&trace);
-    ref.set_trace(&ref_trace);
-  }
+        ref(ref_io, capacity) {}
 
   sim::Disk disk;
   sim::Disk ref_disk;
   sim::IoScheduler io;
   sim::IoScheduler ref_io;
-  obs::TraceBuffer trace{4096};
-  obs::TraceBuffer ref_trace{4096};
   BufferCache cache;
   RefCache ref;
 };
 
-// Everything either side exposes after a step: cache counters, residency,
-// the disks and schedulers, and the evictions since the previous call (the
-// victims in order, with their dirty bit), which are then cleared.
-::testing::AssertionResult same_state(CacheTwin& t) {
+// Everything either side exposes after a step: cache counters, the disks
+// and schedulers, and which blocks are resident (an LRU that evicts a
+// different victim shows up there).
+::testing::AssertionResult same_state(const CacheTwin& t) {
   const CacheStats& a = t.cache.stats();
   const CacheStats& b = t.ref.stats();
   if (a.hits != b.hits || a.misses != b.misses ||
@@ -327,28 +322,20 @@ struct CacheTwin {
            << "scheduler: queued " << q.queued << "/" << p.queued
            << ", dispatched " << q.dispatched << "/" << p.dispatched;
   }
-  const auto got = t.trace.events();
-  const auto want = t.ref_trace.events();
-  if (t.trace.dropped() != 0 || got.size() != want.size()) {
-    return ::testing::AssertionFailure()
-           << "evictions traced " << got.size() << "/" << want.size();
-  }
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    if (got[i].arg0 != want[i].arg0 || got[i].arg1 != want[i].arg1) {
+  // Both hold as many blocks (checked above), so this makes the resident
+  // sets equal: every block of the volume is resident on both or neither.
+  for (u64 b : t.ref.lru()) {
+    if (!t.cache.cached(DiskBlock{b})) {
       return ::testing::AssertionFailure()
-             << "eviction " << i << ": block " << got[i].arg0 << "/"
-             << want[i].arg0 << ", dirty " << got[i].arg1 << "/"
-             << want[i].arg1;
+             << "block " << b << " resident in the reference only";
     }
   }
-  t.trace.clear();
-  t.ref_trace.clear();
   return ::testing::AssertionSuccess();
 }
 
-// Where the operations land: the first index page, a window across the
-// first page boundary, a window across a boundary mid-volume, and the top
-// of the default 4 Mi-block volume (its last block included).
+// Where the random operations land: the first index page, a window across
+// the first page boundary, a window across a boundary mid-volume, and the
+// top of the default 4 Mi-block volume (its last block included).
 struct Window {
   u64 base;
   u64 width;

@@ -1,8 +1,12 @@
-// Fault-injection and integrity-verification tests: transient I/O errors
-// must surface as kIo without corrupting allocator or namespace state, and
-// the fsck-style verifiers must pass after every scenario (and actually
-// detect planted inconsistencies).
+// Fault-injection and integrity-verification tests: lost envelopes and
+// killed targets must surface as kIo without corrupting allocator or
+// namespace state, and the fsck-style verifiers must pass after every
+// scenario.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/pfs.hpp"
 #include "mfs/mfs.hpp"
@@ -18,81 +22,72 @@ osd::TargetConfig target_cfg(alloc::AllocatorMode mode) {
   return cfg;
 }
 
-TEST(FaultInjection, WriteFailsWithIoThenRecovers) {
-  osd::StorageTarget t(target_cfg(alloc::AllocatorMode::kOnDemand));
-  t.inject_fault(/*after_ops=*/2, /*count=*/1);
-  EXPECT_TRUE(t.write(InodeNo{1}, StreamId{1, 0}, FileBlock{0}, 4).ok());
-  EXPECT_TRUE(t.write(InodeNo{1}, StreamId{1, 0}, FileBlock{4}, 4).ok());
-  EXPECT_EQ(t.write(InodeNo{1}, StreamId{1, 0}, FileBlock{8}, 4).error(),
-            Errc::kIo);
-  // The fault window is exhausted: the retry succeeds.
-  EXPECT_TRUE(t.write(InodeNo{1}, StreamId{1, 0}, FileBlock{8}, 4).ok());
-  EXPECT_EQ(t.injected_failures(), 1u);
-}
+// A lost wire message (FaultTransport, the one fault injector) must surface
+// as kIo to the caller, leave the servers untouched and recover cleanly on
+// retry — under every allocator, because the drop happens before any
+// placement decision.
+class FaultInjectionByMode
+    : public ::testing::TestWithParam<alloc::AllocatorMode> {};
 
-TEST(FaultInjection, ReadFailsWithIo) {
-  osd::StorageTarget t(target_cfg(alloc::AllocatorMode::kReservation));
-  ASSERT_TRUE(t.write(InodeNo{1}, StreamId{1, 0}, FileBlock{0}, 8).ok());
-  t.inject_fault(0, 2);
-  EXPECT_EQ(t.read(InodeNo{1}, FileBlock{0}, 8).error(), Errc::kIo);
-  EXPECT_EQ(t.read(InodeNo{1}, FileBlock{0}, 8).error(), Errc::kIo);
-  EXPECT_TRUE(t.read(InodeNo{1}, FileBlock{0}, 8).ok());
-}
-
-TEST(FaultInjection, FailedWriteLeavesTargetConsistent) {
-  osd::StorageTarget t(target_cfg(alloc::AllocatorMode::kOnDemand));
-  for (u64 b = 0; b < 64; b += 4) {
-    ASSERT_TRUE(t.write(InodeNo{1}, StreamId{1, 0}, FileBlock{b}, 4).ok());
-  }
-  t.inject_fault(0, 3);
-  EXPECT_FALSE(t.write(InodeNo{1}, StreamId{1, 0}, FileBlock{64}, 4).ok());
-  EXPECT_FALSE(t.write(InodeNo{2}, StreamId{2, 0}, FileBlock{0}, 4).ok());
-  EXPECT_FALSE(t.read(InodeNo{1}, FileBlock{0}, 8).ok());
-  const auto report = t.verify();
-  EXPECT_TRUE(report.ok()) << "overlap_free=" << report.overlap_free
-                           << " space_accounted=" << report.space_accounted;
-  // Failed ops allocated nothing.
-  EXPECT_EQ(report.mapped_blocks, 64u);
-}
-
-TEST(FaultInjection, ErrorPropagatesThroughClient) {
+TEST_P(FaultInjectionByMode, TransportDropSurfacesAsIoError) {
   core::ClusterConfig cfg;
   cfg.num_targets = 3;
-  core::ParallelFileSystem fs(cfg);
-  auto client = fs.connect(ClientId{1});
-  auto fh = client.create("/f");
-  ASSERT_TRUE(fh);
-  fs.target(0).inject_fault(0, 1);
-  // The write stripes across targets; the faulted member fails the call.
-  EXPECT_EQ(client.write(*fh, 0, 0, 5 * 16 * kBlockSize).error(), Errc::kIo);
-  // Retry after the transient fault succeeds end to end.
-  EXPECT_TRUE(client.write(*fh, 0, 0, 5 * 16 * kBlockSize).ok());
-}
-
-// A fault in the transport itself (lost wire message, not a device error)
-// must surface the same way: kIo to the caller, servers untouched, clean
-// recovery on retry.
-TEST(FaultInjection, TransportDropSurfacesAsIoError) {
-  core::ClusterConfig cfg;
-  cfg.num_targets = 3;
+  cfg.target.allocator = GetParam();
   cfg.rpc.inject_faults = true;
   core::ParallelFileSystem fs(cfg);
   auto client = fs.connect(ClientId{1});
   auto fh = client.create("/f");
   ASSERT_TRUE(fh);
+  const u64 len = 5 * 16 * kBlockSize;
+  ASSERT_TRUE(client.write(*fh, 0, 0, len).ok());
 
+  // What each target holds before the drop.
+  std::vector<std::pair<u64, u64>> before;  // (mapped, free) blocks
+  for (std::size_t t = 0; t < fs.num_targets(); ++t) {
+    before.emplace_back(fs.target(t).verify().mapped_blocks,
+                        fs.target(t).space().free_blocks());
+  }
   rpc::FaultTransport* fault = fs.transport().fault();
   ASSERT_NE(fault, nullptr);
   fault->arm({.drop_count = 1});
-  EXPECT_EQ(client.write(*fh, 0, 0, 5 * 16 * kBlockSize).error(), Errc::kIo);
+  // The write stripes across targets; the lost member envelope fails it.
+  EXPECT_EQ(client.write(*fh, 0, len, len).error(), Errc::kIo);
   EXPECT_EQ(fault->stats().dropped, 1u);
-  // The dropped envelope never reached a target: the retry places the very
-  // same blocks without conflict and the targets verify clean.
-  EXPECT_TRUE(client.write(*fh, 0, 0, 5 * 16 * kBlockSize).ok());
+  // The dropped envelope never reached a target: nothing was allocated.
+  for (std::size_t t = 0; t < fs.num_targets(); ++t) {
+    const auto report = fs.target(t).verify();
+    EXPECT_TRUE(report.ok()) << "target " << t;
+    EXPECT_EQ(report.mapped_blocks, before[t].first) << "target " << t;
+    EXPECT_EQ(fs.target(t).space().free_blocks(), before[t].second)
+        << "target " << t;
+  }
+  // The retry places the very same blocks without conflict.
+  EXPECT_TRUE(client.write(*fh, 0, len, len).ok());
+  // A lost read fails the same way, and its retry succeeds.
+  fault->arm({.drop_count = 1});
+  EXPECT_EQ(client.read(*fh, 0, 2 * len).error(), Errc::kIo);
+  EXPECT_TRUE(client.read(*fh, 0, 2 * len).ok());
+  EXPECT_EQ(fault->stats().dropped, 2u);
+  fs.drain_data();
   for (std::size_t t = 0; t < fs.num_targets(); ++t) {
     EXPECT_TRUE(fs.target(t).verify().ok()) << "target " << t;
   }
 }
+
+std::string mode_name(
+    const ::testing::TestParamInfo<alloc::AllocatorMode>& info) {
+  std::string s{alloc::to_string(info.param)};
+  for (auto& c : s)
+    if (c == '-') c = '_';
+  return s;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModes, FaultInjectionByMode,
+                         ::testing::Values(alloc::AllocatorMode::kVanilla,
+                                           alloc::AllocatorMode::kReservation,
+                                           alloc::AllocatorMode::kStatic,
+                                           alloc::AllocatorMode::kOnDemand),
+                         mode_name);
 
 // Killing a target on an UNREPLICATED mount is permanent data loss: the
 // sticky dead-read guard fails every read addressed to the wiped target
@@ -216,17 +211,11 @@ TEST_P(TargetVerify, CleanAfterChurn) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllModes, TargetVerify,
-    ::testing::Values(alloc::AllocatorMode::kVanilla,
-                      alloc::AllocatorMode::kReservation,
-                      alloc::AllocatorMode::kOnDemand),
-    [](const auto& info) {
-      std::string s{alloc::to_string(info.param)};
-      for (auto& c : s)
-        if (c == '-') c = '_';
-      return s;
-    });
+INSTANTIATE_TEST_SUITE_P(AllModes, TargetVerify,
+                         ::testing::Values(alloc::AllocatorMode::kVanilla,
+                                           alloc::AllocatorMode::kReservation,
+                                           alloc::AllocatorMode::kOnDemand),
+                         mode_name);
 
 class NamespaceVerify : public ::testing::TestWithParam<mfs::DirectoryMode> {
  protected:

@@ -1,8 +1,9 @@
 // Frame-formation engine tests: every packed frame respects max_frame_bytes
 // (oversize singletons excepted and counted), metadata frames leave before
 // data, coalescing and list folding survive the packer, watermark/queue-depth
-// backpressure, barrier ordering, deferred-error stickiness, and the
-// destructor's observable-drop contract.
+// backpressure, barrier ordering, deferred-error stickiness, the
+// destructor's observable-drop contract, and the fault layer's dead-OSD read
+// guard on pre-formed frames.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -261,6 +262,32 @@ TEST(Formation, DeferredErrorGoesStickyAndSurfacesAtTheBarrier) {
   EXPECT_EQ(f.stats().deferred_errors, 1u);
   // Sticky was consumed; a later flush is clean.
   EXPECT_TRUE(f.flush().ok());
+}
+
+// The dead-OSD read guard holds for a pre-formed frame too: call_batch
+// checks and counts every envelope, and one refused read fails the frame.
+TEST(Fault, BatchRefusesReadsAddressedToADeadOsd) {
+  OsdPair osds;
+  InprocTransport inproc(osds.eps());
+  FaultTransport fault(inproc);
+  bool dead = false;
+  fault.set_dead_probe([&dead](u32 target) { return dead && target == 0; });
+  BlockReadRequest read;
+  read.ino = InodeNo{1};
+  read.runs.push_back(BlockRun{FileBlock{0}, 1});
+  const auto frame = [&] {
+    return std::vector<Request>{Request{write_req(1, 0, 1)}, Request{read},
+                                Request{read}};
+  };
+  ASSERT_TRUE(fault.call_batch(osd_at(0), frame()).ok());  // alive: served
+  dead = true;
+  EXPECT_EQ(fault.call_batch(osd_at(0), frame()).error(), Errc::kIo);
+  EXPECT_EQ(fault.stats().dead_reads, 2u);
+  // Writes alone still reach the replacement, and other targets serve.
+  EXPECT_TRUE(fault.call_batch(osd_at(0), {Request{write_req(1, 1, 1)}}).ok());
+  EXPECT_TRUE(fault.call_batch(osd_at(1), frame()).ok());
+  EXPECT_EQ(fault.stats().dead_reads, 2u);
+  EXPECT_EQ(osds.a.verify().mapped_blocks, 2u);
 }
 
 TEST(Formation, DestructorDropIsObservable) {

@@ -169,10 +169,13 @@ TEST(Redundancy, MidRepairFaultRollsBackAndConverges) {
   ASSERT_TRUE(client.write(*fh, 0, 0, 8 * 4 * 16 * kBlockSize).ok());
   ASSERT_FALSE(fs.health().alive(1));
 
-  // Fault the replacement disk: the rebuild's first writes fail, the victim
-  // subfile is rolled back, and the next pass retries after the window.
-  fs.target(1).inject_fault(/*after_ops=*/0, /*count=*/2);
+  // Lose the rebuild's first write: its gather from the survivor passes,
+  // the replay onto the replacement is dropped, the victim subfile is rolled
+  // back, and the next pass retries.
+  rpc::FaultTransport* fault = fs.transport().fault();
+  fault->arm({.drop_after = 1, .drop_count = 1});
   fs.drain_data();
+  EXPECT_EQ(fault->stats().dropped, 1u);
 
   const redundancy::RepairStats& rs = fs.repair()->stats();
   EXPECT_GE(rs.rollbacks, 1u);

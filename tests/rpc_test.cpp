@@ -384,20 +384,29 @@ TEST(FormationMount, WatermarkForcesFlush) {
   ASSERT_TRUE(fs.rpc().flush().ok());
 }
 
-TEST(FormationMount, DeferredErrorSurfacesAtFlush) {
-  core::ParallelFileSystem fs(formation_cfg());
-  auto c = fs.connect(ClientId{1});
-  auto fh = c.create("f.odb");
-  ASSERT_TRUE(fh);
-  fs.target(0).inject_fault(/*after_ops=*/0, /*count=*/1);
+// A frame lost below the staging layer — Formation(Fault(Inproc)), so the
+// drop hits when the staged frame ships — stays deferred until the flush.
+TEST(FormationStack, DeferredErrorSurfacesAtFlush) {
+  osd::StorageTarget target;
+  InprocTransport inproc(Endpoints{{}, {&target}});
+  FaultTransport fault(inproc);
+  FormationTransport formation(fault, FormationConfig{});
+  Client c(formation);
+  fault.arm({.drop_count = 1});
   // The write is deferrable: it is acked optimistically …
-  ASSERT_TRUE(c.write(*fh, 0, 0, 4 * kBlockSize).ok());
-  // … and the device error surfaces at the synchronisation point.
-  EXPECT_EQ(fs.rpc().flush().error(), Errc::kIo);
-  EXPECT_EQ(fs.transport().formation()->stats().deferred_errors, 1u);
+  ASSERT_TRUE(
+      c.block_write(0, InodeNo{1}, StreamId{1, 0}, FileBlock{0}, 4).ok());
+  EXPECT_EQ(fault.stats().dropped, 0u);
+  // … and the lost frame surfaces at the synchronisation point.
+  EXPECT_EQ(c.flush().error(), Errc::kIo);
+  EXPECT_EQ(fault.stats().dropped, 1u);
+  EXPECT_EQ(formation.stats().deferred_errors, 1u);
+  EXPECT_EQ(target.verify().mapped_blocks, 0u);
   // The error is consumed; the system recovers.
-  ASSERT_TRUE(c.write(*fh, 0, 0, 4 * kBlockSize).ok());
-  EXPECT_TRUE(fs.rpc().flush().ok());
+  ASSERT_TRUE(
+      c.block_write(0, InodeNo{1}, StreamId{1, 0}, FileBlock{0}, 4).ok());
+  EXPECT_TRUE(c.flush().ok());
+  EXPECT_EQ(target.verify().mapped_blocks, 4u);
 }
 
 // A strided pattern through a list-I/O mount lowers into one datatype/list

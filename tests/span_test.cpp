@@ -11,7 +11,6 @@
 #include "core/pfs.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 
 namespace mif::obs {
 namespace {
@@ -306,13 +305,10 @@ TEST(Span, ClearDropsDataKeepsIdentity) {
   EXPECT_GT(span.context().trace_id, first_trace);  // ids keep counting
 }
 
-TEST(Span, SharedObsConfigSizesTraceBufferAndSpanRing) {
+TEST(Span, SharedObsConfigSizesSpanRing) {
   Config cfg;
-  cfg.trace_capacity = 32;
   cfg.span_capacity = 16;
-  TraceBuffer trace(cfg);
   SpanCollector spans(cfg);
-  EXPECT_EQ(trace.capacity(), 32u);
   EXPECT_EQ(spans.capacity(), 16u);
 }
 

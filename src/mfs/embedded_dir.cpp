@@ -268,7 +268,7 @@ Status EmbeddedDirLayout::unlink(InodeNo dir, std::string_view name) {
   } else {
     Inode& node = inodes_.at(correlation_.current(entry.ino).v);
     d->extent_units -= std::min<u64>(d->extent_units,
-                                     node.layout.extent_count());
+                                     node.last_synced_extents);
     --d->file_count;
     // Mapping blocks return to the directory's reusable pool implicitly:
     // they were content blocks; lazy-free reclaims slots, blocks stay in
@@ -331,7 +331,7 @@ Result<InodeNo> EmbeddedDirLayout::rename(InodeNo src_dir,
   src->pending_frees.push_back(s_old);
   if (moving.type == FileType::kFile) {
     src->extent_units -=
-        std::min<u64>(src->extent_units, node.layout.extent_count());
+        std::min<u64>(src->extent_units, node.last_synced_extents);
     --src->file_count;
   }
 
@@ -352,7 +352,7 @@ Result<InodeNo> EmbeddedDirLayout::rename(InodeNo src_dir,
   node.num = new_ino;
   node.inode_block = *dst_blk;
   if (moving.type == FileType::kFile) {
-    dst->extent_units += node.layout.extent_count();
+    dst->extent_units += node.last_synced_extents;
     ++dst->file_count;
   } else {
     // A moved directory keeps its DirId — the table is re-pointed at the

@@ -12,7 +12,6 @@
 
 #include <vector>
 
-#include "block/block_types.hpp"
 #include "util/types.hpp"
 
 namespace mif::mfs {
@@ -47,10 +46,6 @@ struct Inode {
   u32 links{1};
   u64 mtime{0};  // logical op counter, not wall time
   u64 ctime{0};
-
-  /// For files: layout mapping onto storage-target space.  For directories:
-  /// mapping of the directory content blocks on the MDS disk.
-  block::ExtentMap layout;
 
   /// Where this inode structure itself lives on the MDS disk.
   DiskBlock inode_block{};

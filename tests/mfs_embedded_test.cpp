@@ -122,6 +122,18 @@ TEST_F(EmbeddedFixture, FragmentationDegreeTracksExtents) {
   // Re-sync replaces, not accumulates.
   ASSERT_TRUE(l().sync_layout(*f1, 2).ok());
   EXPECT_DOUBLE_EQ(l().fragmentation_degree(*d), 2.0);
+  // An unlinked file's synced extents leave its directory's degree.
+  ASSERT_TRUE(l().unlink(*d, "f1").ok());
+  EXPECT_DOUBLE_EQ(l().fragmentation_degree(*d), 2.0);
+  // A rename carries them to the target directory.
+  auto e = l().mkdir(root(), "e");
+  ASSERT_TRUE(e);
+  ASSERT_TRUE(l().rename(*d, "f2", *e, "f2"));
+  EXPECT_DOUBLE_EQ(l().fragmentation_degree(*e), 2.0);
+  // Neither file's extents linger in the source: a fresh, never-synced file
+  // is all that directory averages over.
+  ASSERT_TRUE(l().create(*d, "f3"));
+  EXPECT_DOUBLE_EQ(l().fragmentation_degree(*d), 0.0);
 }
 
 TEST_F(EmbeddedFixture, HighFragmentationTriggersEagerMappingBlocks) {

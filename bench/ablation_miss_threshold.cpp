@@ -51,7 +51,7 @@ Out run(mif::u32 threshold) {
   // Count only the sequential region's extents: the random half fragments
   // identically under every threshold.
   u64 seq_extents = 0;
-  for (const auto& e : map.extents())
+  for (const auto& e : map)
     if (e.file_off.v < u64{seq_streams} * per_stream) ++seq_extents;
   return {seq_extents, a.stats().released_blocks,
           a.stats().prealloc_disabled};

@@ -1,8 +1,9 @@
 // google-benchmark micro-benchmarks of the hot library primitives: bitmap
-// run search (fragmented, young and aged groups), extent-map insert/lookup,
-// allocator extend per strategy (appending, and strided over thousands of
-// extents), the metadata buffer cache's hit and miss-and-evict paths, disk
-// service and scheduler drain.  These guard the simulator's own performance
+// run search (fragmented, young and aged groups), extent-map insert (in file
+// order, and interleaved across regions) and lookup, allocator extend per
+// strategy (appending, and strided over thousands of extents), the metadata
+// buffer cache's hit and miss-and-evict paths, disk service and scheduler
+// drain.  These guard the simulator's own performance
 // (the figure benches replay hundreds of thousands of operations).  Takes
 // google-benchmark's own flags plus the harness flags of obs/report.hpp.
 #include <benchmark/benchmark.h>
@@ -105,6 +106,28 @@ void BM_ExtentMapInsertFragmented(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExtentMapInsertFragmented);
+
+// A shared file in IOR's segmented layout: 64 regions appended round-robin,
+// so each round adds one extent per region, every one of them before the
+// later regions' extents.  Regions sit side by side on disk, so nothing
+// merges; 64 rounds make 4 096 extents.
+void BM_ExtentMapInsertInterleaved(benchmark::State& state) {
+  constexpr u64 kRegions = 64, kRounds = 64, kRegionBlocks = 1 << 20;
+  for (auto _ : state) {
+    state.PauseTiming();
+    block::ExtentMap m;
+    state.ResumeTiming();
+    u64 disk = 7;
+    for (u64 round = 0; round < kRounds; ++round) {
+      for (u64 r = 0; r < kRegions; ++r) {
+        m.insert({FileBlock{r * kRegionBlocks + round}, DiskBlock{disk++}, 1,
+                  block::kExtentNone});
+      }
+    }
+    benchmark::DoNotOptimize(m.extent_count());
+  }
+}
+BENCHMARK(BM_ExtentMapInsertInterleaved);
 
 void BM_ExtentMapLookup(benchmark::State& state) {
   block::ExtentMap m;

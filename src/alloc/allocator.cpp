@@ -54,7 +54,7 @@ void FileAllocator::close_file(InodeNo, block::ExtentMap&) {}
 
 void FileAllocator::delete_file(InodeNo inode, block::ExtentMap& map) {
   close_file(inode, map);
-  for (const block::Extent& e : map.extents()) {
+  for (const block::Extent& e : map) {
     (void)space_.free_range({e.disk_off, e.length});
   }
   map = block::ExtentMap{};
@@ -83,8 +83,7 @@ Status FileAllocator::allocate_near(DiskBlock goal, FileBlock logical,
 DiskBlock FileAllocator::goal_for(InodeNo inode,
                                   const block::ExtentMap& map) const {
   if (!map.empty()) {
-    const block::Extent& last = map.extents().back();
-    return DiskBlock{last.disk_end()};
+    return DiskBlock{map.back().disk_end()};
   }
   // Empty file: spread inodes across groups so independent files do not all
   // pile onto group 0 (the classic cylinder-group heuristic).

@@ -118,7 +118,6 @@ Status OnDemandAllocator::allocate_fresh(const AllocContext& ctx,
   const Key key{ctx.inode.v, ctx.stream.key()};
   auto [it, first_extend] = streams_.try_emplace(key);
   StreamState& st = it->second;
-  if (first_extend) st.ordinal = stream_count_[ctx.inode.v]++;
 
   // --- inside the current window: no trigger -----------------------------
   if (st.current.covers(logical, count)) {

@@ -80,7 +80,6 @@ class OnDemandAllocator final : public FileAllocator {
     u32 misses{0};
     bool prealloc_on{true};
     u64 next_window_blocks{0};  // size of the next sequential window
-    u32 ordinal{0};             // arrival rank of this stream on this file
   };
 
   struct Key {
@@ -118,7 +117,6 @@ class OnDemandAllocator final : public FileAllocator {
 
   AllocatorTuning tuning_;
   std::unordered_map<Key, StreamState, KeyHash> streams_;  // guarded by mu_
-  std::unordered_map<u64, u32> stream_count_;  // inode -> streams seen
 };
 
 }  // namespace mif::alloc

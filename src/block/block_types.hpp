@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <iterator>
 #include <optional>
 #include <vector>
 
@@ -57,8 +58,55 @@ struct BlockRange {
 /// flags) coalesce on insert — this is what makes extent counts a direct
 /// fragmentation metric: a perfectly placed file has one extent per
 /// contiguous physical run, a badly interleaved one has an extent per write.
+///
+/// Storage is a two-level sorted sequence: leaves of at most kLeafExtents
+/// extents in file order.  A lookup binary-searches the leaves' first file
+/// offsets, then the leaf; an insert moves at most one leaf's extents, so a
+/// shared file whose streams each append to their own region (one extent per
+/// region per round, every one of them before the later regions' extents)
+/// does not shift the whole file's map on every write.  No leaf reserves
+/// kLeafExtents slots up front: a map that fits in one leaf grows like the
+/// flat vector it replaces.
 class ExtentMap {
+  using Leaf = std::vector<Extent>;
+
  public:
+  /// Most extents a leaf holds; a full leaf splits in half before an insert.
+  static constexpr std::size_t kLeafExtents = 128;
+
+  /// In-order forward iteration over every extent.
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Extent;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Extent*;
+    using reference = const Extent&;
+
+    const_iterator() = default;
+    reference operator*() const { return (*leaf_)[i_]; }
+    pointer operator->() const { return &(*leaf_)[i_]; }
+    const_iterator& operator++() {
+      if (++i_ == leaf_->size()) {
+        ++leaf_;
+        i_ = 0;
+      }
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++*this;
+      return old;
+    }
+    bool operator==(const const_iterator&) const = default;
+
+   private:
+    friend class ExtentMap;
+    const_iterator(const Leaf* leaf, std::size_t i) : leaf_(leaf), i_(i) {}
+    const Leaf* leaf_{nullptr};
+    std::size_t i_{0};
+  };
+
   /// Insert a mapping.  The caller guarantees the logical range is not
   /// already mapped (files here are extend-only or hole-filling, never
   /// remapped in place — the paper notes mappings don't change before
@@ -80,9 +128,13 @@ class ExtentMap {
   /// Clear the unwritten flag over [b, b+len), splitting extents as needed.
   void mark_written(FileBlock b, u64 len);
 
-  std::size_t extent_count() const { return extents_.size(); }
-  const std::vector<Extent>& extents() const { return extents_; }
-  bool empty() const { return extents_.empty(); }
+  std::size_t extent_count() const { return count_; }
+  bool empty() const { return count_ == 0; }
+
+  const_iterator begin() const { return {leaves_.data(), 0}; }
+  const_iterator end() const { return {leaves_.data() + leaves_.size(), 0}; }
+  /// The extent with the highest file offset; the map must not be empty.
+  const Extent& back() const { return leaves_.back().back(); }
 
   /// One past the last mapped logical block (file size in blocks when there
   /// are no holes at the end).
@@ -91,11 +143,20 @@ class ExtentMap {
   /// Total mapped blocks (excludes holes).
   u64 mapped_blocks() const;
 
- private:
-  // First extent whose file_off is greater than `b`.
-  std::vector<Extent>::const_iterator first_after(FileBlock b) const;
+  /// Structural check for tests: every leaf holds 1..kLeafExtents extents,
+  /// extents are sorted and disjoint across leaves, and extent_count()
+  /// matches.
+  bool well_formed() const;
 
-  std::vector<Extent> extents_;  // sorted by file_off
+ private:
+  // Index of the last leaf whose first extent starts at or before `off`, or
+  // 0 when there is none; the map must not be empty.
+  std::size_t leaf_for(u64 off) const;
+  // Last extent whose file_off is at most `b`; begin() if there is none.
+  const_iterator last_at_or_before(FileBlock b) const;
+
+  std::vector<Leaf> leaves_;  // each non-empty, in file order
+  std::size_t count_{0};
 };
 
 }  // namespace mif::block

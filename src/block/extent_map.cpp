@@ -10,69 +10,113 @@ bool mergeable(const Extent& a, const Extent& b) {
   return a.file_end() == b.file_off.v && a.disk_end() == b.disk_off.v &&
          a.flags == b.flags;
 }
+
+bool starts_before(u64 off, const Extent& e) { return off < e.file_off.v; }
 }  // namespace
+
+std::size_t ExtentMap::leaf_for(u64 off) const {
+  auto it = std::upper_bound(
+      leaves_.begin(), leaves_.end(), off,
+      [](u64 o, const Leaf& leaf) { return starts_before(o, leaf.front()); });
+  return it == leaves_.begin() ? 0 : (it - leaves_.begin()) - 1;
+}
 
 void ExtentMap::insert(Extent e) {
   assert(e.length > 0);
-  auto it = std::lower_bound(extents_.begin(), extents_.end(), e,
-                             [](const Extent& a, const Extent& b) {
-                               return a.file_off.v < b.file_off.v;
-                             });
-  // No overlap allowed: check neighbours.
-  assert(it == extents_.end() || e.file_end() <= it->file_off.v);
-  assert(it == extents_.begin() || std::prev(it)->file_end() <= e.file_off.v);
-
-  // Try merging with the predecessor.
-  if (it != extents_.begin()) {
-    auto prev = std::prev(it);
-    if (mergeable(*prev, e)) {
-      prev->length += e.length;
-      // The grown predecessor may now touch the successor too.
-      if (it != extents_.end() && mergeable(*prev, *it)) {
-        prev->length += it->length;
-        extents_.erase(it);
-      }
-      return;
-    }
-  }
-  // Try merging with the successor.
-  if (it != extents_.end() && mergeable(e, *it)) {
-    it->file_off = e.file_off;
-    it->disk_off = e.disk_off;
-    it->length += e.length;
+  if (leaves_.empty()) {
+    leaves_.push_back(Leaf{e});
+    count_ = 1;
     return;
   }
-  extents_.insert(it, e);
+  std::size_t li = leaf_for(e.file_off.v);
+  Leaf* leaf = &leaves_[li];
+  // First extent after e: at index i of this leaf, or else the next leaf's
+  // first.  Its predecessor is in this leaf unless e precedes every extent.
+  std::size_t i = std::upper_bound(leaf->begin(), leaf->end(), e.file_off.v,
+                                   starts_before) -
+                  leaf->begin();
+  Extent* prev = i > 0 ? &(*leaf)[i - 1] : nullptr;
+  Leaf* next_leaf = li + 1 < leaves_.size() ? &leaves_[li + 1] : nullptr;
+  Extent* next = i < leaf->size() ? &(*leaf)[i]
+                 : next_leaf     ? &next_leaf->front()
+                                 : nullptr;
+  // No overlap allowed: check neighbours.
+  assert(!next || e.file_end() <= next->file_off.v);
+  assert(!prev || prev->file_end() <= e.file_off.v);
+
+  // Try merging with the predecessor.
+  if (prev && mergeable(*prev, e)) {
+    prev->length += e.length;
+    // The grown predecessor may now touch the successor too, which may sit
+    // at the head of the next leaf; a leaf the merge empties goes away.
+    if (next && mergeable(*prev, *next)) {
+      prev->length += next->length;
+      --count_;
+      if (i < leaf->size()) {
+        leaf->erase(leaf->begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (next_leaf->size() > 1) {
+        next_leaf->erase(next_leaf->begin());
+      } else {
+        leaves_.erase(leaves_.begin() + static_cast<std::ptrdiff_t>(li + 1));
+      }
+    }
+    return;
+  }
+  // Try merging with the successor.
+  if (next && mergeable(e, *next)) {
+    next->file_off = e.file_off;
+    next->disk_off = e.disk_off;
+    next->length += e.length;
+    return;
+  }
+  if (leaf->size() == kLeafExtents) {
+    // Split in half before the insert; e goes to whichever half holds its
+    // position.
+    constexpr std::size_t kHalf = kLeafExtents / 2;
+    const auto mid = leaf->begin() + static_cast<std::ptrdiff_t>(kHalf);
+    Leaf upper(mid, leaf->end());
+    leaf->erase(mid, leaf->end());
+    leaves_.insert(leaves_.begin() + static_cast<std::ptrdiff_t>(li + 1),
+                   std::move(upper));
+    if (i > kHalf) {
+      ++li;
+      i -= kHalf;
+    }
+    leaf = &leaves_[li];
+  }
+  leaf->insert(leaf->begin() + static_cast<std::ptrdiff_t>(i), e);
+  ++count_;
 }
 
-std::vector<Extent>::const_iterator ExtentMap::first_after(FileBlock b) const {
-  return std::upper_bound(extents_.begin(), extents_.end(), b,
-                          [](FileBlock lhs, const Extent& rhs) {
-                            return lhs.v < rhs.file_off.v;
-                          });
+ExtentMap::const_iterator ExtentMap::last_at_or_before(FileBlock b) const {
+  if (leaves_.empty()) return end();
+  const std::size_t li = leaf_for(b.v);
+  const Leaf& leaf = leaves_[li];
+  const std::size_t i =
+      std::upper_bound(leaf.begin(), leaf.end(), b.v, starts_before) -
+      leaf.begin();
+  return {&leaf, i == 0 ? 0 : i - 1};
 }
 
 std::optional<Extent> ExtentMap::lookup(FileBlock b) const {
-  auto it = first_after(b);
-  if (it == extents_.begin()) return std::nullopt;
-  --it;
-  if (it->covers(b)) return *it;
+  auto it = last_at_or_before(b);
+  if (it != end() && it->covers(b)) return *it;
   return std::nullopt;
 }
 
 u64 ExtentMap::next_mapped(FileBlock b, u64 limit) const {
-  auto it = first_after(b);
-  return it == extents_.end() ? limit : std::min(limit, it->file_off.v);
+  auto it = last_at_or_before(b);
+  if (it != end() && it->file_off.v <= b.v) ++it;
+  return it == end() ? limit : std::min(limit, it->file_off.v);
 }
 
 std::vector<BlockRange> ExtentMap::map_range(FileBlock b, u64 len) const {
   std::vector<BlockRange> out;
-  const u64 end = b.v + len;
-  auto it = first_after(b);
-  if (it != extents_.begin()) --it;
-  for (; it != extents_.end() && it->file_off.v < end; ++it) {
+  const u64 stop = b.v + len;
+  for (auto it = last_at_or_before(b); it != end() && it->file_off.v < stop;
+       ++it) {
     const u64 lo = std::max(b.v, it->file_off.v);
-    const u64 hi = std::min(end, it->file_end());
+    const u64 hi = std::min(stop, it->file_end());
     if (lo >= hi) continue;
     BlockRange r{DiskBlock{it->disk_off.v + (lo - it->file_off.v)}, hi - lo};
     // Physically contiguous with the previous run: coalesce so callers see
@@ -89,8 +133,8 @@ std::vector<BlockRange> ExtentMap::map_range(FileBlock b, u64 len) const {
 void ExtentMap::mark_written(FileBlock b, u64 len) {
   const u64 end = b.v + len;
   std::vector<Extent> rebuilt;
-  rebuilt.reserve(extents_.size() + 2);
-  for (const Extent& e : extents_) {
+  rebuilt.reserve(count_ + 2);
+  for (const Extent& e : *this) {
     const u64 lo = std::max(b.v, e.file_off.v);
     const u64 hi = std::min(end, e.file_end());
     if (lo >= hi || !(e.flags & kExtentUnwritten)) {
@@ -111,18 +155,33 @@ void ExtentMap::mark_written(FileBlock b, u64 len) {
                                e.file_end() - hi, e.flags});
     }
   }
-  extents_.clear();
+  leaves_.clear();
+  count_ = 0;
   for (const Extent& e : rebuilt) insert(e);  // re-merge
 }
 
 u64 ExtentMap::logical_end() const {
-  return extents_.empty() ? 0 : extents_.back().file_end();
+  return leaves_.empty() ? 0 : back().file_end();
 }
 
 u64 ExtentMap::mapped_blocks() const {
   u64 n = 0;
-  for (const Extent& e : extents_) n += e.length;
+  for (const Extent& e : *this) n += e.length;
   return n;
+}
+
+bool ExtentMap::well_formed() const {
+  std::size_t n = 0;
+  u64 prev_end = 0;
+  for (const Leaf& leaf : leaves_) {
+    if (leaf.empty() || leaf.size() > kLeafExtents) return false;
+    for (const Extent& e : leaf) {
+      if (e.length == 0 || (n > 0 && e.file_off.v < prev_end)) return false;
+      prev_end = e.file_end();
+      ++n;
+    }
+  }
+  return n == count_;
 }
 
 }  // namespace mif::block

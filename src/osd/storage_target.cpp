@@ -37,7 +37,7 @@ StorageTarget::VerifyReport StorageTarget::verify() const {
     report.files = files_.size();
     for (const auto& [ino, state] : files_) {
       std::lock_guard flock(state->mu);
-      for (const block::Extent& e : state->map.extents()) {
+      for (const block::Extent& e : state->map) {
         phys.emplace_back(e.disk_off.v, e.length);
         ++report.extents;
         report.mapped_blocks += e.length;
@@ -198,7 +198,8 @@ std::vector<block::Extent> StorageTarget::extents(InodeNo inode) const {
   auto it = files_.find(inode.v);
   if (it == files_.end()) return {};
   std::lock_guard flock(it->second->mu);
-  return it->second->map.extents();
+  const block::ExtentMap& map = it->second->map;
+  return {map.begin(), map.end()};
 }
 
 void StorageTarget::for_each_file(

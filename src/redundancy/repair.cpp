@@ -127,7 +127,7 @@ void RepairService::request(u32 target) {
   for (const Job& j : queue_) {
     if (j.target == target) return;
   }
-  queue_.push_back(Job{target});
+  queue_.emplace_back().target = target;
   ++stats_.requested;
 }
 

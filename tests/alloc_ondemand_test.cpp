@@ -117,7 +117,7 @@ TEST_F(OnDemandFixture, SequentialStreamUnaffectedByRandomSibling) {
   // sibling steals a few adjacent blocks early on), nowhere near the one
   // extent-per-request of arrival-order placement.
   u64 extents_in_region = 0;
-  for (const auto& e : map.extents())
+  for (const auto& e : map)
     if (e.file_off.v < 32) ++extents_in_region;
   EXPECT_LE(extents_in_region, 8u);
 }

@@ -78,7 +78,7 @@ TEST_P(AllocatorProperty, MappingInvariantsHoldUnderRandomWorkload) {
   // Invariant 2: extents are sorted, non-overlapping, and inside the device.
   u64 prev_end = 0;
   u64 mapped = 0;
-  for (const auto& e : map.extents()) {
+  for (const auto& e : map) {
     EXPECT_GE(e.file_off.v, prev_end);
     prev_end = e.file_end();
     EXPECT_LT(e.disk_end(), device_blocks + 1);
@@ -93,7 +93,7 @@ TEST_P(AllocatorProperty, MappingInvariantsHoldUnderRandomWorkload) {
   // Invariant 4: no two extents map the same physical block.
   std::vector<std::pair<u64, u64>> phys;
   phys.reserve(map.extent_count());
-  for (const auto& e : map.extents()) phys.emplace_back(e.disk_off.v, e.length);
+  for (const auto& e : map) phys.emplace_back(e.disk_off.v, e.length);
   std::sort(phys.begin(), phys.end());
   for (std::size_t i = 1; i < phys.size(); ++i) {
     EXPECT_GE(phys[i].first, phys[i - 1].first + phys[i - 1].second)

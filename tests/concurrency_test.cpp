@@ -49,7 +49,7 @@ TEST_P(AllocatorConcurrency, ParallelStreamsOnDistinctFiles) {
   for (const auto& m : maps) {
     // Mapped ≥ written: on-demand leaves persistent unwritten window tails.
     EXPECT_GE(m.mapped_blocks(), kBlocks);
-    for (const auto& e : m.extents()) phys.emplace_back(e.disk_off.v, e.length);
+    for (const auto& e : m) phys.emplace_back(e.disk_off.v, e.length);
   }
   std::sort(phys.begin(), phys.end());
   for (std::size_t i = 1; i < phys.size(); ++i) {

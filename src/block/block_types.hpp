@@ -143,11 +143,6 @@ class ExtentMap {
   /// Total mapped blocks (excludes holes).
   u64 mapped_blocks() const;
 
-  /// Structural check for tests: every leaf holds 1..kLeafExtents extents,
-  /// extents are sorted and disjoint across leaves, and extent_count()
-  /// matches.
-  bool well_formed() const;
-
  private:
   // Index of the last leaf whose first extent starts at or before `off`, or
   // 0 when there is none; the map must not be empty.

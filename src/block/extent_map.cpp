@@ -85,6 +85,7 @@ void ExtentMap::insert(Extent e) {
     leaf = &leaves_[li];
   }
   leaf->insert(leaf->begin() + static_cast<std::ptrdiff_t>(i), e);
+  assert(leaf->size() <= kLeafExtents);
   ++count_;
 }
 
@@ -134,30 +135,45 @@ void ExtentMap::mark_written(FileBlock b, u64 len) {
   const u64 end = b.v + len;
   std::vector<Extent> rebuilt;
   rebuilt.reserve(count_ + 2);
+  // Appending in file order merges exactly as insert() would.
+  auto append = [&rebuilt](const Extent& e) {
+    if (!rebuilt.empty() && mergeable(rebuilt.back(), e)) {
+      rebuilt.back().length += e.length;
+    } else {
+      rebuilt.push_back(e);
+    }
+  };
   for (const Extent& e : *this) {
     const u64 lo = std::max(b.v, e.file_off.v);
     const u64 hi = std::min(end, e.file_end());
     if (lo >= hi || !(e.flags & kExtentUnwritten)) {
-      rebuilt.push_back(e);
+      append(e);
       continue;
     }
     // Split into up-to-three pieces; the middle one becomes written.
     if (e.file_off.v < lo) {
-      rebuilt.push_back(
-          Extent{e.file_off, e.disk_off, lo - e.file_off.v, e.flags});
+      append(Extent{e.file_off, e.disk_off, lo - e.file_off.v, e.flags});
     }
-    rebuilt.push_back(Extent{FileBlock{lo},
-                             DiskBlock{e.disk_off.v + (lo - e.file_off.v)},
-                             hi - lo, e.flags & ~kExtentUnwritten});
+    append(Extent{FileBlock{lo}, DiskBlock{e.disk_off.v + (lo - e.file_off.v)},
+                  hi - lo, e.flags & ~kExtentUnwritten});
     if (hi < e.file_end()) {
-      rebuilt.push_back(Extent{FileBlock{hi},
-                               DiskBlock{e.disk_off.v + (hi - e.file_off.v)},
-                               e.file_end() - hi, e.flags});
+      append(Extent{FileBlock{hi},
+                    DiskBlock{e.disk_off.v + (hi - e.file_off.v)},
+                    e.file_end() - hi, e.flags});
     }
   }
-  leaves_.clear();
-  count_ = 0;
-  for (const Extent& e : rebuilt) insert(e);  // re-merge
+  // Refill the leaves in order, reusing their buffers.
+  std::size_t li = 0;
+  for (std::size_t at = 0; at < rebuilt.size(); at += kLeafExtents, ++li) {
+    const auto first = rebuilt.begin() + static_cast<std::ptrdiff_t>(at);
+    const auto last = first + static_cast<std::ptrdiff_t>(
+                                  std::min(kLeafExtents, rebuilt.size() - at));
+    if (li == leaves_.size()) leaves_.emplace_back();
+    leaves_[li].assign(first, last);
+  }
+  leaves_.erase(leaves_.begin() + static_cast<std::ptrdiff_t>(li),
+                leaves_.end());
+  count_ = rebuilt.size();
 }
 
 u64 ExtentMap::logical_end() const {
@@ -168,20 +184,6 @@ u64 ExtentMap::mapped_blocks() const {
   u64 n = 0;
   for (const Extent& e : *this) n += e.length;
   return n;
-}
-
-bool ExtentMap::well_formed() const {
-  std::size_t n = 0;
-  u64 prev_end = 0;
-  for (const Leaf& leaf : leaves_) {
-    if (leaf.empty() || leaf.size() > kLeafExtents) return false;
-    for (const Extent& e : leaf) {
-      if (e.length == 0 || (n > 0 && e.file_off.v < prev_end)) return false;
-      prev_end = e.file_end();
-      ++n;
-    }
-  }
-  return n == count_;
 }
 
 }  // namespace mif::block

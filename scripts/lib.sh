@@ -9,8 +9,9 @@
 #                             exit 0 with a SKIP line when the toolchain
 #                             cannot link -fsanitize=SANITIZERS
 #   mif_sanitized_ctest NAME SRC BUILD SANITIZERS TEST...
-#                             configure a -DMIF_SANITIZE side build, build
-#                             the listed test targets and run them via ctest
+#                             configure a -DMIF_SANITIZE side build with
+#                             Ninja, build the listed test targets in one
+#                             parallel build and run them via ctest
 #
 # Every temporary registered through mif_tmpdir is removed by one shared
 # EXIT trap, so callers never write their own mktemp/trap boilerplate.  The
@@ -48,6 +49,14 @@ mif_require_sanitizer() {
 # Configure <build> from <src> with -DMIF_SANITIZE=<sanitizers>, build the
 # listed test targets and run exactly those via ctest.  Sanitizer runtime
 # options (ASAN_OPTIONS & co.) should be exported by the caller beforehand.
+#
+# The side tree uses the Ninja generator: `ninja a b c` schedules every
+# listed target's compile and link jobs on one job pool, so the test
+# executables build in parallel.  (CMake's generated top-level Makefile is
+# .NOTPARALLEL and builds the goals of `--target a b c` one after another,
+# each a single-source target.)  CMake cannot switch the generator of an
+# existing tree, so a side tree that another generator configured is
+# removed and configured afresh.
 mif_sanitized_ctest() {
   _mif_name="$1"
   _mif_src="$2"
@@ -55,9 +64,24 @@ mif_sanitized_ctest() {
   _mif_san="$4"
   shift 4
 
-  cmake -B "$_mif_build" -S "$_mif_src" \
+  if [ -f "$_mif_build/CMakeCache.txt" ] &&
+     ! grep -qx 'CMAKE_GENERATOR:INTERNAL=Ninja' \
+         "$_mif_build/CMakeCache.txt"; then
+    rm -rf "$_mif_build"
+  fi
+  cmake -G Ninja -B "$_mif_build" -S "$_mif_src" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DMIF_SANITIZE="$_mif_san" > /dev/null
+
+  # A link killed part-way (a ctest timeout) can leave an empty executable
+  # behind; delete it so the build below links it again.
+  for _mif_test in "$@"; do
+    _mif_exe="$_mif_build/tests/$_mif_test"
+    if [ -f "$_mif_exe" ] && [ ! -s "$_mif_exe" ]; then
+      echo "$_mif_name: relinking empty $_mif_exe"
+      rm -f "$_mif_exe"
+    fi
+  done
 
   _mif_jobs="$(nproc 2>/dev/null || echo 4)"
   cmake --build "$_mif_build" -j "$_mif_jobs" --target "$@" > /dev/null

@@ -75,13 +75,13 @@ void ClientFs::gather_runs(
 }
 
 Status ClientFs::issue_write_runs_to(InodeNo ino, StreamId stream, u32 target,
-                                     const std::vector<BlockRun>& runs,
+                                     std::span<const BlockRun> runs,
                                      std::vector<rpc::Ticket>& out) {
   rpc::CompletionQueue& cq = fs_->rpc().completions();
   const u64 max_runs = std::max<u64>(list_io_runs(), 1);
   for (std::size_t at = 0; at < runs.size(); at += max_runs) {
-    const std::span<const BlockRun> chunk{
-        runs.data() + at, std::min<std::size_t>(max_runs, runs.size() - at)};
+    const std::span<const BlockRun> chunk =
+        runs.subspan(at, std::min<std::size_t>(max_runs, runs.size() - at));
     u64 blocks = 0;
     for (const BlockRun& r : chunk) blocks += r.count;
     obs::ScopedSpan unit(fs_->spans(), "osd.stripe_unit", target, blocks);
@@ -107,7 +107,7 @@ Status ClientFs::issue_write_runs_to(InodeNo ino, StreamId stream, u32 target,
 }
 
 Status ClientFs::issue_write_runs(const FileHandle& fh, StreamId stream,
-                                  u32 target, std::vector<BlockRun> runs,
+                                  u32 target, std::span<const BlockRun> runs,
                                   std::vector<rpc::Ticket>& out) {
   if (!replicas_on())
     return issue_write_runs_to(fh.ino, stream, target, runs, out);
@@ -145,13 +145,13 @@ Status ClientFs::issue_write_runs(const FileHandle& fh, StreamId stream,
 }
 
 Status ClientFs::issue_read_runs_to(InodeNo ino, u32 target,
-                                    const std::vector<BlockRun>& runs,
+                                    std::span<const BlockRun> runs,
                                     std::vector<rpc::Ticket>& out) {
   rpc::CompletionQueue& cq = fs_->rpc().completions();
   const u64 max_runs = std::max<u64>(list_io_runs(), 1);
   for (std::size_t at = 0; at < runs.size(); at += max_runs) {
-    const std::span<const BlockRun> chunk{
-        runs.data() + at, std::min<std::size_t>(max_runs, runs.size() - at)};
+    const std::span<const BlockRun> chunk =
+        runs.subspan(at, std::min<std::size_t>(max_runs, runs.size() - at));
     u64 blocks = 0;
     for (const BlockRun& r : chunk) blocks += r.count;
     obs::ScopedSpan unit(fs_->spans(), "osd.stripe_unit", target, blocks);
@@ -177,7 +177,7 @@ Status ClientFs::issue_read_runs_to(InodeNo ino, u32 target,
 }
 
 Status ClientFs::issue_read_runs(const FileHandle& fh, u32 target,
-                                 std::vector<BlockRun> runs,
+                                 std::span<const BlockRun> runs,
                                  std::vector<rpc::Ticket>& out) {
   u32 t = target;
   InodeNo ino = fh.ino;
@@ -220,41 +220,25 @@ Status ClientFs::write_async(const FileHandle& fh, u32 pid, u64 offset_bytes,
   const u64 first = offset_bytes / kBlockSize;
   const u64 last = (offset_bytes + len_bytes + kBlockSize - 1) / kBlockSize;
   const StreamId stream{id_.v, pid};
-  rpc::CompletionQueue& cq = fs_->rpc().completions();
   if (list_io_runs() > 0) {
     // List mode: a region spanning several stripe rounds becomes one merged
     // run set per target — one envelope each — instead of one per slice.
     std::map<u32, std::vector<BlockRun>> per_target;
     gather_runs(first, last, per_target);
-    for (auto& [target, runs] : per_target) {
-      if (Status st = issue_write_runs(fh, stream, target, std::move(runs), out);
-          !st)
-        return st;
-    }
-  } else if (replicas_on()) {
-    // Per-block mode with replication: each slice still becomes one
-    // block_write envelope for the primary, plus one per alive copy — the
-    // fan lives in issue_write_runs so both I/O modes share it.
-    for (const osd::StripeSlice& s :
-         osd::slices_for(fs_->stripe(), FileBlock{first}, last - first)) {
-      if (Status st = issue_write_runs(
-              fh, stream, s.target, {BlockRun{s.local_start, s.count}}, out);
-          !st)
+    for (const auto& [target, runs] : per_target) {
+      if (Status st = issue_write_runs(fh, stream, target, runs, out); !st)
         return st;
     }
   } else {
+    // Per-block mode: each slice becomes one block_write envelope for the
+    // primary, plus one per alive copy when the mount replicates.  A
+    // failure that completes at issue stops the loop before the next slice.
     for (const osd::StripeSlice& s :
          osd::slices_for(fs_->stripe(), FileBlock{first}, last - first)) {
-      obs::ScopedSpan unit(fs_->spans(), "osd.stripe_unit", s.target, s.count);
-      rpc::Ticket t = fs_->rpc().block_write_async(s.target, fh.ino, stream,
-                                                   s.local_start, s.count);
-      if (auto r = cq.try_take(t)) {
-        // Completed at issue (the sync chain): a failure stops the loop
-        // before the next slice, exactly like the blocking path.
-        if (!*r) return r->error();
-      } else {
-        out.push_back(t);
-      }
+      const BlockRun run{s.local_start, s.count};
+      if (Status st = issue_write_runs(fh, stream, s.target, {&run, 1}, out);
+          !st)
+        return st;
     }
   }
   ++stats_.writes;
@@ -299,34 +283,18 @@ Status ClientFs::read_blocks(const FileHandle& fh, u64 first, u64 last) {
   if (list_io_runs() > 0) {
     std::map<u32, std::vector<BlockRun>> per_target;
     gather_runs(first, last, per_target);
-    for (auto& [target, runs] : per_target) {
-      issued = issue_read_runs(fh, target, std::move(runs), pending);
-      if (!issued) break;
-    }
-  } else if (replicas_on()) {
-    // Per-block mode with replication: route each slice around dead targets
-    // (the fan/route logic lives in issue_read_runs for both I/O modes).
-    for (const osd::StripeSlice& s :
-         osd::slices_for(fs_->stripe(), FileBlock{first}, last - first)) {
-      issued = issue_read_runs(fh, s.target,
-                               {BlockRun{s.local_start, s.count}}, pending);
+    for (const auto& [target, runs] : per_target) {
+      issued = issue_read_runs(fh, target, runs, pending);
       if (!issued) break;
     }
   } else {
-    rpc::CompletionQueue& cq = fs_->rpc().completions();
+    // Per-block mode: one block_read envelope per slice, routed around dead
+    // targets when the mount replicates.
     for (const osd::StripeSlice& s :
          osd::slices_for(fs_->stripe(), FileBlock{first}, last - first)) {
-      obs::ScopedSpan unit(fs_->spans(), "osd.stripe_unit", s.target, s.count);
-      rpc::Ticket t =
-          fs_->rpc().block_read_async(s.target, fh.ino, s.local_start, s.count);
-      if (auto r = cq.try_take(t)) {
-        if (!*r) {
-          issued = r->error();
-          break;
-        }
-      } else {
-        pending.push_back(t);
-      }
+      const BlockRun run{s.local_start, s.count};
+      issued = issue_read_runs(fh, s.target, {&run, 1}, pending);
+      if (!issued) break;
     }
   }
   Status drained = drain(pending);
@@ -358,8 +326,8 @@ Status ClientFs::write_strided(const FileHandle& fh, u32 pid, u64 offset_bytes,
   const StreamId stream{id_.v, pid};
   std::vector<rpc::Ticket> tickets;
   Status issued{};
-  for (auto& [target, runs] : per_target) {
-    issued = issue_write_runs(fh, stream, target, std::move(runs), tickets);
+  for (const auto& [target, runs] : per_target) {
+    issued = issue_write_runs(fh, stream, target, runs, tickets);
     if (!issued) break;
   }
   Status drained = drain(tickets);
@@ -395,8 +363,8 @@ Status ClientFs::read_strided(const FileHandle& fh, u64 offset_bytes,
   }
   std::vector<rpc::Ticket> tickets;
   Status issued{};
-  for (auto& [target, runs] : per_target) {
-    issued = issue_read_runs(fh, target, std::move(runs), tickets);
+  for (const auto& [target, runs] : per_target) {
+    issued = issue_read_runs(fh, target, runs, tickets);
     if (!issued) break;
   }
   Status drained = drain(tickets);
@@ -421,9 +389,8 @@ Status ClientFs::write_ranges_async(const FileHandle& fh, u32 pid,
                 (r.end() + kBlockSize - 1) / kBlockSize, per_target);
   }
   const StreamId stream{id_.v, pid};
-  for (auto& [target, runs] : per_target) {
-    if (Status st = issue_write_runs(fh, stream, target, std::move(runs), out);
-        !st)
+  for (const auto& [target, runs] : per_target) {
+    if (Status st = issue_write_runs(fh, stream, target, runs, out); !st)
       return st;
   }
   ++stats_.writes;
@@ -446,9 +413,8 @@ Status ClientFs::read_ranges_async(const FileHandle& fh,
     gather_runs(r.offset / kBlockSize,
                 (r.end() + kBlockSize - 1) / kBlockSize, per_target);
   }
-  for (auto& [target, runs] : per_target) {
-    if (Status st = issue_read_runs(fh, target, std::move(runs), out); !st)
-      return st;
+  for (const auto& [target, runs] : per_target) {
+    if (Status st = issue_read_runs(fh, target, runs, out); !st) return st;
   }
   ++stats_.reads;
   stats_.bytes_read += total;

@@ -144,19 +144,19 @@ class ClientFs {
   /// dead primary degrades the write; repair re-converges it later) and
   /// reads route to the first alive copy (redundancy.degraded_reads).
   Status issue_write_runs(const FileHandle& fh, StreamId stream, u32 target,
-                          std::vector<BlockRun> runs,
+                          std::span<const BlockRun> runs,
                           std::vector<rpc::Ticket>& out);
   Status issue_read_runs(const FileHandle& fh, u32 target,
-                         std::vector<BlockRun> runs,
+                         std::span<const BlockRun> runs,
                          std::vector<rpc::Ticket>& out);
 
   /// The single-destination workers behind the fan/route wrappers above
   /// (`ino` is the primary or a redundancy::replica_ino-tagged subfile).
   Status issue_write_runs_to(InodeNo ino, StreamId stream, u32 target,
-                             const std::vector<BlockRun>& runs,
+                             std::span<const BlockRun> runs,
                              std::vector<rpc::Ticket>& out);
   Status issue_read_runs_to(InodeNo ino, u32 target,
-                            const std::vector<BlockRun>& runs,
+                            std::span<const BlockRun> runs,
                             std::vector<rpc::Ticket>& out);
 
   /// True when the mount replicates (cfg.redundancy.replicas >= 2).

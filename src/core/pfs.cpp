@@ -83,10 +83,11 @@ ParallelFileSystem::ParallelFileSystem(ClusterConfig cfg) : cfg_(cfg) {
   health_->resize(static_cast<u32>(cfg_.num_targets));
   red_stats_ = std::make_unique<redundancy::Stats>();
   if (cfg_.redundancy.enabled()) {
-    redundancy::RepairConfig rcfg;
-    if (cfg_.list_io_max_runs > 0) rcfg.max_runs_per_envelope = cfg_.list_io_max_runs;
     repair_ = std::make_unique<redundancy::RepairService>(
-        cfg_.stripe, cfg_.redundancy, *health_, tgts, *rpc_client_, rcfg);
+        cfg_.stripe, cfg_.redundancy, *health_, tgts, *rpc_client_,
+        cfg_.list_io_max_runs > 0
+            ? cfg_.list_io_max_runs
+            : redundancy::RepairService::kDefaultRunsPerEnvelope);
     repair_->set_clock(cluster_now);
   }
   if (rpc::FaultTransport* fault = rpc_stack_.fault()) {
@@ -185,8 +186,7 @@ void ParallelFileSystem::drain_data() {
   (void)rpc_client_->flush();
   (void)rpc_stack_.top().completions().wait_all();
   for (auto& t : targets_) t->drain();
-  // Phase/unmount barrier: any queued rebuild runs to completion here (the
-  // throttle is bypassed — there is no foreground left to protect).  The
+  // Phase/unmount barrier: any queued rebuild runs to completion here.  The
   // repair traffic itself flows through the transport, so flush and drain
   // once more behind it.
   if (repair_ && repair_->pending()) {
@@ -238,7 +238,7 @@ void ParallelFileSystem::reset_data_stats() {
 
 void ParallelFileSystem::tick_timeline() {
   // Safe point: one bounded repair pump before sampling, so the timeline
-  // gauges see the rebuild ramp (files_per_pump keeps foreground flowing).
+  // gauges see the rebuild ramp (kFilesPerPump keeps foreground flowing).
   if (repair_ && repair_->pending()) (void)repair_->pump();
   // Gauges for principals that appeared since the last safe point must be
   // registered BEFORE the tick — add_gauge and tick share the timeline's
@@ -304,8 +304,7 @@ obs::Json ParallelFileSystem::attribution_json() const {
   if (const rpc::AsyncTransport* async = rpc_stack_.async()) {
     global["stall_ms"] = async->report().stall_ms;
   }
-  if (const rpc::FaultTransport* fault =
-          const_cast<rpc::TransportStack&>(rpc_stack_).fault()) {
+  if (const rpc::FaultTransport* fault = rpc_stack_.fault()) {
     global["fault_delay_ms"] = fault->stats().delay_total_ms;
   }
   j["global"] = global;

@@ -88,33 +88,4 @@ struct EmbeddedInodeNo {
   static constexpr u64 kMaxDirectories = u64{1} << 32;
 };
 
-/// The paper's forward-compatible variant: "shifting to a 128-bit inode
-/// number with a 64-bit directory number and a 64-bit offset would overcome
-/// any realistic limitations" (§IV-B).  Provided for file systems that need
-/// more than 2^32 entries per directory or directories per volume; the same
-/// resolution machinery applies.
-struct InodeNo128 {
-  u64 dir{0};
-  u64 offset{0};
-  constexpr auto operator<=>(const InodeNo128&) const = default;
-
-  static InodeNo128 make(u64 dir, u64 offset) { return {dir, offset}; }
-  constexpr u64 dir_of() const { return dir; }
-  constexpr u64 offset_of() const { return offset; }
-
-  /// A 64-bit composite widens losslessly.
-  static InodeNo128 widen(InodeNo n) {
-    return {EmbeddedInodeNo::dir_of(n).v, EmbeddedInodeNo::offset_of(n)};
-  }
-  /// Narrowing back is only possible while both halves fit in 32 bits.
-  bool narrowable() const {
-    return dir < EmbeddedInodeNo::kMaxDirectories &&
-           offset < EmbeddedInodeNo::kMaxSlots;
-  }
-  InodeNo narrow() const {
-    return EmbeddedInodeNo::make(DirId{static_cast<u32>(dir)},
-                                 static_cast<u32>(offset));
-  }
-};
-
 }  // namespace mif::mfs

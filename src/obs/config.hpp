@@ -21,10 +21,6 @@ struct Config {
   /// Admission threshold for the slow log in microseconds; 0 = every
   /// finished trace competes for the top-K slots.
   double slow_threshold_us{0.0};
-  /// Quantile-triggered admission: when > 0, a finished trace must also be
-  /// at or above this quantile of all root durations seen so far (e.g. 0.99
-  /// keeps only the tail).  0 disables the quantile gate.
-  double slow_quantile{0.0};
   /// Timeline (obs/timeline.hpp) sampling interval in *simulated*
   /// milliseconds; a sample is taken at the first tick after this much sim
   /// time has passed since the previous one.  Must be finite and > 0.

@@ -59,16 +59,7 @@ void SpanCollector::push_ring(const SpanRecord& r) {
 
 void SpanCollector::admit_slow(u64 trace_id, std::string_view root_name,
                                double dur_us, std::vector<SpanRecord> spans) {
-  const double dur_ns = dur_us * 1000.0;
-  root_durs_ns_.add(static_cast<u64>(std::max(0.0, dur_ns)));
   if (dur_us < cfg_.slow_threshold_us) return;
-  if (cfg_.slow_quantile > 0.0 &&
-      static_cast<u64>(dur_ns) <
-          root_durs_ns_.quantile(cfg_.slow_quantile) / 2) {
-    // quantile() reports the containing bucket's upper bound; admit the
-    // whole bucket by comparing against its lower bound.
-    return;
-  }
   if (slow_.size() == cfg_.slow_k && dur_us <= slow_.back().dur_us) return;
   SlowTrace t{trace_id, root_name, dur_us, std::move(spans)};
   const auto pos = std::upper_bound(
@@ -214,7 +205,6 @@ void SpanCollector::clear() {
   total_ = 0;
   active_.clear();
   slow_.clear();
-  root_durs_ns_ = Histogram{40};
   phases_.clear();
 }
 

@@ -219,8 +219,6 @@ class SpanCollector {
   std::map<u64, std::vector<SpanRecord>> active_;
   /// Slowest-first finished traces, at most cfg_.slow_k entries.
   std::vector<SlowTrace> slow_;
-  /// Root durations seen (ns), for the quantile admission gate.
-  Histogram root_durs_ns_{40};
   std::map<std::string, PhaseStats, std::less<>> phases_;
 };
 

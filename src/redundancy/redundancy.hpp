@@ -8,7 +8,7 @@
 // uses.  The copy lives in a *replica subfile*: the primary's inode with a
 // copy tag in bits 48..55 (the shard router owns 56..63, see
 // shard/placement).  That tag IS the rpc envelope's replica-target
-// annotation — the codec ships an InodeNo either way, so the wire format,
+// annotation — every envelope carries an InodeNo either way, so wire sizes,
 // Formation coalescing keys ((ino, stream) never mixes a copy with its
 // primary) and QoS deferrable-data classification all work unchanged.
 //

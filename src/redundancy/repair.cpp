@@ -113,14 +113,13 @@ u64 run_blocks(const std::vector<BlockRun>& runs) {
 RepairService::RepairService(osd::StripeLayout stripe, Policy policy,
                              HealthMap& health,
                              std::vector<osd::StorageTarget*> targets,
-                             rpc::Client& rpc, RepairConfig cfg)
+                             rpc::Client& rpc, u64 max_runs_per_envelope)
     : stripe_(stripe),
       policy_(policy),
       health_(health),
       targets_(std::move(targets)),
       rpc_(rpc),
-      cfg_(cfg),
-      bucket_(cfg_.rate_bytes_per_ms, cfg_.burst_bytes) {}
+      max_runs_per_envelope_(max_runs_per_envelope) {}
 
 void RepairService::request(u32 target) {
   if (target >= targets_.size()) return;
@@ -132,10 +131,10 @@ void RepairService::request(u32 target) {
 }
 
 void RepairService::drain() {
-  // Bounded by the pass cap inside pump_some: a job that cannot converge
+  // Bounded by the pass cap inside pump: a job that cannot converge
   // (persistent faults) is abandoned rather than spinning the unmount.
   while (pending()) {
-    if (!pump_some(true)) break;
+    if (!pump()) break;
   }
 }
 
@@ -175,10 +174,9 @@ long long RepairService::rebuild_subfile(
     const auto take = intersect_runs(missing, source_runs[s]);
     if (take.empty()) continue;
     const auto& [src_t, src_ino] = sources[s];
-    for (std::size_t at = 0; at < take.size();
-         at += cfg_.max_runs_per_envelope) {
+    for (std::size_t at = 0; at < take.size(); at += max_runs_per_envelope_) {
       const std::size_t n =
-          std::min<std::size_t>(cfg_.max_runs_per_envelope, take.size() - at);
+          std::min<std::size_t>(max_runs_per_envelope_, take.size() - at);
       std::vector<BlockRun> chunk{take.begin() + at, take.begin() + at + n};
       // Gather from the survivor, then replay onto the replacement — both
       // as list-I/O envelopes through the full transport chain, so repair
@@ -245,7 +243,7 @@ long long RepairService::rebuild_file(u32 dead, InodeNo ino) {
   return total;
 }
 
-bool RepairService::pump_some(bool unthrottled) {
+bool RepairService::pump() {
   if (queue_.empty()) return false;
   // The reserved background principal: every millisecond repair costs is
   // charged to {client 0, kBackground}, keeping attribution conservation
@@ -262,11 +260,7 @@ bool RepairService::pump_some(bool unthrottled) {
   }
   bool progressed = false;
   u32 visited = 0;
-  while (!job.work.empty() && visited < cfg_.files_per_pump) {
-    if (!unthrottled && cfg_.rate_bytes_per_ms > 0.0) {
-      bucket_.refill(clock_ ? clock_() : 0.0);
-      if (bucket_.tokens() <= 0.0) break;  // budget spent; next safe point
-    }
+  while (!job.work.empty() && visited < kFilesPerPump) {
     const InodeNo ino{job.work.back()};
     job.work.pop_back();
     ++visited;
@@ -280,9 +274,6 @@ bool RepairService::pump_some(bool unthrottled) {
     if (n > 0) {
       job.pass_blocks += static_cast<u64>(n);
       progressed = true;
-      if (!unthrottled && cfg_.rate_bytes_per_ms > 0.0) {
-        (void)bucket_.try_consume(static_cast<u64>(n) * kBlockSize);
-      }
     }
   }
   if (job.work.empty()) {

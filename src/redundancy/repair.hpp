@@ -25,11 +25,7 @@
 // Every envelope the service issues runs under the reserved background
 // principal (the system principal {client 0, kBackground}), so the
 // attribution ledger's conservation invariant and Jain's fairness over
-// client principals hold unchanged.  Between safe points the service is
-// throttled by the same token-bucket machinery QoS uses (rpc::TokenBucket
-// on the cluster-max simulated clock); drain() bypasses the throttle — at
-// an unmount barrier there is no foreground left to protect, and a bucket
-// that only refills when disks advance would otherwise deadlock the drain.
+// client principals hold unchanged.
 //
 // A mid-repair fault rolls the victim file back: the partially written
 // subfile is deleted from the replacement target and the file is retried at
@@ -41,7 +37,6 @@
 #include <vector>
 
 #include "redundancy/redundancy.hpp"
-#include "rpc/qos.hpp"
 
 namespace mif::obs {
 class SpanCollector;
@@ -54,16 +49,6 @@ class Client;
 }
 
 namespace mif::redundancy {
-
-struct RepairConfig {
-  /// Runs per kWriteList/kReadList envelope (list-I/O chunking).
-  u64 max_runs_per_envelope{64};
-  /// Files rebuilt per pump() — the online-granularity knob.
-  u32 files_per_pump{4};
-  /// Token-bucket throttle on rebuilt bytes per simulated ms (0 = none).
-  double rate_bytes_per_ms{0.0};
-  u64 burst_bytes{u64{1} << 22};
-};
 
 struct RepairStats {
   u64 requested{0};        // kill events queued for rebuild
@@ -80,13 +65,19 @@ struct RepairStats {
 
 class RepairService {
  public:
+  /// Runs per kWriteList/kReadList envelope when the mount sets no list-I/O
+  /// chunk size.
+  static constexpr u64 kDefaultRunsPerEnvelope = 64;
+  /// Files rebuilt per pump() — the online granularity.
+  static constexpr u32 kFilesPerPump = 4;
+
   RepairService(osd::StripeLayout stripe, Policy policy, HealthMap& health,
                 std::vector<osd::StorageTarget*> targets, rpc::Client& rpc,
-                RepairConfig cfg = {});
+                u64 max_runs_per_envelope);
 
   void set_spans(obs::SpanCollector* spans) { spans_ = spans; }
-  /// Simulated clock for throttling and the completion stamp (cluster-max,
-  /// wired at mount).
+  /// Simulated clock for the completion stamp (cluster-max, wired at
+  /// mount).
   void set_clock(std::function<double()> clock) { clock_ = std::move(clock); }
 
   /// Queue target `t` for rebuild (the kill sink calls this after wiping).
@@ -96,12 +87,11 @@ class RepairService {
   /// Dead targets still queued (timeline gauge).
   u64 backlog() const { return queue_.size(); }
 
-  /// Rebuild up to files_per_pump subfiles of the front target, respecting
-  /// the throttle; marks the target alive once a full verification pass
-  /// finds nothing missing.  Returns true when any progress was made.
-  bool pump() { return pump_some(false); }
-  /// Run every queued rebuild to completion (unmount/phase barrier;
-  /// bypasses the throttle).
+  /// Rebuild up to kFilesPerPump subfiles of the front target; marks the
+  /// target alive once a full verification pass finds nothing missing.
+  /// Returns true when any progress was made.
+  bool pump();
+  /// Run every queued rebuild to completion (unmount/phase barrier).
   void drain();
 
   const RepairStats& stats() const { return stats_; }
@@ -124,7 +114,6 @@ class RepairService {
   /// Full-pass cap before a rebuild is abandoned (persistent faults).
   static constexpr u32 kMaxPasses = 64;
 
-  bool pump_some(bool unthrottled);
   /// All primary inos any surviving target knows about (sorted).
   std::vector<u64> survivor_inos(u32 dead) const;
   /// Rebuild both the primary and the replica subfiles file `ino` keeps on
@@ -141,10 +130,9 @@ class RepairService {
   HealthMap& health_;
   std::vector<osd::StorageTarget*> targets_;
   rpc::Client& rpc_;
-  RepairConfig cfg_;
+  u64 max_runs_per_envelope_;
   obs::SpanCollector* spans_{nullptr};
   std::function<double()> clock_;
-  rpc::TokenBucket bucket_;
   std::deque<Job> queue_;
   RepairStats stats_;
 };

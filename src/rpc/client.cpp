@@ -71,23 +71,6 @@ Status Client::report_extents(InodeNo ino, u64 extent_count) {
   return to_status(transport_->call(mds_, req));
 }
 
-Status Client::block_write(u32 target, InodeNo ino, StreamId stream,
-                           FileBlock start, u64 count) {
-  BlockWriteRequest req;
-  req.ino = ino;
-  req.stream = stream;
-  req.runs.push_back(BlockRun{start, count});
-  return to_status(transport_->call(osd_at(target), std::move(req)));
-}
-
-Status Client::block_read(u32 target, InodeNo ino, FileBlock start,
-                          u64 count) {
-  BlockReadRequest req;
-  req.ino = ino;
-  req.runs.push_back(BlockRun{start, count});
-  return to_status(transport_->call(osd_at(target), std::move(req)));
-}
-
 Status Client::write_list(u32 target, InodeNo ino, StreamId stream,
                           std::vector<BlockRun> runs) {
   WriteListRequest req;
@@ -102,30 +85,6 @@ Status Client::read_list(u32 target, InodeNo ino, std::vector<BlockRun> runs) {
   req.ino = ino;
   req.runs = std::move(runs);
   return to_status(transport_->call(osd_at(target), std::move(req)));
-}
-
-Status Client::write_strided(u32 target, InodeNo ino, StreamId stream,
-                             FileBlock start, u64 count, u64 stride,
-                             u64 block_len) {
-  WriteStridedRequest req;
-  req.ino = ino;
-  req.stream = stream;
-  req.start = start;
-  req.count = count;
-  req.stride = stride;
-  req.block_len = block_len;
-  return to_status(transport_->call(osd_at(target), req));
-}
-
-Status Client::read_strided(u32 target, InodeNo ino, FileBlock start,
-                            u64 count, u64 stride, u64 block_len) {
-  ReadStridedRequest req;
-  req.ino = ino;
-  req.start = start;
-  req.count = count;
-  req.stride = stride;
-  req.block_len = block_len;
-  return to_status(transport_->call(osd_at(target), req));
 }
 
 Ticket Client::block_write_async(u32 target, InodeNo ino, StreamId stream,
@@ -211,19 +170,6 @@ Result<u64> Client::target_extents(u32 target, InodeNo ino) {
   auto r = expect<ExtentCountResponse>(transport_->call(osd_at(target), req));
   if (!r) return r.error();
   return r->extent_count;
-}
-
-Status Client::preallocate(u32 target, InodeNo ino, u64 total_blocks) {
-  PreallocateRequest req;
-  req.ino = ino;
-  req.total_blocks = total_blocks;
-  return to_status(transport_->call(osd_at(target), req));
-}
-
-Status Client::close_file(u32 target, InodeNo ino) {
-  CloseFileRequest req;
-  req.ino = ino;
-  return to_status(transport_->call(osd_at(target), req));
 }
 
 Status Client::delete_file(u32 target, InodeNo ino) {

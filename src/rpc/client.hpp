@@ -35,23 +35,12 @@ class Client {
   Result<std::vector<mfs::DirEntry>> readdir_stats(std::string_view path);
   Status report_extents(InodeNo ino, u64 extent_count);
 
-  // --- data ops (client ↔ storage target) ----------------------------------
-  Status block_write(u32 target, InodeNo ino, StreamId stream, FileBlock start,
-                     u64 count);
-  Status block_read(u32 target, InodeNo ino, FileBlock start, u64 count);
+  // --- blocking data ops (client ↔ storage target) -------------------------
   /// List I/O: one envelope moves every run in one server pass.
   Status write_list(u32 target, InodeNo ino, StreamId stream,
                     std::vector<BlockRun> runs);
   Status read_list(u32 target, InodeNo ino, std::vector<BlockRun> runs);
-  /// Datatype I/O: a (count, stride, block_len) pattern in constant wire
-  /// bytes.
-  Status write_strided(u32 target, InodeNo ino, StreamId stream,
-                       FileBlock start, u64 count, u64 stride, u64 block_len);
-  Status read_strided(u32 target, InodeNo ino, FileBlock start, u64 count,
-                      u64 stride, u64 block_len);
   Result<u64> target_extents(u32 target, InodeNo ino);
-  Status preallocate(u32 target, InodeNo ino, u64 total_blocks);
-  Status close_file(u32 target, InodeNo ino);
   Status delete_file(u32 target, InodeNo ino);
 
   // --- async data ops: issue a ticket, drain via completions() -------------

@@ -1,7 +1,6 @@
 #include "rpc/envelope.hpp"
 
 #include <array>
-#include <cstring>
 
 namespace mif::rpc {
 
@@ -32,87 +31,6 @@ constexpr std::array<OpTraits, kOpCount> kOpTraits{{
     {"list.write_strided", "rpc.list.write_strided", false, false, false},
     {"list.read_strided", "rpc.list.read_strided", false, false, false},
 }};
-
-// Little-endian field writer/reader for the byte-exact codec.
-class Writer {
- public:
-  explicit Writer(std::vector<u8>& out) : out_(out) {}
-  void u8v(u8 v) { out_.push_back(v); }
-  void u32v(u32 v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<u8>(v >> (8 * i)));
-  }
-  void u64v(u64 v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<u8>(v >> (8 * i)));
-  }
-  void str(const std::string& s) {
-    u32v(static_cast<u32>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
-  }
-  void runs(const std::vector<BlockRun>& rs) {
-    u32v(static_cast<u32>(rs.size()));
-    for (const BlockRun& r : rs) {
-      u64v(r.start.v);
-      u64v(r.count);
-    }
-  }
-
- private:
-  std::vector<u8>& out_;
-};
-
-class Reader {
- public:
-  explicit Reader(const std::vector<u8>& in) : in_(in) {}
-  bool ok() const { return ok_; }
-  bool done() const { return ok_ && pos_ == in_.size(); }
-  u8 u8v() {
-    if (pos_ + 1 > in_.size()) return fail<u8>();
-    return in_[pos_++];
-  }
-  u32 u32v() {
-    if (pos_ + 4 > in_.size()) return fail<u32>();
-    u32 v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<u32>(in_[pos_++]) << (8 * i);
-    return v;
-  }
-  u64 u64v() {
-    if (pos_ + 8 > in_.size()) return fail<u64>();
-    u64 v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<u64>(in_[pos_++]) << (8 * i);
-    return v;
-  }
-  std::string str() {
-    const u32 n = u32v();
-    if (!ok_ || pos_ + n > in_.size()) return fail<std::string>();
-    std::string s(reinterpret_cast<const char*>(in_.data() + pos_), n);
-    pos_ += n;
-    return s;
-  }
-  std::vector<BlockRun> runs() {
-    const u32 n = u32v();
-    std::vector<BlockRun> rs;
-    if (!ok_ || pos_ + static_cast<std::size_t>(n) * 16 > in_.size())
-      return fail<std::vector<BlockRun>>();
-    rs.reserve(n);
-    for (u32 i = 0; i < n; ++i) {
-      BlockRun r;
-      r.start.v = u64v();
-      r.count = u64v();
-      rs.push_back(r);
-    }
-    return rs;
-  }
-
- private:
-  template <typename T>
-  T fail() {
-    ok_ = false;
-    return T{};
-  }
-  const std::vector<u8>& in_;
-  std::size_t pos_{0};
-  bool ok_{true};
-};
 
 u64 dirent_bytes(const mfs::DirEntry& e) {
   return kDirentFixedBytes + e.name.size();
@@ -158,241 +76,6 @@ u64 bulk_bytes(const Response& resp) {
     return b->blocks * kBlockSize;
   }
   return 0;
-}
-
-std::vector<u8> encode(const Request& req) {
-  std::vector<u8> out;
-  Writer w(out);
-  w.u8v(static_cast<u8>(op_of(req)));
-  std::visit(
-      [&](const auto& r) {
-        using T = std::decay_t<decltype(r)>;
-        if constexpr (std::is_same_v<T, RenameRequest>) {
-          w.str(r.from);
-          w.str(r.to);
-        } else if constexpr (std::is_same_v<T, ReportExtentsRequest>) {
-          w.u64v(r.ino.v);
-          w.u64v(r.extent_count);
-        } else if constexpr (std::is_same_v<T, BlockWriteRequest> ||
-                             std::is_same_v<T, WriteListRequest>) {
-          w.u64v(r.ino.v);
-          w.u64v(r.stream.key());
-          w.runs(r.runs);
-        } else if constexpr (std::is_same_v<T, BlockReadRequest> ||
-                             std::is_same_v<T, ReadListRequest>) {
-          w.u64v(r.ino.v);
-          w.runs(r.runs);
-        } else if constexpr (std::is_same_v<T, WriteStridedRequest>) {
-          w.u64v(r.ino.v);
-          w.u64v(r.stream.key());
-          w.u64v(r.start.v);
-          w.u64v(r.count);
-          w.u64v(r.stride);
-          w.u64v(r.block_len);
-        } else if constexpr (std::is_same_v<T, ReadStridedRequest>) {
-          w.u64v(r.ino.v);
-          w.u64v(r.start.v);
-          w.u64v(r.count);
-          w.u64v(r.stride);
-          w.u64v(r.block_len);
-        } else if constexpr (std::is_same_v<T, GetExtentsRequest> ||
-                             std::is_same_v<T, CloseFileRequest> ||
-                             std::is_same_v<T, DeleteFileRequest>) {
-          w.u64v(r.ino.v);
-        } else if constexpr (std::is_same_v<T, PreallocateRequest>) {
-          w.u64v(r.ino.v);
-          w.u64v(r.total_blocks);
-        } else {
-          // All the path-only metadata requests.
-          w.str(r.path);
-        }
-      },
-      req);
-  return out;
-}
-
-Result<Request> decode_request(const std::vector<u8>& buf) {
-  Reader r(buf);
-  const u8 tag = r.u8v();
-  if (!r.ok() || tag >= kOpCount) return Errc::kInvalid;
-  Request req = [&]() -> Request {
-    switch (static_cast<Op>(tag)) {
-      case Op::kMkdir: return MkdirRequest{r.str()};
-      case Op::kCreate: return CreateRequest{r.str()};
-      case Op::kStat: return StatRequest{r.str()};
-      case Op::kUtime: return UtimeRequest{r.str()};
-      case Op::kUnlink: return UnlinkRequest{r.str()};
-      case Op::kRename: {
-        RenameRequest q;
-        q.from = r.str();
-        q.to = r.str();
-        return q;
-      }
-      case Op::kResolve: return ResolveRequest{r.str()};
-      case Op::kOpenGetLayout: return OpenGetLayoutRequest{r.str()};
-      case Op::kReaddir: return ReaddirRequest{r.str()};
-      case Op::kReaddirPlus: return ReaddirPlusRequest{r.str()};
-      case Op::kReportExtents: {
-        ReportExtentsRequest q;
-        q.ino.v = r.u64v();
-        q.extent_count = r.u64v();
-        return q;
-      }
-      case Op::kBlockWrite: {
-        BlockWriteRequest q;
-        q.ino.v = r.u64v();
-        const u64 key = r.u64v();
-        q.stream = StreamId{static_cast<u32>(key >> 32),
-                            static_cast<u32>(key & 0xffffffffu)};
-        q.runs = r.runs();
-        return q;
-      }
-      case Op::kBlockRead: {
-        BlockReadRequest q;
-        q.ino.v = r.u64v();
-        q.runs = r.runs();
-        return q;
-      }
-      case Op::kGetExtents: {
-        GetExtentsRequest q;
-        q.ino.v = r.u64v();
-        return q;
-      }
-      case Op::kPreallocate: {
-        PreallocateRequest q;
-        q.ino.v = r.u64v();
-        q.total_blocks = r.u64v();
-        return q;
-      }
-      case Op::kCloseFile: {
-        CloseFileRequest q;
-        q.ino.v = r.u64v();
-        return q;
-      }
-      case Op::kDeleteFile: {
-        DeleteFileRequest q;
-        q.ino.v = r.u64v();
-        return q;
-      }
-      case Op::kWriteList: {
-        WriteListRequest q;
-        q.ino.v = r.u64v();
-        const u64 key = r.u64v();
-        q.stream = StreamId{static_cast<u32>(key >> 32),
-                            static_cast<u32>(key & 0xffffffffu)};
-        q.runs = r.runs();
-        return q;
-      }
-      case Op::kReadList: {
-        ReadListRequest q;
-        q.ino.v = r.u64v();
-        q.runs = r.runs();
-        return q;
-      }
-      case Op::kWriteStrided: {
-        WriteStridedRequest q;
-        q.ino.v = r.u64v();
-        const u64 key = r.u64v();
-        q.stream = StreamId{static_cast<u32>(key >> 32),
-                            static_cast<u32>(key & 0xffffffffu)};
-        q.start.v = r.u64v();
-        q.count = r.u64v();
-        q.stride = r.u64v();
-        q.block_len = r.u64v();
-        return q;
-      }
-      case Op::kReadStrided: {
-        ReadStridedRequest q;
-        q.ino.v = r.u64v();
-        q.start.v = r.u64v();
-        q.count = r.u64v();
-        q.stride = r.u64v();
-        q.block_len = r.u64v();
-        return q;
-      }
-    }
-    return MkdirRequest{};
-  }();
-  if (!r.done()) return Errc::kInvalid;
-  return req;
-}
-
-std::vector<u8> encode(const Response& resp) {
-  std::vector<u8> out;
-  Writer w(out);
-  w.u8v(static_cast<u8>(resp.index()));
-  std::visit(
-      [&](const auto& v) {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, InodeResponse>) {
-          w.u64v(v.ino.v);
-        } else if constexpr (std::is_same_v<T, OpenGetLayoutResponse>) {
-          w.u64v(v.ino.v);
-          w.u64v(v.extent_count);
-        } else if constexpr (std::is_same_v<T, ReaddirResponse>) {
-          w.u8v(v.plus ? 1 : 0);
-          w.u32v(static_cast<u32>(v.entries.size()));
-          for (const mfs::DirEntry& e : v.entries) {
-            w.str(e.name);
-            w.u64v(e.ino.v);
-            w.u8v(static_cast<u8>(e.type));
-          }
-        } else if constexpr (std::is_same_v<T, ExtentCountResponse>) {
-          w.u64v(v.extent_count);
-        } else if constexpr (std::is_same_v<T, BlockDataResponse>) {
-          w.u64v(v.blocks);
-        }
-        // VoidResponse: tag only.
-      },
-      resp);
-  return out;
-}
-
-Result<Response> decode_response(const std::vector<u8>& buf) {
-  Reader r(buf);
-  const u8 tag = r.u8v();
-  if (!r.ok() || tag >= std::variant_size_v<Response>) return Errc::kInvalid;
-  Response resp = [&]() -> Response {
-    switch (tag) {
-      case 0: return VoidResponse{};
-      case 1: {
-        InodeResponse v;
-        v.ino.v = r.u64v();
-        return v;
-      }
-      case 2: {
-        OpenGetLayoutResponse v;
-        v.ino.v = r.u64v();
-        v.extent_count = r.u64v();
-        return v;
-      }
-      case 3: {
-        ReaddirResponse v;
-        v.plus = r.u8v() != 0;
-        const u32 n = r.u32v();
-        for (u32 i = 0; r.ok() && i < n; ++i) {
-          mfs::DirEntry e;
-          e.name = r.str();
-          e.ino.v = r.u64v();
-          e.type = static_cast<mfs::FileType>(r.u8v());
-          v.entries.push_back(std::move(e));
-        }
-        return v;
-      }
-      case 4: {
-        ExtentCountResponse v;
-        v.extent_count = r.u64v();
-        return v;
-      }
-      default: {
-        BlockDataResponse v;
-        v.blocks = r.u64v();
-        return v;
-      }
-    }
-  }();
-  if (!r.done()) return Errc::kInvalid;
-  return resp;
 }
 
 }  // namespace mif::rpc

@@ -2,10 +2,11 @@
 //
 // Every cross-node interaction (client ↔ MDS, client ↔ storage target) is
 // one of these operations; the structs below are what a real deployment
-// would serialise onto the wire.  The simulator mostly passes them by
-// reference through an in-process Transport (src/rpc/transport.hpp), but the
-// encode/decode round trip is real, and every payload size the network model
-// charges is computed from the envelope itself — no magic constants.
+// would serialise onto the wire.  The simulator passes them by reference
+// through an in-process Transport (src/rpc/transport.hpp) and never
+// serialises them: every payload size the network model charges is computed
+// from the envelope itself (body_bytes, wire_bytes, bulk_bytes) — no magic
+// constants.
 //
 // The taxonomy follows the paper's aggregation argument (§II-A2): what
 // matters for parallel-I/O cost is how many wire messages a logical
@@ -17,13 +18,13 @@
 //   1. add the enum value + a row in kOpTraits (same order!),
 //   2. define the request struct (kOp member + body_bytes()),
 //   3. add it to the Request variant (same position as the enum value),
-//   4. extend encode/decode in envelope.cpp and the dispatch visitor in
-//      inproc.cpp, plus a stub method on rpc::Client.
+//   4. extend the dispatch visitor in inproc.cpp, plus a stub method on
+//      rpc::Client.
 //
 // Replica-target annotation (src/redundancy/redundancy.hpp): an envelope
 // addressed to a replica subfile carries the copy tag INSIDE its InodeNo
 // (bits 48..55, redundancy::replica_ino) rather than as a new field.  The
-// codec, the op taxonomy and the wire-size model above are untouched by
+// op taxonomy and the wire-size model above are untouched by
 // replication; Formation coalescing keys and QoS classification see a
 // distinct (ino, stream) per copy for free; and a storage target serves a
 // replica subfile exactly like any other file.  Only the redundancy layer
@@ -36,7 +37,6 @@
 #include <vector>
 
 #include "mfs/layout.hpp"
-#include "util/result.hpp"
 #include "util/runs.hpp"
 #include "util/types.hpp"
 
@@ -108,7 +108,7 @@ inline u64 str_bytes(const std::string& s) { return 4 + s.size(); }
 }  // namespace wire
 
 // --- requests ---------------------------------------------------------------
-// Each request knows its op and the byte size of its encoded body.
+// Each request knows its op and the byte size of its body on the wire.
 
 struct MkdirRequest {
   static constexpr Op kOp = Op::kMkdir;
@@ -299,8 +299,7 @@ struct ReadStridedRequest {
   u64 body_bytes() const { return 8 + 8 + 8 + 8 + 8; }
 };
 
-/// Variant order MUST match the Op enum (op_of relies on the kOp members,
-/// encode/decode on the variant index).
+/// One alternative per Op, in enum order.
 using Request =
     std::variant<MkdirRequest, CreateRequest, StatRequest, UtimeRequest,
                  UnlinkRequest, RenameRequest, ResolveRequest,
@@ -348,19 +347,12 @@ using Response = std::variant<VoidResponse, InodeResponse,
 
 Op op_of(const Request& req);
 
-/// Total bytes this request puts on the wire: framing header + encoded body
+/// Total bytes this request puts on the wire: framing header + body
 /// + any data payload riding along (block writes).
 u64 wire_bytes(const Request& req);
 
 /// Bytes of the variable-length reply transfer; 0 when the response
 /// piggybacks on the request exchange.
 u64 bulk_bytes(const Response& resp);
-
-/// Byte-exact serialisation (tag + body).  decode(encode(x)) == x; used by
-/// the round-trip tests and any future real wire transport.
-std::vector<u8> encode(const Request& req);
-std::vector<u8> encode(const Response& resp);
-Result<Request> decode_request(const std::vector<u8>& buf);
-Result<Response> decode_response(const std::vector<u8>& buf);
 
 }  // namespace mif::rpc

@@ -17,8 +17,7 @@
 //     addressed to it fail with kIo here — defense in depth under the
 //     client's own health-aware routing; write-class envelopes pass (they
 //     land on the freshly formatted replacement, which is how the repair
-//     service rebuilds it).  A call_batch frame holding such a read fails
-//     whole.
+//     service rebuilds it).
 //
 // It is the only fault injector: storage targets themselves never fail.
 //
@@ -99,16 +98,6 @@ class FaultTransport final : public Transport {
     return inner_.call_async(to, req);
   }
   CompletionQueue& completions() override { return inner_.completions(); }
-  Status call_batch(const Address& to, std::vector<Request> reqs) override {
-    poll_kills();
-    if (fires()) return Errc::kIo;  // the whole frame is lost as a unit
-    // Every envelope is checked (and counted); one dead-OSD read refuses
-    // the frame as a unit, like a drop.
-    bool refused = false;
-    for (const Request& req : reqs) refused |= refuses(to, req);
-    if (refused) return Errc::kIo;
-    return inner_.call_batch(to, std::move(reqs));
-  }
   Status flush() override {
     poll_kills();
     return inner_.flush();

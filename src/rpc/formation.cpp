@@ -118,7 +118,6 @@ Status FormationTransport::flush_queue_locked(Queue& q) {
       ++j;
     }
     ++stats_.frames;
-    ++stats_.wire_messages;
     if (frame_bytes > cfg_.max_frame_bytes) ++stats_.oversize_frames;
     std::vector<Request> frame(std::make_move_iterator(q.reqs.begin() + i),
                                std::make_move_iterator(q.reqs.begin() + j));
@@ -218,18 +217,6 @@ Ticket FormationTransport::call_async(const Address& to, const Request& req) {
   return inner_.call_async(to, req);
 }
 
-Status FormationTransport::call_batch(const Address& to,
-                                      std::vector<Request> reqs) {
-  std::lock_guard lock(mu_);
-  if (!queues_.empty()) {
-    ++stats_.barrier_flushes;
-    flush_all_locked();
-  }
-  if (Status s = take_sticky_locked(); !s) return s;
-  ++stats_.wire_messages;
-  return inner_.call_batch(to, std::move(reqs));
-}
-
 Status FormationTransport::flush() {
   Status mine;
   {
@@ -259,7 +246,6 @@ void FormationTransport::export_metrics(obs::MetricsRegistry& reg,
   reg.counter(obs::join_key(base, "folded_lists")).inc(s.folded_lists);
   reg.counter(obs::join_key(base, "frames")).inc(s.frames);
   reg.counter(obs::join_key(base, "oversize_frames")).inc(s.oversize_frames);
-  reg.counter(obs::join_key(base, "wire_messages")).inc(s.wire_messages);
   reg.counter(obs::join_key(base, "flushes")).inc(s.flushes);
   reg.counter(obs::join_key(base, "watermark_flushes"))
       .inc(s.watermark_flushes);

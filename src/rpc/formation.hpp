@@ -14,12 +14,13 @@
 //   data      — block writes: bulk, coalesced into runs (util::append_run)
 //               and folded into kWriteList when noncontiguous.
 //
-// Frame accounting matches InprocTransport::call_batch exactly: a frame
-// costs kHeaderBytes + Σ(wire_bytes − kHeaderBytes), so packing K envelopes
-// into F frames puts F headers on the wire — the formation win is choosing
-// F, not hiding bytes.  An envelope whose lone marginal body exceeds
-// `max_frame_bytes` ships as an oversize singleton frame (counted) rather
-// than wedging the queue.
+// Frames ship through the inner transport's call_batch, and their accounting
+// matches InprocTransport::call_batch exactly: a frame costs kHeaderBytes +
+// Σ(wire_bytes − kHeaderBytes), so packing K envelopes into F frames puts F
+// headers on the wire — the formation win is choosing F, not hiding bytes.
+// An envelope whose lone marginal body exceeds `max_frame_bytes` ships as an
+// oversize singleton frame (counted) rather than wedging the queue.  This
+// layer is the only caller of call_batch in a mounted stack.
 #pragma once
 
 #include <map>
@@ -53,7 +54,6 @@ struct FormationStats {
   u64 folded_lists{0};      // multi-run block writes shipped as list envelopes
   u64 frames{0};            // frames packed from staged envelopes
   u64 oversize_frames{0};   // frames forced over max_frame_bytes by one envelope
-  u64 wire_messages{0};     // frames + pre-formed call_batch passthroughs
   u64 flushes{0};           // explicit flush() calls
   u64 watermark_flushes{0}; // queue-full backpressure flushes
   u64 barrier_flushes{0};   // flushes forced by a non-deferrable op
@@ -70,7 +70,6 @@ class FormationTransport final : public Transport {
   Result<Response> call(const Address& to, const Request& req) override;
   Ticket call_async(const Address& to, const Request& req) override;
   CompletionQueue& completions() override { return inner_.completions(); }
-  Status call_batch(const Address& to, std::vector<Request> reqs) override;
   Status flush() override;
   void pump() override { inner_.pump(); }
 

@@ -35,13 +35,6 @@ std::string validate(const QosConfig& cfg) {
   if (!(cfg.rate_bytes_per_ms > 0.0))
     return "qos.rate_bytes_per_ms must be > 0";
   if (cfg.burst_bytes == 0) return "qos.burst_bytes must be > 0";
-  if (cfg.default_weight == 0) return "qos.default_weight must be > 0";
-  for (const QosClientOverride& o : cfg.overrides) {
-    if (o.client == 0)
-      return "qos override targets reserved client 0 (the system principal)";
-    if (o.rate_bytes_per_ms < 0.0)
-      return "qos override rate_bytes_per_ms must be >= 0";
-  }
   return "";
 }
 
@@ -81,16 +74,9 @@ void QosTransport::set_clock(std::function<double()> clock) {
 QosTransport::Lane& QosTransport::lane_locked(u32 client) {
   auto it = lanes_.find(client);
   if (it != lanes_.end()) return it->second;
-  double rate = cfg_.rate_bytes_per_ms;
-  u64 burst = cfg_.burst_bytes;
-  u32 weight = cfg_.default_weight;
-  for (const QosClientOverride& o : cfg_.overrides) {
-    if (o.client != client) continue;
-    if (o.rate_bytes_per_ms > 0.0) rate = o.rate_bytes_per_ms;
-    if (o.burst_bytes > 0) burst = o.burst_bytes;
-    if (o.weight > 0) weight = o.weight;
-  }
-  return lanes_.emplace(client, Lane{TokenBucket(rate, burst), weight, {}})
+  return lanes_
+      .emplace(client,
+               Lane{TokenBucket(cfg_.rate_bytes_per_ms, cfg_.burst_bytes), {}})
       .first->second;
 }
 
@@ -124,9 +110,9 @@ void QosTransport::release_locked(Parked&& p, bool forced) {
 void QosTransport::pump_locked(double now_ms) {
   for (auto& [c, l] : lanes_) l.bucket.refill(now_ms);
   if (backlog_count_ == 0) return;
-  // Weighted round-robin over backlogged lanes: each visit releases up to
-  // `weight` envelopes while the lane's tokens cover them; cycles repeat
-  // until a full pass makes no progress (everyone throttled or drained).
+  // Round-robin over backlogged lanes: each visit releases one envelope if
+  // the lane's tokens cover it; cycles repeat until a full pass makes no
+  // progress (everyone throttled or drained).
   std::vector<u32> ids;
   ids.reserve(lanes_.size());
   for (const auto& [c, l] : lanes_) ids.push_back(c);
@@ -142,21 +128,20 @@ void QosTransport::pump_locked(double now_ms) {
     progress = false;
     for (std::size_t i = 0; i < ids.size(); ++i) {
       Lane& l = lanes_.at(ids[(start + i) % ids.size()]);
-      for (u32 w = 0; w < l.weight && !l.backlog.empty(); ++w) {
-        Parked& front = l.backlog.front();
-        // An envelope larger than the bucket itself could never earn enough
-        // tokens — let it through rather than wedging the lane.
-        if (!l.bucket.try_consume(front.bytes) &&
-            front.bytes <= l.bucket.burst_bytes())
-          break;
-        Parked p = std::move(front);
-        l.backlog.pop_front();
-        --backlog_count_;
-        backlog_bytes_ -= p.bytes;
-        rr_cursor_ = ids[(start + i) % ids.size()];
-        release_locked(std::move(p), /*forced=*/false);
-        progress = true;
-      }
+      if (l.backlog.empty()) continue;
+      Parked& front = l.backlog.front();
+      // An envelope larger than the bucket itself could never earn enough
+      // tokens — let it through rather than wedging the lane.
+      if (!l.bucket.try_consume(front.bytes) &&
+          front.bytes <= l.bucket.burst_bytes())
+        continue;
+      Parked p = std::move(front);
+      l.backlog.pop_front();
+      --backlog_count_;
+      backlog_bytes_ -= p.bytes;
+      rr_cursor_ = ids[(start + i) % ids.size()];
+      release_locked(std::move(p), /*forced=*/false);
+      progress = true;
     }
   }
 }
@@ -300,18 +285,6 @@ Ticket QosTransport::call_async(const Address& to, const Request& req) {
       return completions().admit(to, op_of(req), s.error());
   }
   return inner_.call_async(to, req);
-}
-
-Status QosTransport::call_batch(const Address& to, std::vector<Request> reqs) {
-  // A pre-formed frame from an outer layer: treat as a full barrier (the
-  // frame may span many inodes) and forward intact.
-  {
-    std::lock_guard lock(mu_);
-    pump_locked(now_locked());
-    release_all_locked();
-    if (Status s = take_sticky_locked(); !s) return s;
-  }
-  return inner_.call_batch(to, std::move(reqs));
 }
 
 Status QosTransport::flush() {

@@ -8,9 +8,10 @@
 // inner transport immediately; over rate, it parks in a per-client backlog
 // and returns a deferred ack (formation semantics — a later failure is held
 // sticky and surfaces at the next barrier or flush).  Buckets refill on the
-// cluster's simulated clock, and backlogged clients drain in weighted
-// round-robin whenever tokens come back, so one hot streamer is capped at
-// its configured rate while everyone else's small envelopes sail through.
+// cluster's simulated clock, and backlogged clients drain round-robin, one
+// envelope per visit, whenever tokens come back, so one hot streamer is
+// capped at the configured rate while everyone else's small envelopes sail
+// through.
 //
 // Barriers stay correct but narrow: a non-deferrable op force-releases only
 // the backlogged envelopes of the SAME inode (a read must see that file's
@@ -75,27 +76,15 @@ class TokenBucket {
   double last_ms_{0.0};
 };
 
-/// Per-client override of the default rate/burst/weight (0 = keep default).
-struct QosClientOverride {
-  u32 client{0};
-  double rate_bytes_per_ms{0.0};
-  u64 burst_bytes{0};
-  u32 weight{0};
-};
-
 struct QosConfig {
   /// Build the QoS layer at all.  Off (default) keeps the chain byte-
   /// identical to a mount without QoS.
   bool enabled{false};
-  /// Default per-client refill rate (simulated bytes per simulated ms).
+  /// Per-client refill rate (simulated bytes per simulated ms).
   double rate_bytes_per_ms{512.0 * 1024.0};
-  /// Default bucket capacity: the burst a client may issue from a standing
-  /// start without throttling.
+  /// Per-client bucket capacity: the burst a client may issue from a
+  /// standing start without throttling.
   u64 burst_bytes{1ull << 20};
-  /// Default weighted-round-robin share for backlogged clients (envelopes
-  /// released per scheduling visit).
-  u32 default_weight{1};
-  std::vector<QosClientOverride> overrides;
 };
 
 /// "" when `cfg` is mountable; otherwise a human-readable reason (the same
@@ -122,7 +111,6 @@ class QosTransport final : public Transport {
   Result<Response> call(const Address& to, const Request& req) override;
   Ticket call_async(const Address& to, const Request& req) override;
   CompletionQueue& completions() override { return inner_.completions(); }
-  Status call_batch(const Address& to, std::vector<Request> reqs) override;
   Status flush() override;
   void pump() override;
 
@@ -159,7 +147,6 @@ class QosTransport final : public Transport {
   };
   struct Lane {
     TokenBucket bucket;
-    u32 weight{1};
     std::deque<Parked> backlog;
   };
 
@@ -171,8 +158,8 @@ class QosTransport final : public Transport {
 
   double now_locked() const { return clock_ ? clock_() : 0.0; }
   Lane& lane_locked(u32 client);
-  /// Refill every bucket and release backlogged envelopes in weighted
-  /// round-robin while tokens allow.
+  /// Refill every bucket and release backlogged envelopes round-robin, one
+  /// per lane visit, while tokens allow.
   void pump_locked(double now_ms);
   /// Dispatch one parked envelope under its owner's principal; errors go
   /// sticky.
@@ -192,7 +179,7 @@ class QosTransport final : public Transport {
   std::function<double()> clock_;
   mutable std::mutex mu_;
   std::map<u32, Lane> lanes_;  // keyed by client id (deterministic order)
-  u64 rr_cursor_{0};           // last-served position in the WRR cycle
+  u64 rr_cursor_{0};           // last-served position in the RR cycle
   u64 backlog_count_{0};
   u64 backlog_bytes_{0};
   Status sticky_{};

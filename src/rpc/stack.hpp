@@ -79,6 +79,7 @@ class TransportStack {
   QosTransport* qos() { return qos_.get(); }
   const QosTransport* qos() const { return qos_.get(); }
   FaultTransport* fault() { return fault_.get(); }
+  const FaultTransport* fault() const { return fault_.get(); }
   shard::ShardedTransport* sharded() { return sharded_.get(); }
   const shard::ShardedTransport* sharded() const { return sharded_.get(); }
 

@@ -5,12 +5,13 @@
 // interface, so swapping the implementation (formation, async, a real socket)
 // changes cost and concurrency without touching client, MDS or OSD code.
 //
-// Implementations compose as decorators:
+// Implementations compose as decorators (rpc::TransportStack builds them):
 //
-//   FaultTransport( FormationTransport( AsyncTransport( InprocTransport )))
+//   Sharded( Fault( Qos( Formation( Async( Inproc )))))
 //
 // with InprocTransport always innermost (it owns dispatch + charging) and
-// FaultTransport outermost (faults hit before any queueing, like a NIC).
+// FaultTransport outside every queueing layer (faults hit before any
+// queueing, like a NIC).
 //
 // Two call shapes share the seam:
 //
@@ -162,7 +163,9 @@ class Transport {
 
   /// Deliver several envelopes to one destination as a single wire message.
   /// The default unrolls into individual calls; InprocTransport overrides it
-  /// to charge one frame — that difference is the formation win.
+  /// to charge one frame (AsyncTransport forwards it there) — that
+  /// difference is the formation win.  FormationTransport is the only caller
+  /// in a mounted stack, and it calls the layer below it.
   virtual Status call_batch(const Address& to, std::vector<Request> reqs) {
     for (const Request& r : reqs) {
       if (Result<Response> resp = call(to, r); !resp) return resp.error();

@@ -60,24 +60,6 @@ rpc::Ticket ShardedTransport::call_async(const Address& to,
   return completions().admit(to, rpc::op_of(req), route_meta(req));
 }
 
-Status ShardedTransport::call_batch(const Address& to,
-                                    std::vector<Request> reqs) {
-  if (to.kind == Address::Kind::kOsd) {
-    if (router_.has_aliases()) {
-      for (Request& r : reqs) r = rewrite_data(r);
-    }
-    return inner_.call_batch(to, std::move(reqs));
-  }
-  // A metadata batch may span shards after routing; deliver per envelope.
-  Status first{};
-  for (const Request& r : reqs) {
-    if (Result<Response> resp = route_meta(r); !resp && first.ok()) {
-      first = resp.error();
-    }
-  }
-  return first;
-}
-
 Request ShardedTransport::rewrite_data(const Request& req) const {
   Request copy = req;
   std::visit(

@@ -58,8 +58,6 @@ class ShardedTransport final : public rpc::Transport {
   rpc::CompletionQueue& completions() override {
     return inner_.completions();
   }
-  Status call_batch(const rpc::Address& to,
-                    std::vector<rpc::Request> reqs) override;
   Status flush() override { return inner_.flush(); }
   void pump() override { inner_.pump(); }
   void set_spans(obs::SpanCollector* spans) override {

@@ -1,9 +1,8 @@
 // Frame-formation engine tests: every packed frame respects max_frame_bytes
 // (oversize singletons excepted and counted), metadata frames leave before
 // data, coalescing and list folding survive the packer, watermark/queue-depth
-// backpressure, barrier ordering, deferred-error stickiness, the
-// destructor's observable-drop contract, and the fault layer's dead-OSD read
-// guard on pre-formed frames.
+// backpressure, barrier ordering, deferred-error stickiness and the
+// destructor's observable-drop contract.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -105,7 +104,6 @@ TEST(Formation, PacksQueueIntoBoundedFrames) {
   EXPECT_EQ(s.queued, 10u);
   EXPECT_EQ(s.frames, 4u);
   EXPECT_EQ(s.oversize_frames, 0u);
-  EXPECT_EQ(s.wire_messages, 4u);
 }
 
 TEST(Formation, OversizeEnvelopeShipsAloneAndIsCounted) {
@@ -262,32 +260,6 @@ TEST(Formation, DeferredErrorGoesStickyAndSurfacesAtTheBarrier) {
   EXPECT_EQ(f.stats().deferred_errors, 1u);
   // Sticky was consumed; a later flush is clean.
   EXPECT_TRUE(f.flush().ok());
-}
-
-// The dead-OSD read guard holds for a pre-formed frame too: call_batch
-// checks and counts every envelope, and one refused read fails the frame.
-TEST(Fault, BatchRefusesReadsAddressedToADeadOsd) {
-  OsdPair osds;
-  InprocTransport inproc(osds.eps());
-  FaultTransport fault(inproc);
-  bool dead = false;
-  fault.set_dead_probe([&dead](u32 target) { return dead && target == 0; });
-  BlockReadRequest read;
-  read.ino = InodeNo{1};
-  read.runs.push_back(BlockRun{FileBlock{0}, 1});
-  const auto frame = [&] {
-    return std::vector<Request>{Request{write_req(1, 0, 1)}, Request{read},
-                                Request{read}};
-  };
-  ASSERT_TRUE(fault.call_batch(osd_at(0), frame()).ok());  // alive: served
-  dead = true;
-  EXPECT_EQ(fault.call_batch(osd_at(0), frame()).error(), Errc::kIo);
-  EXPECT_EQ(fault.stats().dead_reads, 2u);
-  // Writes alone still reach the replacement, and other targets serve.
-  EXPECT_TRUE(fault.call_batch(osd_at(0), {Request{write_req(1, 1, 1)}}).ok());
-  EXPECT_TRUE(fault.call_batch(osd_at(1), frame()).ok());
-  EXPECT_EQ(fault.stats().dead_reads, 2u);
-  EXPECT_EQ(osds.a.verify().mapped_blocks, 2u);
 }
 
 TEST(Formation, DestructorDropIsObservable) {

@@ -1,5 +1,5 @@
-// Tests for the inode-number codecs: the 64-bit composite scheme of §IV-B
-// and the forward-compatible 128-bit variant the paper sketches.
+// Tests for the 64-bit composite inode-number scheme of §IV-B and the
+// inode format's overflow-block arithmetic.
 #include <gtest/gtest.h>
 
 #include "mfs/inode.hpp"
@@ -31,44 +31,6 @@ TEST(EmbeddedInodeNo, StructuralLimitsAreDocumented) {
   // directory count in file system…" (§IV-B).
   EXPECT_EQ(EmbeddedInodeNo::kMaxSlots, u64{1} << 32);
   EXPECT_EQ(EmbeddedInodeNo::kMaxDirectories, u64{1} << 32);
-}
-
-TEST(InodeNo128, RoundTrips) {
-  Rng rng(128);
-  for (int i = 0; i < 1000; ++i) {
-    const u64 dir = rng.next();
-    const u64 off = rng.next();
-    const InodeNo128 n = InodeNo128::make(dir, off);
-    EXPECT_EQ(n.dir_of(), dir);
-    EXPECT_EQ(n.offset_of(), off);
-  }
-}
-
-TEST(InodeNo128, WidensEvery64BitNumberLosslessly) {
-  Rng rng(129);
-  for (int i = 0; i < 1000; ++i) {
-    const InodeNo n =
-        EmbeddedInodeNo::make(DirId{static_cast<u32>(rng.next())},
-                              static_cast<u32>(rng.next()));
-    const InodeNo128 wide = InodeNo128::widen(n);
-    ASSERT_TRUE(wide.narrowable());
-    EXPECT_EQ(wide.narrow().v, n.v);
-  }
-}
-
-TEST(InodeNo128, BeyondRealisticLimitsStillRepresentable) {
-  // The paper: a 128-bit number "would overcome any realistic limitations".
-  const InodeNo128 huge =
-      InodeNo128::make(u64{1} << 40, u64{5} << 33);  // > 2^32 both halves
-  EXPECT_FALSE(huge.narrowable());
-  EXPECT_EQ(huge.dir_of(), u64{1} << 40);
-  EXPECT_EQ(huge.offset_of(), u64{5} << 33);
-}
-
-TEST(InodeNo128, OrderingIsLexicographic) {
-  EXPECT_LT(InodeNo128::make(1, 5), InodeNo128::make(2, 0));
-  EXPECT_LT(InodeNo128::make(1, 5), InodeNo128::make(1, 6));
-  EXPECT_EQ(InodeNo128::make(3, 4), InodeNo128::make(3, 4));
 }
 
 TEST(InodeFormat, OverflowBlockArithmetic) {

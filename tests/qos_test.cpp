@@ -1,6 +1,6 @@
 // Token-bucket QoS transport tests: deterministic bucket refill properties,
 // admission vs parking, rate-paced release on the injected clock, per-client
-// FIFO, weighted round-robin sharing, ino-scoped barriers (with the
+// FIFO, round-robin sharing, ino-scoped barriers (with the
 // kGetExtents advisory exemption), sticky deferred errors, owner-principal
 // attribution of released envelopes, and a multi-threaded hammering case for
 // the sanitizer suites.
@@ -74,17 +74,6 @@ TEST(QosConfigValidate, RejectsUnmountableConfigs) {
   cfg = {};
   cfg.enabled = true;
   cfg.burst_bytes = 0;
-  EXPECT_NE(validate(cfg), "");
-  cfg = {};
-  cfg.enabled = true;
-  cfg.default_weight = 0;
-  EXPECT_NE(validate(cfg), "");
-  cfg = {};
-  cfg.enabled = true;
-  cfg.overrides.push_back({.client = 0, .weight = 2});
-  EXPECT_NE(validate(cfg), "");  // client 0 is the system principal
-  cfg.overrides[0].client = 1;
-  cfg.overrides[0].rate_bytes_per_ms = -1.0;
   EXPECT_NE(validate(cfg), "");
   // A disabled config is always mountable (the layer is never built).
   cfg = {};
@@ -244,7 +233,7 @@ TEST(QosTransport, OversizeEnvelopesNeverWedgeTheLane) {
   EXPECT_EQ(inner.op_counters(Op::kBlockWrite).count, 4u);
 }
 
-// --- weighted round-robin ---------------------------------------------------
+// --- round-robin ------------------------------------------------------------
 
 /// Inner transport that records the ambient principal of every call — the
 /// release order and the identity each released envelope dispatches under.
@@ -256,13 +245,11 @@ struct RecordingTransport final : Transport {
   }
 };
 
-TEST(QosTransport, WeightedRoundRobinSharesReleases) {
+TEST(QosTransport, RoundRobinSharesReleases) {
   RecordingTransport inner;
   // Burst large enough that one refill covers a whole lane's backlog (the
-  // refill credit is capped at the burst), so release order is pure WRR.
-  QosConfig cfg = small_bucket(1e9, 8 * kOneBlockWire);
-  cfg.overrides.push_back({.client = 2, .weight = 2});
-  QosTransport qos(inner, cfg);
+  // refill credit is capped at the burst), so release order is pure RR.
+  QosTransport qos(inner, small_bucket(1e9, 8 * kOneBlockWire));
   double now = 0.0;
   qos.set_clock([&now] { return now; });
   {
@@ -284,10 +271,11 @@ TEST(QosTransport, WeightedRoundRobinSharesReleases) {
   now = 1.0;  // every lane refills to its full burst: tokens gate nothing
   qos.pump();
   EXPECT_EQ(qos.backlog(), 0u);
-  // Four admissions, then WRR cycles: client 1 releases one envelope per
-  // visit, client 2 (weight 2) releases two — and every released envelope
-  // dispatched under its OWNER's principal, not the pumping thread's.
-  const std::vector<u32> want{1, 1, 2, 2, /*wrr:*/ 1, 2, 2, 1, 2, 2};
+  // Four admissions, then RR cycles: each visit releases one envelope, and
+  // client 2's longer backlog finishes alone once client 1's is empty —
+  // every released envelope dispatched under its OWNER's principal, not the
+  // pumping thread's.
+  const std::vector<u32> want{1, 1, 2, 2, /*rr:*/ 1, 2, 1, 2, 2, 2};
   EXPECT_EQ(inner.clients, want);
 }
 

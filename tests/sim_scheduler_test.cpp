@@ -1,7 +1,6 @@
-// Unit tests for the elevator/merging IO scheduler and the disk array.
+// Unit tests for the elevator/merging IO scheduler.
 #include <gtest/gtest.h>
 
-#include "sim/disk_array.hpp"
 #include "sim/io_scheduler.hpp"
 
 namespace mif::sim {
@@ -80,30 +79,6 @@ TEST(IoScheduler, ElevatorOrderReducesSeekTime) {
   }
   const double sched_time = s.drain();
   EXPECT_LT(sched_time, raw_time);
-}
-
-TEST(DiskArray, TracksPerMemberTimelines) {
-  DiskArray arr(3);
-  arr.submit(0, {IoKind::kWrite, DiskBlock{0}, 100});
-  arr.submit(1, {IoKind::kWrite, DiskBlock{0}, 200});
-  arr.drain_all();
-  // Elapsed is the slowest member, not the sum.
-  EXPECT_DOUBLE_EQ(arr.elapsed_ms(), arr.disk(1).now_ms());
-  EXPECT_GT(arr.disk(1).now_ms(), arr.disk(0).now_ms());
-  EXPECT_DOUBLE_EQ(arr.disk(2).now_ms(), 0.0);
-}
-
-TEST(DiskArray, AggregatesStats) {
-  DiskArray arr(2);
-  arr.submit(0, {IoKind::kRead, DiskBlock{0}, 10});
-  arr.submit(1, {IoKind::kWrite, DiskBlock{0}, 20});
-  arr.drain_all();
-  const DiskStats total = arr.total_stats();
-  EXPECT_EQ(total.blocks_read, 10u);
-  EXPECT_EQ(total.blocks_written, 20u);
-  EXPECT_EQ(arr.total_dispatched(), 2u);
-  arr.reset_stats();
-  EXPECT_EQ(arr.total_stats().requests, 0u);
 }
 
 }  // namespace

@@ -2,12 +2,13 @@
 // run search (fragmented, young and aged groups), extent-map insert (in file
 // order, and interleaved across regions) and lookup, allocator extend per
 // strategy (appending, and strided over thousands of extents), the metadata
-// buffer cache's hit and miss-and-evict paths, disk service and scheduler
-// drain.  These guard the simulator's own performance
+// buffer cache's hit and miss-and-evict paths, the name index under churn,
+// disk service and scheduler drain.  These guard the simulator's own performance
 // (the figure benches replay hundreds of thousands of operations).  Takes
 // google-benchmark's own flags plus the harness flags of obs/report.hpp.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "block/bitmap.hpp"
 #include "block/buffer_cache.hpp"
 #include "core/pfs.hpp"
+#include "mfs/name_index.hpp"
 #include "obs/report.hpp"
 #include "rpc/fault.hpp"
 #include "sim/io_scheduler.hpp"
@@ -234,6 +236,31 @@ void BM_BufferCacheMissEvict(benchmark::State& state) {
   benchmark::DoNotOptimize(c.stats().evictions);
 }
 BENCHMARK(BM_BufferCacheMissEvict);
+
+// A directory of 5 000 names, the shape of perfbench mds_aging's churn
+// directories: build it from empty, erase a seeded half, insert them again
+// and find every name.  The names are generated at run time.
+void BM_NameIndexChurn(benchmark::State& state) {
+  constexpr u32 kNames = 5000;
+  std::vector<std::string> names;
+  for (u32 i = 0; i < kNames; ++i) names.push_back("f" + std::to_string(i));
+  Rng rng(7);
+  std::vector<u32> victims;
+  for (u32 i = 0; i < kNames; ++i) {
+    if (rng.chance(0.5)) victims.push_back(i);
+  }
+  for (auto _ : state) {
+    mfs::NameIndex index;
+    for (u32 i = 0; i < kNames; ++i) index.insert(names[i], i);
+    for (u32 v : victims) index.erase(names[v]);
+    for (u32 v : victims) index.insert(names[v], v);
+    for (const std::string& n : names) benchmark::DoNotOptimize(index.find(n));
+    benchmark::DoNotOptimize(index.size());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(
+      state.iterations() * (2 * kNames + 2 * victims.size())));
+}
+BENCHMARK(BM_NameIndexChurn);
 
 void BM_DiskServiceSequential(benchmark::State& state) {
   sim::Disk d;

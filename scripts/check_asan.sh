@@ -13,11 +13,15 @@
 # the buffer cache's u32 slot pool and paged block index, allocator
 # properties, the attribution ledger's pro-rata splitting), where UBSan
 # catches signed overflow, bad shifts, misaligned access and enum abuse;
-# plus mfs_normal_test (the directory layout driving that cache), osd_test
-# (the storage target's file table) and obs_test, whose bench flag table
-# parses argv from outside the program.  Skips cleanly (exit 0) when the
-# toolchain has no sanitizer runtime, so plain CI environments are not
-# broken.  Registered as a ctest from tests/CMakeLists.txt for
+# plus the metadata namespace tables (the open-addressing name index and
+# both directory layouts over it, the normal layout's inode table, the
+# embedded layout's directory table and rename correlation), osd_test (the
+# storage target's file table) and obs_test, whose bench flag table parses
+# argv from outside the program.  The tree also builds with
+# -D_GLIBCXX_ASSERTIONS, so every std::vector/std::span index and
+# front()/back() on those tables is bounds-checked.  Skips cleanly (exit 0)
+# when the toolchain has no sanitizer runtime, so plain CI environments are
+# not broken.  Registered as a ctest from tests/CMakeLists.txt for
 # sanitizer-less parent builds.
 set -eu
 
@@ -32,8 +36,10 @@ mif_require_sanitizer check_asan "$SANITIZERS"
 export ASAN_OPTIONS=detect_leaks=1
 export UBSAN_OPTIONS=halt_on_error=1
 mif_sanitized_ctest check_asan "$SRC" "$SRC/build-asan" "$SANITIZERS" \
+    -D_GLIBCXX_ASSERTIONS \
     rpc_test concurrency_test fault_verify_test client_test mds_test \
     sim_disk_test sim_scheduler_test block_bitmap_test block_extent_map_test \
     block_alloc_group_test block_cache_journal_test alloc_property_test \
-    mfs_normal_test osd_test qos_test formation_test attrib_test span_test \
-    redundancy_test obs_test
+    mfs_normal_test mfs_name_index_test mfs_embedded_test \
+    mfs_dirtable_rename_test osd_test qos_test formation_test attrib_test \
+    span_test redundancy_test obs_test

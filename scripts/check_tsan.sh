@@ -21,7 +21,7 @@ SANITIZERS="thread"
 mif_require_sanitizer check_tsan "$SANITIZERS"
 
 export TSAN_OPTIONS=halt_on_error=1
-mif_sanitized_ctest check_tsan "$SRC" "$SRC/build-tsan" "$SANITIZERS" \
+mif_sanitized_ctest check_tsan "$SRC" "$SRC/build-tsan" "$SANITIZERS" "" \
     rpc_test rpc_async_test formation_test qos_test concurrency_test \
     client_test collective_test shard_test timeline_test attrib_test \
     redundancy_test

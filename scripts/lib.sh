@@ -8,10 +8,11 @@
 #   mif_require_sanitizer NAME SANITIZERS
 #                             exit 0 with a SKIP line when the toolchain
 #                             cannot link -fsanitize=SANITIZERS
-#   mif_sanitized_ctest NAME SRC BUILD SANITIZERS TEST...
+#   mif_sanitized_ctest NAME SRC BUILD SANITIZERS CXXFLAGS TEST...
 #                             configure a -DMIF_SANITIZE side build with
-#                             Ninja, build the listed test targets in one
-#                             parallel build and run them via ctest
+#                             Ninja (CXXFLAGS added to the compile flags),
+#                             build the listed test targets in one parallel
+#                             build and run them via ctest
 #
 # Every temporary registered through mif_tmpdir is removed by one shared
 # EXIT trap, so callers never write their own mktemp/trap boilerplate.  The
@@ -46,9 +47,10 @@ mif_require_sanitizer() {
   fi
 }
 
-# Configure <build> from <src> with -DMIF_SANITIZE=<sanitizers>, build the
-# listed test targets and run exactly those via ctest.  Sanitizer runtime
-# options (ASAN_OPTIONS & co.) should be exported by the caller beforehand.
+# Configure <build> from <src> with -DMIF_SANITIZE=<sanitizers> and
+# <cxxflags> (may be empty) as CMAKE_CXX_FLAGS, build the listed test
+# targets and run exactly those via ctest.  Sanitizer runtime options
+# (ASAN_OPTIONS & co.) should be exported by the caller beforehand.
 #
 # The side tree uses the Ninja generator: `ninja a b c` schedules every
 # listed target's compile and link jobs on one job pool, so the test
@@ -62,7 +64,8 @@ mif_sanitized_ctest() {
   _mif_src="$2"
   _mif_build="$3"
   _mif_san="$4"
-  shift 4
+  _mif_cxxflags="$5"
+  shift 5
 
   if [ -f "$_mif_build/CMakeCache.txt" ] &&
      ! grep -qx 'CMAKE_GENERATOR:INTERNAL=Ninja' \
@@ -71,6 +74,7 @@ mif_sanitized_ctest() {
   fi
   cmake -G Ninja -B "$_mif_build" -S "$_mif_src" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS="$_mif_cxxflags" \
         -DMIF_SANITIZE="$_mif_san" > /dev/null
 
   # A link killed part-way (a ctest timeout) can leave an empty executable

@@ -14,7 +14,7 @@ Journal::Journal(sim::IoScheduler& io, DiskBlock area_start, u64 area_blocks,
       checkpoint_interval_(std::max<u64>(1, checkpoint_interval)),
       commit_batch_(std::max<u64>(1, commit_batch)) {}
 
-void Journal::log(const std::vector<BlockRange>& home_blocks) {
+void Journal::log(std::span<const BlockRange> home_blocks) {
   u64 record_blocks = 0;
   for (const BlockRange& r : home_blocks) record_blocks += r.length;
   uncommitted_blocks_ += record_blocks;

@@ -9,6 +9,8 @@
 // contiguous.
 #pragma once
 
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "block/block_types.hpp"
@@ -44,7 +46,11 @@ class Journal {
   /// transactions the records + a commit block are written sequentially
   /// into the journal area.  Home blocks are remembered for the next
   /// checkpoint, which runs every `checkpoint_interval` transactions.
-  void log(const std::vector<BlockRange>& home_blocks);
+  void log(std::span<const BlockRange> home_blocks);
+  /// A braced transaction (`log({{a, 1}, {b, 1}})`), logged in place.
+  void log(std::initializer_list<BlockRange> home_blocks) {
+    log(std::span(home_blocks.begin(), home_blocks.size()));
+  }
 
   /// Force the running compound transaction out to the journal area.
   void commit();

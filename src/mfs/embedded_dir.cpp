@@ -69,6 +69,21 @@ Result<DiskBlock> EmbeddedDirLayout::slot_block(DirState& d, u32 slot) {
   return d.content[d.slot_group_block[group]];
 }
 
+u32 EmbeddedDirLayout::next_slot(const DirState& d) {
+  return d.reusable_slots.empty() ? static_cast<u32>(d.next_slot)
+                                  : d.reusable_slots.back();
+}
+
+void EmbeddedDirLayout::take_slot(DirState& d, u32 slot) {
+  if (slot == d.next_slot) {
+    ++d.next_slot;
+    d.slots.emplace_back();
+  } else {
+    assert(!d.reusable_slots.empty() && d.reusable_slots.back() == slot);
+    d.reusable_slots.pop_back();
+  }
+}
+
 Result<InodeNo> EmbeddedDirLayout::make_root() {
   if (root_.valid()) return Errc::kExists;
   // The root's inode number uses the reserved DirId 0 so number-based
@@ -103,13 +118,12 @@ Result<InodeNo> EmbeddedDirLayout::create_common(InodeNo parent,
   if (!d) return Errc::kNotDirectory;
   if (d->index.find(name)) return Errc::kExists;
 
-  u32 slot;
-  if (!d->reusable_slots.empty()) {
-    slot = d->reusable_slots.back();
-    d->reusable_slots.pop_back();
-  } else {
-    slot = static_cast<u32>(d->next_slot++);
-  }
+  // The slot is claimed only once every allocation has succeeded: a failed
+  // create or mkdir changes nothing.
+  const u32 slot = next_slot(*d);
+  const std::size_t groups_before = d->slot_group_block.size();
+  const u64 used_before = d->used_blocks;
+  const std::size_t content_before = d->content.size();
   auto blk = slot_block(*d, slot);
   if (!blk) return blk.error();
 
@@ -123,10 +137,6 @@ Result<InodeNo> EmbeddedDirLayout::create_common(InodeNo parent,
   std::vector<block::BlockRange> tx{{*blk, 1}};
 
   if (type == FileType::kDirectory) {
-    const DirId id = dir_table_.register_directory(ino);
-    node.dir_id = id;
-    DirState child{ctx_.readahead};
-    child.id = id;
     // Persistent content preallocation for the new directory's future
     // children.  Content is placed right after the parent's content region:
     // related directories cluster on disk the way related cylinder-group
@@ -137,7 +147,17 @@ Result<InodeNo> EmbeddedDirLayout::create_common(InodeNo parent,
         d->content.empty() ? DiskBlock{table_base_.v + cfg_.dir_table_blocks}
                            : DiskBlock{d->content.back().v + 1},
         1, cfg_.initial_dir_blocks);
-    if (!run) return Errc::kNoSpace;
+    if (!run) {
+      // Give back what slot_block took for the slot's group.
+      d->slot_group_block.resize(groups_before);
+      d->used_blocks = used_before;
+      release_content(*d, content_before);
+      return Errc::kNoSpace;
+    }
+    const DirId id = dir_table_.register_directory(ino);
+    node.dir_id = id;
+    DirState child{ctx_.readahead};
+    child.id = id;
     for (u64 i = 0; i < run->length; ++i)
       child.content.push_back(DiskBlock{run->start.v + i});
     dirs_.emplace(id.v, std::move(child));
@@ -158,8 +178,9 @@ Result<InodeNo> EmbeddedDirLayout::create_common(InodeNo parent,
     }
   }
 
+  take_slot(*d, slot);
   inodes_[ino.v] = std::move(node);
-  d->slots[slot] = Slot{std::string(name), ino, type};
+  d->slots[slot] = Slot{ino, type};
   d->index.insert(name, slot);
   ++d->live_entries;
 
@@ -191,7 +212,7 @@ Result<InodeNo> EmbeddedDirLayout::lookup(InodeNo dir, std::string_view name) {
   // content block holding the embedded inode — no linear dirent scan.
   const u64 group = *slot / Format::kEmbeddedSlotsPerBlock;
   ctx_.cache.read(d->content[d->slot_group_block[group]], 1);
-  return d->slots.at(static_cast<u32>(*slot)).ino;
+  return d->slots[*slot]->ino;
 }
 
 Status EmbeddedDirLayout::stat(InodeNo ino) {
@@ -232,9 +253,10 @@ Result<std::vector<DirEntry>> EmbeddedDirLayout::readdir(InodeNo dir,
   std::vector<DirEntry> out;
   out.reserve(d->live_entries);
   for (u32 s = 0; s < d->next_slot; ++s) {
-    auto it = d->slots.find(s);
-    if (it == d->slots.end()) continue;
-    out.push_back(DirEntry{it->second.name, it->second.ino, it->second.type});
+    const auto& slot = d->slots[s];
+    if (!slot) continue;
+    out.push_back(
+        DirEntry{std::string(d->index.name_at(s)), slot->ino, slot->type});
   }
   return out;
 }
@@ -254,13 +276,13 @@ Status EmbeddedDirLayout::unlink(InodeNo dir, std::string_view name) {
   auto slot = d->index.find(name);
   if (!slot) return Errc::kNotFound;
   const u32 s = static_cast<u32>(*slot);
-  Slot entry = d->slots.at(s);
+  const Slot entry = *d->slots[s];
 
   if (entry.type == FileType::kDirectory) {
     DirState* child = dir_state(entry.ino);
     if (child && child->live_entries > 0) return Errc::kNotEmpty;
     if (child) {
-      release_content(*child);
+      release_content(*child, 0);
       (void)dir_table_.unregister(child->id);
       dirs_.erase(child->id.v);
     }
@@ -286,16 +308,16 @@ Status EmbeddedDirLayout::unlink(InodeNo dir, std::string_view name) {
 
   inodes_.erase(correlation_.current(entry.ino).v);
   d->index.erase(name);
-  d->slots.erase(s);
+  d->slots[s].reset();
   --d->live_entries;
   d->pending_frees.push_back(s);
   if (d->pending_frees.size() >= cfg_.lazy_free_batch) lazy_free_flush(*d);
   return {};
 }
 
-void EmbeddedDirLayout::release_content(DirState& d) {
+void EmbeddedDirLayout::release_content(DirState& d, std::size_t keep) {
   // Free maximal contiguous runs.
-  std::size_t i = 0;
+  std::size_t i = keep;
   while (i < d.content.size()) {
     std::size_t j = i + 1;
     while (j < d.content.size() &&
@@ -304,7 +326,7 @@ void EmbeddedDirLayout::release_content(DirState& d) {
     (void)ctx_.space.free_range({d.content[i], j - i});
     i = j;
   }
-  d.content.clear();
+  d.content.resize(keep);
 }
 
 Result<InodeNo> EmbeddedDirLayout::rename(InodeNo src_dir,
@@ -317,16 +339,24 @@ Result<InodeNo> EmbeddedDirLayout::rename(InodeNo src_dir,
   auto src_slot = src->index.find(src_name);
   if (!src_slot) return Errc::kNotFound;
   if (dst->index.find(dst_name)) return Errc::kExists;
+
+  // The destination slot's block comes first: when it cannot be had,
+  // nothing changes.  (The source slot waits for lazy-free, so it is never
+  // the one taken here.)
+  const u32 s_new = next_slot(*dst);
+  auto dst_blk = slot_block(*dst, s_new);
+  if (!dst_blk) return dst_blk.error();
+  take_slot(*dst, s_new);
   ++stats_.renames;
 
   const u32 s_old = static_cast<u32>(*src_slot);
-  Slot moving = src->slots.at(s_old);
+  Slot moving = *src->slots[s_old];
   const InodeNo old_ino = correlation_.current(moving.ino);
   Inode node = std::move(inodes_.at(old_ino.v));
   inodes_.erase(old_ino.v);
 
   src->index.erase(src_name);
-  src->slots.erase(s_old);
+  src->slots[s_old].reset();
   --src->live_entries;
   src->pending_frees.push_back(s_old);
   if (moving.type == FileType::kFile) {
@@ -334,16 +364,6 @@ Result<InodeNo> EmbeddedDirLayout::rename(InodeNo src_dir,
         std::min<u64>(src->extent_units, node.last_synced_extents);
     --src->file_count;
   }
-
-  u32 s_new;
-  if (!dst->reusable_slots.empty()) {
-    s_new = dst->reusable_slots.back();
-    dst->reusable_slots.pop_back();
-  } else {
-    s_new = static_cast<u32>(dst->next_slot++);
-  }
-  auto dst_blk = slot_block(*dst, s_new);
-  if (!dst_blk) return dst_blk.error();
 
   // "Because inode number encodes the inode's parent directory
   // identification, the inode number must be changed" — and the old↔new
@@ -365,7 +385,6 @@ Result<InodeNo> EmbeddedDirLayout::rename(InodeNo src_dir,
   inodes_[new_ino.v] = std::move(node);
   correlation_.record(old_ino, new_ino);
 
-  moving.name = std::string(dst_name);
   moving.ino = new_ino;
   dst->slots[s_new] = std::move(moving);
   dst->index.insert(dst_name, s_new);
@@ -476,24 +495,49 @@ NamespaceVerifyReport EmbeddedDirLayout::verify() const {
 
   // Slot ↔ inode ↔ directory-table consistency.
   for (const auto& [id, d] : dirs_) {
-    for (const auto& [slot, entry] : d.slots) {
-      auto node = inodes_.find(entry.ino.v);
+    u64 named = 0;
+    for (u32 s = 0; s < d.slots.size(); ++s) {
+      const auto& entry = d.slots[s];
+      if (!entry) continue;
+      ++named;
+      if (d.index.find(d.index.name_at(s)) != s)
+        report.links_consistent = false;
+      auto node = inodes_.find(entry->ino.v);
       if (node == inodes_.end()) {
         report.links_consistent = false;
         continue;
       }
       // A file's composite number must encode this directory.
       if (node->second.type == FileType::kFile &&
-          EmbeddedInodeNo::dir_of(entry.ino).v != id) {
+          EmbeddedInodeNo::dir_of(entry->ino).v != id) {
         report.links_consistent = false;
       }
       // A child directory must be registered and resolvable.
       if (node->second.type == FileType::kDirectory) {
         auto via_table = dir_table_.directory_inode(node->second.dir_id);
-        if (!via_table || via_table->v != entry.ino.v) {
+        if (!via_table || via_table->v != entry->ino.v) {
           report.links_consistent = false;
         }
       }
+    }
+    if (named != d.live_entries || named != d.index.size())
+      report.links_consistent = false;
+    // The directory's own inode is live and carries this id.
+    auto owner = dir_table_.directory_inode(d.id);
+    auto node = owner ? inodes_.find(owner->v) : inodes_.end();
+    if (node == inodes_.end() || node->second.dir_id.v != id)
+      report.links_consistent = false;
+  }
+  // Every inode but the root is named by the slot its composite number
+  // encodes.
+  for (const auto& [num, node] : inodes_) {
+    if (num == root_.v) continue;
+    auto dir = dirs_.find(EmbeddedInodeNo::dir_of(node.num).v);
+    const u32 s = EmbeddedInodeNo::offset_of(node.num);
+    if (node.num.v != num || dir == dirs_.end() ||
+        s >= dir->second.slots.size() || !dir->second.slots[s] ||
+        dir->second.slots[s]->ino.v != num) {
+      report.links_consistent = false;
     }
   }
   return report;

@@ -78,7 +78,6 @@ class EmbeddedDirLayout final : public DirLayout {
 
  private:
   struct Slot {
-    std::string name;
     InodeNo ino{};
     FileType type{FileType::kFile};
   };
@@ -90,8 +89,8 @@ class EmbeddedDirLayout final : public DirLayout {
     u64 next_slot{0};
     std::vector<u32> reusable_slots;    // reclaimed by lazy-free
     std::vector<u32> pending_frees;     // awaiting lazy-free
-    NameIndex index;                    // name -> slot
-    std::unordered_map<u32, Slot> slots;
+    NameIndex index;                    // name -> slot, and the names
+    std::vector<std::optional<Slot>> slots;  // slot-indexed
     u64 live_entries{0};
     u64 extent_units{0};  // Σ extent counts of child files
     u64 file_count{0};
@@ -110,10 +109,16 @@ class EmbeddedDirLayout final : public DirLayout {
   Result<u64> take_content_block(DirState& d);
   /// Content block holding a slot's embedded inode.
   Result<DiskBlock> slot_block(DirState& d, u32 slot);
+  /// Slot a new entry of `d` takes: the most recently reclaimed one, else
+  /// the next never-used one.
+  static u32 next_slot(const DirState& d);
+  /// Claim `slot` (just returned by next_slot) for a new entry.
+  static void take_slot(DirState& d, u32 slot);
   DiskBlock dir_table_block(DirId id) const;
   void lazy_free_flush(DirState& d);
-  /// Release every content block of a directory (rmdir).
-  void release_content(DirState& d);
+  /// Free the content blocks from index `keep` on, and forget them (rmdir
+  /// releases them all).
+  void release_content(DirState& d, std::size_t keep);
 
   EmbeddedLayoutConfig cfg_;
   DiskBlock table_base_{};     // global directory table region

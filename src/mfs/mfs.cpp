@@ -1,5 +1,6 @@
 #include "mfs/mfs.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/export.hpp"
@@ -14,16 +15,24 @@ std::string_view to_string(DirectoryMode m) {
   return "?";
 }
 
+std::string_view PathComponents::next() {
+  const std::size_t start = rest_.find_first_not_of('/');
+  if (start == std::string_view::npos) {
+    rest_ = {};
+    return {};
+  }
+  rest_.remove_prefix(start);
+  const std::size_t len = std::min(rest_.find('/'), rest_.size());
+  const std::string_view part = rest_.substr(0, len);
+  rest_.remove_prefix(len);
+  return part;
+}
+
 std::vector<std::string_view> split_path(std::string_view path) {
   std::vector<std::string_view> parts;
-  std::size_t i = 0;
-  while (i < path.size()) {
-    while (i < path.size() && path[i] == '/') ++i;
-    std::size_t j = i;
-    while (j < path.size() && path[j] != '/') ++j;
-    if (j > i) parts.push_back(path.substr(i, j - i));
-    i = j;
-  }
+  PathComponents components(path);
+  for (auto part = components.next(); !part.empty(); part = components.next())
+    parts.push_back(part);
   return parts;
 }
 
@@ -59,17 +68,19 @@ void Mfs::sync_point() {
 }
 
 Result<Mfs::Walk> Mfs::walk_to_parent(std::string_view path) {
-  auto parts = split_path(path);
-  if (parts.empty()) return Errc::kInvalid;
-  InodeNo dir = layout_->root();
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
-    auto next = layout_->lookup(dir, parts[i]);
-    if (!next) return next.error();
-    Inode* node = layout_->find(*next);
+  PathComponents components(path);
+  Walk w{layout_->root(), components.next()};
+  if (w.leaf.empty()) return Errc::kInvalid;
+  // Descend through each component that turns out not to be the last.
+  for (auto next = components.next(); !next.empty();
+       next = components.next()) {
+    auto child = layout_->lookup(w.parent, w.leaf);
+    if (!child) return child.error();
+    Inode* node = layout_->find(*child);
     if (!node || !node->is_dir()) return Errc::kNotDirectory;
-    dir = *next;
+    w = Walk{*child, next};
   }
-  return Walk{dir, std::string(parts.back())};
+  return w;
 }
 
 Result<InodeNo> Mfs::mkdir(std::string_view path) {
@@ -89,9 +100,9 @@ Result<InodeNo> Mfs::create(std::string_view path) {
 }
 
 Result<InodeNo> Mfs::resolve(std::string_view path) {
-  auto parts = split_path(path);
+  PathComponents components(path);
   InodeNo cur = layout_->root();
-  for (std::string_view p : parts) {
+  for (auto p = components.next(); !p.empty(); p = components.next()) {
     auto next = layout_->lookup(cur, p);
     if (!next) return next.error();
     cur = *next;

@@ -108,7 +108,7 @@ class Mfs {
  private:
   struct Walk {
     InodeNo parent{};
-    std::string leaf;
+    std::string_view leaf;  // a view into the walked path
   };
   Result<Walk> walk_to_parent(std::string_view path);
   void sync_point();
@@ -122,7 +122,20 @@ class Mfs {
   std::unique_ptr<DirLayout> layout_;
 };
 
-/// Split "a/b/c" into components; leading/duplicate slashes are tolerated.
+/// The path-splitting rule: the components of "a/b/c" in order, as views
+/// into the path; leading, trailing and duplicate slashes are tolerated.
+/// Nothing is allocated, so a path walk stays off the heap.
+class PathComponents {
+ public:
+  explicit PathComponents(std::string_view path) : rest_(path) {}
+  /// The next component, or an empty view once the path is used up.
+  std::string_view next();
+
+ private:
+  std::string_view rest_;
+};
+
+/// Every component of `path`, as PathComponents yields them.
 std::vector<std::string_view> split_path(std::string_view path);
 
 }  // namespace mif::mfs

@@ -8,14 +8,21 @@
 // The index returns which *entry ordinal* a name maps to; the directory
 // layout translates that to blocks, and the discipline decides how many
 // blocks a cold lookup must touch.
+//
+// The in-memory structure is a flat open-addressing table: 8-byte cells of
+// (32-bit name hash, ordinal), linear probing, and backward-shift deletion,
+// so a churned directory (half its names unlinked, new ones created) keeps
+// no tombstones and its probe runs stay as short as a fresh table's.  The
+// index owns each bound name in an ordinal-indexed store, which is all the
+// layouts keep of a name.  A find costs one cell probe run and, on a hash
+// match, one name compare; nothing is allocated per lookup.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 #include "util/types.hpp"
 
@@ -33,13 +40,23 @@ u64 name_hash(std::string_view name);
 class NameIndex {
  public:
   /// Insert a name → ordinal binding.  Fails (returns false) on duplicates.
+  /// `ordinal` must be unbound and below 2^32 - 1.
   bool insert(std::string_view name, u64 ordinal);
 
   std::optional<u64> find(std::string_view name) const;
 
   bool erase(std::string_view name);
 
-  std::size_t size() const { return map_.size(); }
+  std::size_t size() const { return size_; }
+
+  /// The name bound to `ordinal`, which must be bound.  The view lasts
+  /// until the next insert or erase.
+  std::string_view name_at(u64 ordinal) const { return names_[ordinal]; }
+
+  /// Cells in the table: 0 until the first insert, then a power of two.  A
+  /// name's probe run starts at cell `cell_hash(name) & (capacity() - 1)`.
+  std::size_t capacity() const { return cells_.size(); }
+  static u32 cell_hash(std::string_view name);
 
   /// Number of dirent blocks a cold lookup touches under the given
   /// discipline, for a directory whose entries span `blocks` dirent blocks
@@ -47,16 +64,29 @@ class NameIndex {
   static u64 lookup_block_cost(LookupDiscipline d, u64 blocks, u64 found_in);
 
  private:
-  /// Transparent, so find/erase probe with the caller's string_view.  Hashes
-  /// exactly like std::hash<std::string>, so the bucket layout is unchanged.
-  struct NameHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view name) const {
-      return std::hash<std::string_view>{}(name);
-    }
+  struct Cell {
+    u32 hash{0};
+    u32 ordinal{kEmpty};
   };
+  static constexpr u32 kEmpty = ~u32{0};
+  static constexpr std::size_t kNone = ~std::size_t{0};
+  /// First table size, and the load (kMaxLoadNum / kMaxLoadDen) past which
+  /// the table doubles.  BM_NameIndexChurn (bench/micro_ops.cpp) times
+  /// bounds from 1/2 to 7/8 alike on a 5 000-name directory; 3/4 keeps
+  /// half the cells 1/2 would there.
+  static constexpr std::size_t kInitialCells = 16;
+  static constexpr std::size_t kMaxLoadNum = 3;
+  static constexpr std::size_t kMaxLoadDen = 4;
 
-  std::unordered_map<std::string, u64, NameHash, std::equal_to<>> map_;
+  /// Cell binding `name` (whose cell hash is `h`), or kNone.
+  std::size_t locate(std::string_view name, u32 h) const;
+  /// Put `c` in the first empty cell of its probe run.
+  void place(Cell c);
+  void grow();
+
+  std::vector<Cell> cells_;
+  std::vector<std::string> names_;  // ordinal-indexed
+  std::size_t size_{0};
 };
 
 }  // namespace mif::mfs

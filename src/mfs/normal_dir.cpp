@@ -1,7 +1,9 @@
 #include "mfs/normal_dir.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <span>
 
 namespace mif::mfs {
 
@@ -28,6 +30,56 @@ DiskBlock NormalDirLayout::inode_block_of(InodeNo ino) const {
 NormalDirLayout::DirState* NormalDirLayout::dir_state(InodeNo dir) {
   auto it = dirs_.find(dir.v);
   return it == dirs_.end() ? nullptr : &it->second;
+}
+
+u64 NormalDirLayout::next_ordinal(const DirState& d) {
+  return d.free_ordinals.empty() ? d.slots.size() : d.free_ordinals.back();
+}
+
+void NormalDirLayout::take_ordinal(DirState& d, u64 ordinal) {
+  if (ordinal == d.slots.size()) {
+    d.slots.emplace_back();
+  } else {
+    assert(!d.free_ordinals.empty() && d.free_ordinals.back() == ordinal);
+    d.free_ordinals.pop_back();
+  }
+}
+
+NormalDirLayout::Record* NormalDirLayout::record(InodeNo ino) {
+  if (ino.v >= record_of_.size() || record_of_[ino.v] == 0) return nullptr;
+  const u32 r = record_of_[ino.v] - 1;
+  return &chunks_[r / kChunkRecords][r % kChunkRecords];
+}
+
+const NormalDirLayout::Record* NormalDirLayout::record(InodeNo ino) const {
+  return const_cast<NormalDirLayout*>(this)->record(ino);
+}
+
+NormalDirLayout::Record& NormalDirLayout::new_record() {
+  u32 r;
+  if (!free_records_.empty()) {
+    r = free_records_.back();
+    free_records_.pop_back();
+  } else {
+    assert(records_used_ < ~u32{0} && "inode record index overflows");
+    if (records_used_ % kChunkRecords == 0)
+      chunks_.push_back(std::make_unique<Record[]>(kChunkRecords));
+    r = records_used_++;
+  }
+  const InodeNo ino{record_of_.size()};
+  record_of_.push_back(r + 1);
+  Record& rec = chunks_[r / kChunkRecords][r % kChunkRecords];
+  rec = Record{};
+  rec.inode.num = ino;
+  rec.inode.inode_block = inode_block_of(ino);
+  return rec;
+}
+
+void NormalDirLayout::drop_record(InodeNo ino) {
+  u32& slot = record_of_[ino.v];
+  assert(slot != 0);
+  free_records_.push_back(slot - 1);
+  slot = 0;
 }
 
 Result<DiskBlock> NormalDirLayout::ensure_dirent_block(DirState& d,
@@ -59,12 +111,9 @@ void NormalDirLayout::read_dirent_block(DirState& d, u64 ordinal) {
 
 Result<InodeNo> NormalDirLayout::make_root() {
   if (root_.valid()) return Errc::kExists;
-  const InodeNo ino{next_ino_++};
-  Inode node;
-  node.num = ino;
-  node.type = FileType::kDirectory;
-  node.inode_block = inode_block_of(ino);
-  inodes_[ino.v] = std::move(node);
+  Record& rec = new_record();
+  rec.inode.type = FileType::kDirectory;
+  const InodeNo ino = rec.inode.num;
   dirs_.emplace(ino.v, DirState{ctx_.readahead});
   root_ = ino;
   ctx_.journal.log({{inode_block_of(ino), 1}, {ibitmap_block_, 1}});
@@ -88,26 +137,19 @@ Result<InodeNo> NormalDirLayout::create_common(InodeNo parent,
   }
   if (d->index.find(name)) return Errc::kExists;
 
-  u64 ordinal;
-  if (!d->free_ordinals.empty()) {
-    ordinal = d->free_ordinals.back();
-    d->free_ordinals.pop_back();
-  } else {
-    ordinal = d->slots.size();
-    d->slots.emplace_back();
-  }
+  // The dirent block comes first: when it cannot be had, nothing changes.
+  const u64 ordinal = next_ordinal(*d);
   auto dirent_blk = ensure_dirent_block(*d, ordinal);
   if (!dirent_blk) return dirent_blk.error();
+  take_ordinal(*d, ordinal);
 
-  const InodeNo ino{next_ino_++};
-  Inode node;
-  node.num = ino;
-  node.type = type;
-  node.inode_block = inode_block_of(ino);
-  inodes_[ino.v] = std::move(node);
-  linkage_[ino.v] = Linkage{parent, ordinal};
+  Record& rec = new_record();
+  rec.inode.type = type;
+  rec.parent = parent;
+  rec.ordinal = ordinal;
+  const InodeNo ino = rec.inode.num;
 
-  d->slots[ordinal] = Slot{std::string(name), ino, type};
+  d->slots[ordinal] = Slot{ino, type};
   d->index.insert(name, ordinal);
   ++d->live_entries;
 
@@ -197,9 +239,11 @@ Result<std::vector<DirEntry>> NormalDirLayout::readdir(InodeNo dir,
     for (u64 f = 0; f < fetch && idx + f < d->dirent_blocks.size(); ++f)
       ctx_.cache.read(d->dirent_blocks[idx + f], 1);
   }
-  for (const auto& slot : d->slots) {
+  for (std::size_t ord = 0; ord < d->slots.size(); ++ord) {
+    const auto& slot = d->slots[ord];
     if (!slot) continue;
-    out.push_back(DirEntry{slot->name, slot->ino, slot->type});
+    out.push_back(
+        DirEntry{std::string(d->index.name_at(ord)), slot->ino, slot->type});
     if (plus) {
       // readdirplus: fetch each child's inode from the table region — the
       // second disk region of Fig. 1(b) — plus any spilled mapping blocks.
@@ -241,22 +285,25 @@ Status NormalDirLayout::unlink(InodeNo dir, std::string_view name) {
   }
   ++stats_.unlinks;
 
-  Inode& node = inodes_.at(slot.ino.v);
+  Record* rec = record(slot.ino);
+  assert(rec);
+  const Inode& node = rec->inode;
   const DiskBlock dirent_blk =
       d->dirent_blocks[*ordinal / Format::kDirentsPerBlock];
   // ext3 unlink transaction: dirent block, inode block (dtime), inode
   // bitmap, and the block bitmap(s) covering freed mapping blocks.
   ctx_.cache.read(dirent_blk, 1);
   ctx_.cache.read(node.inode_block, 1);
-  std::vector<block::BlockRange> tx{
-      {dirent_blk, 1}, {node.inode_block, 1}, {ibitmap_block_, 1}};
-  if (!node.mapping_blocks.empty()) tx.push_back({gdesc_block_, 1});
-  ctx_.journal.log(tx);
+  const std::array<block::BlockRange, 4> tx{{{dirent_blk, 1},
+                                             {node.inode_block, 1},
+                                             {ibitmap_block_, 1},
+                                             {gdesc_block_, 1}}};
+  ctx_.journal.log(
+      std::span(tx).first(node.mapping_blocks.empty() ? 3 : 4));
   for (DiskBlock mb : node.mapping_blocks)
     (void)ctx_.space.free_range({mb, 1});
 
-  linkage_.erase(slot.ino.v);
-  inodes_.erase(slot.ino.v);
+  drop_record(slot.ino);
   d->index.erase(name);
   d->slots[*ordinal].reset();
   d->free_ordinals.push_back(*ordinal);
@@ -274,29 +321,31 @@ Result<InodeNo> NormalDirLayout::rename(InodeNo src_dir,
   auto src_ord = src->index.find(src_name);
   if (!src_ord) return Errc::kNotFound;
   if (dst->index.find(dst_name)) return Errc::kExists;
-  ++stats_.renames;
 
-  Slot moving = *src->slots[*src_ord];
-  src->index.erase(src_name);
-  src->slots[*src_ord].reset();
-  src->free_ordinals.push_back(*src_ord);
-  --src->live_entries;
-
-  u64 ordinal;
-  if (!dst->free_ordinals.empty()) {
-    ordinal = dst->free_ordinals.back();
-    dst->free_ordinals.pop_back();
-  } else {
-    ordinal = dst->slots.size();
-    dst->slots.emplace_back();
-  }
+  // The source entry's ordinal is freed before the destination takes one,
+  // so a rename within one directory takes the ordinal it frees.  The
+  // destination's dirent block comes first: when it cannot be had, nothing
+  // changes.
+  const u64 ordinal = src == dst ? *src_ord : next_ordinal(*dst);
   auto dst_blk = ensure_dirent_block(*dst, ordinal);
   if (!dst_blk) return dst_blk.error();
-  moving.name = std::string(dst_name);
+  ++stats_.renames;
+
+  const Slot moving = *src->slots[*src_ord];
+  src->index.erase(src_name);
+  src->slots[*src_ord].reset();
+  --src->live_entries;
+  if (src != dst) {
+    src->free_ordinals.push_back(*src_ord);
+    take_ordinal(*dst, ordinal);
+  }
   dst->slots[ordinal] = moving;
   dst->index.insert(dst_name, ordinal);
   ++dst->live_entries;
-  linkage_[moving.ino.v] = Linkage{dst_dir, ordinal};
+  Record* rec = record(moving.ino);
+  assert(rec);
+  rec->parent = dst_dir;
+  rec->ordinal = ordinal;
 
   const DiskBlock src_blk =
       src->dirent_blocks[*src_ord / Format::kDirentsPerBlock];
@@ -341,15 +390,16 @@ Status NormalDirLayout::getlayout(InodeNo file) {
 }
 
 Inode* NormalDirLayout::find(InodeNo ino) {
-  auto it = inodes_.find(ino.v);
-  return it == inodes_.end() ? nullptr : &it->second;
+  Record* rec = record(ino);
+  return rec ? &rec->inode : nullptr;
 }
 
 void NormalDirLayout::scan_fragmentation(
     const std::function<void(u64)>& file_cb,
     const std::function<void(double, u64)>& dir_cb) const {
-  for (const auto& [num, node] : inodes_) {
-    if (!node.is_dir()) file_cb(node.last_synced_extents);
+  for (u64 n = 1; n < record_of_.size(); ++n) {
+    const Record* rec = record(InodeNo{n});
+    if (rec && !rec->inode.is_dir()) file_cb(rec->inode.last_synced_extents);
   }
   // No per-directory accumulator in this layout (the traditional scheme has
   // no use for the degree); derive it from the live dirents.
@@ -358,10 +408,10 @@ void NormalDirLayout::scan_fragmentation(
     u64 extents = 0;
     for (const auto& slot : d.slots) {
       if (!slot || slot->type != FileType::kFile) continue;
-      auto it = inodes_.find(slot->ino.v);
-      if (it == inodes_.end()) continue;
+      const Record* rec = record(slot->ino);
+      if (!rec) continue;
       ++files;
-      extents += it->second.last_synced_extents;
+      extents += rec->inode.last_synced_extents;
     }
     dir_cb(files == 0 ? 0.0
                       : static_cast<double>(extents) /
@@ -372,7 +422,7 @@ void NormalDirLayout::scan_fragmentation(
 
 NamespaceVerifyReport NormalDirLayout::verify() const {
   NamespaceVerifyReport report;
-  report.inodes = inodes_.size();
+  report.inodes = records_used_ - free_records_.size();
   report.directories = dirs_.size();
 
   // Every metadata block (dirent blocks, mapping blocks) owned exactly once.
@@ -380,30 +430,46 @@ NamespaceVerifyReport NormalDirLayout::verify() const {
   for (const auto& [ino, d] : dirs_) {
     for (DiskBlock b : d.dirent_blocks) blocks.push_back(b.v);
   }
-  for (const auto& [ino, node] : inodes_) {
-    for (DiskBlock b : node.mapping_blocks) blocks.push_back(b.v);
+  u64 live = 0;
+  for (u64 n = 1; n < record_of_.size(); ++n) {
+    const Record* rec = record(InodeNo{n});
+    if (!rec) continue;
+    ++live;
+    for (DiskBlock b : rec->inode.mapping_blocks) blocks.push_back(b.v);
+    // The record is this number's, and (the root aside) a live dirent at
+    // its linkage names it.
+    if (rec->inode.num.v != n) report.links_consistent = false;
+    if (n == root_.v) continue;
+    auto parent = dirs_.find(rec->parent.v);
+    if (parent == dirs_.end() ||
+        rec->ordinal >= parent->second.slots.size() ||
+        !parent->second.slots[rec->ordinal] ||
+        parent->second.slots[rec->ordinal]->ino.v != n) {
+      report.links_consistent = false;
+    }
   }
+  if (live != report.inodes) report.links_consistent = false;
   report.metadata_blocks = blocks.size();
   std::sort(blocks.begin(), blocks.end());
   report.blocks_unique =
       std::adjacent_find(blocks.begin(), blocks.end()) == blocks.end();
 
-  // Every directory slot points at a live inode whose linkage points back.
+  // Every directory slot points at a live inode whose linkage points back,
+  // under the name the index binds to that slot.
   for (const auto& [dir_ino, d] : dirs_) {
+    u64 named = 0;
     for (std::size_t ord = 0; ord < d.slots.size(); ++ord) {
       const auto& slot = d.slots[ord];
       if (!slot) continue;
-      auto node = inodes_.find(slot->ino.v);
-      if (node == inodes_.end()) {
-        report.links_consistent = false;
-        continue;
-      }
-      auto link = linkage_.find(slot->ino.v);
-      if (link == linkage_.end() || link->second.parent.v != dir_ino ||
-          link->second.ordinal != ord) {
+      ++named;
+      const Record* rec = record(slot->ino);
+      if (!rec || rec->parent.v != dir_ino || rec->ordinal != ord ||
+          d.index.find(d.index.name_at(ord)) != ord) {
         report.links_consistent = false;
       }
     }
+    if (named != d.live_entries || named != d.index.size())
+      report.links_consistent = false;
   }
   return report;
 }

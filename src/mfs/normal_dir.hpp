@@ -4,8 +4,18 @@
 // the dirent block AND the inode-table block; a getlayout may add mapping
 // blocks — each in a different disk region, hence the positioning traffic
 // MiF attacks.
+//
+// In memory, each directory keeps an ordinal-indexed slot vector and its
+// NameIndex (which owns the names).  The inodes live in one table indexed by
+// inode number: numbers come from a counter and are never reused, so a
+// vector maps each number ever issued to a record (4 B per number), and the
+// records sit in fixed-size chunks, recycled through a free list, so an
+// Inode* from find() stays valid until its inode is unlinked.  A record
+// also holds the inode's linkage — the directory and ordinal of the dirent
+// naming it.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <unordered_map>
 
@@ -45,7 +55,6 @@ class NormalDirLayout final : public DirLayout {
 
  private:
   struct Slot {
-    std::string name;
     InodeNo ino{};
     FileType type{FileType::kFile};
   };
@@ -53,7 +62,7 @@ class NormalDirLayout final : public DirLayout {
     std::vector<DiskBlock> dirent_blocks;
     std::vector<std::optional<Slot>> slots;  // ordinal-indexed
     std::vector<u64> free_ordinals;
-    NameIndex index;  // name -> ordinal
+    NameIndex index;  // name -> ordinal, and the names themselves
     u64 live_entries{0};
     // ext3-style per-directory block reservation for dirent growth, so each
     // directory's dirent blocks cluster with their own window instead of
@@ -63,9 +72,28 @@ class NormalDirLayout final : public DirLayout {
     explicit DirState(const sim::ReadaheadConfig&) {}
   };
 
+  /// An inode and its linkage: the directory and ordinal of its dirent.
+  struct Record {
+    Inode inode;
+    InodeNo parent{};
+    u64 ordinal{0};
+  };
+  static constexpr u32 kChunkRecords = 256;
+
   Result<InodeNo> create_common(InodeNo parent, std::string_view name,
                                 FileType type);
   DirState* dir_state(InodeNo dir);
+  /// Next ordinal a new entry of `d` takes: the most recently freed one,
+  /// else one past the end.
+  static u64 next_ordinal(const DirState& d);
+  /// Claim `ordinal` (just returned by next_ordinal) for a new entry.
+  static void take_ordinal(DirState& d, u64 ordinal);
+  /// Live record of `ino`, or nullptr.
+  Record* record(InodeNo ino);
+  const Record* record(InodeNo ino) const;
+  /// Issue the next inode number, with a fresh record.
+  Record& new_record();
+  void drop_record(InodeNo ino);
   DiskBlock inode_block_of(InodeNo ino) const;
   /// Ensure the dirent block covering `ordinal` exists; returns it.
   Result<DiskBlock> ensure_dirent_block(DirState& d, u64 ordinal);
@@ -76,16 +104,14 @@ class NormalDirLayout final : public DirLayout {
   DiskBlock table_base_{};
   DiskBlock ibitmap_block_{};
   DiskBlock gdesc_block_{};
-  u64 next_ino_{1};
   InodeNo root_{};
-  std::unordered_map<u64, Inode> inodes_;
   std::unordered_map<u64, DirState> dirs_;
-  /// parent dir + ordinal of every inode, to locate its dirent.
-  struct Linkage {
-    InodeNo parent{};
-    u64 ordinal{0};
-  };
-  std::unordered_map<u64, Linkage> linkage_;
+  /// Inode number -> record index + 1 (0: no live inode).  Its size is the
+  /// next number to issue.
+  std::vector<u32> record_of_{0};
+  std::vector<std::unique_ptr<Record[]>> chunks_;
+  u32 records_used_{0};  // records ever carved out of chunks_
+  std::vector<u32> free_records_;
 };
 
 }  // namespace mif::mfs

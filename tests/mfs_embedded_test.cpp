@@ -3,6 +3,9 @@
 // free, and the contiguity properties the technique exists for.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mfs/mfs.hpp"
 
 namespace mif::mfs {
@@ -13,6 +16,14 @@ MfsConfig embedded_cfg() {
   cfg.mode = DirectoryMode::kEmbedded;
   cfg.cache_blocks = 4096;
   return cfg;
+}
+
+// Allocates every free block of the volume; returns the runs taken.
+std::vector<block::BlockRange> fill_volume(block::FreeSpace& space) {
+  std::vector<block::BlockRange> taken;
+  while (auto run = space.allocate_best(DiskBlock{0}, 1, space.total_blocks()))
+    taken.push_back(*run);
+  return taken;
 }
 
 struct EmbeddedFixture : ::testing::Test {
@@ -207,6 +218,49 @@ TEST_F(EmbeddedFixture, DeepPathsResolveByNumber) {
   // Walk: parent (b), then a, then root.
   ASSERT_GE(chain->size(), 1u);
   EXPECT_EQ(chain->front().v, b->v);
+}
+
+// A namespace operation that runs out of MDS space changes nothing: a
+// failed rename loses no inode, and a failed mkdir registers no directory
+// and takes no slot.
+TEST_F(EmbeddedFixture, NoSpaceFailureLeavesNamespaceUnchanged) {
+  ASSERT_TRUE(fs.mkdir("src"));
+  auto a = fs.create("src/a");
+  ASSERT_TRUE(a);
+  ASSERT_TRUE(fs.mkdir("dst"));
+  // 256 entries fill dst's 16 preallocated content blocks, so its next
+  // entry needs the reservation to grow.
+  for (int i = 0; i < 256; ++i)
+    ASSERT_TRUE(fs.create("dst/f" + std::to_string(i)));
+  const NamespaceVerifyReport before = l().verify();
+  ASSERT_TRUE(before.ok());
+  const std::size_t dirs_before = l().dir_table().size();
+  const auto taken = fill_volume(fs.space());
+  ASSERT_EQ(fs.space().free_blocks(), 0u);
+
+  EXPECT_EQ(fs.rename("src/a", "dst/b").error(), Errc::kNoSpace);
+  // src has free slots in its first content block, so this mkdir gets as
+  // far as preallocating the new directory's own content.
+  EXPECT_EQ(fs.mkdir("src/sub").error(), Errc::kNoSpace);
+  EXPECT_EQ(fs.mkdir("dst/sub").error(), Errc::kNoSpace);
+
+  auto still = fs.resolve("src/a");
+  EXPECT_TRUE(still.ok() && still->v == a->v);
+  EXPECT_EQ(fs.resolve("dst/b").error(), Errc::kNotFound);
+  const NamespaceVerifyReport after = l().verify();
+  EXPECT_TRUE(after.ok());
+  EXPECT_EQ(after.inodes, before.inodes);
+  EXPECT_EQ(after.directories, before.directories);
+  EXPECT_EQ(after.metadata_blocks, before.metadata_blocks);
+  EXPECT_EQ(l().dir_table().size(), dirs_before);
+
+  // No slot leaked: with the space back, src's next entry takes slot 1.
+  for (const block::BlockRange& r : taken)
+    ASSERT_TRUE(fs.space().free_range(r).ok());
+  auto c = fs.create("src/c");
+  ASSERT_TRUE(c);
+  EXPECT_EQ(EmbeddedInodeNo::offset_of(*c), 1u);
+  EXPECT_TRUE(l().verify().ok());
 }
 
 }  // namespace

@@ -3,7 +3,12 @@
 // in separate regions.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "mfs/mfs.hpp"
+#include "util/rng.hpp"
 
 namespace mif::mfs {
 namespace {
@@ -13,6 +18,14 @@ MfsConfig normal_cfg() {
   cfg.mode = DirectoryMode::kNormal;
   cfg.cache_blocks = 4096;
   return cfg;
+}
+
+// Allocates every free block of the volume; returns the runs taken.
+std::vector<block::BlockRange> fill_volume(block::FreeSpace& space) {
+  std::vector<block::BlockRange> taken;
+  while (auto run = space.allocate_best(DiskBlock{0}, 1, space.total_blocks()))
+    taken.push_back(*run);
+  return taken;
 }
 
 struct NormalFixture : ::testing::Test {
@@ -158,6 +171,141 @@ TEST_F(NormalFixture, UtimeJournalsInodeBlock) {
   ASSERT_TRUE(l().utime(*ino).ok());
   EXPECT_EQ(fs.journal().stats().transactions, tx + 1);
   EXPECT_EQ(l().find(*ino)->mtime, 1u);
+}
+
+// A namespace operation that runs out of MDS space changes nothing: the
+// source of a failed rename still resolves under its old name, and a failed
+// mkdir or create takes no ordinal and no inode.
+TEST_F(NormalFixture, NoSpaceFailureLeavesNamespaceUnchanged) {
+  ASSERT_TRUE(fs.mkdir("src"));
+  ASSERT_TRUE(fs.create("src/a"));
+  ASSERT_TRUE(fs.mkdir("dst"));
+  // 512 entries use up dst's first 8-block dirent reservation, so its next
+  // entry needs a block from the volume.
+  for (int i = 0; i < 512; ++i)
+    ASSERT_TRUE(fs.create("dst/f" + std::to_string(i)));
+  const NamespaceVerifyReport before = l().verify();
+  ASSERT_TRUE(before.ok());
+  const auto taken = fill_volume(fs.space());
+  ASSERT_EQ(fs.space().free_blocks(), 0u);
+
+  EXPECT_EQ(fs.rename("src/a", "dst/b").error(), Errc::kNoSpace);
+  EXPECT_EQ(fs.mkdir("dst/sub").error(), Errc::kNoSpace);
+  EXPECT_EQ(fs.create("dst/c").error(), Errc::kNoSpace);
+
+  EXPECT_TRUE(fs.resolve("src/a").ok());
+  EXPECT_EQ(fs.resolve("dst/b").error(), Errc::kNotFound);
+  const NamespaceVerifyReport after = l().verify();
+  EXPECT_TRUE(after.ok());
+  EXPECT_EQ(after.inodes, before.inodes);
+  EXPECT_EQ(after.directories, before.directories);
+  EXPECT_EQ(after.metadata_blocks, before.metadata_blocks);
+
+  // No ordinal leaked: with the space back, dst's next 64 entries fill
+  // exactly one new dirent block.
+  for (const block::BlockRange& r : taken)
+    ASSERT_TRUE(fs.space().free_range(r).ok());
+  for (int i = 0; i < 64; ++i)
+    ASSERT_TRUE(fs.create("dst/g" + std::to_string(i)));
+  EXPECT_EQ(l().verify().metadata_blocks, before.metadata_blocks + 1);
+}
+
+// The inode table in lockstep with a reference map of live inode ->
+// (parent, name) over seeded creates, mkdirs, unlinks and renames.  After
+// every step find(), lookup() and verify() agree with the reference, and
+// every number ever issued but no longer live finds nothing.
+TEST_F(NormalFixture, InodeTableMatchesReferenceInLockstep) {
+  struct Entry {
+    u64 parent;
+    std::string name;
+    bool dir;
+  };
+  std::map<u64, Entry> live;  // ino -> entry; ordered, so picks repeat
+  u64 issued = root().v;
+  Rng rng(23);
+  const auto pick_live = [&]() -> std::map<u64, Entry>::iterator {
+    if (live.empty()) return live.end();
+    return std::next(live.begin(),
+                     static_cast<long>(rng.uniform(0, live.size() - 1)));
+  };
+  const auto pick_dir = [&]() -> u64 {
+    std::vector<u64> dirs{root().v};
+    for (const auto& [ino, e] : live)
+      if (e.dir) dirs.push_back(ino);
+    return dirs[rng.uniform(0, dirs.size() - 1)];
+  };
+  const auto named = [&](u64 parent, const std::string& name) {
+    for (const auto& [ino, e] : live)
+      if (e.parent == parent && e.name == name) return true;
+    return false;
+  };
+  const auto has_children = [&](u64 dir) {
+    for (const auto& [ino, e] : live)
+      if (e.parent == dir) return true;
+    return false;
+  };
+
+  for (int step = 0; step < 2000; ++step) {
+    const u64 op = rng.uniform(0, 9);
+    if (op < 5) {  // create or mkdir
+      const u64 parent = pick_dir();
+      const std::string name = "n" + std::to_string(rng.uniform(0, 40));
+      const bool dir = op == 0;
+      auto got = dir ? l().mkdir(InodeNo{parent}, name)
+                     : l().create(InodeNo{parent}, name);
+      if (named(parent, name)) {
+        ASSERT_EQ(got.error(), Errc::kExists) << "step " << step;
+      } else {
+        ASSERT_TRUE(got) << "step " << step;
+        ASSERT_EQ(got->v, issued + 1) << "numbers come from a counter";
+        issued = got->v;
+        live[got->v] = Entry{parent, name, dir};
+      }
+    } else if (op < 8) {  // unlink
+      auto it = pick_live();
+      if (it == live.end()) continue;
+      const Status s = l().unlink(InodeNo{it->second.parent}, it->second.name);
+      if (it->second.dir && has_children(it->first)) {
+        ASSERT_EQ(s.error(), Errc::kNotEmpty) << "step " << step;
+      } else {
+        ASSERT_TRUE(s.ok()) << "step " << step;
+        live.erase(it);
+      }
+    } else {  // rename: files anywhere, directories within their parent
+      auto it = pick_live();
+      if (it == live.end()) continue;
+      const u64 dst = it->second.dir ? it->second.parent : pick_dir();
+      const std::string name = "n" + std::to_string(rng.uniform(0, 40));
+      auto got = l().rename(InodeNo{it->second.parent}, it->second.name,
+                            InodeNo{dst}, name);
+      if (named(dst, name)) {
+        ASSERT_EQ(got.error(), Errc::kExists) << "step " << step;
+      } else {
+        ASSERT_TRUE(got) << "step " << step;
+        ASSERT_EQ(got->v, it->first);
+        it->second.parent = dst;
+        it->second.name = name;
+      }
+    }
+
+    for (const auto& [ino, e] : live) {
+      const Inode* node = l().find(InodeNo{ino});
+      ASSERT_NE(node, nullptr) << "step " << step << " ino " << ino;
+      ASSERT_EQ(node->num.v, ino);
+      ASSERT_EQ(node->is_dir(), e.dir);
+      auto found = l().lookup(InodeNo{e.parent}, e.name);
+      ASSERT_TRUE(found) << "step " << step << " " << e.name;
+      ASSERT_EQ(found->v, ino);
+    }
+    for (u64 n = root().v + 1; n <= issued + 1; ++n) {
+      if (!live.contains(n)) {
+        ASSERT_EQ(l().find(InodeNo{n}), nullptr) << "step " << step << " " << n;
+      }
+    }
+    const NamespaceVerifyReport r = l().verify();
+    ASSERT_TRUE(r.ok()) << "step " << step;
+    ASSERT_EQ(r.inodes, live.size() + 1);
+  }
 }
 
 }  // namespace

@@ -240,7 +240,6 @@ int main(int argc, char** argv) {
     mif::core::ClusterConfig cfg;
     report.overlay(cfg);
     cfg.num_targets = 4;
-    cfg.stripe = {4, 16};
     cfg.target.allocator = mif::alloc::AllocatorMode::kOnDemand;
     cfg.target.scheduler_queue = 64;
     mif::core::ParallelFileSystem fs(cfg);
@@ -289,11 +288,9 @@ int main(int argc, char** argv) {
       for (int on = 0; on < 2; ++on) {
         mif::core::ClusterConfig cfg;
         cfg.num_targets = 4;
-        cfg.stripe = {4, 16};
         cfg.target.allocator = mif::alloc::AllocatorMode::kOnDemand;
         cfg.target.scheduler_queue = 64;
         if (on) {
-          cfg.rpc.qos.enabled = true;
           cfg.rpc.qos.rate_bytes_per_ms =
               static_cast<double>(qos_mbps) * 1000.0;
         }

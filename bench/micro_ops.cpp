@@ -299,7 +299,6 @@ void BM_ReplicatedStripeWrite(benchmark::State& state,
                               const obs::BenchFlags& flags) {
   core::ClusterConfig cfg;
   cfg.num_targets = kReplicatedTargets;
-  cfg.stripe = {4, 16};
   cfg.redundancy.replicas = flags.replicas;
   cfg.rpc.inject_faults = flags.kill_osd;
   core::ParallelFileSystem fs(cfg);

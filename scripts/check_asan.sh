@@ -16,8 +16,11 @@
 # plus the metadata namespace tables (the open-addressing name index and
 # both directory layouts over it, the normal layout's inode table, the
 # embedded layout's directory table and rename correlation), osd_test (the
-# storage target's file table) and obs_test, whose bench flag table parses
-# argv from outside the program.  The tree also builds with
+# storage target's file table), obs_test, whose bench flag table parses
+# argv from outside the program, and the tests rewritten against the mount
+# constants: the client's readahead buffer, the two-phase collective's
+# domain split, the timeline's decimation past its row bound and the
+# reservation allocator's window refill.  The tree also builds with
 # -D_GLIBCXX_ASSERTIONS, so every std::vector/std::span index and
 # front()/back() on those tables is bounds-checked.  Skips cleanly (exit 0)
 # when the toolchain has no sanitizer runtime, so plain CI environments are
@@ -42,4 +45,5 @@ mif_sanitized_ctest check_asan "$SRC" "$SRC/build-asan" "$SANITIZERS" \
     block_alloc_group_test block_cache_journal_test alloc_property_test \
     mfs_normal_test mfs_name_index_test mfs_embedded_test \
     mfs_dirtable_rename_test osd_test qos_test formation_test attrib_test \
-    span_test redundancy_test obs_test
+    span_test redundancy_test obs_test client_readahead_test collective_test \
+    timeline_test alloc_vanilla_reservation_test

@@ -98,9 +98,9 @@ std::unique_ptr<FileAllocator> make_allocator(AllocatorMode mode,
     case AllocatorMode::kVanilla:
       return std::make_unique<VanillaAllocator>(space);
     case AllocatorMode::kReservation:
-      return std::make_unique<ReservationAllocator>(space, tuning);
+      return std::make_unique<ReservationAllocator>(space);
     case AllocatorMode::kStatic:
-      return std::make_unique<StaticAllocator>(space, tuning);
+      return std::make_unique<StaticAllocator>(space);
     case AllocatorMode::kOnDemand:
       return std::make_unique<OnDemandAllocator>(space, tuning);
   }

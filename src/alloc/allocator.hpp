@@ -100,16 +100,14 @@ class FileAllocator {
   AllocatorStats stats_;
 };
 
-/// Factory used by the storage target.
+/// On-demand strategy knobs (§III-C); the other strategies take none.
 struct AllocatorTuning {
-  // Reservation strategy.
-  u64 reservation_blocks{64};  // 256 KiB, near the ext4 default window
-  // On-demand strategy (§III-C).
   u64 scale{2};                       // window growth factor (2 or 4)
   u64 max_preallocation_blocks{2048}; // 8 MiB cap, "tunable"
   u32 miss_threshold{4};              // misses before a stream is "random"
 };
 
+/// Factory used by the storage target.
 std::unique_ptr<FileAllocator> make_allocator(AllocatorMode mode,
                                               block::FreeSpace& space,
                                               AllocatorTuning tuning = {});

@@ -4,9 +4,8 @@
 
 namespace mif::alloc {
 
-ReservationAllocator::ReservationAllocator(block::FreeSpace& space,
-                                           AllocatorTuning tuning)
-    : FileAllocator(space), tuning_(tuning) {}
+ReservationAllocator::ReservationAllocator(block::FreeSpace& space)
+    : FileAllocator(space) {}
 
 ReservationAllocator::~ReservationAllocator() {
   for (auto& [inode, w] : windows_) discard_window(w);
@@ -40,7 +39,7 @@ Status ReservationAllocator::allocate_fresh(const AllocContext& ctx,
   while (remaining > 0) {
     if (w.remaining == 0) {
       // Refill the per-inode window near the file's last non-hole block.
-      const u64 want = std::max(tuning_.reservation_blocks, remaining);
+      const u64 want = std::max(kWindowBlocks, remaining);
       auto run = space_.allocate_best(goal_for(ctx.inode, map), remaining,
                                       want);
       if (!run) {

@@ -18,7 +18,10 @@ namespace mif::alloc {
 
 class ReservationAllocator final : public FileAllocator {
  public:
-  ReservationAllocator(block::FreeSpace& space, AllocatorTuning tuning);
+  /// Blocks per inode window refill: 256 KiB, near the ext4 default window.
+  static constexpr u64 kWindowBlocks = 64;
+
+  explicit ReservationAllocator(block::FreeSpace& space);
   ~ReservationAllocator() override;
 
   AllocatorMode mode() const override { return AllocatorMode::kReservation; }
@@ -39,7 +42,6 @@ class ReservationAllocator final : public FileAllocator {
   /// window).
   void discard_window(Window& w);
 
-  AllocatorTuning tuning_;
   std::unordered_map<InodeNo, Window> windows_;  // guarded by mu_
 };
 

@@ -2,9 +2,8 @@
 
 namespace mif::alloc {
 
-StaticAllocator::StaticAllocator(block::FreeSpace& space,
-                                 AllocatorTuning tuning)
-    : FileAllocator(space), fallback_(space, tuning) {}
+StaticAllocator::StaticAllocator(block::FreeSpace& space)
+    : FileAllocator(space), fallback_(space) {}
 
 Status StaticAllocator::preallocate(InodeNo inode, block::ExtentMap& map,
                                     u64 total_blocks) {

@@ -15,7 +15,7 @@ namespace mif::alloc {
 
 class StaticAllocator final : public FileAllocator {
  public:
-  StaticAllocator(block::FreeSpace& space, AllocatorTuning tuning);
+  explicit StaticAllocator(block::FreeSpace& space);
 
   AllocatorMode mode() const override { return AllocatorMode::kStatic; }
 

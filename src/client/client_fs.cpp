@@ -341,38 +341,6 @@ Status ClientFs::write_strided(const FileHandle& fh, u32 pid, u64 offset_bytes,
   return issued.ok() ? drained : issued;
 }
 
-Status ClientFs::read_strided(const FileHandle& fh, u64 offset_bytes,
-                              u64 piece_bytes, u64 stride_bytes, u64 count) {
-  if (!fh.valid() || piece_bytes == 0 || count == 0) return Errc::kInvalid;
-  if (list_io_runs() == 0) {
-    for (u64 i = 0; i < count; ++i) {
-      if (Status st = read(fh, offset_bytes + i * stride_bytes, piece_bytes);
-          !st)
-        return st;
-    }
-    return {};
-  }
-  obs::ScopedSpan span(fs_->spans(), "client.read_strided", fh.ino.v,
-                       count * piece_bytes);
-  obs::ScopedPrincipal who({id_.v, obs::OpClass::kData});
-  std::map<u32, std::vector<BlockRun>> per_target;
-  for (u64 i = 0; i < count; ++i) {
-    const u64 off = offset_bytes + i * stride_bytes;
-    gather_runs(off / kBlockSize,
-                (off + piece_bytes + kBlockSize - 1) / kBlockSize, per_target);
-  }
-  std::vector<rpc::Ticket> tickets;
-  Status issued{};
-  for (const auto& [target, runs] : per_target) {
-    issued = issue_read_runs(fh, target, runs, tickets);
-    if (!issued) break;
-  }
-  Status drained = drain(tickets);
-  stats_.reads += count;
-  stats_.bytes_read += count * piece_bytes;
-  return issued.ok() ? drained : issued;
-}
-
 Status ClientFs::write_ranges_async(const FileHandle& fh, u32 pid,
                                     std::span<const util::ByteRange> ranges,
                                     std::vector<rpc::Ticket>& out) {
@@ -451,9 +419,8 @@ Status ClientFs::read(const FileHandle& fh, u64 offset_bytes, u64 len_bytes) {
   ++stats_.reads;
   stats_.bytes_read += len_bytes;
 
-  const u64 max_window = fs_->config().client_readahead_max_blocks;
   auto it = cursors_.find(block_key(fh.ino, first));
-  const bool sequential = it != cursors_.end() && max_window > 0;
+  const bool sequential = it != cursors_.end();
 
   // Hand the requested range to the application (buffered blocks served
   // from the readahead buffer, the rest from the targets).
@@ -466,7 +433,8 @@ Status ClientFs::read(const FileHandle& fh, u64 offset_bytes, u64 len_bytes) {
     // Lustre client would for a striped file region.
     cur = it->second;
     cursors_.erase(it);
-    cur.window = std::min(std::max(cur.window * 2, last - first), max_window);
+    cur.window = std::min(std::max(cur.window * 2, last - first),
+                          kReadaheadMaxBlocks);
     if (last <= cur.prefetched_until) ++stats_.readahead_hits;
     // Hysteresis: top up only when the stream has consumed half the window,
     // so prefetch goes out in window-sized batches rather than per read.
@@ -479,8 +447,6 @@ Status ClientFs::read(const FileHandle& fh, u64 offset_bytes, u64 len_bytes) {
       stats_.readahead_blocks += want_until - from;
       cur.prefetched_until = want_until;
     }
-  } else if (max_window == 0) {
-    return {};
   }
   if (cursors_.size() < 4096)
     cursors_[block_key(fh.ino, last)] = cur;

@@ -48,6 +48,10 @@ struct ClientStats {
 
 class ClientFs {
  public:
+  /// Sequential-read prefetch cap in blocks (Lustre-style per-file
+  /// readahead; 2048 blocks = 8 MiB).
+  static constexpr u64 kReadaheadMaxBlocks = 2048;
+
   ClientFs(core::ParallelFileSystem& fs, ClientId id);
 
   /// Create a file through the MDS and open it.
@@ -85,11 +89,6 @@ class ClientFs {
   Status write_strided(const FileHandle& fh, u32 pid, u64 offset_bytes,
                        u64 piece_bytes, u64 stride_bytes, u64 count);
 
-  /// Strided read, same lowering as write_strided (no readahead involved —
-  /// the pattern is explicit).
-  Status read_strided(const FileHandle& fh, u64 offset_bytes, u64 piece_bytes,
-                      u64 stride_bytes, u64 count);
-
   /// List-I/O issue of a set of byte ranges: lowers the union into at most
   /// one envelope per storage target per list_io_max_runs runs, through the
   /// async path.  The collective aggregators' write arm.  Requires list I/O
@@ -108,7 +107,7 @@ class ClientFs {
 
   /// Read [offset, offset+len) bytes.  Sequential streams are detected and
   /// prefetched Lustre-client-style: the window doubles while the stream
-  /// stays sequential (up to max_readahead_blocks), so the storage targets
+  /// stays sequential (up to kReadaheadMaxBlocks), so the storage targets
   /// see large per-region reads instead of the application's small front.
   Status read(const FileHandle& fh, u64 offset_bytes, u64 len_bytes);
 

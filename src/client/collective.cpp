@@ -7,8 +7,7 @@
 
 namespace mif::client {
 
-CollectiveWriter::CollectiveWriter(ClientFs& client, CollectiveConfig cfg)
-    : client_(client), cfg_(cfg) {}
+CollectiveWriter::CollectiveWriter(ClientFs& client) : client_(client) {}
 
 std::vector<util::ByteRange> CollectiveWriter::merge(
     std::vector<IoRequest> requests) {
@@ -23,7 +22,7 @@ std::vector<std::vector<util::ByteRange>> CollectiveWriter::partition(
     const std::vector<util::ByteRange>& merged) const {
   u64 total = 0;
   for (const util::ByteRange& r : merged) total += r.len;
-  const u32 n = std::max<u32>(cfg_.aggregators, 1);
+  constexpr u32 n = kAggregators;
   std::vector<std::vector<util::ByteRange>> domains(n);
   // Equal-byte contiguous shares in file order: aggregator a owns the a-th
   // `share` bytes of the covered region (ROMIO's fd_start/fd_end split).
@@ -64,7 +63,7 @@ Status CollectiveWriter::two_phase_round(const FileHandle& fh,
     domains = partition(merge(std::move(requests)));
   }
   // Phase 2 — I/O: each aggregator issues its domain as one list-I/O
-  // envelope per OSD per cb_bytes chunk; the whole round's tickets stay in
+  // envelope per OSD per kCbBytes chunk; the whole round's tickets stay in
   // flight until the closing drain (the MPI_File_*_all barrier).
   std::vector<rpc::Ticket> tickets;
   Status issued{};
@@ -86,12 +85,12 @@ Status CollectiveWriter::two_phase_round(const FileHandle& fh,
     };
     for (util::ByteRange r : domains[a]) {
       while (r.len > 0 && issued.ok()) {
-        const u64 take = std::min(r.len, cfg_.cb_bytes - chunk_bytes);
+        const u64 take = std::min(r.len, kCbBytes - chunk_bytes);
         chunk.push_back(util::ByteRange{r.offset, take});
         chunk_bytes += take;
         r.offset += take;
         r.len -= take;
-        if (chunk_bytes >= cfg_.cb_bytes) issued = ship();
+        if (chunk_bytes >= kCbBytes) issued = ship();
       }
       if (!issued.ok()) break;
     }
@@ -117,10 +116,10 @@ Status CollectiveWriter::write_round(const FileHandle& fh,
     u64 pos = range.offset;
     const u64 end = range.offset + range.len;
     while (pos < end) {
-      const u64 chunk = std::min(cfg_.cb_bytes, end - pos);
+      const u64 chunk = std::min(kCbBytes, end - pos);
       // Each chunk is one big write from one aggregator stream; aggregators
       // rotate so targets stay busy in parallel.
-      const u32 pid = 1'000'000 + (next_aggregator++ % cfg_.aggregators);
+      const u32 pid = 1'000'000 + (next_aggregator++ % kAggregators);
       if (Status s = client_.write_async(fh, pid, pos, chunk, tickets); !s) {
         (void)client_.drain(tickets);
         return s;
@@ -148,7 +147,7 @@ Status CollectiveWriter::read_round(const FileHandle& fh,
     u64 pos = range.offset;
     const u64 end = range.offset + range.len;
     while (pos < end) {
-      const u64 chunk = std::min(cfg_.cb_bytes, end - pos);
+      const u64 chunk = std::min(kCbBytes, end - pos);
       if (Status s = client_.read(fh, pos, chunk); !s) return s;
       ++stats_.requests_out;
       stats_.bytes += chunk;

@@ -13,7 +13,7 @@
 // as proper two-phase I/O: the exchange phase partitions the merged request
 // union into per-aggregator file domains (equal-byte contiguous shares, the
 // ROMIO fd_start/fd_end split), and each aggregator lowers its domain into
-// one list-I/O envelope per OSD per cb_bytes chunk through the async path.
+// one list-I/O envelope per OSD per kCbBytes chunk through the async path.
 // Without it, the legacy chop-and-stream path runs untouched, keeping the
 // paper figures byte-identical.
 #pragma once
@@ -24,14 +24,6 @@
 #include "util/runs.hpp"
 
 namespace mif::client {
-
-struct CollectiveConfig {
-  /// Collective-buffer size per aggregator request (the paper observed
-  /// ~40 MB requests in its collective runs).
-  u64 cb_bytes{u64{40} * 1024 * 1024};
-  /// Number of aggregator processes (ROMIO cb_nodes).
-  u32 aggregators{4};
-};
 
 struct IoRequest {
   u32 pid{0};  // issuing thread on this client
@@ -48,7 +40,13 @@ struct CollectiveStats {
 
 class CollectiveWriter {
  public:
-  CollectiveWriter(ClientFs& client, CollectiveConfig cfg = {});
+  /// Collective-buffer size per aggregator request (the paper observed
+  /// ~40 MB requests in its collective runs).
+  static constexpr u64 kCbBytes = u64{40} * 1024 * 1024;
+  /// Number of aggregator processes (ROMIO cb_nodes).
+  static constexpr u32 kAggregators = 4;
+
+  explicit CollectiveWriter(ClientFs& client);
 
   /// One collective round: exchange, merge, and write the union of the
   /// processes' requests through the aggregators.
@@ -61,7 +59,7 @@ class CollectiveWriter {
 
  private:
   std::vector<util::ByteRange> merge(std::vector<IoRequest> requests);
-  /// Split the merged union into `aggregators` contiguous equal-byte file
+  /// Split the merged union into kAggregators contiguous equal-byte file
   /// domains (the exchange phase's reorder target).
   std::vector<std::vector<util::ByteRange>> partition(
       const std::vector<util::ByteRange>& merged) const;
@@ -70,7 +68,6 @@ class CollectiveWriter {
                          bool write);
 
   ClientFs& client_;
-  CollectiveConfig cfg_;
   CollectiveStats stats_;
 };
 

@@ -29,9 +29,9 @@ std::function<double()> cluster_clock(std::vector<osd::StorageTarget*> tgts,
 
 }  // namespace
 
-ParallelFileSystem::ParallelFileSystem(ClusterConfig cfg) : cfg_(cfg) {
+ParallelFileSystem::ParallelFileSystem(ClusterConfig cfg)
+    : cfg_(cfg), stripe_{static_cast<u32>(cfg.num_targets)} {
   assert(cfg_.num_targets >= 1);
-  cfg_.stripe.width = static_cast<u32>(cfg_.num_targets);
   const std::size_t shards = std::max<u32>(cfg_.mds.shards, 1);
   mds_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
@@ -44,11 +44,10 @@ ParallelFileSystem::ParallelFileSystem(ClusterConfig cfg) : cfg_(cfg) {
   rpc::Endpoints eps;
   for (auto& m : mds_) eps.mds.push_back(m.get());
   for (auto& t : targets_) eps.osds.push_back(t.get());
-  // Fail fast on an unmountable formation/QoS config (benches validate user
-  // flags with exit 2 before getting here; this guards programmatic use).
-  assert(rpc::validate(cfg_.rpc.formation).empty());
+  // Fail fast on an unmountable QoS or redundancy config (benches validate
+  // user flags with exit 2 before getting here; this guards programmatic use).
   assert(rpc::validate(cfg_.rpc.qos).empty());
-  assert(redundancy::validate(cfg_.redundancy, cfg_.stripe.width).empty());
+  assert(redundancy::validate(cfg_.redundancy, stripe_.width).empty());
   rpc_stack_ = rpc::TransportStack(std::move(eps), cfg_.rpc);
   rpc_client_ = std::make_unique<rpc::Client>(rpc_stack_.top());
   // Closures below capture raw pointers to the heap-pinned targets, NOT
@@ -84,7 +83,7 @@ ParallelFileSystem::ParallelFileSystem(ClusterConfig cfg) : cfg_(cfg) {
   red_stats_ = std::make_unique<redundancy::Stats>();
   if (cfg_.redundancy.enabled()) {
     repair_ = std::make_unique<redundancy::RepairService>(
-        cfg_.stripe, cfg_.redundancy, *health_, tgts, *rpc_client_,
+        stripe_, cfg_.redundancy, *health_, tgts, *rpc_client_,
         cfg_.list_io_max_runs > 0
             ? cfg_.list_io_max_runs
             : redundancy::RepairService::kDefaultRunsPerEnvelope);
@@ -113,7 +112,7 @@ client::ClientFs ParallelFileSystem::connect(ClientId id) {
 Status ParallelFileSystem::preallocate(InodeNo ino, u64 total_blocks) {
   // Split the whole-file reservation the way the stripe splits the data.
   const auto slices =
-      osd::slices_for(cfg_.stripe, FileBlock{0}, total_blocks);
+      osd::slices_for(stripe_, FileBlock{0}, total_blocks);
   // Per-target local sizes: the maximum local end seen per target.
   std::vector<u64> local_end(targets_.size(), 0);
   for (const osd::StripeSlice& s : slices) {

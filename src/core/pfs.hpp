@@ -30,9 +30,13 @@
 
 namespace mif::core {
 
+/// Only what some figure, ablation, flag or perfbench workload varies is a
+/// field; everything else is a named constant beside the code that reads it
+/// (docs/ARCHITECTURE.md, "Mount configuration").
 struct ClusterConfig {
+  /// Storage targets; also the stripe width (the stripe unit is
+  /// osd::StripeLayout::kUnitBlocks).
   std::size_t num_targets{5};  // the paper stripes over five disks (§V-C)
-  osd::StripeLayout stripe{5, 16};
   osd::TargetConfig target{};
   mds::MdsConfig mds{};
   /// Transport between clients and servers.  The default (kInproc,
@@ -43,14 +47,10 @@ struct ClusterConfig {
   /// rpc.adaptive_depth_max >= 2 floats that window in [2, max], driven by
   /// the live per-OSD scheduler queue gauges (wired automatically).
   /// rpc.kind == kFormation stages envelopes per destination and packs
-  /// size-bounded, urgency-ordered frames (rpc.formation knobs; validated
-  /// by rpc::validate(FormationConfig)).  rpc.qos.enabled mounts the
-  /// per-client token-bucket scheduler (rpc::validate(QosConfig)); its
-  /// refill clock is wired to the cluster-max target timeline at mount.
+  /// size-bounded, urgency-ordered frames.  rpc.qos.rate_bytes_per_ms > 0
+  /// mounts the per-client token-bucket scheduler (rpc::validate(QosConfig));
+  /// its refill clock is wired to the cluster-max target timeline at mount.
   rpc::TransportOptions rpc{};
-  /// Client sequential-read prefetch cap in blocks (Lustre-style per-file
-  /// readahead; 2048 blocks = 8 MiB).  0 disables client readahead.
-  u64 client_readahead_max_blocks{2048};
   /// List-I/O lowering: when > 0, clients ship noncontiguous accesses as
   /// kWriteList/kReadList (or the strided datatype flavor) envelopes holding
   /// up to this many runs each, instead of one per-block envelope per stripe
@@ -98,7 +98,7 @@ class ParallelFileSystem {
   // --- data path -----------------------------------------------------------
   std::size_t num_targets() const { return targets_.size(); }
   osd::StorageTarget& target(std::size_t i) { return *targets_[i]; }
-  const osd::StripeLayout& stripe() const { return cfg_.stripe; }
+  const osd::StripeLayout& stripe() const { return stripe_; }
 
   /// fallocate the file to `total_blocks` (static preallocation baseline).
   Status preallocate(InodeNo ino, u64 total_blocks);
@@ -200,6 +200,7 @@ class ParallelFileSystem {
   void sync_attrib_gauges();
 
   ClusterConfig cfg_;
+  osd::StripeLayout stripe_;
   /// One Mds per metadata shard; size 1 unless cfg.mds.shards >= 2.
   std::vector<std::unique_ptr<mds::Mds>> mds_;
   std::vector<std::unique_ptr<osd::StorageTarget>> targets_;

@@ -9,6 +9,13 @@
 
 namespace mif::mds {
 
+namespace {
+/// CPU microseconds charged per extent the MDS touches (merge/index/send).
+constexpr double kCpuUsPerExtent = 20.0;
+/// Fixed CPU microseconds per RPC (decode, dispatch, encode).
+constexpr double kCpuUsPerRpc = 2.0;
+}  // namespace
+
 Mds::Mds(MdsConfig cfg) : cfg_(cfg), fs_(cfg.mfs) {}
 
 Mds::TimelineTick::~TimelineTick() {
@@ -32,12 +39,12 @@ void Mds::charge_cpu(double cpu_ms) {
 
 void Mds::account_rpc() {
   ++stats_.rpcs;
-  charge_cpu(cfg_.cpu_us_per_rpc / 1000.0);
+  charge_cpu(kCpuUsPerRpc / 1000.0);
 }
 
 void Mds::charge_extents(u64 n) {
   stats_.extent_ops += n;
-  charge_cpu(static_cast<double>(n) * cfg_.cpu_us_per_extent / 1000.0);
+  charge_cpu(static_cast<double>(n) * kCpuUsPerExtent / 1000.0);
 }
 
 void Mds::set_attribution(obs::Attribution* attrib) {

@@ -32,10 +32,6 @@ namespace mif::mds {
 
 struct MdsConfig {
   mfs::MfsConfig mfs{};
-  /// CPU microseconds charged per extent the MDS touches (merge/index/send).
-  double cpu_us_per_extent{20.0};
-  /// Fixed CPU microseconds per RPC (decode, dispatch, encode).
-  double cpu_us_per_rpc{2.0};
   /// Metadata servers the cluster mounts.  1 = the classic single-MDS stack
   /// (no shard routing is built at all); >= 2 mounts one full Mds per shard
   /// behind shard::ShardedTransport.

@@ -8,7 +8,7 @@ namespace mif::mfs {
 EmbeddedDirLayout::EmbeddedDirLayout(MdsContext ctx, EmbeddedLayoutConfig cfg)
     : DirLayout(ctx), cfg_(cfg) {
   auto bitmap = ctx_.space.allocate_exact(DiskBlock{0}, 1);
-  auto table = ctx_.space.allocate_exact(DiskBlock{1}, cfg_.dir_table_blocks);
+  auto table = ctx_.space.allocate_exact(DiskBlock{1}, kDirTableBlocks);
   assert(bitmap && table);
   free_bitmap_block_ = bitmap->start;
   table_base_ = table->start;
@@ -17,7 +17,7 @@ EmbeddedDirLayout::EmbeddedDirLayout(MdsContext ctx, EmbeddedLayoutConfig cfg)
 DiskBlock EmbeddedDirLayout::dir_table_block(DirId id) const {
   // 256 table entries per block; clamp into the reserved region.
   return DiskBlock{table_base_.v +
-                   std::min<u64>(id.v / 256, cfg_.dir_table_blocks - 1)};
+                   std::min<u64>(id.v / 256, kDirTableBlocks - 1)};
 }
 
 EmbeddedDirLayout::DirState* EmbeddedDirLayout::dir_state(InodeNo dir) {
@@ -37,7 +37,7 @@ Status EmbeddedDirLayout::grow_content(DirState& d) {
   // to support large directories" — double the reservation, preferably
   // extending the existing run so the content stays one contiguous region.
   const u64 want = std::max<u64>(
-      cfg_.initial_dir_blocks, d.content.size() * (cfg_.growth_factor - 1));
+      kInitialDirBlocks, d.content.size() * (kGrowthFactor - 1));
   const DiskBlock tail{d.content.back().v + 1};
   u64 got = ctx_.space.extend_in_place(tail, want);
   if (got > 0) {
@@ -97,11 +97,11 @@ Result<InodeNo> EmbeddedDirLayout::make_root() {
   node.dir_id = id;
   inodes_[ino.v] = std::move(node);
 
-  DirState d{ctx_.readahead};
+  DirState d;
   d.id = id;
   auto run = ctx_.space.allocate_best(DiskBlock{table_base_.v +
-                                                cfg_.dir_table_blocks},
-                                      1, cfg_.initial_dir_blocks);
+                                                kDirTableBlocks},
+                                      1, kInitialDirBlocks);
   if (!run) return Errc::kNoSpace;
   for (u64 i = 0; i < run->length; ++i)
     d.content.push_back(DiskBlock{run->start.v + i});
@@ -144,9 +144,9 @@ Result<InodeNo> EmbeddedDirLayout::create_common(InodeNo parent,
     // content across PAGs of *different disks* for load balance; on the
     // single MDS spindle modelled here that locality is what matters.)
     auto run = ctx_.space.allocate_best(
-        d->content.empty() ? DiskBlock{table_base_.v + cfg_.dir_table_blocks}
+        d->content.empty() ? DiskBlock{table_base_.v + kDirTableBlocks}
                            : DiskBlock{d->content.back().v + 1},
-        1, cfg_.initial_dir_blocks);
+        1, kInitialDirBlocks);
     if (!run) {
       // Give back what slot_block took for the slot's group.
       d->slot_group_block.resize(groups_before);
@@ -156,7 +156,7 @@ Result<InodeNo> EmbeddedDirLayout::create_common(InodeNo parent,
     }
     const DirId id = dir_table_.register_directory(ino);
     node.dir_id = id;
-    DirState child{ctx_.readahead};
+    DirState child;
     child.id = id;
     for (u64 i = 0; i < run->length; ++i)
       child.content.push_back(DiskBlock{run->start.v + i});
@@ -170,7 +170,7 @@ Result<InodeNo> EmbeddedDirLayout::create_common(InodeNo parent,
     if (d->file_count > 1 &&
         static_cast<double>(d->extent_units) /
                 static_cast<double>(d->file_count) >
-            cfg_.frag_degree_threshold) {
+            kFragDegreeThreshold) {
       if (auto idx = take_content_block(*d)) {
         node.mapping_blocks.push_back(d->content[*idx]);
         tx.push_back({d->content[*idx], 1});
@@ -243,7 +243,7 @@ Result<std::vector<DirEntry>> EmbeddedDirLayout::readdir(InodeNo dir,
                // the same sequential sweep in embedded mode.
 
   // Per-scan readahead, as a kernel fd would hold.
-  sim::Readahead ra(ctx_.readahead);
+  sim::Readahead ra;
   for (u64 idx = 0; idx < d->used_blocks; ++idx) {
     const u64 fetch = ra.advise(idx, 1);
     for (u64 f = 0; f < fetch && idx + f < d->used_blocks; ++f)
@@ -540,6 +540,27 @@ NamespaceVerifyReport EmbeddedDirLayout::verify() const {
       report.links_consistent = false;
     }
   }
+
+  // Every directory is reachable from the root: a directory moved into its
+  // own subtree forms a cycle that no walk from the root enters.  The walk
+  // stops once it has visited more directories than exist (an entry naming
+  // an ancestor would otherwise loop).
+  std::vector<const DirState*> todo;
+  if (const DirState* root = dir_state(root_)) todo.push_back(root);
+  u64 reached = 0;
+  while (!todo.empty() && reached <= dirs_.size()) {
+    const DirState* d = todo.back();
+    todo.pop_back();
+    ++reached;
+    for (const auto& slot : d->slots) {
+      if (!slot || slot->type != FileType::kDirectory) continue;
+      auto node = inodes_.find(slot->ino.v);
+      if (node == inodes_.end()) continue;
+      if (auto it = dirs_.find(node->second.dir_id.v); it != dirs_.end())
+        todo.push_back(&it->second);
+    }
+  }
+  if (reached != dirs_.size()) report.dirs_reachable = false;
   return report;
 }
 

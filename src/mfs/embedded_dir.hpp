@@ -25,21 +25,22 @@
 namespace mif::mfs {
 
 struct EmbeddedLayoutConfig {
-  /// Content blocks persistently preallocated at mkdir (§IV-A).
-  u64 initial_dir_blocks{16};
-  /// Reservation growth factor when the directory outgrows its content.
-  u64 growth_factor{2};
   /// Unlinked slots batched before lazy-free reclaims them (§IV-A).
   u64 lazy_free_batch{64};
-  /// Fragmentation degree (extents per file) above which creates eagerly
-  /// preallocate an extra mapping block next to the inode (§IV-A).
-  double frag_degree_threshold{4.0};
-  /// Blocks reserved for the global directory table.
-  u64 dir_table_blocks{16};
 };
 
 class EmbeddedDirLayout final : public DirLayout {
  public:
+  /// Content blocks persistently preallocated at mkdir (§IV-A).
+  static constexpr u64 kInitialDirBlocks = 16;
+  /// Reservation growth factor when the directory outgrows its content.
+  static constexpr u64 kGrowthFactor = 2;
+  /// Fragmentation degree (extents per file) above which creates eagerly
+  /// preallocate an extra mapping block next to the inode (§IV-A).
+  static constexpr double kFragDegreeThreshold = 4.0;
+  /// Blocks reserved for the global directory table.
+  static constexpr u64 kDirTableBlocks = 16;
+
   EmbeddedDirLayout(MdsContext ctx, EmbeddedLayoutConfig cfg = {});
 
   DirectoryMode mode() const override { return DirectoryMode::kEmbedded; }
@@ -94,7 +95,6 @@ class EmbeddedDirLayout final : public DirLayout {
     u64 live_entries{0};
     u64 extent_units{0};  // Σ extent counts of child files
     u64 file_count{0};
-    explicit DirState(const sim::ReadaheadConfig&) {}
   };
 
   DirState* dir_state(InodeNo dir);

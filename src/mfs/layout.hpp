@@ -39,7 +39,6 @@ struct MdsContext {
   block::Journal& journal;
   block::FreeSpace& space;  // data area of the MDS disk
   LookupDiscipline discipline{LookupDiscipline::kLinearScan};
-  sim::ReadaheadConfig readahead{};
 };
 
 struct DirEntry {
@@ -55,7 +54,10 @@ struct NamespaceVerifyReport {
   u64 metadata_blocks{0};   // distinct on-disk blocks owned by the namespace
   bool blocks_unique{true}; // no metadata block claimed twice
   bool links_consistent{true};  // every entry's inode exists & points back
-  bool ok() const { return blocks_unique && links_consistent; }
+  bool dirs_reachable{true};    // every directory reachable from the root
+  bool ok() const {
+    return blocks_unique && links_consistent && dirs_reachable;
+  }
 };
 
 struct LayoutOpStats {
@@ -122,8 +124,8 @@ class DirLayout {
   virtual InodeNo root() const = 0;
 
   /// Walk every structure and check the on-disk invariants (block ownership
-  /// uniqueness, entry↔inode consistency).  Cheap enough to run inside
-  /// tests after every scenario.
+  /// uniqueness, entry↔inode consistency, every directory reachable from
+  /// the root).  Cheap enough to run inside tests after every scenario.
   virtual NamespaceVerifyReport verify() const = 0;
 
   /// Visit the live namespace for the fragmentation lens (obs/fraglens.hpp):

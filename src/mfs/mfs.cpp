@@ -45,13 +45,13 @@ Mfs::Mfs(MfsConfig cfg) : cfg_(cfg), disk_(cfg.geometry), io_(disk_) {
                                               data_blocks, cfg_.alloc_groups);
   cache_ = std::make_unique<block::BufferCache>(io_, cfg_.cache_blocks);
   journal_ = std::make_unique<block::Journal>(
-      io_, DiskBlock{0}, cfg_.journal_area_blocks, cfg_.checkpoint_interval,
-      cfg_.journal_commit_batch);
+      io_, DiskBlock{0}, cfg_.journal_area_blocks, kCheckpointInterval,
+      kJournalCommitBatch);
 
-  MdsContext ctx{*cache_, *journal_, *space_, cfg_.discipline, cfg_.readahead};
+  MdsContext ctx{*cache_, *journal_, *space_, cfg_.discipline};
   switch (cfg_.mode) {
     case DirectoryMode::kNormal:
-      layout_ = std::make_unique<NormalDirLayout>(ctx, cfg_.normal);
+      layout_ = std::make_unique<NormalDirLayout>(ctx);
       break;
     case DirectoryMode::kEmbedded:
       layout_ = std::make_unique<EmbeddedDirLayout>(ctx, cfg_.embedded);
@@ -63,9 +63,7 @@ Mfs::Mfs(MfsConfig cfg) : cfg_(cfg), disk_(cfg.geometry), io_(disk_) {
   sync_point();
 }
 
-void Mfs::sync_point() {
-  if (cfg_.sync_ops) io_.drain();
-}
+void Mfs::sync_point() { io_.drain(); }
 
 Result<Mfs::Walk> Mfs::walk_to_parent(std::string_view path) {
   PathComponents components(path);
@@ -144,6 +142,16 @@ Status Mfs::unlink(std::string_view path) {
 }
 
 Result<InodeNo> Mfs::rename(std::string_view from, std::string_view to) {
+  // A directory cannot move into its own subtree (nor onto itself): `to`
+  // must not begin with every component of `from`.
+  PathComponents src_parts(from);
+  PathComponents dst_parts(to);
+  bool within = true;
+  for (auto part = src_parts.next(); within && !part.empty();
+       part = src_parts.next()) {
+    within = part == dst_parts.next();
+  }
+  if (within) return Errc::kInvalid;
   auto src = walk_to_parent(from);
   if (!src) return src.error();
   auto dst = walk_to_parent(to);

@@ -34,22 +34,19 @@ struct MfsConfig {
   sim::DiskGeometry geometry{};
   u64 cache_blocks{8192};        // 32 MiB of metadata cache
   u64 journal_area_blocks{8192}; // 32 MiB journal
-  /// jbd checkpoints are lazy — they run when journal space gets tight, not
-  /// per handful of operations.  (A wrap of the journal area forces one
-  /// regardless of this setting.)
-  u64 checkpoint_interval{512};
-  u64 journal_commit_batch{16};  // jbd-style compound-transaction batching
   u32 alloc_groups{8};
-  sim::ReadaheadConfig readahead{};
-  NormalLayoutConfig normal{};
   EmbeddedLayoutConfig embedded{};
-  /// Synchronous metadata: drain the disk queue after every operation (the
-  /// Fig. 8 MDS configuration).  Off = writes batch until finish().
-  bool sync_ops{true};
 };
 
 class Mfs {
  public:
+  /// Journal transactions between checkpoints: jbd checkpoints are lazy —
+  /// they run when journal space gets tight, not per handful of operations.
+  /// (A wrap of the journal area forces one regardless.)
+  static constexpr u64 kCheckpointInterval = 512;
+  /// jbd-style compound-transaction batching.
+  static constexpr u64 kJournalCommitBatch = 16;
+
   explicit Mfs(MfsConfig cfg = {});
 
   // --- path API (charges lookup traffic along the walk) ------------------
@@ -111,6 +108,8 @@ class Mfs {
     std::string_view leaf;  // a view into the walked path
   };
   Result<Walk> walk_to_parent(std::string_view path);
+  /// Synchronous metadata: drain the disk queue after every operation (the
+  /// Fig. 8 MDS configuration).
   void sync_point();
 
   MfsConfig cfg_;

@@ -7,13 +7,12 @@
 
 namespace mif::mfs {
 
-NormalDirLayout::NormalDirLayout(MdsContext ctx, NormalLayoutConfig cfg)
-    : DirLayout(ctx), cfg_(cfg) {
+NormalDirLayout::NormalDirLayout(MdsContext ctx) : DirLayout(ctx) {
   // Carve the fixed metadata regions out of the data area up front, the way
   // mkfs lays out group descriptors, bitmaps and inode tables.
   auto gdesc = ctx_.space.allocate_exact(DiskBlock{0}, 1);
   auto ibitmap = ctx_.space.allocate_exact(DiskBlock{1}, 1);
-  auto table = ctx_.space.allocate_exact(DiskBlock{2}, cfg_.inode_table_blocks);
+  auto table = ctx_.space.allocate_exact(DiskBlock{2}, kInodeTableBlocks);
   assert(gdesc && ibitmap && table);
   gdesc_block_ = gdesc->start;
   ibitmap_block_ = ibitmap->start;
@@ -24,7 +23,7 @@ DiskBlock NormalDirLayout::inode_block_of(InodeNo ino) const {
   // Inode numbers wrap over the fixed table (real ext3 reuses freed inode
   // slots; our monotone counter models the location, not the recycling).
   return DiskBlock{table_base_.v + (ino.v / Format::kInodesPerTableBlock) %
-                                       cfg_.inode_table_blocks};
+                                       kInodeTableBlocks};
 }
 
 NormalDirLayout::DirState* NormalDirLayout::dir_state(InodeNo dir) {
@@ -90,7 +89,7 @@ Result<DiskBlock> NormalDirLayout::ensure_dirent_block(DirState& d,
       // Refill the directory's ext3-style reservation window (8 blocks).
       const DiskBlock goal =
           d.dirent_blocks.empty()
-              ? DiskBlock{table_base_.v + cfg_.inode_table_blocks}
+              ? DiskBlock{table_base_.v + kInodeTableBlocks}
               : DiskBlock{d.dirent_blocks.back().v + 1};
       auto run = ctx_.space.allocate_best(goal, 1, 8);
       if (!run) return run.error();
@@ -114,7 +113,7 @@ Result<InodeNo> NormalDirLayout::make_root() {
   Record& rec = new_record();
   rec.inode.type = FileType::kDirectory;
   const InodeNo ino = rec.inode.num;
-  dirs_.emplace(ino.v, DirState{ctx_.readahead});
+  dirs_.emplace(ino.v, DirState{});
   root_ = ino;
   ctx_.journal.log({{inode_block_of(ino), 1}, {ibitmap_block_, 1}});
   ctx_.cache.install(inode_block_of(ino), 1);
@@ -153,7 +152,7 @@ Result<InodeNo> NormalDirLayout::create_common(InodeNo parent,
   d->index.insert(name, ordinal);
   ++d->live_entries;
 
-  if (type == FileType::kDirectory) dirs_.emplace(ino.v, DirState{ctx_.readahead});
+  if (type == FileType::kDirectory) dirs_.emplace(ino.v, DirState{});
 
   // Read-modify-write of the dirent block AND the inode-table block (ext3
   // reads the table block to initialise one 256-byte inode in it), plus the
@@ -228,8 +227,8 @@ Result<std::vector<DirEntry>> NormalDirLayout::readdir(InodeNo dir,
 
   // Readahead state is per-scan, as a kernel file descriptor's would be:
   // the window grows while this sweep stays sequential and dies with it.
-  sim::Readahead content_ra(ctx_.readahead);
-  sim::Readahead table_ra(ctx_.readahead);
+  sim::Readahead content_ra;
+  sim::Readahead table_ra;
 
   // Stream the dirent blocks in logical order under readahead.  Blocks are
   // often physically contiguous (allocated back to back), so the scheduler
@@ -252,7 +251,7 @@ Result<std::vector<DirEntry>> NormalDirLayout::readdir(InodeNo dir,
       const u64 tpos = node->inode_block.v - table_base_.v;
       const u64 fetch = table_ra.advise(tpos, 1);
       if (fetch > 0) {
-        const u64 cap = cfg_.inode_table_blocks - tpos;
+        const u64 cap = kInodeTableBlocks - tpos;
         ctx_.cache.read(node->inode_block, std::min(fetch, cap));
       }
       for (DiskBlock mb : node->mapping_blocks) ctx_.cache.read(mb, 1);
@@ -368,7 +367,7 @@ Status NormalDirLayout::sync_layout(InodeNo file, u64 extent_count) {
     // finds room — under churn they end up far from both the inode table and
     // the dirent blocks (the third region of Fig. 1(b)).
     const DiskBlock goal = node->mapping_blocks.empty()
-                               ? DiskBlock{table_base_.v + cfg_.inode_table_blocks}
+                               ? DiskBlock{table_base_.v + kInodeTableBlocks}
                                : DiskBlock{node->mapping_blocks.back().v + 1};
     auto run = ctx_.space.allocate_best(goal, 1, 1);
     if (!run) return Errc::kNoSpace;
@@ -471,6 +470,26 @@ NamespaceVerifyReport NormalDirLayout::verify() const {
     if (named != d.live_entries || named != d.index.size())
       report.links_consistent = false;
   }
+
+  // Every directory is reachable from the root: a directory moved into its
+  // own subtree forms a cycle that no walk from the root enters.  The walk
+  // stops once it has visited more directories than exist (an entry naming
+  // an ancestor would otherwise loop).
+  std::vector<const DirState*> todo;
+  if (auto it = dirs_.find(root_.v); it != dirs_.end())
+    todo.push_back(&it->second);
+  u64 reached = 0;
+  while (!todo.empty() && reached <= dirs_.size()) {
+    const DirState* d = todo.back();
+    todo.pop_back();
+    ++reached;
+    for (const auto& slot : d->slots) {
+      if (!slot || slot->type != FileType::kDirectory) continue;
+      if (auto it = dirs_.find(slot->ino.v); it != dirs_.end())
+        todo.push_back(&it->second);
+    }
+  }
+  if (reached != dirs_.size()) report.dirs_reachable = false;
   return report;
 }
 

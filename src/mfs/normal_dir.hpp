@@ -23,14 +23,12 @@
 
 namespace mif::mfs {
 
-struct NormalLayoutConfig {
-  /// Blocks reserved for the inode table region (16 inodes each).
-  u64 inode_table_blocks{16384};  // 256 K inodes
-};
-
 class NormalDirLayout final : public DirLayout {
  public:
-  NormalDirLayout(MdsContext ctx, NormalLayoutConfig cfg = {});
+  /// Blocks reserved for the inode table region (16 inodes each).
+  static constexpr u64 kInodeTableBlocks = 16384;  // 256 K inodes
+
+  explicit NormalDirLayout(MdsContext ctx);
 
   DirectoryMode mode() const override { return DirectoryMode::kNormal; }
 
@@ -69,7 +67,6 @@ class NormalDirLayout final : public DirLayout {
     // interleaving block-by-block with every other growing directory.
     DiskBlock reserve_next{};
     u64 reserve_left{0};
-    explicit DirState(const sim::ReadaheadConfig&) {}
   };
 
   /// An inode and its linkage: the directory and ordinal of its dirent.
@@ -100,7 +97,6 @@ class NormalDirLayout final : public DirLayout {
   /// Read the dirent block holding `ordinal` (1 block through the cache).
   void read_dirent_block(DirState& d, u64 ordinal);
 
-  NormalLayoutConfig cfg_;
   DiskBlock table_base_{};
   DiskBlock ibitmap_block_{};
   DiskBlock gdesc_block_{};

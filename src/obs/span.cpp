@@ -29,7 +29,6 @@ u32 thread_lane() {
 SpanCollector::SpanCollector(Config cfg)
     : cfg_(cfg), epoch_(std::chrono::steady_clock::now()) {
   cfg_.span_capacity = std::max<std::size_t>(1, cfg_.span_capacity);
-  cfg_.slow_k = std::max<std::size_t>(1, cfg_.slow_k);
   ring_.reserve(cfg_.span_capacity);
 }
 
@@ -59,14 +58,13 @@ void SpanCollector::push_ring(const SpanRecord& r) {
 
 void SpanCollector::admit_slow(u64 trace_id, std::string_view root_name,
                                double dur_us, std::vector<SpanRecord> spans) {
-  if (dur_us < cfg_.slow_threshold_us) return;
-  if (slow_.size() == cfg_.slow_k && dur_us <= slow_.back().dur_us) return;
+  if (slow_.size() == kSlowK && dur_us <= slow_.back().dur_us) return;
   SlowTrace t{trace_id, root_name, dur_us, std::move(spans)};
   const auto pos = std::upper_bound(
       slow_.begin(), slow_.end(), dur_us,
       [](double d, const SlowTrace& s) { return d > s.dur_us; });
   slow_.insert(pos, std::move(t));
-  if (slow_.size() > cfg_.slow_k) slow_.pop_back();
+  if (slow_.size() > kSlowK) slow_.pop_back();
 }
 
 void SpanCollector::begin_trace(u64 trace_id) {

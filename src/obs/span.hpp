@@ -53,7 +53,7 @@
 //
 // Costs are bounded: the ring overwrites its oldest records once full
 // (`dropped()` counts), an active trace keeps at most kMaxSpansPerTrace
-// spans, and the slow log holds exactly `slow_k` traces.
+// spans, and the slow log holds exactly kSlowK traces.
 // With no collector attached every instrumentation point is one null check.
 #pragma once
 
@@ -129,6 +129,9 @@ class SpanCollector {
   /// Spans an active trace may accumulate before further ones are dropped
   /// (keeps a runaway trace from holding unbounded memory).
   static constexpr std::size_t kMaxSpansPerTrace = 4096;
+  /// Slow-request log size: the K slowest root spans retained with their
+  /// full span trees (tail sampling).
+  static constexpr std::size_t kSlowK = 8;
 
   /// Microseconds on the host span clock (steady, starts near 0).
   double now_us() const;
@@ -217,7 +220,7 @@ class SpanCollector {
   u64 total_{0};
   /// Span trees of traces whose root is still open.
   std::map<u64, std::vector<SpanRecord>> active_;
-  /// Slowest-first finished traces, at most cfg_.slow_k entries.
+  /// Slowest-first finished traces, at most kSlowK entries.
   std::vector<SlowTrace> slow_;
   std::map<std::string, PhaseStats, std::less<>> phases_;
 };

@@ -8,9 +8,7 @@
 namespace mif::obs {
 
 Timeline::Timeline(Config cfg)
-    : capacity_(cfg.timeline_capacity >= 2 ? cfg.timeline_capacity
-                                           : Config{}.timeline_capacity),
-      interval_ms_(cfg.sample_interval_ms > 0.0
+    : interval_ms_(cfg.sample_interval_ms > 0.0
                        ? cfg.sample_interval_ms
                        : Config{}.sample_interval_ms) {}
 
@@ -38,7 +36,7 @@ void Timeline::add_gauge(std::string name, GaugeProvider fn) {
 }
 
 void Timeline::maybe_decimate_locked() {
-  if (times_.size() < capacity_) return;
+  if (times_.size() < kCapacity) return;
   // Keep even indices: the very first sample survives, and the caller
   // appends the new (newest) row right after, so both ends of the run stay
   // represented.  The interval doubles so future samples keep the new grid.

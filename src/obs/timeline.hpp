@@ -15,7 +15,7 @@
 // -------------------------
 // Samples are driven purely by the simulated clock, so two identical runs
 // produce byte-identical series.  The store is bounded: when the shared time
-// axis reaches `timeline_capacity` rows, every series is decimated by two
+// axis reaches kCapacity rows, every series is decimated by two
 // (even indices kept) and the sampling interval doubles — a deterministic
 // downsampler that keeps long aging runs at bounded memory while preserving
 // the run's shape.  Decimation happens *before* the new row is appended, so
@@ -53,9 +53,13 @@ using GaugeProvider = std::function<double()>;
 
 class Timeline {
  public:
-  /// Invalid knobs are clamped to the defaults (mirrors how the span ring
-  /// treats nonsense capacities); benches that want a hard error call
-  /// obs::validate(cfg) first.
+  /// Rows retained before the deterministic downsampler decimates by two
+  /// and doubles the interval.
+  static constexpr std::size_t kCapacity = 4096;
+
+  /// A non-positive interval is clamped to the default (mirrors how the
+  /// span ring treats nonsense capacities); benches that want a hard error
+  /// call obs::validate(cfg) first.
   explicit Timeline(Config cfg = {});
 
   Timeline(const Timeline&) = delete;
@@ -120,7 +124,6 @@ class Timeline {
   void maybe_decimate_locked();
 
   mutable std::mutex mu_;
-  std::size_t capacity_;
   double interval_ms_;
   std::function<double()> clock_;
   std::string label_;

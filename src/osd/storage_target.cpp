@@ -10,9 +10,9 @@ namespace mif::osd {
 StorageTarget::StorageTarget(TargetConfig cfg)
     : cfg_(cfg),
       disk_(cfg.geometry),
-      io_(disk_, cfg.scheduler_queue, cfg.writeback_queue) {
+      io_(disk_, cfg.scheduler_queue, kWritebackQueue) {
   space_ = std::make_unique<block::FreeSpace>(
-      DiskBlock{0}, cfg_.geometry.capacity_blocks, cfg_.alloc_groups);
+      DiskBlock{0}, cfg_.geometry.capacity_blocks, kAllocGroups);
   alloc_ = alloc::make_allocator(cfg_.allocator, *space_, cfg_.tuning);
 }
 
@@ -228,7 +228,7 @@ void StorageTarget::reset_contents() {
   // destructor releases outstanding reservations back into that space.
   alloc_.reset();
   space_ = std::make_unique<block::FreeSpace>(
-      DiskBlock{0}, cfg_.geometry.capacity_blocks, cfg_.alloc_groups);
+      DiskBlock{0}, cfg_.geometry.capacity_blocks, kAllocGroups);
   alloc_ = alloc::make_allocator(cfg_.allocator, *space_, cfg_.tuning);
 }
 

@@ -24,19 +24,21 @@ namespace mif::osd {
 
 struct TargetConfig {
   sim::DiskGeometry geometry{};
-  u32 alloc_groups{8};
   alloc::AllocatorMode allocator{alloc::AllocatorMode::kReservation};
   alloc::AllocatorTuning tuning{};
   /// Bounded read queue (block-layer nr_requests scale).
   std::size_t scheduler_queue{256};
-  /// Write-back depth: the OSS page cache keeps ~100 MB of dirty data per
-  /// spindle and flushes it in long per-region runs, so interleaved write
-  /// streams amortise positioning far better than readers can.
-  std::size_t writeback_queue{4096};
 };
 
 class StorageTarget {
  public:
+  /// Allocation groups the data disk's free space is partitioned into.
+  static constexpr u32 kAllocGroups = 8;
+  /// Write-back depth: the OSS page cache keeps ~100 MB of dirty data per
+  /// spindle and flushes it in long per-region runs, so interleaved write
+  /// streams amortise positioning far better than readers can.
+  static constexpr std::size_t kWritebackQueue = 4096;
+
   explicit StorageTarget(TargetConfig cfg = {});
 
   /// Extend-and-write [logical, logical+count) of the target-local subfile

@@ -13,8 +13,9 @@
 namespace mif::osd {
 
 struct StripeLayout {
-  u32 width{1};            // number of targets
-  u64 unit_blocks{16};     // 64 KiB stripe unit
+  /// Stripe unit: 16 blocks = 64 KiB, on every mount.
+  static constexpr u64 kUnitBlocks = 16;
+  u32 width{1};  // number of targets
 };
 
 struct StripeSlice {

@@ -4,8 +4,6 @@ namespace mif::redundancy {
 
 std::string validate(const Policy& p, u32 width) {
   if (p.replicas == 0) return "replicas must be >= 1";
-  if (p.scheme != Policy::Scheme::kReplication)
-    return "only the replication scheme is implemented";
   if (p.replicas > width)
     return "replicas (" + std::to_string(p.replicas) +
            ") exceeds the stripe width (" + std::to_string(width) +

@@ -18,10 +18,9 @@
 // — and repair can rebuild a lost subfile by reading a copy's extents and
 // replaying their logical runs onto the replacement disk.
 //
-// The Policy interface is shaped so a k+m parity flavor can slot in later
-// (Scheme::kParity with data_units/parity_units): placement queries go
-// through copy_target()/copies() rather than open-coded `replicas - 1`
-// arithmetic at call sites.
+// Placement queries go through copy_target()/copies() rather than
+// open-coded `replicas - 1` arithmetic at call sites, so a k+m parity flavor
+// would change the Policy, not its callers.
 #pragma once
 
 #include <atomic>
@@ -38,10 +37,6 @@ struct Policy {
   /// Total copies of every stripe unit, primary included.  1 (default) =
   /// redundancy off: nothing in the data path changes, byte-identical.
   u32 replicas{1};
-  /// Layout scheme.  Only replication exists today; the enum (rather than a
-  /// bool) is the seam a k+m parity flavor slots into.
-  enum class Scheme : u8 { kReplication = 0 };
-  Scheme scheme{Scheme::kReplication};
 
   bool enabled() const { return replicas >= 2; }
   /// Redundant copies per stripe unit (excludes the primary).

@@ -13,16 +13,7 @@ namespace {
 constexpr u32 kFormationLane = 253;
 }  // namespace
 
-std::string validate(const FormationConfig& cfg) {
-  if (cfg.max_frame_bytes <= kHeaderBytes)
-    return "formation.max_frame_bytes must exceed the frame header";
-  if (cfg.watermark_bytes == 0) return "formation.watermark_bytes must be > 0";
-  if (cfg.max_queue_msgs == 0) return "formation.max_queue_msgs must be > 0";
-  return "";
-}
-
-FormationTransport::FormationTransport(Transport& inner, FormationConfig cfg)
-    : inner_(inner), cfg_(cfg) {}
+FormationTransport::FormationTransport(Transport& inner) : inner_(inner) {}
 
 FormationTransport::~FormationTransport() {
   // Leftovers a caller never flushed still have to reach the servers; their
@@ -113,12 +104,12 @@ Status FormationTransport::flush_queue_locked(Queue& q) {
     std::size_t j = i;
     while (j < q.reqs.size()) {
       const u64 marginal = wire_bytes(q.reqs[j]) - kHeaderBytes;
-      if (j > i && frame_bytes + marginal > cfg_.max_frame_bytes) break;
+      if (j > i && frame_bytes + marginal > kMaxFrameBytes) break;
       frame_bytes += marginal;
       ++j;
     }
     ++stats_.frames;
-    if (frame_bytes > cfg_.max_frame_bytes) ++stats_.oversize_frames;
+    if (frame_bytes > kMaxFrameBytes) ++stats_.oversize_frames;
     std::vector<Request> frame(std::make_move_iterator(q.reqs.begin() + i),
                                std::make_move_iterator(q.reqs.begin() + j));
     Status s;
@@ -173,8 +164,7 @@ Result<Response> FormationTransport::call(const Address& to,
       q.reqs.push_back(req);
       if (attrib_) q.principals.push_back(obs::ambient_principal());
     }
-    if (q.bytes >= cfg_.watermark_bytes ||
-        q.reqs.size() >= cfg_.max_queue_msgs) {
+    if (q.bytes >= kWatermarkBytes || q.reqs.size() >= kMaxQueueMsgs) {
       ++stats_.watermark_flushes;
       (void)flush_queue_locked(q);
     }

@@ -5,7 +5,7 @@
 // formation engine makes it: per-destination staging queues accept
 // deferrable envelopes and ack them early (a later failure is held sticky
 // and surfaced by the next flush() or barrier), and a flush *packs* the
-// queue into frames bounded by `max_frame_bytes`, ordered by urgency class —
+// queue into frames bounded by `kMaxFrameBytes`, ordered by urgency class —
 //
 //   barrier   — non-deferrable ops; never staged, they flush the queues and
 //               pass through (order with respect to staged work preserved);
@@ -18,7 +18,7 @@
 // matches InprocTransport::call_batch exactly: a frame costs kHeaderBytes +
 // Σ(wire_bytes − kHeaderBytes), so packing K envelopes into F frames puts F
 // headers on the wire — the formation win is choosing F, not hiding bytes.
-// An envelope whose lone marginal body exceeds `max_frame_bytes` ships as an
+// An envelope whose lone marginal body exceeds `kMaxFrameBytes` ships as an
 // oversize singleton frame (counted) rather than wedging the queue.  This
 // layer is the only caller of call_batch in a mounted stack.
 #pragma once
@@ -35,25 +35,12 @@ class SpanCollector;
 
 namespace mif::rpc {
 
-struct FormationConfig {
-  /// Upper bound on one wire frame (header + packed bodies).  Envelopes are
-  /// packed first-fit in queue order; a single oversize envelope ships alone.
-  u64 max_frame_bytes{1ull << 20};
-  /// Flush a destination queue once its buffered wire bytes reach this.
-  u64 watermark_bytes{4ull << 20};
-  /// Flush once this many distinct envelopes are staged for one target.
-  std::size_t max_queue_msgs{512};
-};
-
-/// "" when `cfg` is mountable; otherwise a human-readable reason.
-std::string validate(const FormationConfig& cfg);
-
 struct FormationStats {
   u64 queued{0};            // deferrable envelopes accepted
   u64 coalesced_runs{0};    // block-write runs merged into a previous run
   u64 folded_lists{0};      // multi-run block writes shipped as list envelopes
   u64 frames{0};            // frames packed from staged envelopes
-  u64 oversize_frames{0};   // frames forced over max_frame_bytes by one envelope
+  u64 oversize_frames{0};   // frames forced over kMaxFrameBytes by one envelope
   u64 flushes{0};           // explicit flush() calls
   u64 watermark_flushes{0}; // queue-full backpressure flushes
   u64 barrier_flushes{0};   // flushes forced by a non-deferrable op
@@ -64,7 +51,15 @@ struct FormationStats {
 
 class FormationTransport final : public Transport {
  public:
-  explicit FormationTransport(Transport& inner, FormationConfig cfg = {});
+  /// Upper bound on one wire frame (header + packed bodies).  Envelopes are
+  /// packed first-fit in queue order; a single oversize envelope ships alone.
+  static constexpr u64 kMaxFrameBytes = u64{1} << 20;
+  /// Flush a destination queue once its buffered wire bytes reach this.
+  static constexpr u64 kWatermarkBytes = u64{4} << 20;
+  /// Flush once this many distinct envelopes are staged for one target.
+  static constexpr std::size_t kMaxQueueMsgs = 512;
+
+  explicit FormationTransport(Transport& inner);
   ~FormationTransport() override;  // best-effort flush; drops are observable
 
   Result<Response> call(const Address& to, const Request& req) override;
@@ -114,7 +109,6 @@ class FormationTransport final : public Transport {
   Status take_sticky_locked();
 
   Transport& inner_;
-  FormationConfig cfg_;
   obs::Attribution* attrib_{nullptr};
   obs::SpanCollector* spans_{nullptr};
   u32 track_ns_{0};

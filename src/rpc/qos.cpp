@@ -31,10 +31,8 @@ constexpr u32 kQosLane = 254;
 }  // namespace
 
 std::string validate(const QosConfig& cfg) {
-  if (!cfg.enabled) return "";
-  if (!(cfg.rate_bytes_per_ms > 0.0))
-    return "qos.rate_bytes_per_ms must be > 0";
-  if (cfg.burst_bytes == 0) return "qos.burst_bytes must be > 0";
+  if (!(cfg.rate_bytes_per_ms >= 0.0))
+    return "qos.rate_bytes_per_ms must be >= 0";
   return "";
 }
 
@@ -76,7 +74,7 @@ QosTransport::Lane& QosTransport::lane_locked(u32 client) {
   if (it != lanes_.end()) return it->second;
   return lanes_
       .emplace(client,
-               Lane{TokenBucket(cfg_.rate_bytes_per_ms, cfg_.burst_bytes), {}})
+               Lane{TokenBucket(cfg_.rate_bytes_per_ms, kBurstBytes), {}})
       .first->second;
 }
 

@@ -22,7 +22,7 @@
 // Placement: above the formation layer, below fault/shard —
 //   Sharded( Fault( Qos( Formation( Async( Inproc )))))
 // so a throttled envelope never reaches a staging queue or the pipeline
-// until its tokens are available.  Built only when QosConfig::enabled, so
+// until its tokens are available.  Built only when QosConfig sets a rate, so
 // the default chain is untouched (byte-identical figures).
 #pragma once
 
@@ -77,14 +77,11 @@ class TokenBucket {
 };
 
 struct QosConfig {
-  /// Build the QoS layer at all.  Off (default) keeps the chain byte-
-  /// identical to a mount without QoS.
-  bool enabled{false};
-  /// Per-client refill rate (simulated bytes per simulated ms).
-  double rate_bytes_per_ms{512.0 * 1024.0};
-  /// Per-client bucket capacity: the burst a client may issue from a
-  /// standing start without throttling.
-  u64 burst_bytes{1ull << 20};
+  /// Per-client refill rate (simulated bytes per simulated ms).  0 (the
+  /// default) builds no QoS layer, so the chain stays byte-identical to a
+  /// mount without QoS.
+  double rate_bytes_per_ms{0.0};
+  bool enabled() const { return rate_bytes_per_ms > 0.0; }
 };
 
 /// "" when `cfg` is mountable; otherwise a human-readable reason (the same
@@ -105,7 +102,11 @@ struct QosStats {
 
 class QosTransport final : public Transport {
  public:
-  QosTransport(Transport& inner, QosConfig cfg = {});
+  /// Per-client bucket capacity: the burst a client may issue from a
+  /// standing start without throttling.
+  static constexpr u64 kBurstBytes = u64{1} << 20;
+
+  QosTransport(Transport& inner, QosConfig cfg);
   ~QosTransport() override;  // best-effort release of leftovers
 
   Result<Response> call(const Address& to, const Request& req) override;

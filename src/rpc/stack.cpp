@@ -28,10 +28,10 @@ TransportStack::TransportStack(Endpoints eps, const TransportOptions& opt) {
     top_ = async_.get();
   }
   if (opt.kind == TransportOptions::Kind::kFormation) {
-    formation_ = std::make_unique<FormationTransport>(*top_, opt.formation);
+    formation_ = std::make_unique<FormationTransport>(*top_);
     top_ = formation_.get();
   }
-  if (opt.qos.enabled) {
+  if (opt.qos.enabled()) {
     qos_ = std::make_unique<QosTransport>(*top_, opt.qos);
     top_ = qos_.get();
   }

@@ -7,11 +7,12 @@
 // pipeline is built for pipeline_depth >= 2 OR an adaptive ceiling
 // adaptive_depth_max >= 2 (depth 1 IS the sync chain) and prices disk
 // service from the spindle geometry the Endpoints' targets mount; frame
-// formation is opt-in via TransportOptions::kind; the QoS scheduler is built
-// only when qos.enabled, above the staging layer so a throttled envelope
-// never occupies a staging queue; the fault decorator is built only when
-// inject_faults is set, so the default request path has zero fault-check
-// overhead; the shard router is built only when the Endpoints hold two or
+// formation is opt-in via TransportOptions::kind (its frame bound, watermark
+// and queue depth are FormationTransport constants); the QoS scheduler is
+// built only when qos.rate_bytes_per_ms > 0, above the staging layer so a
+// throttled envelope never occupies a staging queue; the fault decorator is
+// built only when inject_faults is set, so the default request path has zero
+// fault-check overhead; the shard router is built only when the Endpoints hold two or
 // more metadata servers, placing the namespace by the policy those servers
 // were mounted with (MdsConfig::placement) — above the fault layer, because
 // multi-MDS routing is client-library logic and each of its sub-envelopes
@@ -37,9 +38,7 @@ struct TransportOptions {
   /// deferred acks for fewer wire messages: it stages per destination and
   /// packs size-bounded frames.
   Kind kind{Kind::kInproc};
-  /// Frame-formation knobs (Kind::kFormation only).
-  FormationConfig formation{};
-  /// Per-client token-bucket admission control; qos.enabled builds the
+  /// Per-client token-bucket admission control; a rate above 0 builds the
   /// QosTransport above the staging layer.
   QosConfig qos{};
   /// In-flight window for the async completion-queue transport; depth <= 1

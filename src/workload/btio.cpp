@@ -17,7 +17,7 @@ BtioResult run_btio(core::ParallelFileSystem& fs, const BtioConfig& cfg) {
   const u64 slab_bytes = static_cast<u64>(cfg.cells_per_process) *
                          cfg.cell_bytes;
   const u64 frame_bytes = static_cast<u64>(cfg.processes) * slab_bytes;
-  client::CollectiveWriter collective(client, cfg.collective_cfg);
+  client::CollectiveWriter collective(client);
 
   // Process-major layout over the whole run: process p owns the contiguous
   // region [p·T·slab, (p+1)·T·slab) and appends one slab per timestep —

@@ -23,7 +23,6 @@ struct BtioConfig {
   u32 cells_per_process{16};
   u64 cell_bytes{8 * 1024};
   bool collective{false};
-  client::CollectiveConfig collective_cfg{};
   /// Per-step probability a process issues its next cell (arrival drift —
   /// see IorConfig::pacing).
   double pacing{0.75};

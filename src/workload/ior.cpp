@@ -42,7 +42,7 @@ IorResult run_ior(core::ParallelFileSystem& fs, const IorConfig& cfg) {
   const u64 rounds =
       (cfg.bytes_per_process + cfg.request_bytes - 1) / cfg.request_bytes;
 
-  client::CollectiveWriter collective(client, cfg.collective_cfg);
+  client::CollectiveWriter collective(client);
 
   auto offset_of = [&](u32 p, u64 r) {
     return static_cast<u64>(p) * cfg.bytes_per_process + r * cfg.request_bytes;

@@ -18,7 +18,6 @@ struct IorConfig {
   u64 request_bytes{32 * 1024};
   u64 bytes_per_process{u64{4} * 1024 * 1024};
   bool collective{false};
-  client::CollectiveConfig collective_cfg{};
   /// Per-step probability that a process issues its next request.  Real
   /// clusters never run in lock-step: compute noise and network jitter let
   /// processes drift apart, which is exactly why arrival-order placement

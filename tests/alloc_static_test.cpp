@@ -8,7 +8,7 @@ namespace {
 
 struct StaticFixture : ::testing::Test {
   block::FreeSpace space{DiskBlock{0}, 64 * 1024, 4};
-  StaticAllocator alloc{space, {}};
+  StaticAllocator alloc{space};
   block::ExtentMap map;
 };
 

@@ -91,7 +91,7 @@ TEST_F(AllocFixture, VanillaInterleavedStreamsFragmentTheFile) {
 }
 
 TEST_F(AllocFixture, ReservationSingleStreamIsContiguous) {
-  ReservationAllocator a(space, {});
+  ReservationAllocator a(space);
   block::ExtentMap map;
   for (u64 r = 0; r < 32; ++r) {
     ASSERT_TRUE(
@@ -104,7 +104,7 @@ TEST_F(AllocFixture, ReservationSingleStreamIsContiguous) {
 TEST_F(AllocFixture, ReservationSharedFileStillFragments) {
   // The flaw MiF attacks: the reservation belongs to the inode, so
   // interleaved streams still produce arrival-order placement.
-  ReservationAllocator a(space, {});
+  ReservationAllocator a(space);
   block::ExtentMap map;
   const u32 streams = 8;
   const u64 per_stream = 16;
@@ -121,7 +121,7 @@ TEST_F(AllocFixture, ReservationSharedFileStillFragments) {
 }
 
 TEST_F(AllocFixture, ReservationWindowDiscardedOnClose) {
-  ReservationAllocator a(space, {});
+  ReservationAllocator a(space);
   block::ExtentMap map;
   ASSERT_TRUE(a.extend({InodeNo{1}, StreamId{1, 1}, FileBlock{0}, 4}, map).ok());
   const u64 free_with_window = space.free_blocks();
@@ -133,13 +133,15 @@ TEST_F(AllocFixture, ReservationWindowDiscardedOnClose) {
 }
 
 TEST_F(AllocFixture, ReservationSurvivesExhaustedWindow) {
-  AllocatorTuning t;
-  t.reservation_blocks = 4;
-  ReservationAllocator a(space, t);
+  ReservationAllocator a(space);
   block::ExtentMap map;
+  // The first write opens a window; the second runs past its end, so the
+  // allocator must refill mid-write.
+  ASSERT_TRUE(a.extend({InodeNo{1}, StreamId{1, 1}, FileBlock{0}, 4}, map).ok());
+  constexpr u64 kPast = ReservationAllocator::kWindowBlocks + 36;
   ASSERT_TRUE(
-      a.extend({InodeNo{1}, StreamId{1, 1}, FileBlock{0}, 100}, map).ok());
-  EXPECT_EQ(map.mapped_blocks(), 100u);
+      a.extend({InodeNo{1}, StreamId{1, 1}, FileBlock{4}, kPast}, map).ok());
+  EXPECT_EQ(map.mapped_blocks(), 4 + kPast);
 }
 
 TEST_F(AllocFixture, StatsCountExtends) {

@@ -8,17 +8,19 @@
 namespace mif::client {
 namespace {
 
-core::ClusterConfig cfg_with_ra(u64 max_blocks) {
+constexpr u64 kMax = ClientFs::kReadaheadMaxBlocks;
+/// Long enough that a stream walking half of it never reaches its end.
+constexpr u64 kFileBlocks = 8 * kMax;
+
+core::ClusterConfig ra_cluster() {
   core::ClusterConfig cfg;
   cfg.num_targets = 2;
-  cfg.stripe.unit_blocks = 64;
   cfg.target.allocator = alloc::AllocatorMode::kStatic;
-  cfg.client_readahead_max_blocks = max_blocks;
   return cfg;
 }
 
 struct ReadaheadFixture : ::testing::Test {
-  core::ParallelFileSystem fs{cfg_with_ra(256)};
+  core::ParallelFileSystem fs{ra_cluster()};
   ClientFs client{fs.connect(ClientId{1})};
   FileHandle fh;
 
@@ -26,8 +28,8 @@ struct ReadaheadFixture : ::testing::Test {
     auto h = client.create("/data");
     ASSERT_TRUE(h);
     fh = *h;
-    ASSERT_TRUE(fs.preallocate(fh.ino, 4096).ok());  // 16 MiB, contiguous
-    ASSERT_TRUE(client.write(fh, 0, 0, 4096 * kBlockSize).ok());
+    ASSERT_TRUE(fs.preallocate(fh.ino, kFileBlocks).ok());  // contiguous
+    ASSERT_TRUE(client.write(fh, 0, 0, kFileBlocks * kBlockSize).ok());
     fs.drain_data();
     fs.reset_data_stats();
   }
@@ -50,15 +52,16 @@ TEST_F(ReadaheadFixture, SequentialReadsPrefetchAhead) {
 }
 
 TEST_F(ReadaheadFixture, PrefetchedDataIsNotReFetched) {
-  // Walk the file sequentially; total disk traffic must stay ~file size,
-  // not file size × window overshoot.
-  for (u64 off = 0; off < 2048; off += 8) {
+  // Walk part of the file sequentially; total disk traffic must stay ~the
+  // walked size, not walked size × window overshoot.
+  constexpr u64 kWalk = 2 * kMax;
+  for (u64 off = 0; off < kWalk; off += 8) {
     ASSERT_TRUE(client.read(fh, off * kBlockSize, 8 * kBlockSize).ok());
   }
   fs.drain_data();
   const u64 read = fs.data_stats().blocks_read;
-  EXPECT_GE(read, 2048u);
-  EXPECT_LE(read, 2048u + 512u);  // at most one overshoot window beyond
+  EXPECT_GE(read, kWalk);
+  EXPECT_LE(read, kWalk + kMax);  // at most one overshoot window beyond
   EXPECT_GT(client.stats().readahead_hits, 0u);
 }
 
@@ -72,12 +75,15 @@ TEST_F(ReadaheadFixture, RandomReadsDoNotPrefetch) {
 }
 
 TEST_F(ReadaheadFixture, WindowIsCapped) {
-  for (u64 off = 0; off < 4000; off += 8) {
+  // A long walk doubles the window many times over; an uncapped window
+  // would prefetch to the end of the file.
+  constexpr u64 kWalk = 4 * kMax;
+  for (u64 off = 0; off < kWalk; off += 8) {
     ASSERT_TRUE(client.read(fh, off * kBlockSize, 8 * kBlockSize).ok());
   }
   fs.drain_data();
-  // Even after a long run, traffic never exceeded file + one max window.
-  EXPECT_LE(fs.data_stats().blocks_read, 4096u + 256u);
+  // Traffic never exceeded the walk plus one max window.
+  EXPECT_LE(fs.data_stats().blocks_read, kWalk + kMax);
 }
 
 TEST_F(ReadaheadFixture, TwoInterleavedStreamsTrackIndependently) {
@@ -85,54 +91,40 @@ TEST_F(ReadaheadFixture, TwoInterleavedStreamsTrackIndependently) {
   // must be detected as sequential.
   for (u64 step = 0; step < 64; ++step) {
     ASSERT_TRUE(client.read(fh, step * 8 * kBlockSize, 8 * kBlockSize).ok());
-    ASSERT_TRUE(
-        client.read(fh, (2048 + step * 8) * kBlockSize, 8 * kBlockSize).ok());
+    ASSERT_TRUE(client
+                    .read(fh, (kFileBlocks / 2 + step * 8) * kBlockSize,
+                          8 * kBlockSize)
+                    .ok());
   }
   fs.drain_data();
   EXPECT_GT(client.stats().readahead_hits, 32u);
 }
 
-TEST(ReadaheadDisabled, ZeroMaxMeansRawReads) {
-  core::ParallelFileSystem fs(cfg_with_ra(0));
+TEST(ReadaheadPlacementInteraction, ReadaheadShrinksRequestStream) {
+  // The storage targets see fewer, larger requests than the application's
+  // small sequential reads: without readahead every 4-block read queues a
+  // request of its own; with it, a request covers a whole stripe unit.
+  core::ParallelFileSystem fs(ra_cluster());
   auto client = fs.connect(ClientId{1});
-  auto fh = client.create("/raw");
-  ASSERT_TRUE(fh);
-  ASSERT_TRUE(client.write(*fh, 0, 0, 256 * kBlockSize).ok());
+  auto fh = client.create("/scan");
+  ASSERT_TRUE(fh.ok());
+  ASSERT_TRUE(client.write(*fh, 0, 0, 2048 * kBlockSize).ok());
   fs.drain_data();
-  fs.reset_data_stats();
-  for (u64 off = 0; off < 256; off += 8) {
-    ASSERT_TRUE(client.read(*fh, off * kBlockSize, 8 * kBlockSize).ok());
+  u64 before = 0;
+  for (std::size_t t = 0; t < fs.num_targets(); ++t)
+    before += fs.target(t).io().stats().queued;
+  for (u64 off = 0; off < 2048; off += 4) {
+    ASSERT_TRUE(client.read(*fh, off * kBlockSize, 4 * kBlockSize).ok());
   }
   fs.drain_data();
-  EXPECT_EQ(fs.data_stats().blocks_read, 256u);
-  EXPECT_EQ(client.stats().readahead_blocks, 0u);
-}
-
-TEST(ReadaheadPlacementInteraction, ReadaheadShrinksRequestStream) {
-  // With readahead on, the storage targets see far fewer, larger requests
-  // for the same sequential scan.
-  auto queued_reads = [](u64 ra_blocks) {
-    core::ParallelFileSystem fs(cfg_with_ra(ra_blocks));
-    auto client = fs.connect(ClientId{1});
-    auto fh = client.create("/scan");
-    EXPECT_TRUE(fh.ok());
-    EXPECT_TRUE(client.write(*fh, 0, 0, 2048 * kBlockSize).ok());
-    fs.drain_data();
-    u64 before = 0;
-    for (std::size_t t = 0; t < fs.num_targets(); ++t)
-      before += fs.target(t).io().stats().queued;
-    for (u64 off = 0; off < 2048; off += 4) {
-      EXPECT_TRUE(client.read(*fh, off * kBlockSize, 4 * kBlockSize).ok());
-    }
-    fs.drain_data();
-    u64 after = 0;
-    for (std::size_t t = 0; t < fs.num_targets(); ++t)
-      after += fs.target(t).io().stats().queued;
-    return after - before;
-  };
-  const u64 with_ra = queued_reads(256);
-  const u64 without_ra = queued_reads(0);
-  EXPECT_LT(with_ra, without_ra / 4);
+  u64 after = 0;
+  for (std::size_t t = 0; t < fs.num_targets(); ++t)
+    after += fs.target(t).io().stats().queued;
+  // At most one request per stripe unit of the scan plus one overshoot
+  // window: half the requests the 512 reads alone would queue.
+  constexpr u64 kBound = (2048 + kMax) / osd::StripeLayout::kUnitBlocks;
+  static_assert(2 * kBound == 2048 / 4);
+  EXPECT_LE(after - before, kBound);
 }
 
 }  // namespace

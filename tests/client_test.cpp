@@ -9,7 +9,6 @@ namespace {
 core::ClusterConfig small_cluster(alloc::AllocatorMode mode) {
   core::ClusterConfig cfg;
   cfg.num_targets = 3;
-  cfg.stripe.unit_blocks = 8;
   cfg.target.allocator = mode;
   return cfg;
 }
@@ -37,10 +36,11 @@ TEST_F(ClientFixture, WritesStripeAcrossAllTargets) {
   auto fh = c.create("/striped");
   ASSERT_TRUE(fh);
   // 3 stripe units × 3 targets.
-  ASSERT_TRUE(c.write(*fh, 0, 0, 9 * 8 * kBlockSize).ok());
+  constexpr u64 kUnit = osd::StripeLayout::kUnitBlocks;
+  ASSERT_TRUE(c.write(*fh, 0, 0, 9 * kUnit * kBlockSize).ok());
   fs.drain_data();
   for (std::size_t t = 0; t < fs.num_targets(); ++t) {
-    EXPECT_EQ(fs.target(t).disk().stats().blocks_written, 24u)
+    EXPECT_EQ(fs.target(t).disk().stats().blocks_written, 3 * kUnit)
         << "target " << t;
   }
 }

@@ -22,7 +22,7 @@ struct CollectiveFixture : ::testing::Test {
 TEST_F(CollectiveFixture, MergesContiguousRequestsIntoOneWrite) {
   auto fh = client.create("/c");
   ASSERT_TRUE(fh);
-  CollectiveWriter w(client, {u64{64} * 1024 * 1024, 4});
+  CollectiveWriter w(client);
   std::vector<IoRequest> reqs;
   for (u32 p = 0; p < 16; ++p) {
     reqs.push_back({p, static_cast<u64>(p) * 65536, 65536});
@@ -36,16 +36,19 @@ TEST_F(CollectiveFixture, MergesContiguousRequestsIntoOneWrite) {
 TEST_F(CollectiveFixture, ChopsAtCollectiveBufferSize) {
   auto fh = client.create("/c");
   ASSERT_TRUE(fh);
-  CollectiveWriter w(client, {1 * 1024 * 1024, 4});  // 1 MB cb
-  std::vector<IoRequest> reqs{{0, 0, 4 * 1024 * 1024}};
+  CollectiveWriter w(client);
+  // Two and a half collective buffers: two full chunks and the remainder.
+  constexpr u64 kCb = CollectiveWriter::kCbBytes;
+  std::vector<IoRequest> reqs{{0, 0, 2 * kCb + kCb / 2}};
   ASSERT_TRUE(w.write_round(*fh, reqs).ok());
-  EXPECT_EQ(w.stats().requests_out, 4u);
+  EXPECT_EQ(w.stats().requests_out, 3u);
+  EXPECT_EQ(w.stats().bytes, 2 * kCb + kCb / 2);
 }
 
 TEST_F(CollectiveFixture, DisjointRangesStaySeparate) {
   auto fh = client.create("/c");
   ASSERT_TRUE(fh);
-  CollectiveWriter w(client, {});
+  CollectiveWriter w(client);
   std::vector<IoRequest> reqs{{0, 0, 4096}, {1, 1 << 20, 4096}};
   ASSERT_TRUE(w.write_round(*fh, reqs).ok());
   EXPECT_EQ(w.stats().requests_out, 2u);
@@ -54,7 +57,7 @@ TEST_F(CollectiveFixture, DisjointRangesStaySeparate) {
 TEST_F(CollectiveFixture, OverlapsAreDeduplicated) {
   auto fh = client.create("/c");
   ASSERT_TRUE(fh);
-  CollectiveWriter w(client, {});
+  CollectiveWriter w(client);
   std::vector<IoRequest> reqs{{0, 0, 8192}, {1, 4096, 8192}};
   ASSERT_TRUE(w.write_round(*fh, reqs).ok());
   EXPECT_EQ(w.stats().requests_out, 1u);
@@ -64,7 +67,7 @@ TEST_F(CollectiveFixture, OverlapsAreDeduplicated) {
 TEST_F(CollectiveFixture, ZeroLengthRequestsIgnored) {
   auto fh = client.create("/c");
   ASSERT_TRUE(fh);
-  CollectiveWriter w(client, {});
+  CollectiveWriter w(client);
   ASSERT_TRUE(w.write_round(*fh, {{0, 0, 0}, {1, 0, 4096}}).ok());
   EXPECT_EQ(w.stats().requests_out, 1u);
 }
@@ -85,7 +88,7 @@ TEST_F(CollectiveFixture, CollectivePlacementBeatsInterleavedNonCollective) {
       for (u32 p = 0; p < procs; ++p)
         frame.push_back({p, (static_cast<u64>(p) * cells + c) * 8192, 8192});
     if (collective) {
-      CollectiveWriter w(cl, {});
+      CollectiveWriter w(cl);
       EXPECT_TRUE(w.write_round(*fh, frame).ok());
     } else {
       for (const auto& r : frame)
@@ -119,7 +122,7 @@ TEST_F(CollectiveFixture, TwoPhaseRoundShipsListEnvelopesAndExchangeSpans) {
       for (u32 p = 0; p < procs; ++p)
         frame.push_back(
             {p, (static_cast<u64>(p) * cells + cell) * 16384, 8192});
-    CollectiveWriter w(cl, {});
+    CollectiveWriter w(cl);
     ASSERT_TRUE(w.write_round(*fh, frame).ok());
     f.drain_data();
     data_rpcs = f.transport().data_network().stats().rpcs;
@@ -144,18 +147,20 @@ TEST_F(CollectiveFixture, TwoPhaseChopsEveryAggregatorDomainAtCbBytes) {
   auto cl = f.connect(ClientId{1});
   auto fh = cl.create("/c");
   ASSERT_TRUE(fh.ok());
-  // 4 MB round, 1 MB cb, 4 aggregators: each aggregator owns a 1 MB file
-  // domain and ships it as exactly one chunk.
-  CollectiveWriter w(cl, {1 * 1024 * 1024, 4});
-  ASSERT_TRUE(w.write_round(*fh, {{0, 0, 4 * 1024 * 1024}}).ok());
-  EXPECT_EQ(w.stats().requests_out, 4u);
-  EXPECT_EQ(w.stats().bytes, u64{4} * 1024 * 1024);
+  // A round of two collective buffers per aggregator: each aggregator owns
+  // a file domain of exactly two buffers and ships it as two chunks.
+  constexpr u64 kRound =
+      2 * CollectiveWriter::kAggregators * CollectiveWriter::kCbBytes;
+  CollectiveWriter w(cl);
+  ASSERT_TRUE(w.write_round(*fh, {{0, 0, kRound}}).ok());
+  EXPECT_EQ(w.stats().requests_out, 2 * CollectiveWriter::kAggregators);
+  EXPECT_EQ(w.stats().bytes, kRound);
 }
 
 TEST_F(CollectiveFixture, ReadRoundMirrorsWrites) {
   auto fh = client.create("/c");
   ASSERT_TRUE(fh);
-  CollectiveWriter w(client, {});
+  CollectiveWriter w(client);
   ASSERT_TRUE(w.write_round(*fh, {{0, 0, 1 << 20}}).ok());
   fs.drain_data();
   const u64 before = fs.data_stats().blocks_read;

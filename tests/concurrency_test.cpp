@@ -129,9 +129,7 @@ TEST(StorageTargetConcurrency, ParallelClientsWriteDisjointFiles) {
 // stats and the slow log under the collector mutex.  Trace ids must stay
 // distinct per root and every thread's spans must land.
 TEST(SpanCollectorConcurrency, ParallelRecordersShareOneCollector) {
-  obs::Config cfg;
-  cfg.slow_k = 4;
-  obs::SpanCollector collector(cfg);
+  obs::SpanCollector collector;
   constexpr int kThreads = 4;
   constexpr int kTraces = 200;
   std::vector<std::thread> threads;
@@ -161,7 +159,7 @@ TEST(SpanCollectorConcurrency, ParallelRecordersShareOneCollector) {
   const auto stats = collector.phase_stats();
   ASSERT_TRUE(stats.count("client.write"));
   EXPECT_EQ(stats.at("client.write").hist_ns.count(), u64{kThreads} * kTraces);
-  EXPECT_EQ(collector.slow_traces().size(), 4u);
+  EXPECT_EQ(collector.slow_traces().size(), obs::SpanCollector::kSlowK);
 
   // Export under load is a consistent snapshot.
   obs::MetricsRegistry reg;
@@ -215,7 +213,8 @@ TEST(SpanCollectorConcurrency, ParallelClientsOnOneFilesystem) {
   EXPECT_EQ(stats.at("client.write").us.count(), u64{kThreads} * kWrites);
   ASSERT_TRUE(stats.count("alloc.decide"));
   EXPECT_EQ(spans.slow_traces().size(),
-            std::min<std::size_t>(obs::Config{}.slow_k, kThreads * kWrites));
+            std::min<std::size_t>(obs::SpanCollector::kSlowK,
+                                  kThreads * kWrites));
 }
 
 TEST(StorageTargetConcurrency, MixedReadWriteDeleteSurvives) {

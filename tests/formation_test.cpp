@@ -1,4 +1,4 @@
-// Frame-formation engine tests: every packed frame respects max_frame_bytes
+// Frame-formation engine tests: every packed frame respects kMaxFrameBytes
 // (oversize singletons excepted and counted), metadata frames leave before
 // data, coalescing and list folding survive the packer, watermark/queue-depth
 // backpressure, barrier ordering, deferred-error stickiness and the
@@ -16,7 +16,12 @@
 namespace mif::rpc {
 namespace {
 
-constexpr u64 kOneBlockWire = kHeaderBytes + 36 + kBlockSize;
+/// Wire size of a one-run block write: header + body (8+8+4+16) + data.
+constexpr u64 write_wire(u64 blocks) {
+  return kHeaderBytes + 36 + blocks * kBlockSize;
+}
+constexpr u64 kFrame = FormationTransport::kMaxFrameBytes;
+constexpr u64 kWatermark = FormationTransport::kWatermarkBytes;
 
 BlockWriteRequest write_req(u64 ino, u64 start, u64 count) {
   BlockWriteRequest req;
@@ -57,69 +62,54 @@ struct ProbeTransport final : Transport {
   }
 };
 
-// --- config validation ------------------------------------------------------
-
-TEST(FormationConfigValidate, RejectsUnmountableConfigs) {
-  FormationConfig cfg;
-  EXPECT_EQ(validate(cfg), "");
-  cfg.max_frame_bytes = kHeaderBytes;  // no room for any body
-  EXPECT_NE(validate(cfg), "");
-  cfg = {};
-  cfg.watermark_bytes = 0;
-  EXPECT_NE(validate(cfg), "");
-  cfg = {};
-  cfg.max_queue_msgs = 0;
-  EXPECT_NE(validate(cfg), "");
-}
-
 // --- frame packing ----------------------------------------------------------
-
-FormationConfig no_backpressure() {
-  FormationConfig cfg;
-  cfg.watermark_bytes = 1ull << 40;
-  cfg.max_queue_msgs = 1ull << 20;
-  return cfg;
-}
 
 TEST(Formation, PacksQueueIntoBoundedFrames) {
   ProbeTransport probe;
-  FormationConfig cfg = no_backpressure();
-  // Room for three one-block writes per frame, not four.
-  cfg.max_frame_bytes = kHeaderBytes + 3 * (kOneBlockWire - kHeaderBytes) + 1;
-  FormationTransport f(probe, cfg);
-  // Distinct inodes so nothing coalesces: ten envelopes stay ten.
-  for (u64 i = 0; i < 10; ++i)
-    ASSERT_TRUE(f.call(osd_at(0), write_req(100 + i, 0, 1)).ok());
-  EXPECT_EQ(f.pending_bytes(), 10 * kOneBlockWire);
+  FormationTransport f(probe);
+  // 64 KiB writes: a frame has room for 15 of them, not 16.
+  constexpr u64 kBlocks = 16;
+  static_assert(kHeaderBytes + 15 * (write_wire(kBlocks) - kHeaderBytes) <=
+                kFrame);
+  static_assert(kHeaderBytes + 16 * (write_wire(kBlocks) - kHeaderBytes) >
+                kFrame);
+  // Distinct inodes so nothing coalesces: forty envelopes stay forty, and
+  // they stay below the watermark, so only the flush ships them.
+  constexpr u64 kWrites = 40;
+  static_assert(kWrites * write_wire(kBlocks) < kWatermark);
+  for (u64 i = 0; i < kWrites; ++i)
+    ASSERT_TRUE(f.call(osd_at(0), write_req(100 + i, 0, kBlocks)).ok());
+  EXPECT_EQ(f.pending_bytes(), kWrites * write_wire(kBlocks));
   ASSERT_TRUE(f.flush().ok());
-  // 10 envelopes at 3 per frame: 4 frames (3+3+3+1), every one within bound.
-  ASSERT_EQ(probe.frames.size(), 4u);
+  // 40 envelopes at 15 per frame: 3 frames (15+15+10), every one within
+  // bound.
+  ASSERT_EQ(probe.frames.size(), 3u);
   for (const auto& fr : probe.frames) {
-    EXPECT_LE(fr.wire(), cfg.max_frame_bytes);
+    EXPECT_LE(fr.wire(), kFrame);
     EXPECT_EQ(fr.to, osd_at(0));
   }
-  EXPECT_EQ(probe.frames[0].reqs.size(), 3u);
-  EXPECT_EQ(probe.frames[3].reqs.size(), 1u);
+  EXPECT_EQ(probe.frames[0].reqs.size(), 15u);
+  EXPECT_EQ(probe.frames[2].reqs.size(), 10u);
   const FormationStats s = f.stats();
-  EXPECT_EQ(s.queued, 10u);
-  EXPECT_EQ(s.frames, 4u);
+  EXPECT_EQ(s.queued, kWrites);
+  EXPECT_EQ(s.frames, 3u);
   EXPECT_EQ(s.oversize_frames, 0u);
 }
 
 TEST(Formation, OversizeEnvelopeShipsAloneAndIsCounted) {
   ProbeTransport probe;
-  FormationConfig cfg = no_backpressure();
-  cfg.max_frame_bytes = kOneBlockWire;  // a 4-block write cannot fit
-  FormationTransport f(probe, cfg);
-  ASSERT_TRUE(f.call(osd_at(0), write_req(1, 0, 4)).ok());
+  FormationTransport f(probe);
+  // One block more than a frame's worth of data cannot fit.
+  constexpr u64 kOversize = kFrame / kBlockSize + 1;
+  ASSERT_TRUE(f.call(osd_at(0), write_req(1, 0, kOversize)).ok());
   ASSERT_TRUE(f.call(osd_at(0), write_req(2, 0, 1)).ok());
   ASSERT_TRUE(f.flush().ok());
   // The oversize envelope ships as its own frame rather than wedging the
   // queue; the frame that follows is back within bounds.
   ASSERT_EQ(probe.frames.size(), 2u);
-  EXPECT_GT(probe.frames[0].wire(), cfg.max_frame_bytes);
+  EXPECT_GT(probe.frames[0].wire(), kFrame);
   EXPECT_EQ(probe.frames[0].reqs.size(), 1u);
-  EXPECT_LE(probe.frames[1].wire(), cfg.max_frame_bytes);
+  EXPECT_LE(probe.frames[1].wire(), kFrame);
   const FormationStats s = f.stats();
   EXPECT_EQ(s.frames, 2u);
   EXPECT_EQ(s.oversize_frames, 1u);
@@ -127,7 +117,7 @@ TEST(Formation, OversizeEnvelopeShipsAloneAndIsCounted) {
 
 TEST(Formation, MetadataFramesLeaveBeforeData) {
   ProbeTransport probe;
-  FormationTransport f(probe, no_backpressure());
+  FormationTransport f(probe);
   // Data queued FIRST, metadata second — the flush must still put the MDS
   // frame on the wire ahead of the bulk data it describes.
   ASSERT_TRUE(f.call(osd_at(1), write_req(1, 0, 2)).ok());
@@ -145,7 +135,7 @@ TEST(Formation, UrgentFirstReordersAMixedQueue) {
   // OSD ops normally land in different queues), but it is exactly the case
   // order_urgent_locked exists for — drive it directly through the seam.
   ProbeTransport probe;
-  FormationTransport f(probe, no_backpressure());
+  FormationTransport f(probe);
   ASSERT_TRUE(f.call(mds_at(0), write_req(1, 0, 1)).ok());  // data first
   UtimeRequest ut;
   ut.path = "/f";
@@ -164,7 +154,7 @@ TEST(Formation, UrgentFirstReordersAMixedQueue) {
 
 TEST(Formation, CoalescesRunsAndFoldsMultiRunWritesIntoLists) {
   ProbeTransport probe;
-  FormationTransport f(probe, no_backpressure());
+  FormationTransport f(probe);
   ASSERT_TRUE(f.call(osd_at(0), write_req(1, 0, 1)).ok());
   ASSERT_TRUE(f.call(osd_at(0), write_req(1, 1, 1)).ok());  // extends run 0-1
   ASSERT_TRUE(f.call(osd_at(0), write_req(1, 5, 1)).ok());  // new run at 5
@@ -187,7 +177,7 @@ TEST(Formation, CoalescesRunsAndFoldsMultiRunWritesIntoLists) {
 
 TEST(Formation, SingleRunWritesStayBlockWrites) {
   ProbeTransport probe;
-  FormationTransport f(probe, no_backpressure());
+  FormationTransport f(probe);
   ASSERT_TRUE(f.call(osd_at(0), write_req(1, 0, 1)).ok());
   ASSERT_TRUE(f.call(osd_at(0), write_req(1, 1, 1)).ok());  // stays one run
   ASSERT_TRUE(f.flush().ok());
@@ -202,29 +192,38 @@ TEST(Formation, SingleRunWritesStayBlockWrites) {
 
 TEST(Formation, WatermarkAndQueueDepthForceFlushes) {
   ProbeTransport probe;
-  FormationConfig cfg = no_backpressure();
-  cfg.watermark_bytes = 2 * kOneBlockWire;
-  FormationTransport f(probe, cfg);
-  ASSERT_TRUE(f.call(osd_at(0), write_req(1, 0, 1)).ok());
+  FormationTransport f(probe);
+  // 512 KiB writes to distinct inodes: seven stay below the watermark, the
+  // eighth reaches it.
+  constexpr u64 kBlocks = 128;
+  static_assert(7 * write_wire(kBlocks) < kWatermark);
+  static_assert(8 * write_wire(kBlocks) >= kWatermark);
+  for (u64 i = 0; i < 7; ++i)
+    ASSERT_TRUE(f.call(osd_at(0), write_req(1 + i, 0, kBlocks)).ok());
   EXPECT_TRUE(probe.frames.empty());
-  ASSERT_TRUE(f.call(osd_at(0), write_req(2, 0, 1)).ok());  // hits watermark
-  EXPECT_EQ(probe.frames.size(), 1u);
+  ASSERT_TRUE(f.call(osd_at(0), write_req(8, 0, kBlocks)).ok());
+  EXPECT_FALSE(probe.frames.empty());
   EXPECT_EQ(f.pending_bytes(), 0u);
   EXPECT_EQ(f.stats().watermark_flushes, 1u);
 
+  // One-block writes to distinct inodes: the queue-depth bound trips long
+  // before their bytes reach the watermark.
+  constexpr u64 kDepth = FormationTransport::kMaxQueueMsgs;
+  static_assert(kDepth * write_wire(1) < kWatermark);
   ProbeTransport probe2;
-  FormationConfig cfg2 = no_backpressure();
-  cfg2.max_queue_msgs = 3;
-  FormationTransport f2(probe2, cfg2);
-  for (u64 i = 0; i < 3; ++i)  // distinct inodes: three staged envelopes
+  FormationTransport f2(probe2);
+  for (u64 i = 0; i + 1 < kDepth; ++i)
     ASSERT_TRUE(f2.call(osd_at(0), write_req(10 + i, 0, 1)).ok());
-  EXPECT_EQ(probe2.frames.size(), 1u);
+  EXPECT_TRUE(probe2.frames.empty());
+  ASSERT_TRUE(f2.call(osd_at(0), write_req(10 + kDepth, 0, 1)).ok());
+  EXPECT_FALSE(probe2.frames.empty());
+  EXPECT_EQ(f2.pending_bytes(), 0u);
   EXPECT_EQ(f2.stats().watermark_flushes, 1u);
 }
 
 TEST(Formation, BarrierFlushesStagedWorkFirst) {
   ProbeTransport probe;
-  FormationTransport f(probe, no_backpressure());
+  FormationTransport f(probe);
   ASSERT_TRUE(f.call(osd_at(0), write_req(1, 0, 1)).ok());
   // A read is non-deferrable: everything staged must hit the wire before it.
   BlockReadRequest read;
@@ -249,7 +248,7 @@ TEST(Formation, DeferredErrorGoesStickyAndSurfacesAtTheBarrier) {
   OsdPair osds;
   InprocTransport inproc(osds.eps());
   FaultTransport fault(inproc);
-  FormationTransport f(fault, no_backpressure());
+  FormationTransport f(fault);
   ASSERT_TRUE(f.call(osd_at(0), write_req(1, 0, 1)).ok());  // early ack
   fault.arm({.drop_after = 0, .drop_count = 1});  // the frame will be lost
   BlockReadRequest read;
@@ -268,7 +267,7 @@ TEST(Formation, DestructorDropIsObservable) {
   InprocTransport inproc(osds.eps());
   FaultTransport fault(inproc);
   {
-    FormationTransport f(fault, no_backpressure());
+    FormationTransport f(fault);
     f.set_spans(&spans);
     ASSERT_TRUE(f.call(osd_at(0), write_req(1, 0, 1)).ok());
     fault.arm({.drop_after = 0, .drop_count = 1});

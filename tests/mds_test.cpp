@@ -108,14 +108,13 @@ TEST(Mds, EmbeddedReaddirStatsCostsFewerDiskAccesses) {
 }
 
 // Same contrast for create: the embedded transaction touches fewer blocks
-// (no inode-table block, no inode bitmap).
+// (no inode-table block, no inode bitmap).  Enough creates for several
+// periodic checkpoints.
 TEST(Mds, EmbeddedCreateCheckpointsFewerBlocks) {
   auto run = [](mfs::DirectoryMode mode) {
-    MdsConfig cfg = cfg_for(mode);
-    cfg.mfs.checkpoint_interval = 8;
-    Mds mds(cfg);
+    Mds mds(cfg_for(mode));
     EXPECT_TRUE(mds.mkdir("d").ok());
-    for (int i = 0; i < 500; ++i)
+    for (u64 i = 0; i < 4 * mfs::Mfs::kCheckpointInterval; ++i)
       EXPECT_TRUE(mds.create("d/f" + std::to_string(i)).ok());
     mds.finish();
     return mds.fs().journal().stats().checkpoint_blocks;

@@ -51,8 +51,7 @@ TEST_F(EmbeddedFixture, InodeNumberEncodesDirectoryAndSlot) {
 TEST_F(EmbeddedFixture, MkdirPreallocatesContent) {
   auto d = l().mkdir(root(), "d");
   ASSERT_TRUE(d);
-  EXPECT_EQ(l().content_blocks(*d),
-            EmbeddedLayoutConfig{}.initial_dir_blocks);
+  EXPECT_EQ(l().content_blocks(*d), EmbeddedDirLayout::kInitialDirBlocks);
 }
 
 TEST_F(EmbeddedFixture, ContentGrowsWhenDirectoryFills) {
@@ -148,14 +147,13 @@ TEST_F(EmbeddedFixture, FragmentationDegreeTracksExtents) {
 }
 
 TEST_F(EmbeddedFixture, HighFragmentationTriggersEagerMappingBlocks) {
-  EmbeddedLayoutConfig ecfg;
   auto d = l().mkdir(root(), "d");
   ASSERT_TRUE(d);
   auto f1 = l().create(*d, "f1");
   ASSERT_TRUE(f1);
-  ASSERT_TRUE(
-      l().sync_layout(*f1, static_cast<u64>(ecfg.frag_degree_threshold * 3))
-          .ok());
+  const u64 extents =
+      static_cast<u64>(EmbeddedDirLayout::kFragDegreeThreshold * 3);
+  ASSERT_TRUE(l().sync_layout(*f1, extents).ok());
   // Directory now badly fragmented: the next create preallocates an extra
   // mapping block beside the inode.
   auto f2 = l().create(*d, "f2");
@@ -261,6 +259,52 @@ TEST_F(EmbeddedFixture, NoSpaceFailureLeavesNamespaceUnchanged) {
   ASSERT_TRUE(c);
   EXPECT_EQ(EmbeddedInodeNo::offset_of(*c), 1u);
   EXPECT_TRUE(l().verify().ok());
+}
+
+// A directory cannot move into its own subtree: the rename fails with
+// kInvalid before the layout is touched, and the namespace is unchanged.
+// Renaming onto itself is refused the same way; a name that only starts
+// with the same characters is not inside the directory.
+TEST_F(EmbeddedFixture, RenameIntoOwnSubtreeRefused) {
+  ASSERT_TRUE(fs.mkdir("a"));
+  ASSERT_TRUE(fs.mkdir("a/b"));
+  const NamespaceVerifyReport before = l().verify();
+  ASSERT_TRUE(before.ok());
+  const u64 renames = l().op_stats().renames;
+
+  EXPECT_EQ(fs.rename("a", "a/b/c").error(), Errc::kInvalid);
+  EXPECT_EQ(fs.rename("a", "/a/c").error(), Errc::kInvalid);
+  EXPECT_EQ(fs.rename("a", "a").error(), Errc::kInvalid);
+  EXPECT_EQ(l().op_stats().renames, renames);
+
+  EXPECT_TRUE(fs.resolve("a").ok());
+  EXPECT_TRUE(fs.resolve("a/b").ok());
+  auto listing = fs.readdir("/");
+  ASSERT_TRUE(listing);
+  ASSERT_EQ(listing->size(), 1u);
+  EXPECT_EQ(listing->front().name, "a");
+  const NamespaceVerifyReport after = l().verify();
+  EXPECT_TRUE(after.ok());
+  EXPECT_EQ(after.inodes, before.inodes);
+  EXPECT_EQ(after.directories, before.directories);
+  EXPECT_EQ(after.metadata_blocks, before.metadata_blocks);
+
+  EXPECT_TRUE(fs.rename("a", "ab").ok());
+  EXPECT_TRUE(fs.resolve("ab/b").ok());
+  EXPECT_TRUE(l().verify().ok());
+}
+
+// verify() fails a directory that no walk from the root reaches: the cycle
+// a rename into the directory's own subtree builds, made here through the
+// layout directly.
+TEST_F(EmbeddedFixture, VerifyFailsDirectoryCutOffFromRoot) {
+  auto a = l().mkdir(root(), "a");
+  ASSERT_TRUE(a);
+  auto b = l().mkdir(*a, "b");
+  ASSERT_TRUE(b);
+  ASSERT_TRUE(l().verify().ok());
+  ASSERT_TRUE(l().rename(root(), "a", *b, "c"));
+  EXPECT_FALSE(l().verify().ok());
 }
 
 }  // namespace

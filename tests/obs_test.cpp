@@ -319,8 +319,7 @@ auto mount_fields(const core::ClusterConfig& c) {
                     c.mds.shards,           c.list_io_max_runs,
                     c.num_targets,          c.mds.placement,
                     c.redundancy.replicas,  c.rpc.inject_faults,
-                    c.rpc.qos.enabled,      c.rpc.kind,
-                    c.client_readahead_max_blocks};
+                    c.rpc.qos.rate_bytes_per_ms, c.rpc.kind};
 }
 
 TEST(BenchReport, OverlaySetsExactlyTheFourMountFields) {

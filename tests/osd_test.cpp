@@ -8,7 +8,7 @@ namespace mif::osd {
 namespace {
 
 TEST(Striping, TargetRoundRobinByUnit) {
-  StripeLayout l{4, 16};
+  StripeLayout l{4};
   EXPECT_EQ(target_of(l, FileBlock{0}), 0u);
   EXPECT_EQ(target_of(l, FileBlock{15}), 0u);
   EXPECT_EQ(target_of(l, FileBlock{16}), 1u);
@@ -17,7 +17,7 @@ TEST(Striping, TargetRoundRobinByUnit) {
 }
 
 TEST(Striping, LocalOffsetsCompact) {
-  StripeLayout l{4, 16};
+  StripeLayout l{4};
   // Global stripe row 1, target 0: local row 1.
   EXPECT_EQ(to_local(l, FileBlock{64}).v, 16u);
   EXPECT_EQ(to_local(l, FileBlock{0}).v, 0u);
@@ -25,7 +25,7 @@ TEST(Striping, LocalOffsetsCompact) {
 }
 
 TEST(Striping, SlicesCoverRangeExactlyOnce) {
-  StripeLayout l{3, 8};
+  StripeLayout l{3};
   auto slices = slices_for(l, FileBlock{5}, 40);
   u64 covered = 0;
   u64 expect_next = 5;
@@ -40,7 +40,7 @@ TEST(Striping, SlicesCoverRangeExactlyOnce) {
 }
 
 TEST(Striping, SingleTargetDegeneratesToIdentity) {
-  StripeLayout l{1, 16};
+  StripeLayout l{1};
   auto slices = slices_for(l, FileBlock{100}, 100);
   ASSERT_EQ(slices.size(), 1u);
   EXPECT_EQ(slices[0].local_start.v, 100u);
@@ -48,7 +48,7 @@ TEST(Striping, SingleTargetDegeneratesToIdentity) {
 }
 
 TEST(Striping, SubUnitRequestIsOneSlice) {
-  StripeLayout l{5, 16};
+  StripeLayout l{5};
   auto slices = slices_for(l, FileBlock{18}, 4);
   ASSERT_EQ(slices.size(), 1u);
   EXPECT_EQ(slices[0].target, 1u);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -21,8 +22,17 @@
 namespace mif::rpc {
 namespace {
 
-// Wire size of a one-block write: header + body (8+8+4+16) + one data block.
-constexpr u64 kOneBlockWire = kHeaderBytes + 36 + kBlockSize;
+/// Wire size of a one-run block write: header + body (8+8+4+16) + data.
+constexpr u64 write_wire(u64 blocks) {
+  return kHeaderBytes + 36 + blocks * kBlockSize;
+}
+constexpr u64 kOneBlockWire = write_wire(1);
+constexpr u64 kBurst = QosTransport::kBurstBytes;
+/// The largest write a full bucket admits: it leaves too few tokens for a
+/// one-block write, so the next envelope of its lane parks.
+constexpr u64 kDrainBlocks = (kBurst - write_wire(0)) / kBlockSize;
+static_assert(write_wire(kDrainBlocks) <= kBurst);
+static_assert(kBurst - write_wire(kDrainBlocks) < kOneBlockWire);
 
 BlockWriteRequest write_req(u64 ino, u64 start, u64 count) {
   BlockWriteRequest req;
@@ -66,47 +76,46 @@ TEST(TokenBucket, RefillIsRateTimesElapsedCappedAtBurst) {
 // --- config validation ------------------------------------------------------
 
 TEST(QosConfigValidate, RejectsUnmountableConfigs) {
-  QosConfig cfg;
-  cfg.enabled = true;
+  QosConfig cfg;  // rate 0: the layer is never built
+  EXPECT_FALSE(cfg.enabled());
   EXPECT_EQ(validate(cfg), "");
-  cfg.rate_bytes_per_ms = 0.0;
-  EXPECT_NE(validate(cfg), "");
-  cfg = {};
-  cfg.enabled = true;
-  cfg.burst_bytes = 0;
-  EXPECT_NE(validate(cfg), "");
-  // A disabled config is always mountable (the layer is never built).
-  cfg = {};
-  cfg.rate_bytes_per_ms = 0.0;
+  cfg.rate_bytes_per_ms = 1000.0;
+  EXPECT_TRUE(cfg.enabled());
   EXPECT_EQ(validate(cfg), "");
+  cfg.rate_bytes_per_ms = -1.0;
+  EXPECT_NE(validate(cfg), "");
+  cfg.rate_bytes_per_ms = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(validate(cfg), "");
 }
 
 // --- admission --------------------------------------------------------------
 
-QosConfig small_bucket(double rate_bytes_per_ms, u64 burst_bytes) {
+QosConfig at_rate(double rate_bytes_per_ms) {
   QosConfig cfg;
-  cfg.enabled = true;
   cfg.rate_bytes_per_ms = rate_bytes_per_ms;
-  cfg.burst_bytes = burst_bytes;
   return cfg;
 }
 
 TEST(QosTransport, AdmitsWithinBurstParksBeyond) {
   OsdPair osds;
   InprocTransport inner(osds.eps());
-  QosTransport qos(inner, small_bucket(1000.0, 3 * kOneBlockWire));
+  QosTransport qos(inner, at_rate(1000.0));
+  // Quarter-MiB writes: a full bucket covers three of them, not four.
+  constexpr u64 kBlocks = 64;
+  static_assert(3 * write_wire(kBlocks) <= kBurst);
+  static_assert(4 * write_wire(kBlocks) > kBurst);
   obs::ScopedPrincipal sp({1, obs::OpClass::kData});
   for (u64 i = 0; i < 3; ++i)
-    ASSERT_TRUE(qos.call(osd_at(0), write_req(1, i, 1)).ok());
+    ASSERT_TRUE(qos.call(osd_at(0), write_req(1, i * kBlocks, kBlocks)).ok());
   EXPECT_EQ(inner.op_counters(Op::kBlockWrite).count, 3u);
   EXPECT_EQ(qos.backlog(), 0u);
   // Fourth write exceeds the bucket: parked, but acked like a batched write.
-  auto r = qos.call(osd_at(0), write_req(1, 3, 1));
+  auto r = qos.call(osd_at(0), write_req(1, 3 * kBlocks, kBlocks));
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(std::holds_alternative<VoidResponse>(*r));
   EXPECT_EQ(inner.op_counters(Op::kBlockWrite).count, 3u);  // not dispatched
   EXPECT_EQ(qos.backlog(), 1u);
-  EXPECT_EQ(qos.backlog_bytes(), kOneBlockWire);
+  EXPECT_EQ(qos.backlog_bytes(), write_wire(kBlocks));
   const QosStats s = qos.stats();
   EXPECT_EQ(s.admitted, 3u);
   EXPECT_EQ(s.throttled, 1u);
@@ -117,8 +126,9 @@ TEST(QosTransport, UnmeteredWorkPassesThrough) {
   OsdPair osds;
   mds::Mds mds;
   InprocTransport inner(Endpoints{{&mds}, {&osds.a, &osds.b}});
-  // A bucket too small for anything: if these ops were metered they'd park.
-  QosTransport qos(inner, small_bucket(0.001, kOneBlockWire));
+  // A bucket that barely refills: if these ops were metered, the second
+  // write would park behind the first.
+  QosTransport qos(inner, at_rate(0.001));
   {
     // Deferrable metadata (extent reports) is never throttled.
     obs::ScopedPrincipal sp({1, obs::OpClass::kData});
@@ -128,8 +138,8 @@ TEST(QosTransport, UnmeteredWorkPassesThrough) {
     ASSERT_TRUE(qos.call(mds_at(0), Request{rep}).ok());
   }
   // System-principal data (no ScopedPrincipal open) is never throttled.
-  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 0, 1)).ok());
-  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 1, 1)).ok());
+  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 0, kDrainBlocks)).ok());
+  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, kDrainBlocks, 1)).ok());
   EXPECT_EQ(qos.backlog(), 0u);
   const QosStats s = qos.stats();
   EXPECT_EQ(s.admitted, 0u);
@@ -140,11 +150,11 @@ TEST(QosTransport, UnmeteredWorkPassesThrough) {
 TEST(QosTransport, UnsetClockNeverRefills) {
   OsdPair osds;
   InprocTransport inner(osds.eps());
-  QosTransport qos(inner, small_bucket(1e9, kOneBlockWire));
+  QosTransport qos(inner, at_rate(1e9));
   obs::ScopedPrincipal sp({1, obs::OpClass::kData});
-  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 0, 1)).ok());
-  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 1, 1)).ok());  // parks
-  EXPECT_EQ(qos.backlog(), 1u);
+  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 0, kDrainBlocks)).ok());
+  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, kDrainBlocks, 1)).ok());
+  EXPECT_EQ(qos.backlog(), 1u);  // the second write parked
   // Without set_clock the bucket can never earn tokens back, no matter the
   // rate — exactly what a standalone unit test wants.
   qos.pump();
@@ -162,19 +172,22 @@ TEST(QosTransport, UnsetClockNeverRefills) {
 TEST(QosTransport, RefillReleasesAtTheConfiguredRate) {
   OsdPair osds;
   InprocTransport inner(osds.eps());
-  QosTransport qos(inner, small_bucket(1000.0, kOneBlockWire));
+  QosTransport qos(inner, at_rate(1000.0));
   double now = 0.0;
   qos.set_clock([&now] { return now; });
   obs::ScopedPrincipal sp({1, obs::OpClass::kData});
-  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 0, 1)).ok());  // burst
-  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 1, 1)).ok());  // parks
-  EXPECT_EQ(qos.backlog(), 1u);
-  // Not enough elapsed time for one envelope's worth of tokens.
-  now = 1.0;  // 1000 bytes earned < kOneBlockWire
+  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 0, kDrainBlocks)).ok());
+  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, kDrainBlocks, 1)).ok());
+  EXPECT_EQ(qos.backlog(), 1u);  // the second write parked
+  // The bucket is this many tokens short of the parked envelope.
+  constexpr double kShort =
+      static_cast<double>(kOneBlockWire - (kBurst - write_wire(kDrainBlocks)));
+  // Half of them earned: not enough.
+  now = 0.5 * kShort / 1000.0;
   qos.pump();
   EXPECT_EQ(qos.backlog(), 1u);
   // Enough: the parked envelope releases on the simulated clock, unforced.
-  now = static_cast<double>(kOneBlockWire) / 1000.0 + 0.5;
+  now = 1.5 * kShort / 1000.0;
   qos.pump();
   EXPECT_EQ(qos.backlog(), 0u);
   EXPECT_EQ(inner.op_counters(Op::kBlockWrite).count, 2u);
@@ -186,13 +199,17 @@ TEST(QosTransport, RefillReleasesAtTheConfiguredRate) {
 TEST(QosTransport, PerClientFifoHoldsTheLine) {
   OsdPair osds;
   InprocTransport inner(osds.eps());
-  QosTransport qos(inner, small_bucket(1000.0, 3 * kOneBlockWire));
+  QosTransport qos(inner, at_rate(1000.0));
   double now = 0.0;
   qos.set_clock([&now] { return now; });
+  // The first write leaves tokens for a one-block write, not a two-block one.
+  constexpr u64 kFirst = kDrainBlocks - 1;
+  static_assert(kBurst - write_wire(kFirst) >= write_wire(1));
+  static_assert(kBurst - write_wire(kFirst) + 10 < write_wire(2));
   obs::ScopedPrincipal sp({1, obs::OpClass::kData});
-  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 0, 2)).ok());  // most of burst
-  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 2, 2)).ok());  // parks (big)
-  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 4, 1)).ok());  // parks (small)
+  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 0, kFirst)).ok());
+  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, kFirst, 2)).ok());  // big
+  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, kFirst + 2, 1)).ok());  // small
   EXPECT_EQ(qos.backlog(), 2u);
   // Leftover tokens cover the SMALL envelope but not the big one at the head
   // of the lane: per-client FIFO must hold — nothing may jump the line.
@@ -209,20 +226,24 @@ TEST(QosTransport, PerClientFifoHoldsTheLine) {
 TEST(QosTransport, OversizeEnvelopesNeverWedgeTheLane) {
   OsdPair osds;
   InprocTransport inner(osds.eps());
-  // Burst smaller than a two-block write.
-  QosTransport qos(inner, small_bucket(1000.0, kOneBlockWire + 100));
+  QosTransport qos(inner, at_rate(1000.0));
   double now = 0.0;
   qos.set_clock([&now] { return now; });
+  // One block more than the whole bucket.
+  constexpr u64 kOversize = kBurst / kBlockSize + 1;
   obs::ScopedPrincipal sp({1, obs::OpClass::kData});
   // An envelope larger than the whole bucket, empty backlog: admitted (it
   // could never earn enough tokens).
-  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 0, 2)).ok());
+  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 0, kOversize)).ok());
   EXPECT_EQ(qos.backlog(), 0u);
   EXPECT_EQ(qos.stats().admitted, 1u);
   // Drain the bucket, then park a normal write and an oversize one behind it.
-  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 2, 1)).ok());  // burst
-  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 3, 1)).ok());  // parks
-  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 4, 2)).ok());  // parks, oversize
+  u64 at = kOversize;
+  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, at, kDrainBlocks)).ok());
+  at += kDrainBlocks;
+  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, at, 1)).ok());  // parks
+  at += 1;
+  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, at, kOversize)).ok());  // parks
   EXPECT_EQ(qos.backlog(), 2u);
   // One envelope's worth of tokens: the normal write releases on tokens, the
   // oversize one is let through rather than wedging the lane forever.
@@ -247,25 +268,28 @@ struct RecordingTransport final : Transport {
 
 TEST(QosTransport, RoundRobinSharesReleases) {
   RecordingTransport inner;
-  // Burst large enough that one refill covers a whole lane's backlog (the
-  // refill credit is capped at the burst), so release order is pure RR.
-  QosTransport qos(inner, small_bucket(1e9, 8 * kOneBlockWire));
+  // One refill covers a whole lane's backlog (the refill credit is capped
+  // at the burst), so release order is pure RR.
+  QosTransport qos(inner, at_rate(1e9));
   double now = 0.0;
   qos.set_clock([&now] { return now; });
+  // The first write leaves tokens for exactly one more one-block write.
+  constexpr u64 kFirst = kDrainBlocks - 1;
+  static_assert(kBurst - write_wire(kFirst) < 2 * kOneBlockWire);
   {
     obs::ScopedPrincipal sp({1, obs::OpClass::kData});
-    // A 7-block write drains most of the burst, then two 1-block writes park.
-    ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 0, 7)).ok());
-    ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 7, 1)).ok());
+    // The first two writes are admitted, then two 1-block writes park.
+    ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 0, kFirst)).ok());
+    ASSERT_TRUE(qos.call(osd_at(0), write_req(1, kFirst, 1)).ok());
     for (u64 i = 0; i < 2; ++i)
-      ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 8 + i, 1)).ok());
+      ASSERT_TRUE(qos.call(osd_at(0), write_req(1, kFirst + 1 + i, 1)).ok());
   }
   {
     obs::ScopedPrincipal sp({2, obs::OpClass::kData});
-    ASSERT_TRUE(qos.call(osd_at(1), write_req(2, 0, 7)).ok());
-    ASSERT_TRUE(qos.call(osd_at(1), write_req(2, 7, 1)).ok());
+    ASSERT_TRUE(qos.call(osd_at(1), write_req(2, 0, kFirst)).ok());
+    ASSERT_TRUE(qos.call(osd_at(1), write_req(2, kFirst, 1)).ok());
     for (u64 i = 0; i < 4; ++i)
-      ASSERT_TRUE(qos.call(osd_at(1), write_req(2, 8 + i, 1)).ok());
+      ASSERT_TRUE(qos.call(osd_at(1), write_req(2, kFirst + 1 + i, 1)).ok());
   }
   ASSERT_EQ(qos.backlog(), 6u);
   now = 1.0;  // every lane refills to its full burst: tokens gate nothing
@@ -284,16 +308,16 @@ TEST(QosTransport, RoundRobinSharesReleases) {
 TEST(QosTransport, BarrierReleasesOnlyItsOwnInode) {
   OsdPair osds;
   InprocTransport inner(osds.eps());
-  QosTransport qos(inner, small_bucket(0.001, kOneBlockWire));
+  QosTransport qos(inner, at_rate(0.001));
   {
     obs::ScopedPrincipal sp({1, obs::OpClass::kData});
-    ASSERT_TRUE(qos.call(osd_at(0), write_req(10, 0, 1)).ok());  // burst
-    ASSERT_TRUE(qos.call(osd_at(0), write_req(10, 1, 1)).ok());  // parks
+    ASSERT_TRUE(qos.call(osd_at(0), write_req(10, 0, kDrainBlocks)).ok());
+    ASSERT_TRUE(qos.call(osd_at(0), write_req(10, kDrainBlocks, 1)).ok());
   }
   {
     obs::ScopedPrincipal sp({2, obs::OpClass::kData});
-    ASSERT_TRUE(qos.call(osd_at(1), write_req(20, 0, 1)).ok());  // burst
-    ASSERT_TRUE(qos.call(osd_at(1), write_req(20, 1, 1)).ok());  // parks
+    ASSERT_TRUE(qos.call(osd_at(1), write_req(20, 0, kDrainBlocks)).ok());
+    ASSERT_TRUE(qos.call(osd_at(1), write_req(20, kDrainBlocks, 1)).ok());
   }
   ASSERT_EQ(qos.backlog(), 2u);
   // A read of ino 10 must observe ino 10's queued write — and ONLY that
@@ -312,10 +336,10 @@ TEST(QosTransport, BarrierReleasesOnlyItsOwnInode) {
 TEST(QosTransport, GetExtentsIsAdvisoryNotABarrier) {
   OsdPair osds;
   InprocTransport inner(osds.eps());
-  QosTransport qos(inner, small_bucket(0.001, kOneBlockWire));
+  QosTransport qos(inner, at_rate(0.001));
   obs::ScopedPrincipal sp({1, obs::OpClass::kData});
-  ASSERT_TRUE(qos.call(osd_at(0), write_req(10, 0, 1)).ok());
-  ASSERT_TRUE(qos.call(osd_at(0), write_req(10, 1, 1)).ok());  // parks
+  ASSERT_TRUE(qos.call(osd_at(0), write_req(10, 0, kDrainBlocks)).ok());
+  ASSERT_TRUE(qos.call(osd_at(0), write_req(10, kDrainBlocks, 1)).ok());
   ASSERT_EQ(qos.backlog(), 1u);
   // The client's periodic extent poll is an advisory statistics read, not a
   // data dependency — a streamer must not earn a backlog bypass just by
@@ -335,10 +359,10 @@ TEST(QosTransport, DeferredReleaseErrorSurfacesAtFlush) {
   OsdPair osds;
   InprocTransport inproc(osds.eps());
   FaultTransport fault(inproc);
-  QosTransport qos(fault, small_bucket(0.001, kOneBlockWire));
+  QosTransport qos(fault, at_rate(0.001));
   obs::ScopedPrincipal sp({1, obs::OpClass::kData});
-  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 0, 1)).ok());
-  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 1, 1)).ok());  // parks
+  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 0, kDrainBlocks)).ok());
+  ASSERT_TRUE(qos.call(osd_at(0), write_req(1, kDrainBlocks, 1)).ok());
   // The parked envelope was already acked; its release will fail — the
   // error must go sticky and surface at the flush, batching semantics.
   fault.arm({.drop_after = 0, .drop_count = 1});
@@ -355,11 +379,11 @@ TEST(QosTransport, DestructorDropIsObservable) {
   InprocTransport inproc(osds.eps());
   FaultTransport fault(inproc);
   {
-    QosTransport qos(fault, small_bucket(0.001, kOneBlockWire));
+    QosTransport qos(fault, at_rate(0.001));
     qos.set_spans(&spans);
     obs::ScopedPrincipal sp({1, obs::OpClass::kData});
-    ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 0, 1)).ok());
-    ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 1, 1)).ok());  // parks
+    ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 0, kDrainBlocks)).ok());
+    ASSERT_TRUE(qos.call(osd_at(0), write_req(1, kDrainBlocks, 1)).ok());
     fault.arm({.drop_after = 0, .drop_count = 1});
     // Destroyed with a parked envelope whose release will fail: the error
     // has nowhere to surface — it must be dropped OBSERVABLY.
@@ -376,14 +400,14 @@ TEST(QosTransport, ReleasedEnvelopesChargeTheirOwner) {
   OsdPair osds;
   InprocTransport inner(osds.eps());
   obs::Attribution attrib;
-  QosTransport qos(inner, small_bucket(1e9, kOneBlockWire));
+  QosTransport qos(inner, at_rate(1e9));
   qos.set_attribution(&attrib);
   double now = 0.0;
   qos.set_clock([&now] { return now; });
   {
     obs::ScopedPrincipal sp({7, obs::OpClass::kData});
-    ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 0, 1)).ok());
-    ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 1, 1)).ok());  // parks
+    ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 0, kDrainBlocks)).ok());
+    ASSERT_TRUE(qos.call(osd_at(0), write_req(1, kDrainBlocks, 1)).ok());
   }
   // Released from a pump with NO principal open: the charge must still land
   // on client 7, the owner — not on the system principal.
@@ -394,7 +418,7 @@ TEST(QosTransport, ReleasedEnvelopesChargeTheirOwner) {
   const obs::Principal owner{7, obs::OpClass::kData};
   auto it = accounts.find(owner.key());
   ASSERT_NE(it, accounts.end());
-  EXPECT_EQ(it->second.net_bytes, 2 * kOneBlockWire);
+  EXPECT_EQ(it->second.net_bytes, write_wire(kDrainBlocks) + kOneBlockWire);
   auto sys = accounts.find(obs::Principal{}.key());
   if (sys != accounts.end()) {
     EXPECT_EQ(sys->second.net_bytes, 0u);
@@ -406,11 +430,13 @@ TEST(QosTransport, ReleasedEnvelopesChargeTheirOwner) {
 TEST(QosTransportConcurrency, ParallelClientsShareOneScheduler) {
   OsdPair osds;
   InprocTransport inner(osds.eps());
-  QosTransport qos(inner, small_bucket(64.0 * 1024.0, 4 * kOneBlockWire));
+  QosTransport qos(inner, at_rate(64.0 * 1024.0));
   std::atomic<double> clock{0.0};
   qos.set_clock([&clock] { return clock.load(std::memory_order_relaxed); });
   constexpr int kThreads = 4;
   constexpr u64 kWritesPerThread = 64;
+  // Quarter-MiB writes: every lane outruns its bucket and parks.
+  constexpr u64 kBlocks = 64;
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
   for (int t = 0; t < kThreads; ++t) {
@@ -419,7 +445,8 @@ TEST(QosTransportConcurrency, ParallelClientsShareOneScheduler) {
           {static_cast<u32>(t) + 1, obs::OpClass::kData});
       for (u64 i = 0; i < kWritesPerThread; ++i) {
         const auto r = qos.call(osd_at(static_cast<u32>(t) % 2),
-                                write_req(static_cast<u64>(t) + 1, i, 1));
+                                write_req(static_cast<u64>(t) + 1,
+                                          i * kBlocks, kBlocks));
         if (!r.ok()) ++failures;
         clock.store(clock.load(std::memory_order_relaxed) + 0.25,
                     std::memory_order_relaxed);

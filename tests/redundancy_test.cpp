@@ -24,7 +24,6 @@ namespace {
 core::ClusterConfig replicated_cluster(u32 replicas) {
   core::ClusterConfig cfg;
   cfg.num_targets = 4;
-  cfg.stripe = {4, 16};
   cfg.target.allocator = alloc::AllocatorMode::kOnDemand;
   cfg.redundancy.replicas = replicas;
   cfg.rpc.inject_faults = true;  // mounts the fault layer (kill mode)
@@ -48,7 +47,7 @@ TEST(RedundancyPlacement, ReplicaInoRoundTrips) {
 }
 
 TEST(RedundancyPlacement, CopyTargetRotatesAroundTheStripe) {
-  const osd::StripeLayout layout{4, 16};
+  const osd::StripeLayout layout{4};
   EXPECT_EQ(redundancy::copy_target(layout, 0, 1), 1u);
   EXPECT_EQ(redundancy::copy_target(layout, 1, 1), 2u);
   EXPECT_EQ(redundancy::copy_target(layout, 3, 1), 0u);  // wraps

@@ -252,7 +252,6 @@ TEST(Pfs, DataPathChargedOnDataNetwork) {
 core::ClusterConfig one_target_cfg() {
   core::ClusterConfig cfg;
   cfg.num_targets = 1;
-  cfg.stripe = osd::StripeLayout{1, 16};
   return cfg;
 }
 
@@ -299,14 +298,16 @@ TEST(FormationMount, CoalescesContiguousWritesIntoOneWireMessage) {
 }
 
 TEST(FormationMount, WatermarkForcesFlush) {
-  core::ClusterConfig cfg = formation_cfg();
-  cfg.rpc.formation.watermark_bytes = 64 * 1024;  // ~4 blocks of payload
-  core::ParallelFileSystem fs(cfg);
+  core::ParallelFileSystem fs(formation_cfg());
   auto c = fs.connect(ClientId{1});
   auto fh = c.create("seq.odb");
   ASSERT_TRUE(fh);
-  for (u64 i = 0; i < 16; ++i)
-    ASSERT_TRUE(c.write(*fh, 0, i * 4 * kBlockSize, 4 * kBlockSize).ok());
+  // Forty 128 KiB writes stage 5 MiB, past the watermark, well before the
+  // client's 64-write layout report would flush the queue as a barrier.
+  constexpr u64 kWrite = 32 * kBlockSize;
+  static_assert(40 * kWrite > FormationTransport::kWatermarkBytes);
+  for (u64 i = 0; i < 40; ++i)
+    ASSERT_TRUE(c.write(*fh, 0, i * kWrite, kWrite).ok());
   // Backpressure shipped frames before any explicit flush or barrier.
   EXPECT_GT(fs.transport().formation()->stats().watermark_flushes, 0u);
   EXPECT_GT(fs.transport().wire().data_network().stats().rpcs, 0u);
@@ -319,7 +320,7 @@ TEST(FormationStack, DeferredErrorSurfacesAtFlush) {
   osd::StorageTarget target;
   InprocTransport inproc(Endpoints{{}, {&target}});
   FaultTransport fault(inproc);
-  FormationTransport formation(fault, FormationConfig{});
+  FormationTransport formation(fault);
   const BlockWriteRequest write{
       InodeNo{1}, StreamId{1, 0}, {BlockRun{FileBlock{0}, 4}}};
   fault.arm({.drop_count = 1});
@@ -483,7 +484,6 @@ TEST(Fault, DropsSurfaceAsIoThenRecover) {
 TEST(Stack, FullChainComposesAndSharesOneCompletionQueue) {
   core::ClusterConfig cfg = formation_cfg();
   cfg.num_targets = 2;
-  cfg.stripe = osd::StripeLayout{2, 16};
   cfg.rpc.pipeline_depth = 4;
   cfg.rpc.inject_faults = true;
   core::ParallelFileSystem fs(cfg);

@@ -71,15 +71,23 @@ class SystemMatrix : public ::testing::TestWithParam<Config> {
     cfg.list_io_max_runs = io.list_io_max_runs;
     if (io.pipeline_depth >= 2) cfg.rpc.pipeline_depth = io.pipeline_depth;
     if (io.qos) {
-      // A rate small against the workloads' bursts, so the scheduler
-      // genuinely parks and releases envelopes inside every cell.
-      cfg.rpc.qos.enabled = true;
-      cfg.rpc.qos.rate_bytes_per_ms = 32.0 * 1024.0;
-      cfg.rpc.qos.burst_bytes = 64 * 1024;
+      // A rate small against the workloads' data, so the scheduler
+      // genuinely parks and releases envelopes: the shared-file, IOR and
+      // PostMark clients outrun their 1 MiB burst (expect_qos_parked);
+      // BTIO's and the file tree's fit inside it.
+      cfg.rpc.qos.rate_bytes_per_ms = 8.0 * 1024.0;
     }
     if (io.replicas >= 2) cfg.redundancy.replicas = io.replicas;
     if (io.formation) cfg.rpc.kind = rpc::TransportOptions::Kind::kFormation;
     return cfg;
+  }
+
+  /// Under the QoS mount, a workload that outruns the token bucket must
+  /// have parked envelopes.
+  static void expect_qos_parked(const core::ParallelFileSystem& fs) {
+    if (const rpc::QosTransport* qos = fs.transport().qos()) {
+      EXPECT_GT(qos->stats().throttled, 0u);
+    }
   }
 
   void verify_everything(core::ParallelFileSystem& fs) {
@@ -104,6 +112,7 @@ TEST_P(SystemMatrix, SharedFileMicroBenchmark) {
   const auto r = workload::run_shared_file(fs, cfg);
   EXPECT_GT(r.phase2_throughput_mbps, 0.0);
   EXPECT_GT(r.extents, 0u);
+  expect_qos_parked(fs);
   verify_everything(fs);
 }
 
@@ -114,6 +123,7 @@ TEST_P(SystemMatrix, IorSmall) {
   cfg.bytes_per_process = 256 * 1024;
   const auto r = workload::run_ior(fs, cfg);
   EXPECT_GT(r.total_mbps, 0.0);
+  expect_qos_parked(fs);
   verify_everything(fs);
 }
 
@@ -152,6 +162,7 @@ TEST_P(SystemMatrix, PostmarkSmall) {
   cfg.subdirectories = 6;
   const auto r = workload::run_postmark(fs, cfg);
   EXPECT_GT(r.transactions_per_sec, 0.0);
+  expect_qos_parked(fs);
   verify_everything(fs);
 }
 

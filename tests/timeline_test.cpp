@@ -5,6 +5,7 @@
 // metadata stays on the main thread, only the data path runs threaded.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <string>
@@ -39,71 +40,78 @@ TEST(ObsConfigValidate, AcceptsDefaultsRejectsNonsense) {
   EXPECT_FALSE(obs::validate(cfg).empty());
   cfg.sample_interval_ms = std::numeric_limits<double>::infinity();
   EXPECT_FALSE(obs::validate(cfg).empty());
-
-  cfg = obs::Config{};
-  cfg.timeline_capacity = 1;
-  EXPECT_NE(obs::validate(cfg).find("timeline_capacity"), std::string::npos);
 }
 
 // ---- core sampling ----------------------------------------------------------
 
-obs::Config tiny_cfg(double interval_ms, std::size_t capacity) {
+obs::Config interval_cfg(double interval_ms) {
   obs::Config cfg;
   cfg.sample_interval_ms = interval_ms;
-  cfg.timeline_capacity = capacity;
   return cfg;
 }
 
+constexpr std::size_t kRows = obs::Timeline::kCapacity;
+
 TEST(Timeline, SamplesOnIntervalAndDecimatesDeterministically) {
-  obs::Timeline tl(tiny_cfg(1.0, 4));
+  obs::Timeline tl(interval_cfg(1.0));
   double now = 0.0;
   tl.set_clock([&now] { return now; });
   tl.add_gauge("x", [&now] { return now; });
 
-  for (int t = 1; t <= 9; ++t) {
-    now = t;
+  for (std::size_t t = 1; t <= 2 * kRows + 1; ++t) {
+    now = static_cast<double>(t);
     tl.tick();
   }
-  // Samples at t=1..4 fill the 4-row store; t=5 decimates to [1,3] and
-  // doubles the interval; t=7 appends; t=9 decimates to [1,5] and appends.
-  EXPECT_EQ(tl.times(), (std::vector<double>{1.0, 5.0, 9.0}));
-  EXPECT_EQ(tl.series("x"), (std::vector<double>{1.0, 5.0, 9.0}));
-  EXPECT_EQ(tl.total_samples(), 7u);
+  // Samples at t=1..kRows fill the store; t=kRows+1 decimates to the odd
+  // times 1, 3, …, kRows-1 and doubles the interval; every second tick
+  // appends until t=2*kRows-1 fills the store again; t=2*kRows+1 decimates
+  // to 1, 5, 9, …, 2*kRows-3 and appends.
+  std::vector<double> want;
+  for (std::size_t t = 1; t <= 2 * kRows - 3; t += 4)
+    want.push_back(static_cast<double>(t));
+  want.push_back(static_cast<double>(2 * kRows + 1));
+  EXPECT_EQ(tl.times(), want);
+  EXPECT_EQ(tl.series("x"), want);
+  EXPECT_EQ(tl.total_samples(), kRows + kRows / 2 + 1);
   EXPECT_EQ(tl.downsamples(), 2u);
   EXPECT_EQ(tl.interval_ms(), 4.0);
-  EXPECT_EQ(tl.last("x"), 9.0);
+  EXPECT_EQ(tl.last("x"), static_cast<double>(2 * kRows + 1));
 
   // The newest sample always survives: a forced epoch lands as the tail row.
-  now = 20.0;
+  now = 4.0 * kRows;
   tl.mark_epoch("end");
-  EXPECT_EQ(tl.times().back(), 20.0);
-  EXPECT_EQ(tl.series("x").back(), 20.0);
+  EXPECT_EQ(tl.times().back(), 4.0 * kRows);
+  EXPECT_EQ(tl.series("x").back(), 4.0 * kRows);
 }
 
 TEST(Timeline, MinMaxAggregateOverAllSamplesNotRetainedRows) {
-  obs::Timeline tl(tiny_cfg(1.0, 2));
+  obs::Timeline tl(interval_cfg(1.0));
   double now = 0.0;
   double v = 0.0;
   tl.set_clock([&now] { return now; });
   tl.add_gauge("g", [&v] { return v; });
 
-  // t=1 and t=2 fill the 2-row store; t=3 decimates (dropping the t=2 row,
+  // t=1..kRows fill the store; t=kRows+1 decimates (dropping the t=2 row,
   // whose value -3 survives only in the aggregates) and appends.
-  const double values[] = {7.0, -3.0, 100.0};
-  for (int t = 0; t < 3; ++t) {
-    now = t + 1;
-    v = values[t];
+  for (std::size_t t = 1; t <= kRows + 1; ++t) {
+    now = static_cast<double>(t);
+    v = t == 1 ? 7.0 : t == 2 ? -3.0 : t == kRows + 1 ? 100.0 : 0.0;
     tl.tick();
   }
-  EXPECT_EQ(tl.series("g"), (std::vector<double>{7.0, 100.0}));
+  const std::vector<double> g = tl.series("g");
+  ASSERT_EQ(g.size(), kRows / 2 + 1);
+  EXPECT_EQ(g.front(), 7.0);
+  EXPECT_EQ(g.back(), 100.0);
+  EXPECT_EQ(std::count(g.begin(), g.end(), -3.0), 0);
   const std::string text = tl.to_json().dump(0);
-  EXPECT_NE(text.find("\"min\": -3"), std::string::npos) << text;
-  EXPECT_NE(text.find("\"max\": 100"), std::string::npos) << text;
-  EXPECT_NE(text.find("\"count\": 3"), std::string::npos) << text;
+  EXPECT_NE(text.find("\"min\": -3"), std::string::npos);
+  EXPECT_NE(text.find("\"max\": 100"), std::string::npos);
+  EXPECT_NE(text.find("\"count\": " + std::to_string(kRows + 1)),
+            std::string::npos);
 }
 
 TEST(Timeline, EpochWithoutClockAdvanceOverwritesLastRow) {
-  obs::Timeline tl(tiny_cfg(1.0, 16));
+  obs::Timeline tl(interval_cfg(1.0));
   double now = 5.0;
   double v = 1.0;
   tl.set_clock([&now] { return now; });
@@ -126,7 +134,7 @@ TEST(Timeline, EpochWithoutClockAdvanceOverwritesLastRow) {
 }
 
 TEST(Timeline, LateGaugeBackfillsSharedTimeAxis) {
-  obs::Timeline tl(tiny_cfg(1.0, 16));
+  obs::Timeline tl(interval_cfg(1.0));
   double now = 0.0;
   tl.set_clock([&now] { return now; });
   tl.add_gauge("early", [] { return 1.0; });
@@ -142,7 +150,7 @@ TEST(Timeline, LateGaugeBackfillsSharedTimeAxis) {
 }
 
 TEST(Timeline, InvalidConfigClampsToDefaults) {
-  obs::Timeline tl(tiny_cfg(-1.0, 0));
+  obs::Timeline tl(interval_cfg(-1.0));
   EXPECT_EQ(tl.interval_ms(), obs::Config{}.sample_interval_ms);
   double now = 1.0;
   tl.set_clock([&now] { return now; });
@@ -192,7 +200,7 @@ TEST(FragLens, SnapshotCountsLaidOutFilesOnly) {
 
 TEST(FragLens, MdsExtentDistributionMatchesReports) {
   mds::Mds mds;
-  obs::Timeline tl(tiny_cfg(0.01, 1024));
+  obs::Timeline tl(interval_cfg(0.01));
   mds.set_timeline(&tl);
 
   ASSERT_TRUE(mds.mkdir("dir"));
@@ -229,7 +237,7 @@ TEST(FragLens, MdsExtentDistributionMatchesReports) {
 
 std::string run_recorded_workload() {
   mds::Mds mds;
-  obs::Timeline tl(tiny_cfg(0.05, 256));
+  obs::Timeline tl(interval_cfg(0.05));
   tl.set_label("determinism");
   mds.set_timeline(&tl);
   tl.mark_epoch("churn");
@@ -265,7 +273,7 @@ TEST(Timeline, ClusterGaugesAndLensOnParallelFileSystem) {
   cfg.num_targets = 2;
   cfg.target.allocator = alloc::AllocatorMode::kOnDemand;
   core::ParallelFileSystem fs(cfg);
-  obs::Timeline tl(tiny_cfg(0.01, 1024));
+  obs::Timeline tl(interval_cfg(0.01));
   fs.set_timeline(&tl);
 
   auto client = fs.connect(ClientId{1});
@@ -309,7 +317,7 @@ TEST(TimelineConcurrency, TicksRaceOnlyWithDataPathLocks) {
   cfg.num_targets = 4;
   cfg.target.allocator = alloc::AllocatorMode::kOnDemand;
   core::ParallelFileSystem fs(cfg);
-  obs::Timeline tl(tiny_cfg(0.01, 512));
+  obs::Timeline tl(interval_cfg(0.01));
   fs.set_timeline(&tl);
 
   constexpr int kThreads = 4;

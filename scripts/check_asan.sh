@@ -15,10 +15,13 @@
 # catches signed overflow, bad shifts, misaligned access and enum abuse;
 # plus the metadata namespace tables (the open-addressing name index and
 # both directory layouts over it, the normal layout's inode table, the
-# embedded layout's directory table and rename correlation), osd_test (the
-# storage target's file table), obs_test, whose bench flag table parses
-# argv from outside the program, and the tests rewritten against the mount
-# constants: the client's readahead buffer, the two-phase collective's
+# embedded layout's directory table and rename correlation), the u64-keyed
+# open-addressing table behind the storage target's file table and the
+# client's per-file maps (util_u64_map_test, osd_test), shard_test (the
+# cross-shard rename protocol and its refusal of directories), obs_test,
+# whose bench flag table parses argv from outside the program, and the
+# tests rewritten against the mount constants: the client's readahead
+# buffer, the two-phase collective's
 # domain split, the timeline's decimation past its row bound and the
 # reservation allocator's window refill.  The tree also builds with
 # -D_GLIBCXX_ASSERTIONS, so every std::vector/std::span index and
@@ -44,6 +47,7 @@ mif_sanitized_ctest check_asan "$SRC" "$SRC/build-asan" "$SANITIZERS" \
     sim_disk_test sim_scheduler_test block_bitmap_test block_extent_map_test \
     block_alloc_group_test block_cache_journal_test alloc_property_test \
     mfs_normal_test mfs_name_index_test mfs_embedded_test \
-    mfs_dirtable_rename_test osd_test qos_test formation_test attrib_test \
-    span_test redundancy_test obs_test client_readahead_test collective_test \
-    timeline_test alloc_vanilla_reservation_test
+    mfs_dirtable_rename_test util_u64_map_test osd_test shard_test qos_test \
+    formation_test attrib_test span_test redundancy_test obs_test \
+    client_readahead_test collective_test timeline_test \
+    alloc_vanilla_reservation_test

@@ -1,6 +1,8 @@
 #include "block/journal.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 
 #include "obs/span.hpp"
 
@@ -16,14 +18,34 @@ Journal::Journal(sim::IoScheduler& io, DiskBlock area_start, u64 area_blocks,
 
 void Journal::log(std::span<const BlockRange> home_blocks) {
   u64 record_blocks = 0;
-  for (const BlockRange& r : home_blocks) record_blocks += r.length;
+  for (const BlockRange& r : home_blocks) {
+    record_blocks += r.length;
+    mark_pending(r);
+  }
   uncommitted_blocks_ += record_blocks;
   stats_.journal_blocks += record_blocks;
   ++stats_.transactions;
-  pending_.insert(pending_.end(), home_blocks.begin(), home_blocks.end());
+  pending_ranges_ += home_blocks.size();
+  pending_blocks_ += record_blocks;
 
   if (++since_commit_ >= commit_batch_) commit();
   if (++since_checkpoint_ >= checkpoint_interval_) checkpoint();
+}
+
+void Journal::mark_pending(const BlockRange& r) {
+  assert(r.length > 0 && "journal home ranges are non-empty");
+  const u64 last_word = (r.end() - 1) / 64;
+  if (last_word >= pending_words_.size()) {
+    pending_words_.resize(last_word + 1);
+    pending_summary_.resize((pending_words_.size() + 63) / 64);
+  }
+  for (u64 b = r.start.v; b < r.end();) {
+    const u64 w = b / 64;
+    const u64 n = std::min<u64>(64 - b % 64, r.end() - b);
+    pending_words_[w] |= (n == 64 ? ~u64{0} : (u64{1} << n) - 1) << (b % 64);
+    pending_summary_[w / 64] |= u64{1} << (w % 64);
+    b += n;
+  }
 }
 
 void Journal::commit() {
@@ -48,27 +70,41 @@ void Journal::commit() {
 void Journal::checkpoint() {
   since_checkpoint_ = 0;
   if (uncommitted_blocks_ > 0) commit();
-  if (pending_.empty()) return;
-  obs::ScopedSpan span(spans_, "journal.checkpoint", pending_.size());
-  // Sort by home address and merge duplicates/adjacent runs so the write-back
-  // pass is a single elevator sweep — mirroring jbd2 checkpoint behaviour.
-  std::sort(pending_.begin(), pending_.end(),
-            [](const BlockRange& a, const BlockRange& b) {
-              return a.start.v < b.start.v;
-            });
-  std::size_t i = 0;
-  while (i < pending_.size()) {
-    BlockRange run = pending_[i];
-    std::size_t j = i + 1;
-    while (j < pending_.size() && pending_[j].start.v <= run.end()) {
-      run.length = std::max(run.end(), pending_[j].end()) - run.start.v;
-      ++j;
-    }
+  if (pending_ranges_ == 0) return;
+  obs::ScopedSpan span(spans_, "journal.checkpoint", pending_ranges_);
+  // Write back each maximal run of marked blocks, lowest first: duplicate
+  // and adjacent logged ranges merge, and the pass is one elevator sweep.
+  BlockRange run{DiskBlock{0}, 0};
+  auto flush = [&] {
+    if (run.length == 0) return;
     io_.submit({sim::IoKind::kWrite, run.start, run.length});
     stats_.checkpoint_blocks += run.length;
-    i = j;
+  };
+  for (u64 sw = 0; sw < pending_summary_.size(); ++sw) {
+    for (u64 summary = pending_summary_[sw]; summary != 0;
+         summary &= summary - 1) {
+      const u64 w = sw * 64 + std::countr_zero(summary);
+      u64 bits = pending_words_[w];
+      pending_words_[w] = 0;
+      // Peel the word's runs of set bits off from the low end.
+      while (bits != 0) {
+        const unsigned lo = std::countr_zero(bits);
+        const unsigned len = std::countr_one(bits >> lo);
+        const u64 start = w * 64 + lo;
+        if (run.length > 0 && run.end() == start) {
+          run.length += len;
+        } else {
+          flush();
+          run = BlockRange{DiskBlock{start}, len};
+        }
+        bits = len + lo == 64 ? 0 : bits & ~((u64{1} << (lo + len)) - 1);
+      }
+    }
+    pending_summary_[sw] = 0;
   }
-  pending_.clear();
+  flush();
+  pending_ranges_ = 0;
+  pending_blocks_ = 0;
   ++stats_.checkpoints;
 }
 

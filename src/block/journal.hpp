@@ -41,11 +41,12 @@ class Journal {
   Journal(sim::IoScheduler& io, DiskBlock area_start, u64 area_blocks,
           u64 checkpoint_interval = 64, u64 commit_batch = 1);
 
-  /// Log a transaction touching the given home-location blocks.  Records
-  /// accumulate in the running compound transaction; every `commit_batch`
-  /// transactions the records + a commit block are written sequentially
-  /// into the journal area.  Home blocks are remembered for the next
-  /// checkpoint, which runs every `checkpoint_interval` transactions.
+  /// Log a transaction touching the given (non-empty) home-location ranges.
+  /// Records accumulate in the running compound transaction; every
+  /// `commit_batch` transactions the records + a commit block are written
+  /// sequentially into the journal area.  Home blocks are remembered for
+  /// the next checkpoint, which runs every `checkpoint_interval`
+  /// transactions.
   void log(std::span<const BlockRange> home_blocks);
   /// A braced transaction (`log({{a, 1}, {b, 1}})`), logged in place.
   void log(std::initializer_list<BlockRange> home_blocks) {
@@ -55,7 +56,9 @@ class Journal {
   /// Force the running compound transaction out to the journal area.
   void commit();
 
-  /// Force outstanding home-location writes to disk.
+  /// Force outstanding home-location writes to disk: one write per maximal
+  /// run of the logged home blocks, in ascending block order — a single
+  /// elevator sweep, as jbd2 checkpoints.
   void checkpoint();
 
   const JournalStats& stats() const { return stats_; }
@@ -65,17 +68,16 @@ class Journal {
   /// Blocks the journal still owes the disk: the running compound
   /// transaction plus every logged-but-not-yet-checkpointed home block.
   /// Timeline gauge — shows commit/checkpoint sawtooth over sim time.
-  u64 backlog_blocks() const {
-    u64 pending = 0;
-    for (const BlockRange& r : pending_) pending += r.length;
-    return uncommitted_blocks_ + pending;
-  }
+  u64 backlog_blocks() const { return uncommitted_blocks_ + pending_blocks_; }
 
   /// Attach a span collector: commits and checkpoints then record
   /// `journal.commit` / `journal.checkpoint` phases (nullptr detaches).
   void set_spans(obs::SpanCollector* spans) { spans_ = spans; }
 
  private:
+  /// Add `r`'s blocks to the set the next checkpoint writes back.
+  void mark_pending(const BlockRange& r);
+
   sim::IoScheduler& io_;
   obs::SpanCollector* spans_{nullptr};
   DiskBlock area_start_;
@@ -86,7 +88,14 @@ class Journal {
   u64 since_checkpoint_{0};
   u64 since_commit_{0};
   u64 uncommitted_blocks_{0};  // record blocks of the running transaction
-  std::vector<BlockRange> pending_;
+  /// Home blocks logged since the last checkpoint, as a bitmap by block
+  /// number, with a summary bit per non-zero bitmap word: a checkpoint
+  /// visits the marked words in ascending order and clears them, so it
+  /// never sorts.  Both grow to the highest block logged.
+  std::vector<u64> pending_words_;
+  std::vector<u64> pending_summary_;
+  u64 pending_ranges_{0};  // ranges logged since the last checkpoint
+  u64 pending_blocks_{0};  // their lengths summed, repeats included
   JournalStats stats_;
 };
 

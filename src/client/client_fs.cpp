@@ -1,5 +1,7 @@
 #include "client/client_fs.hpp"
 
+#include <optional>
+
 #include "core/pfs.hpp"
 #include "obs/attrib.hpp"
 #include "obs/export.hpp"
@@ -28,19 +30,29 @@ Result<FileHandle> ClientFs::open(std::string_view path) {
   obs::ScopedSpan span(fs_->spans(), "client.open", id_.v);
   obs::ScopedPrincipal who({id_.v, obs::OpClass::kMeta});
   ++stats_.opens;
-  const std::string key(path);
-  if (layout_cache_.contains(key)) {
+  if (layout_cache_.find(path)) {
     // Layout already cached from an earlier open; the resolve envelope is a
     // free revalidation of the cached handle (traits(kResolve).free).
     ++stats_.layout_cache_hits;
     auto ino = fs_->rpc().resolve(path);
     if (!ino) return ino.error();
-    return FileHandle{*ino, key};
+    return FileHandle{*ino, std::string(path)};
   }
   auto r = fs_->rpc().open_getlayout(path);
   if (!r) return r.error();
-  layout_cache_[key] = r->extent_count;
-  return FileHandle{r->ino, key};
+  cache_layout(path);
+  return FileHandle{r->ino, std::string(path)};
+}
+
+void ClientFs::cache_layout(std::string_view path) {
+  if (layout_cache_.find(path)) return;
+  // With no ordinal freed, the bound ones are exactly [0, size()).
+  u64 ordinal = layout_cache_.size();
+  if (!free_layout_ordinals_.empty()) {
+    ordinal = free_layout_ordinals_.back();
+    free_layout_ordinals_.pop_back();
+  }
+  layout_cache_.insert(path, ordinal);
 }
 
 Result<FileHandle> ClientFs::rename(std::string_view from,
@@ -51,7 +63,10 @@ Result<FileHandle> ClientFs::rename(std::string_view from,
   if (!ino) return ino.error();
   // A cross-shard rename mints a new inode; drop the stale cached layout so
   // the next open re-fetches under the new name.
-  layout_cache_.erase(std::string(from));
+  if (auto ordinal = layout_cache_.find(from)) {
+    layout_cache_.erase(from);
+    free_layout_ordinals_.push_back(static_cast<u32>(*ordinal));
+  }
   return FileHandle{*ino, std::string(to)};
 }
 
@@ -65,6 +80,11 @@ Status ClientFs::write(const FileHandle& fh, u32 pid, u64 offset_bytes,
 
 u64 ClientFs::list_io_runs() const { return fs_->config().list_io_max_runs; }
 
+ClientFs::Issue ClientFs::issue_context() {
+  return Issue{fs_->rpc().completions(), std::max<u64>(list_io_runs(), 1),
+               fs_->redundancy_policy().enabled()};
+}
+
 void ClientFs::gather_runs(
     u64 first, u64 last,
     std::map<u32, std::vector<BlockRun>>& per_target) const {
@@ -74,14 +94,13 @@ void ClientFs::gather_runs(
   }
 }
 
-Status ClientFs::issue_write_runs_to(InodeNo ino, StreamId stream, u32 target,
+Status ClientFs::issue_write_runs_to(const Issue& io, InodeNo ino,
+                                     StreamId stream, u32 target,
                                      std::span<const BlockRun> runs,
                                      std::vector<rpc::Ticket>& out) {
-  rpc::CompletionQueue& cq = fs_->rpc().completions();
-  const u64 max_runs = std::max<u64>(list_io_runs(), 1);
-  for (std::size_t at = 0; at < runs.size(); at += max_runs) {
+  for (std::size_t at = 0; at < runs.size(); at += io.max_runs) {
     const std::span<const BlockRun> chunk =
-        runs.subspan(at, std::min<std::size_t>(max_runs, runs.size() - at));
+        runs.subspan(at, std::min<std::size_t>(io.max_runs, runs.size() - at));
     u64 blocks = 0;
     for (const BlockRun& r : chunk) blocks += r.count;
     obs::ScopedSpan unit(fs_->spans(), "osd.stripe_unit", target, blocks);
@@ -97,7 +116,7 @@ Status ClientFs::issue_write_runs_to(InodeNo ino, StreamId stream, u32 target,
       t = fs_->rpc().write_list_async(
           target, ino, stream, {chunk.begin(), chunk.end()});
     }
-    if (auto r = cq.try_take(t)) {
+    if (auto r = io.cq.try_take(t)) {
       if (!*r) return r->error();
     } else {
       out.push_back(t);
@@ -106,11 +125,12 @@ Status ClientFs::issue_write_runs_to(InodeNo ino, StreamId stream, u32 target,
   return {};
 }
 
-Status ClientFs::issue_write_runs(const FileHandle& fh, StreamId stream,
-                                  u32 target, std::span<const BlockRun> runs,
+Status ClientFs::issue_write_runs(const Issue& io, const FileHandle& fh,
+                                  StreamId stream, u32 target,
+                                  std::span<const BlockRun> runs,
                                   std::vector<rpc::Ticket>& out) {
-  if (!replicas_on())
-    return issue_write_runs_to(fh.ino, stream, target, runs, out);
+  if (!io.replicas)
+    return issue_write_runs_to(io, fh.ino, stream, target, runs, out);
   // Replica fan: the same local runs go to the primary and to every copy's
   // rotated target, under the tagged subfile ino (the copies keep the
   // primary's local addresses — the invariant degraded reads rely on).
@@ -131,7 +151,7 @@ Status ClientFs::issue_write_runs(const FileHandle& fh, StreamId stream,
     const InodeNo ino =
         c == 0 ? fh.ino : redundancy::replica_ino(fh.ino, c);
     if (c > 0) red.replica_writes.fetch_add(1, std::memory_order_relaxed);
-    if (Status st = issue_write_runs_to(ino, stream, t, runs, out);
+    if (Status st = issue_write_runs_to(io, ino, stream, t, runs, out);
         !st && first.ok()) {
       first = st;
     }
@@ -144,14 +164,12 @@ Status ClientFs::issue_write_runs(const FileHandle& fh, StreamId stream,
   return first;
 }
 
-Status ClientFs::issue_read_runs_to(InodeNo ino, u32 target,
+Status ClientFs::issue_read_runs_to(const Issue& io, InodeNo ino, u32 target,
                                     std::span<const BlockRun> runs,
                                     std::vector<rpc::Ticket>& out) {
-  rpc::CompletionQueue& cq = fs_->rpc().completions();
-  const u64 max_runs = std::max<u64>(list_io_runs(), 1);
-  for (std::size_t at = 0; at < runs.size(); at += max_runs) {
+  for (std::size_t at = 0; at < runs.size(); at += io.max_runs) {
     const std::span<const BlockRun> chunk =
-        runs.subspan(at, std::min<std::size_t>(max_runs, runs.size() - at));
+        runs.subspan(at, std::min<std::size_t>(io.max_runs, runs.size() - at));
     u64 blocks = 0;
     for (const BlockRun& r : chunk) blocks += r.count;
     obs::ScopedSpan unit(fs_->spans(), "osd.stripe_unit", target, blocks);
@@ -167,7 +185,7 @@ Status ClientFs::issue_read_runs_to(InodeNo ino, u32 target,
       t = fs_->rpc().read_list_async(target, ino,
                                      {chunk.begin(), chunk.end()});
     }
-    if (auto r = cq.try_take(t)) {
+    if (auto r = io.cq.try_take(t)) {
       if (!*r) return r->error();
     } else {
       out.push_back(t);
@@ -176,22 +194,18 @@ Status ClientFs::issue_read_runs_to(InodeNo ino, u32 target,
   return {};
 }
 
-Status ClientFs::issue_read_runs(const FileHandle& fh, u32 target,
-                                 std::span<const BlockRun> runs,
+Status ClientFs::issue_read_runs(const Issue& io, const FileHandle& fh,
+                                 u32 target, std::span<const BlockRun> runs,
                                  std::vector<rpc::Ticket>& out) {
   u32 t = target;
   InodeNo ino = fh.ino;
-  if (replicas_on()) {
+  if (io.replicas) {
     auto routed = route_read(target, fh.ino);
     if (!routed) return routed.error();
     t = routed->first;
     ino = routed->second;
   }
-  return issue_read_runs_to(ino, t, runs, out);
-}
-
-bool ClientFs::replicas_on() const {
-  return fs_->redundancy_policy().enabled();
+  return issue_read_runs_to(io, ino, t, runs, out);
 }
 
 Result<std::pair<u32, InodeNo>> ClientFs::route_read(u32 target, InodeNo ino) {
@@ -220,13 +234,14 @@ Status ClientFs::write_async(const FileHandle& fh, u32 pid, u64 offset_bytes,
   const u64 first = offset_bytes / kBlockSize;
   const u64 last = (offset_bytes + len_bytes + kBlockSize - 1) / kBlockSize;
   const StreamId stream{id_.v, pid};
+  const Issue io = issue_context();
   if (list_io_runs() > 0) {
     // List mode: a region spanning several stripe rounds becomes one merged
     // run set per target — one envelope each — instead of one per slice.
     std::map<u32, std::vector<BlockRun>> per_target;
     gather_runs(first, last, per_target);
     for (const auto& [target, runs] : per_target) {
-      if (Status st = issue_write_runs(fh, stream, target, runs, out); !st)
+      if (Status st = issue_write_runs(io, fh, stream, target, runs, out); !st)
         return st;
     }
   } else {
@@ -236,21 +251,27 @@ Status ClientFs::write_async(const FileHandle& fh, u32 pid, u64 offset_bytes,
     for (const osd::StripeSlice& s :
          osd::slices_for(fs_->stripe(), FileBlock{first}, last - first)) {
       const BlockRun run{s.local_start, s.count};
-      if (Status st = issue_write_runs(fh, stream, s.target, {&run, 1}, out);
+      if (Status st =
+              issue_write_runs(io, fh, stream, s.target, {&run, 1}, out);
           !st)
         return st;
     }
   }
   ++stats_.writes;
   stats_.bytes_written += len_bytes;
+  note_writes(fh.ino, 1);
+  return {};
+}
+
+void ClientFs::note_writes(InodeNo ino, u32 writes) {
   // Periodic layout shipping: every so many writes the client pushes the
   // file's grown extent list to the MDS, which pays CPU to merge and index
   // it — the continual cost Table I correlates with fragmentation.
-  if (++writes_since_report_[fh.ino.v] >= 64) {
-    writes_since_report_[fh.ino.v] = 0;
-    (void)fs_->rpc().report_extents(fh.ino, remote_extents(fh.ino));
-  }
-  return {};
+  u32& since = writes_since_report_[ino.v];
+  since += writes;
+  if (since < 64) return;
+  since = 0;
+  (void)fs_->rpc().report_extents(ino, remote_extents(ino));
 }
 
 Status ClientFs::drain(std::vector<rpc::Ticket>& tickets) {
@@ -280,11 +301,12 @@ Status ClientFs::read_blocks(const FileHandle& fh, u64 first, u64 last) {
   // readahead top-ups) overlap across the striped targets too.
   std::vector<rpc::Ticket> pending;
   Status issued{};
+  const Issue io = issue_context();
   if (list_io_runs() > 0) {
     std::map<u32, std::vector<BlockRun>> per_target;
     gather_runs(first, last, per_target);
     for (const auto& [target, runs] : per_target) {
-      issued = issue_read_runs(fh, target, runs, pending);
+      issued = issue_read_runs(io, fh, target, runs, pending);
       if (!issued) break;
     }
   } else {
@@ -293,7 +315,7 @@ Status ClientFs::read_blocks(const FileHandle& fh, u64 first, u64 last) {
     for (const osd::StripeSlice& s :
          osd::slices_for(fs_->stripe(), FileBlock{first}, last - first)) {
       const BlockRun run{s.local_start, s.count};
-      issued = issue_read_runs(fh, s.target, {&run, 1}, pending);
+      issued = issue_read_runs(io, fh, s.target, {&run, 1}, pending);
       if (!issued) break;
     }
   }
@@ -324,20 +346,17 @@ Status ClientFs::write_strided(const FileHandle& fh, u32 pid, u64 offset_bytes,
                 (off + piece_bytes + kBlockSize - 1) / kBlockSize, per_target);
   }
   const StreamId stream{id_.v, pid};
+  const Issue io = issue_context();
   std::vector<rpc::Ticket> tickets;
   Status issued{};
   for (const auto& [target, runs] : per_target) {
-    issued = issue_write_runs(fh, stream, target, runs, tickets);
+    issued = issue_write_runs(io, fh, stream, target, runs, tickets);
     if (!issued) break;
   }
   Status drained = drain(tickets);
   stats_.writes += count;
   stats_.bytes_written += count * piece_bytes;
-  writes_since_report_[fh.ino.v] += static_cast<u32>(count);
-  if (writes_since_report_[fh.ino.v] >= 64) {
-    writes_since_report_[fh.ino.v] = 0;
-    (void)fs_->rpc().report_extents(fh.ino, remote_extents(fh.ino));
-  }
+  note_writes(fh.ino, static_cast<u32>(count));
   return issued.ok() ? drained : issued;
 }
 
@@ -357,8 +376,9 @@ Status ClientFs::write_ranges_async(const FileHandle& fh, u32 pid,
                 (r.end() + kBlockSize - 1) / kBlockSize, per_target);
   }
   const StreamId stream{id_.v, pid};
+  const Issue io = issue_context();
   for (const auto& [target, runs] : per_target) {
-    if (Status st = issue_write_runs(fh, stream, target, runs, out); !st)
+    if (Status st = issue_write_runs(io, fh, stream, target, runs, out); !st)
       return st;
   }
   ++stats_.writes;
@@ -381,8 +401,9 @@ Status ClientFs::read_ranges_async(const FileHandle& fh,
     gather_runs(r.offset / kBlockSize,
                 (r.end() + kBlockSize - 1) / kBlockSize, per_target);
   }
+  const Issue io = issue_context();
   for (const auto& [target, runs] : per_target) {
-    if (Status st = issue_read_runs(fh, target, runs, out); !st) return st;
+    if (Status st = issue_read_runs(io, fh, target, runs, out); !st) return st;
   }
   ++stats_.reads;
   stats_.bytes_read += total;
@@ -394,15 +415,17 @@ Status ClientFs::fetch_range(const FileHandle& fh, u64 first, u64 last,
   u64 run_start = kNoBlock;
   for (u64 b = first; b < last; ++b) {
     const u64 key = block_key(fh.ino, b);
-    const bool resident = buffered_.contains(key);
+    // Consuming hands a buffered block over, so it leaves the buffer.
+    const bool resident =
+        consume ? buffered_.erase(key) : buffered_.contains(key);
     if (resident) {
-      if (consume) buffered_.erase(key);
       if (run_start != kNoBlock) {
         if (Status st = read_blocks(fh, run_start, b); !st) return st;
         run_start = kNoBlock;
       }
     } else {
-      if (!consume && buffered_.size() < (u64{1} << 20)) buffered_.insert(key);
+      if (!consume && buffered_.size() < (u64{1} << 20))
+        buffered_.try_emplace(key);
       if (run_start == kNoBlock) run_start = b;
     }
   }
@@ -419,8 +442,9 @@ Status ClientFs::read(const FileHandle& fh, u64 offset_bytes, u64 len_bytes) {
   ++stats_.reads;
   stats_.bytes_read += len_bytes;
 
-  auto it = cursors_.find(block_key(fh.ino, first));
-  const bool sequential = it != cursors_.end();
+  const u64 cursor_key = block_key(fh.ino, first);
+  std::optional<ReadCursor> sequential;
+  if (const ReadCursor* c = cursors_.find(cursor_key)) sequential = *c;
 
   // Hand the requested range to the application (buffered blocks served
   // from the readahead buffer, the rest from the targets).
@@ -431,8 +455,8 @@ Status ClientFs::read(const FileHandle& fh, u64 offset_bytes, u64 len_bytes) {
   if (sequential) {
     // Sequential continuation: double the window and prefetch ahead, as a
     // Lustre client would for a striped file region.
-    cur = it->second;
-    cursors_.erase(it);
+    cur = *sequential;
+    cursors_.erase(cursor_key);
     cur.window = std::min(std::max(cur.window * 2, last - first),
                           kReadaheadMaxBlocks);
     if (last <= cur.prefetched_until) ++stats_.readahead_hits;
@@ -461,7 +485,7 @@ Status ClientFs::close(const FileHandle& fh) {
   // Ship the final layout to the MDS; it persists the mapping and pays CPU
   // per extent — fragmented files are expensive here (Table I).
   const u64 extents = remote_extents(fh.ino);
-  layout_cache_[fh.path] = extents;
+  cache_layout(fh.path);
   return fs_->rpc().report_extents(fh.ino, extents);
 }
 

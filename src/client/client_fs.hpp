@@ -10,15 +10,15 @@
 #include <map>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "mfs/name_index.hpp"
 #include "rpc/transport.hpp"
 #include "util/result.hpp"
 #include "util/runs.hpp"
 #include "util/types.hpp"
+#include "util/u64_map.hpp"
 
 namespace mif::core {
 class ParallelFileSystem;
@@ -125,6 +125,15 @@ class ClientFs {
   core::ParallelFileSystem& fs() { return *fs_; }
 
  private:
+  /// What every slice of one client call issues through, looked up once per
+  /// call rather than once per slice.
+  struct Issue {
+    rpc::CompletionQueue& cq;
+    u64 max_runs;   // runs per envelope: list_io_max_runs, or 1 per block
+    bool replicas;  // the mount replicates (cfg.redundancy.replicas >= 2)
+  };
+  Issue issue_context();
+
   /// Issue block reads [first, last) to the striped targets.
   Status read_blocks(const FileHandle& fh, u64 first, u64 last);
 
@@ -137,29 +146,28 @@ class ClientFs {
                    std::map<u32, std::vector<BlockRun>>& per_target) const;
 
   /// Ship one target's run list as block/list/strided envelope(s) through
-  /// the async path, chunked at list_io_max_runs; tickets that complete at
+  /// the async path, chunked at `io.max_runs`; tickets that complete at
   /// issue are claimed inline (sync-chain fast path).  With replication
   /// mounted, writes fan to the primary and every alive replica copy (a
   /// dead primary degrades the write; repair re-converges it later) and
   /// reads route to the first alive copy (redundancy.degraded_reads).
-  Status issue_write_runs(const FileHandle& fh, StreamId stream, u32 target,
+  Status issue_write_runs(const Issue& io, const FileHandle& fh,
+                          StreamId stream, u32 target,
                           std::span<const BlockRun> runs,
                           std::vector<rpc::Ticket>& out);
-  Status issue_read_runs(const FileHandle& fh, u32 target,
+  Status issue_read_runs(const Issue& io, const FileHandle& fh, u32 target,
                          std::span<const BlockRun> runs,
                          std::vector<rpc::Ticket>& out);
 
   /// The single-destination workers behind the fan/route wrappers above
   /// (`ino` is the primary or a redundancy::replica_ino-tagged subfile).
-  Status issue_write_runs_to(InodeNo ino, StreamId stream, u32 target,
-                             std::span<const BlockRun> runs,
+  Status issue_write_runs_to(const Issue& io, InodeNo ino, StreamId stream,
+                             u32 target, std::span<const BlockRun> runs,
                              std::vector<rpc::Ticket>& out);
-  Status issue_read_runs_to(InodeNo ino, u32 target,
+  Status issue_read_runs_to(const Issue& io, InodeNo ino, u32 target,
                             std::span<const BlockRun> runs,
                             std::vector<rpc::Ticket>& out);
 
-  /// True when the mount replicates (cfg.redundancy.replicas >= 2).
-  bool replicas_on() const;
   /// Health-aware read routing: a dead primary resolves to the first alive
   /// copy's (target, tagged ino); kIo when every copy is gone.
   Result<std::pair<u32, InodeNo>> route_read(u32 target, InodeNo ino);
@@ -168,11 +176,18 @@ class ClientFs {
   /// envelopes (what a layout report ships to the MDS).
   u64 remote_extents(InodeNo ino);
 
+  /// Count `writes` more writes of `ino`; every 64th ships the file's
+  /// extent count to the MDS (the periodic layout report).
+  void note_writes(InodeNo ino, u32 writes);
+
   /// Fetch [first, last), skipping blocks already sitting in the client's
   /// readahead buffer.  `consume` = the application is reading these blocks
   /// now (buffered ones are handed over and dropped); otherwise this is a
   /// prefetch and fetched blocks are retained.
   Status fetch_range(const FileHandle& fh, u64 first, u64 last, bool consume);
+
+  /// Remember that this client holds `path`'s layout.
+  void cache_layout(std::string_view path);
 
   struct ReadCursor {
     u64 prefetched_until{0};  // exclusive block bound already fetched
@@ -185,13 +200,18 @@ class ClientFs {
 
   core::ParallelFileSystem* fs_;
   ClientId id_;
-  std::unordered_map<std::string, u64> layout_cache_;  // path -> extent count
-  /// Sequential-read detectors: key = (ino, next expected block).
-  std::unordered_map<u64, ReadCursor> cursors_;
-  /// Blocks prefetched but not yet consumed by the application.
-  std::unordered_set<u64> buffered_;
+  /// Paths whose layout this client holds (the open aggregation's cache):
+  /// a name index used as a set, its ordinals recycled through
+  /// `free_layout_ordinals_`.
+  mfs::NameIndex layout_cache_;
+  std::vector<u32> free_layout_ordinals_;
+  /// Sequential-read detectors: key = block_key(ino, next expected block).
+  util::U64Map<ReadCursor> cursors_;
+  /// Blocks prefetched but not yet consumed by the application, by
+  /// block_key.
+  util::U64Set buffered_;
   /// Writes since the last periodic layout report, per file.
-  std::unordered_map<u64, u32> writes_since_report_;
+  util::U64Map<u32> writes_since_report_;
   ClientStats stats_;
 };
 

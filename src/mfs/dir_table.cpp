@@ -32,8 +32,7 @@ Status DirectoryTable::unregister(DirId id) {
 }
 
 Result<std::vector<InodeNo>> DirectoryTable::resolve_chain(
-    InodeNo composite,
-    const std::unordered_map<u64, InodeNo>& parent_of) const {
+    InodeNo composite) const {
   std::vector<InodeNo> chain;
   InodeNo cur = composite;
   // Bounded walk: directory trees deeper than this indicate a cycle bug.
@@ -43,8 +42,6 @@ Result<std::vector<InodeNo>> DirectoryTable::resolve_chain(
     auto parent = directory_inode(dir);
     if (!parent) return parent.error();
     chain.push_back(*parent);
-    auto up = parent_of.find(parent->v);
-    if (up == parent_of.end()) return chain;  // parent is the root
     cur = *parent;
   }
   return Errc::kInvalid;

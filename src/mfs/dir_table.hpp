@@ -38,11 +38,11 @@ class DirectoryTable {
 
   /// Resolve the chain of parent-directory inode numbers from a composite
   /// inode number up to the root (§IV-B "tracking back recursively").  The
-  /// returned vector is ordered [immediate parent, ..., root].  `parent_of`
-  /// tells the table which directory contains a given directory inode.
-  Result<std::vector<InodeNo>> resolve_chain(
-      InodeNo composite,
-      const std::unordered_map<u64, InodeNo>& parent_of) const;
+  /// returned vector is ordered [immediate parent, ..., root].  Each step
+  /// maps the number's directory id to that directory's own number, whose
+  /// id in turn names the directory holding it; the root's number carries
+  /// the reserved id 0.
+  Result<std::vector<InodeNo>> resolve_chain(InodeNo composite) const;
 
   std::size_t size() const;
 

@@ -20,10 +20,39 @@ DiskBlock EmbeddedDirLayout::dir_table_block(DirId id) const {
                    std::min<u64>(id.v / 256, kDirTableBlocks - 1)};
 }
 
+Inode* EmbeddedDirLayout::record(InodeNo cur, DirState** holder) {
+  if (holder) *holder = nullptr;
+  const DirId dir = EmbeddedInodeNo::dir_of(cur);
+  // DirId 0 is no directory's id: the only number under it is the root's.
+  if (dir.v == 0) return cur == root_ ? &root_inode_ : nullptr;
+  auto it = dirs_.find(dir.v);
+  if (it == dirs_.end()) return nullptr;
+  DirState& d = it->second;
+  const u32 slot = EmbeddedInodeNo::offset_of(cur);
+  if (slot >= d.next_slot) return nullptr;
+  Inode& node = d.inode(slot);
+  if (!node.num.valid()) return nullptr;
+  if (holder) *holder = &d;
+  return &node;
+}
+
+const Inode* EmbeddedDirLayout::record(InodeNo cur) const {
+  return const_cast<EmbeddedDirLayout*>(this)->record(cur);
+}
+
+Inode* EmbeddedDirLayout::locate(InodeNo ino, DirState** holder) {
+  // A live inode answers for its own number, even one a reclaimed slot got
+  // back after a rename left it stale; only a number no live inode holds is
+  // followed through the rename correlation (§IV-B).
+  if (Inode* node = record(ino, holder)) return node;
+  const InodeNo cur = correlation_.current(ino);
+  return cur == ino ? nullptr : record(cur, holder);
+}
+
 EmbeddedDirLayout::DirState* EmbeddedDirLayout::dir_state(InodeNo dir) {
-  auto node = inodes_.find(correlation_.current(dir).v);
-  if (node == inodes_.end() || !node->second.is_dir()) return nullptr;
-  auto it = dirs_.find(node->second.dir_id.v);
+  const Inode* node = find(dir);
+  if (!node || !node->is_dir()) return nullptr;
+  auto it = dirs_.find(node->dir_id.v);
   return it == dirs_.end() ? nullptr : &it->second;
 }
 
@@ -60,13 +89,13 @@ Result<u64> EmbeddedDirLayout::take_content_block(DirState& d) {
 }
 
 Result<DiskBlock> EmbeddedDirLayout::slot_block(DirState& d, u32 slot) {
-  const u64 group = slot / Format::kEmbeddedSlotsPerBlock;
-  while (d.slot_group_block.size() <= group) {
+  while (d.groups.size() <= slot / kSlotsPerGroup) {
     auto idx = take_content_block(d);
     if (!idx) return idx.error();
-    d.slot_group_block.push_back(*idx);
+    d.groups.push_back(std::make_unique<SlotGroup>());
+    d.groups.back()->block = *idx;
   }
-  return d.content[d.slot_group_block[group]];
+  return d.block_of(slot);
 }
 
 u32 EmbeddedDirLayout::next_slot(const DirState& d) {
@@ -77,7 +106,6 @@ u32 EmbeddedDirLayout::next_slot(const DirState& d) {
 void EmbeddedDirLayout::take_slot(DirState& d, u32 slot) {
   if (slot == d.next_slot) {
     ++d.next_slot;
-    d.slots.emplace_back();
   } else {
     assert(!d.reusable_slots.empty() && d.reusable_slots.back() == slot);
     d.reusable_slots.pop_back();
@@ -91,11 +119,10 @@ Result<InodeNo> EmbeddedDirLayout::make_root() {
   const InodeNo ino = EmbeddedInodeNo::make(DirId{0}, 1);
   const DirId id = dir_table_.register_directory(ino);
 
-  Inode node;
-  node.num = ino;
-  node.type = FileType::kDirectory;
-  node.dir_id = id;
-  inodes_[ino.v] = std::move(node);
+  root_inode_ = Inode{};
+  root_inode_.num = ino;
+  root_inode_.type = FileType::kDirectory;
+  root_inode_.dir_id = id;
 
   DirState d;
   d.id = id;
@@ -121,7 +148,7 @@ Result<InodeNo> EmbeddedDirLayout::create_common(InodeNo parent,
   // The slot is claimed only once every allocation has succeeded: a failed
   // create or mkdir changes nothing.
   const u32 slot = next_slot(*d);
-  const std::size_t groups_before = d->slot_group_block.size();
+  const std::size_t groups_before = d->groups.size();
   const u64 used_before = d->used_blocks;
   const std::size_t content_before = d->content.size();
   auto blk = slot_block(*d, slot);
@@ -149,7 +176,7 @@ Result<InodeNo> EmbeddedDirLayout::create_common(InodeNo parent,
         1, kInitialDirBlocks);
     if (!run) {
       // Give back what slot_block took for the slot's group.
-      d->slot_group_block.resize(groups_before);
+      d->groups.resize(groups_before);
       d->used_blocks = used_before;
       release_content(*d, content_before);
       return Errc::kNoSpace;
@@ -161,7 +188,6 @@ Result<InodeNo> EmbeddedDirLayout::create_common(InodeNo parent,
     for (u64 i = 0; i < run->length; ++i)
       child.content.push_back(DiskBlock{run->start.v + i});
     dirs_.emplace(id.v, std::move(child));
-    parent_of_[ino.v] = correlation_.current(parent);
     tx.push_back({dir_table_block(id), 1});
   } else {
     ++d->file_count;
@@ -179,8 +205,7 @@ Result<InodeNo> EmbeddedDirLayout::create_common(InodeNo parent,
   }
 
   take_slot(*d, slot);
-  inodes_[ino.v] = std::move(node);
-  d->slots[slot] = Slot{ino, type};
+  d->inode(slot) = std::move(node);
   d->index.insert(name, slot);
   ++d->live_entries;
 
@@ -210,9 +235,8 @@ Result<InodeNo> EmbeddedDirLayout::lookup(InodeNo dir, std::string_view name) {
   // §IV-C: metadata servers using embedded directories keep a fast
   // in-memory hash index over names, so a lookup goes straight to the one
   // content block holding the embedded inode — no linear dirent scan.
-  const u64 group = *slot / Format::kEmbeddedSlotsPerBlock;
-  ctx_.cache.read(d->content[d->slot_group_block[group]], 1);
-  return d->slots[*slot]->ino;
+  ctx_.cache.read(d->block_of(*slot), 1);
+  return d->inode(*slot).num;
 }
 
 Status EmbeddedDirLayout::stat(InodeNo ino) {
@@ -253,10 +277,10 @@ Result<std::vector<DirEntry>> EmbeddedDirLayout::readdir(InodeNo dir,
   std::vector<DirEntry> out;
   out.reserve(d->live_entries);
   for (u32 s = 0; s < d->next_slot; ++s) {
-    const auto& slot = d->slots[s];
-    if (!slot) continue;
+    const Inode& node = d->inode(s);
+    if (!node.num.valid()) continue;
     out.push_back(
-        DirEntry{std::string(d->index.name_at(s)), slot->ino, slot->type});
+        DirEntry{std::string(d->index.name_at(s)), node.num, node.type});
   }
   return out;
 }
@@ -276,19 +300,17 @@ Status EmbeddedDirLayout::unlink(InodeNo dir, std::string_view name) {
   auto slot = d->index.find(name);
   if (!slot) return Errc::kNotFound;
   const u32 s = static_cast<u32>(*slot);
-  const Slot entry = *d->slots[s];
+  Inode& node = d->inode(s);
 
-  if (entry.type == FileType::kDirectory) {
-    DirState* child = dir_state(entry.ino);
-    if (child && child->live_entries > 0) return Errc::kNotEmpty;
-    if (child) {
-      release_content(*child, 0);
-      (void)dir_table_.unregister(child->id);
-      dirs_.erase(child->id.v);
+  if (node.is_dir()) {
+    auto child = dirs_.find(node.dir_id.v);
+    if (child != dirs_.end()) {
+      if (child->second.live_entries > 0) return Errc::kNotEmpty;
+      release_content(child->second, 0);
+      (void)dir_table_.unregister(child->second.id);
+      dirs_.erase(child);
     }
-    parent_of_.erase(correlation_.current(entry.ino).v);
   } else {
-    Inode& node = inodes_.at(correlation_.current(entry.ino).v);
     d->extent_units -= std::min<u64>(d->extent_units,
                                      node.last_synced_extents);
     --d->file_count;
@@ -298,17 +320,15 @@ Status EmbeddedDirLayout::unlink(InodeNo dir, std::string_view name) {
   }
   ++stats_.unlinks;
 
-  const DiskBlock blk = d->content[d->slot_group_block[
-      s / Format::kEmbeddedSlotsPerBlock]];
+  const DiskBlock blk = d->block_of(s);
   ctx_.cache.read(blk, 1);
   // Single-block transaction: clearing the embedded slot IS the dirent
   // removal, the inode drop and (deferred) the space free — no inode-bitmap
   // block, which is exactly the saving Fig. 8 attributes to deletion.
   ctx_.journal.log({{blk, 1}});
 
-  inodes_.erase(correlation_.current(entry.ino).v);
+  node = Inode{};
   d->index.erase(name);
-  d->slots[s].reset();
   --d->live_entries;
   d->pending_frees.push_back(s);
   if (d->pending_frees.size() >= cfg_.lazy_free_batch) lazy_free_flush(*d);
@@ -350,16 +370,14 @@ Result<InodeNo> EmbeddedDirLayout::rename(InodeNo src_dir,
   ++stats_.renames;
 
   const u32 s_old = static_cast<u32>(*src_slot);
-  Slot moving = *src->slots[s_old];
-  const InodeNo old_ino = correlation_.current(moving.ino);
-  Inode node = std::move(inodes_.at(old_ino.v));
-  inodes_.erase(old_ino.v);
+  Inode node = std::move(src->inode(s_old));
+  src->inode(s_old) = Inode{};
+  const InodeNo old_ino = node.num;
 
   src->index.erase(src_name);
-  src->slots[s_old].reset();
   --src->live_entries;
   src->pending_frees.push_back(s_old);
-  if (moving.type == FileType::kFile) {
+  if (!node.is_dir()) {
     src->extent_units -=
         std::min<u64>(src->extent_units, node.last_synced_extents);
     --src->file_count;
@@ -371,7 +389,7 @@ Result<InodeNo> EmbeddedDirLayout::rename(InodeNo src_dir,
   const InodeNo new_ino = EmbeddedInodeNo::make(dst->id, s_new);
   node.num = new_ino;
   node.inode_block = *dst_blk;
-  if (moving.type == FileType::kFile) {
+  if (!node.is_dir()) {
     dst->extent_units += node.last_synced_extents;
     ++dst->file_count;
   } else {
@@ -379,19 +397,13 @@ Result<InodeNo> EmbeddedDirLayout::rename(InodeNo src_dir,
     // new composite number and the subtree is unaffected (children embed
     // the directory's id, not its inode number).
     (void)dir_table_.update(node.dir_id, new_ino);
-    parent_of_.erase(old_ino.v);
-    parent_of_[new_ino.v] = correlation_.current(dst_dir);
   }
-  inodes_[new_ino.v] = std::move(node);
+  dst->inode(s_new) = std::move(node);
   correlation_.record(old_ino, new_ino);
-
-  moving.ino = new_ino;
-  dst->slots[s_new] = std::move(moving);
   dst->index.insert(dst_name, s_new);
   ++dst->live_entries;
 
-  const DiskBlock src_blk = src->content[src->slot_group_block[
-      s_old / Format::kEmbeddedSlotsPerBlock]];
+  const DiskBlock src_blk = src->block_of(s_old);
   ctx_.cache.read(src_blk, 1);
   ctx_.cache.read(*dst_blk, 1);
   ctx_.journal.log({{src_blk, 1}, {*dst_blk, 1}});
@@ -401,14 +413,11 @@ Result<InodeNo> EmbeddedDirLayout::rename(InodeNo src_dir,
 }
 
 Status EmbeddedDirLayout::sync_layout(InodeNo file, u64 extent_count) {
-  Inode* node = find(file);
+  DirState* d = nullptr;
+  Inode* node = locate(file, &d);
   if (!node) return Errc::kNotFound;
   ++stats_.layout_syncs;
   // Maintain the parent's fragmentation degree.
-  DirState* d = nullptr;
-  if (auto it = dirs_.find(EmbeddedInodeNo::dir_of(node->num).v);
-      it != dirs_.end())
-    d = &it->second;
   if (d) {
     d->extent_units -= std::min<u64>(d->extent_units, node->last_synced_extents);
     d->extent_units += extent_count;
@@ -439,16 +448,17 @@ Status EmbeddedDirLayout::getlayout(InodeNo file) {
   return {};
 }
 
-Inode* EmbeddedDirLayout::find(InodeNo ino) {
-  auto it = inodes_.find(correlation_.current(ino).v);
-  return it == inodes_.end() ? nullptr : &it->second;
-}
+Inode* EmbeddedDirLayout::find(InodeNo ino) { return locate(ino, nullptr); }
 
 void EmbeddedDirLayout::scan_fragmentation(
     const std::function<void(u64)>& file_cb,
     const std::function<void(double, u64)>& dir_cb) const {
-  for (const auto& [num, node] : inodes_) {
-    if (!node.is_dir()) file_cb(node.last_synced_extents);
+  for (const auto& [id, d] : dirs_) {
+    for (u32 s = 0; s < d.next_slot; ++s) {
+      const Inode& node = d.inode(s);
+      if (node.num.valid() && !node.is_dir())
+        file_cb(node.last_synced_extents);
+    }
   }
   // Degree comes straight from the per-directory accumulators the layout
   // already maintains for eager preallocation (§IV-A).
@@ -480,7 +490,7 @@ u64 EmbeddedDirLayout::content_blocks(InodeNo dir) const {
 
 NamespaceVerifyReport EmbeddedDirLayout::verify() const {
   NamespaceVerifyReport report;
-  report.inodes = inodes_.size();
+  report.inodes = root_.valid() ? 1 : 0;
   report.directories = dirs_.size();
 
   // Content blocks (including mapping overflow blocks) owned exactly once.
@@ -496,49 +506,30 @@ NamespaceVerifyReport EmbeddedDirLayout::verify() const {
   // Slot ↔ inode ↔ directory-table consistency.
   for (const auto& [id, d] : dirs_) {
     u64 named = 0;
-    for (u32 s = 0; s < d.slots.size(); ++s) {
-      const auto& entry = d.slots[s];
-      if (!entry) continue;
+    for (u32 s = 0; s < d.next_slot; ++s) {
+      const Inode& node = d.inode(s);
+      if (!node.num.valid()) continue;
       ++named;
       if (d.index.find(d.index.name_at(s)) != s)
         report.links_consistent = false;
-      auto node = inodes_.find(entry->ino.v);
-      if (node == inodes_.end()) {
+      // Every inode is named by the slot its composite number encodes.
+      if (node.num.v != EmbeddedInodeNo::make(DirId{id}, s).v)
         report.links_consistent = false;
-        continue;
-      }
-      // A file's composite number must encode this directory.
-      if (node->second.type == FileType::kFile &&
-          EmbeddedInodeNo::dir_of(entry->ino).v != id) {
-        report.links_consistent = false;
-      }
       // A child directory must be registered and resolvable.
-      if (node->second.type == FileType::kDirectory) {
-        auto via_table = dir_table_.directory_inode(node->second.dir_id);
-        if (!via_table || via_table->v != entry->ino.v) {
+      if (node.is_dir()) {
+        auto via_table = dir_table_.directory_inode(node.dir_id);
+        if (!via_table || via_table->v != node.num.v) {
           report.links_consistent = false;
         }
       }
     }
+    report.inodes += named;
     if (named != d.live_entries || named != d.index.size())
       report.links_consistent = false;
     // The directory's own inode is live and carries this id.
     auto owner = dir_table_.directory_inode(d.id);
-    auto node = owner ? inodes_.find(owner->v) : inodes_.end();
-    if (node == inodes_.end() || node->second.dir_id.v != id)
-      report.links_consistent = false;
-  }
-  // Every inode but the root is named by the slot its composite number
-  // encodes.
-  for (const auto& [num, node] : inodes_) {
-    if (num == root_.v) continue;
-    auto dir = dirs_.find(EmbeddedInodeNo::dir_of(node.num).v);
-    const u32 s = EmbeddedInodeNo::offset_of(node.num);
-    if (node.num.v != num || dir == dirs_.end() ||
-        s >= dir->second.slots.size() || !dir->second.slots[s] ||
-        dir->second.slots[s]->ino.v != num) {
-      report.links_consistent = false;
-    }
+    const Inode* node = owner ? record(*owner) : nullptr;
+    if (!node || node->dir_id.v != id) report.links_consistent = false;
   }
 
   // Every directory is reachable from the root: a directory moved into its
@@ -552,11 +543,10 @@ NamespaceVerifyReport EmbeddedDirLayout::verify() const {
     const DirState* d = todo.back();
     todo.pop_back();
     ++reached;
-    for (const auto& slot : d->slots) {
-      if (!slot || slot->type != FileType::kDirectory) continue;
-      auto node = inodes_.find(slot->ino.v);
-      if (node == inodes_.end()) continue;
-      if (auto it = dirs_.find(node->second.dir_id.v); it != dirs_.end())
+    for (u32 s = 0; s < d->next_slot; ++s) {
+      const Inode& node = d->inode(s);
+      if (!node.num.valid() || !node.is_dir()) continue;
+      if (auto it = dirs_.find(node.dir_id.v); it != dirs_.end())
         todo.push_back(&it->second);
     }
   }
@@ -566,9 +556,8 @@ NamespaceVerifyReport EmbeddedDirLayout::verify() const {
 
 Result<std::vector<InodeNo>> EmbeddedDirLayout::resolve_by_number(
     InodeNo ino) {
-  std::unordered_map<u64, InodeNo> parents;
-  for (const auto& [child, parent] : parent_of_) parents.emplace(child, parent);
-  auto chain = dir_table_.resolve_chain(correlation_.current(ino), parents);
+  auto chain = dir_table_.resolve_chain(record(ino) ? ino
+                                                    : correlation_.current(ino));
   if (!chain) return chain;
   // Charge the directory-table block reads the walk performs (§IV-B "this
   // process may require extra disk IO").

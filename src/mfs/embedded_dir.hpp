@@ -13,9 +13,15 @@
 //   * unlink is lazy: freed slots batch up and are reclaimed in bulk;
 //   * inode numbers encode (directory id, slot); the global directory table
 //     plus a rename correlation keep number-based access working (§IV-B).
+//
+// In memory each inode lives in its directory's slot record, as on disk: a
+// number resolves to (directory, slot) through its own bits, with no table
+// over all inodes, and a directory's parent is the directory its number
+// names.
 #pragma once
 
-#include <optional>
+#include <array>
+#include <memory>
 #include <unordered_map>
 
 #include "mfs/dir_table.hpp"
@@ -78,25 +84,48 @@ class EmbeddedDirLayout final : public DirLayout {
   Result<std::vector<InodeNo>> resolve_by_number(InodeNo ino);
 
  private:
-  struct Slot {
-    InodeNo ino{};
-    FileType type{FileType::kFile};
+  static constexpr u64 kSlotsPerGroup = Format::kEmbeddedSlotsPerBlock;
+  /// The slots of one content block, holding their embedded inodes (a free
+  /// slot's inode has an invalid number).  A group is never moved once
+  /// made, so an inode stays put while its directory grows.
+  struct SlotGroup {
+    u64 block{0};  // index into the directory's `content`
+    std::array<Inode, kSlotsPerGroup> inodes;
   };
   struct DirState {
     DirId id{};
     std::vector<DiskBlock> content;     // all blocks of the reservation
     u64 used_blocks{0};                 // prefix of `content` in use
-    std::vector<u64> slot_group_block;  // slot-group -> index into `content`
+    std::vector<std::unique_ptr<SlotGroup>> groups;  // by slot / group size
     u64 next_slot{0};
     std::vector<u32> reusable_slots;    // reclaimed by lazy-free
     std::vector<u32> pending_frees;     // awaiting lazy-free
     NameIndex index;                    // name -> slot, and the names
-    std::vector<std::optional<Slot>> slots;  // slot-indexed
     u64 live_entries{0};
     u64 extent_units{0};  // Σ extent counts of child files
     u64 file_count{0};
+
+    /// The inode in `slot`, which must be below next_slot.
+    Inode& inode(u64 slot) {
+      return groups[slot / kSlotsPerGroup]->inodes[slot % kSlotsPerGroup];
+    }
+    const Inode& inode(u64 slot) const {
+      return groups[slot / kSlotsPerGroup]->inodes[slot % kSlotsPerGroup];
+    }
+    /// Content block holding `slot`.
+    DiskBlock block_of(u64 slot) const {
+      return content[groups[slot / kSlotsPerGroup]->block];
+    }
   };
 
+  /// The live inode numbered `cur` (a current, not a stale, number), and
+  /// the directory whose slot holds it (nullptr for the root); nullptr when
+  /// no live inode has that number.
+  Inode* record(InodeNo cur, DirState** holder = nullptr);
+  const Inode* record(InodeNo cur) const;
+  /// find() with the holding directory: the live inode numbered `ino`,
+  /// else the one a rename moved it to.
+  Inode* locate(InodeNo ino, DirState** holder);
   DirState* dir_state(InodeNo dir);
   const DirState* dir_state(InodeNo dir) const;
   Result<InodeNo> create_common(InodeNo parent, std::string_view name,
@@ -107,7 +136,8 @@ class EmbeddedDirLayout final : public DirLayout {
   /// Hand out the next unused content block (for a slot group or a mapping
   /// block), growing the reservation if exhausted.
   Result<u64> take_content_block(DirState& d);
-  /// Content block holding a slot's embedded inode.
+  /// Content block holding a slot's embedded inode, making the slot's group
+  /// first if needed.
   Result<DiskBlock> slot_block(DirState& d, u32 slot);
   /// Slot a new entry of `d` takes: the most recently reclaimed one, else
   /// the next never-used one.
@@ -126,11 +156,11 @@ class EmbeddedDirLayout final : public DirLayout {
   InodeNo root_{};
   DirectoryTable dir_table_;
   RenameCorrelation correlation_;
-  std::unordered_map<u64, Inode> inodes_;      // keyed by CURRENT ino
+  /// The root has no parent slot; its inode lives here.
+  Inode root_inode_;
   // Directories are keyed by their own DirId — stable across rename, unlike
   // their composite inode number.
   std::unordered_map<u32, DirState> dirs_;
-  std::unordered_map<u64, InodeNo> parent_of_; // dir ino -> parent dir ino
 };
 
 }  // namespace mif::mfs

@@ -18,15 +18,15 @@ StorageTarget::StorageTarget(TargetConfig cfg)
 
 StorageTarget::FileState& StorageTarget::file(InodeNo inode) {
   std::lock_guard lock(files_mu_);
-  auto& slot = files_[inode.v];
+  std::unique_ptr<FileState>& slot = files_[inode.v];
   if (!slot) slot = std::make_unique<FileState>();
   return *slot;
 }
 
 StorageTarget::FileState* StorageTarget::find_file(InodeNo inode) const {
   std::lock_guard lock(files_mu_);
-  auto it = files_.find(inode.v);
-  return it == files_.end() ? nullptr : it->second.get();
+  const std::unique_ptr<FileState>* slot = files_.find(inode.v);
+  return slot ? slot->get() : nullptr;
 }
 
 StorageTarget::VerifyReport StorageTarget::verify() const {
@@ -35,14 +35,14 @@ StorageTarget::VerifyReport StorageTarget::verify() const {
   {
     std::lock_guard lock(files_mu_);
     report.files = files_.size();
-    for (const auto& [ino, state] : files_) {
+    files_.for_each([&](u64, const std::unique_ptr<FileState>& state) {
       std::lock_guard flock(state->mu);
       for (const block::Extent& e : state->map) {
         phys.emplace_back(e.disk_off.v, e.length);
         ++report.extents;
         report.mapped_blocks += e.length;
       }
-    }
+    });
   }
   std::sort(phys.begin(), phys.end());
   for (std::size_t i = 1; i < phys.size(); ++i) {
@@ -77,10 +77,10 @@ void StorageTarget::export_metrics(obs::MetricsRegistry& reg,
 
 void StorageTarget::add_extent_counts(obs::Histo& h) const {
   std::lock_guard lock(files_mu_);
-  for (const auto& [ino, state] : files_) {
+  files_.for_each([&h](u64, const std::unique_ptr<FileState>& state) {
     std::lock_guard flock(state->mu);
     h.add(state->map.extent_count());
-  }
+  });
 }
 
 std::size_t StorageTarget::queue_depth() const {
@@ -107,10 +107,10 @@ u64 StorageTarget::head_block() const {
 void StorageTarget::for_each_extent_count(
     const std::function<void(u64)>& fn) const {
   std::lock_guard lock(files_mu_);
-  for (const auto& [ino, state] : files_) {
+  files_.for_each([&fn](u64, const std::unique_ptr<FileState>& state) {
     std::lock_guard flock(state->mu);
     fn(state->map.extent_count());
-  }
+  });
 }
 
 Status StorageTarget::write(InodeNo inode, StreamId stream, FileBlock logical,
@@ -176,29 +176,27 @@ void StorageTarget::delete_file(InodeNo inode) {
   std::unique_ptr<FileState> victim;
   {
     std::lock_guard lock(files_mu_);
-    auto it = files_.find(inode.v);
-    if (it == files_.end()) return;
-    victim = std::move(it->second);
-    files_.erase(it);
+    if (auto taken = files_.take(inode.v)) victim = std::move(*taken);
   }
+  if (!victim) return;
   std::lock_guard lock(victim->mu);
   alloc_->delete_file(inode, victim->map);
 }
 
 u64 StorageTarget::extent_count(InodeNo inode) const {
   std::lock_guard lock(files_mu_);
-  auto it = files_.find(inode.v);
-  if (it == files_.end()) return 0;
-  std::lock_guard flock(it->second->mu);
-  return it->second->map.extent_count();
+  const std::unique_ptr<FileState>* state = files_.find(inode.v);
+  if (!state) return 0;
+  std::lock_guard flock((*state)->mu);
+  return (*state)->map.extent_count();
 }
 
 std::vector<block::Extent> StorageTarget::extents(InodeNo inode) const {
   std::lock_guard lock(files_mu_);
-  auto it = files_.find(inode.v);
-  if (it == files_.end()) return {};
-  std::lock_guard flock(it->second->mu);
-  const block::ExtentMap& map = it->second->map;
+  const std::unique_ptr<FileState>* state = files_.find(inode.v);
+  if (!state) return {};
+  std::lock_guard flock((*state)->mu);
+  const block::ExtentMap& map = (*state)->map;
   return {map.begin(), map.end()};
 }
 
@@ -208,7 +206,10 @@ void StorageTarget::for_each_file(
   {
     std::lock_guard lock(files_mu_);
     inos.reserve(files_.size());
-    for (const auto& [ino, state] : files_) inos.push_back(ino);
+    files_.for_each(
+        [&inos](u64 ino, const std::unique_ptr<FileState>&) {
+          inos.push_back(ino);
+        });
   }
   std::sort(inos.begin(), inos.end());
   for (u64 ino : inos) fn(InodeNo{ino});
@@ -220,10 +221,10 @@ void StorageTarget::reset_contents() {
     io_.drain();
   }
   std::lock_guard lock(files_mu_);
-  for (auto& [ino, state] : files_) {
+  files_.for_each([](u64, std::unique_ptr<FileState>& state) {
     std::lock_guard flock(state->mu);
     state->map = block::ExtentMap{};
-  }
+  });
   // The allocator must die before the free space it references: its
   // destructor releases outstanding reservations back into that space.
   alloc_.reset();

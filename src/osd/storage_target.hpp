@@ -8,11 +8,11 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 
 #include "alloc/allocator.hpp"
 #include "sim/disk.hpp"
 #include "sim/io_scheduler.hpp"
+#include "util/u64_map.hpp"
 
 namespace mif::obs {
 class MetricsRegistry;
@@ -181,8 +181,11 @@ class StorageTarget {
   sim::IoScheduler io_;
   std::unique_ptr<block::FreeSpace> space_;
   std::unique_ptr<alloc::FileAllocator> alloc_;
+  /// Subfile states by inode number.  The table moves its cells, so it
+  /// owns each state through a pointer: a FileState stays where it is while
+  /// a caller holds its `mu` outside `files_mu_`.
   mutable std::mutex files_mu_;
-  std::unordered_map<u64, std::unique_ptr<FileState>> files_;
+  util::U64Map<std::unique_ptr<FileState>> files_;
 };
 
 }  // namespace mif::osd

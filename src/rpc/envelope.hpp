@@ -318,6 +318,9 @@ struct VoidResponse {};
 
 struct InodeResponse {
   InodeNo ino{};
+  /// `ino` is a directory.  Fixed-size like the number, so it rides the
+  /// same round trip; a cross-shard rename reads it from its resolve.
+  bool dir{false};
 };
 
 struct OpenGetLayoutResponse {

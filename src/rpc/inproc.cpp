@@ -12,6 +12,11 @@ namespace mif::rpc {
 
 namespace {
 
+bool is_dir(mds::Mds& m, InodeNo ino) {
+  const mfs::Inode* node = m.fs().find(ino);
+  return node && node->is_dir();
+}
+
 Result<Response> dispatch_mds(mds::Mds& m, const Request& req) {
   return std::visit(
       [&](const auto& r) -> Result<Response> {
@@ -19,11 +24,11 @@ Result<Response> dispatch_mds(mds::Mds& m, const Request& req) {
         if constexpr (std::is_same_v<T, MkdirRequest>) {
           auto ino = m.mkdir(r.path);
           if (!ino) return ino.error();
-          return Response{InodeResponse{*ino}};
+          return Response{InodeResponse{*ino, true}};
         } else if constexpr (std::is_same_v<T, CreateRequest>) {
           auto ino = m.create(r.path);
           if (!ino) return ino.error();
-          return Response{InodeResponse{*ino}};
+          return Response{InodeResponse{*ino, false}};
         } else if constexpr (std::is_same_v<T, StatRequest>) {
           if (Status s = m.stat(r.path); !s) return s.error();
           return Response{VoidResponse{}};
@@ -36,13 +41,13 @@ Result<Response> dispatch_mds(mds::Mds& m, const Request& req) {
         } else if constexpr (std::is_same_v<T, RenameRequest>) {
           auto ino = m.rename(r.from, r.to);
           if (!ino) return ino.error();
-          return Response{InodeResponse{*ino}};
+          return Response{InodeResponse{*ino, is_dir(m, *ino)}};
         } else if constexpr (std::is_same_v<T, ResolveRequest>) {
           // Revalidation of a client-cached handle: namespace lookup only,
           // no RPC/network accounting (traits(kResolve).free).
           auto ino = m.fs().resolve(r.path);
           if (!ino) return ino.error();
-          return Response{InodeResponse{*ino}};
+          return Response{InodeResponse{*ino, is_dir(m, *ino)}};
         } else if constexpr (std::is_same_v<T, OpenGetLayoutRequest>) {
           auto res = m.open_getlayout(r.path);
           if (!res) return res.error();

@@ -241,7 +241,13 @@ Result<Response> ShardedTransport::do_rename(const rpc::RenameRequest& r) {
   Result<Response> resolved =
       inner_.call(mds_at(src), Request{rpc::ResolveRequest{r.from}});
   if (!resolved) return resolved;
-  const InodeNo src_ino = std::get<rpc::InodeResponse>(*resolved).ino;
+  const rpc::InodeResponse& entry = std::get<rpc::InodeResponse>(*resolved);
+  // The protocol re-creates the entry as a file: a directory's entries (and,
+  // under hash placement, its mirrors) would not follow it.  Refuse the
+  // move before phase 1, as Mfs::rename refuses one into the directory's
+  // own subtree.
+  if (entry.dir) return Errc::kInvalid;
+  const InodeNo src_ino = entry.ino;
 
   const u64 seq = router_.journal_begin(r.from, r.to, src, dst, src_ino);
 
@@ -272,7 +278,7 @@ Result<Response> ShardedTransport::do_rename(const rpc::RenameRequest& r) {
   router_.add_alias(Router::tag(dst, dst_ino), Router::tag(src, src_ino));
   router_.count_rename(true);
   router_.count_fanout(1);  // one logical op, two wire envelopes
-  return Response{rpc::InodeResponse{Router::tag(dst, dst_ino)}};
+  return Response{rpc::InodeResponse{Router::tag(dst, dst_ino), false}};
 }
 
 u64 ShardedTransport::recover() {

@@ -34,7 +34,10 @@
 //     half-done renames back (unlink the target copy) so the source stays
 //     resolvable and no inode is orphaned.  The renamed file's blocks stay
 //     keyed by the OLD ino on the storage targets; a data-ino alias rewrites
-//     subsequent data envelopes so the data remains reachable.
+//     subsequent data envelopes so the data remains reachable.  The
+//     protocol moves files only: a directory whose new name belongs to
+//     another shard is refused with kInvalid, as its resolve reply shows,
+//     and the namespace is left as it was;
 //
 // With one metadata server the TransportStack does not build this decorator
 // at all — the single-MDS hot path is untouched and the default figures stay

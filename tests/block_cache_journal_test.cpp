@@ -485,6 +485,51 @@ TEST_F(JournalFixture, WrapForcesCheckpoint) {
   EXPECT_GE(j.stats().checkpoints, 1u);
 }
 
+// A checkpoint writes each maximal run of the union of the logged home
+// ranges once: what sorting the ranges and merging overlapping or adjacent
+// neighbours gives.  Ranges here span bitmap words and repeat, overlap and
+// abut; three rounds check that a checkpoint forgets what it wrote.
+TEST_F(JournalFixture, CheckpointWritesTheUnionsMaximalRuns) {
+  // An area no round's records fill, so no wrap checkpoints early.
+  Journal j(io, DiskBlock{0}, 1 << 20, /*checkpoint_interval=*/100000);
+  Rng rng(17);
+  for (int round = 0; round < 3; ++round) {
+    std::vector<BlockRange> logged;
+    for (int i = 0; i < 400; ++i) {
+      const u64 start = (2 << 20) + rng.uniform(0, 3000);
+      const u64 len = rng.chance(0.7) ? 1 : rng.uniform(1, 150);
+      logged.push_back({DiskBlock{start}, len});
+      j.log({logged.back()});
+    }
+    j.commit();
+    // Reference: sort and merge.
+    std::sort(logged.begin(), logged.end(),
+              [](const BlockRange& a, const BlockRange& b) {
+                return a.start.v < b.start.v;
+              });
+    u64 runs = 0;
+    u64 blocks = 0;
+    for (std::size_t i = 0; i < logged.size();) {
+      u64 end = logged[i].end();
+      std::size_t k = i + 1;
+      while (k < logged.size() && logged[k].start.v <= end) {
+        end = std::max(end, logged[k].end());
+        ++k;
+      }
+      ++runs;
+      blocks += end - logged[i].start.v;
+      i = k;
+    }
+    const u64 queued = io.stats().queued;
+    const u64 written = j.stats().checkpoint_blocks;
+    j.checkpoint();
+    EXPECT_EQ(io.stats().queued - queued, runs) << "round " << round;
+    EXPECT_EQ(j.stats().checkpoint_blocks - written, blocks)
+        << "round " << round;
+    EXPECT_EQ(j.backlog_blocks(), 0u);
+  }
+}
+
 TEST_F(JournalFixture, EmptyCheckpointIsNoop) {
   Journal j(io, DiskBlock{0}, 64, 4);
   j.checkpoint();

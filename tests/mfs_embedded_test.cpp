@@ -3,10 +3,14 @@
 // free, and the contiguity properties the technique exists for.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "mfs/mfs.hpp"
+#include "util/rng.hpp"
 
 namespace mif::mfs {
 namespace {
@@ -305,6 +309,216 @@ TEST_F(EmbeddedFixture, VerifyFailsDirectoryCutOffFromRoot) {
   ASSERT_TRUE(l().verify().ok());
   ASSERT_TRUE(l().rename(root(), "a", *b, "c"));
   EXPECT_FALSE(l().verify().ok());
+}
+
+// The embedded layout against a reference number → inode map, step by
+// step.  The reference keeps each live inode under its current number, the
+// directory tree by DirId, and the old → new correlation §IV-B describes
+// (chains collapse); find() of any number must answer what the reference
+// answers for that number's current one.
+struct ReferenceNamespace {
+  struct Node {
+    FileType type{FileType::kFile};
+    u32 dir_id{0};     // directories: their own id
+    u32 parent_id{0};  // the directory holding the entry
+  };
+  std::unordered_map<u64, Node> live;           // by current number
+  std::map<u32, std::map<std::string, u64>> dirs;  // id -> name -> number
+  std::map<u32, u64> dir_number;                // id -> current number
+  std::unordered_map<u64, u64> old_to_new;
+  std::vector<u64> seen;  // every number ever handed out
+
+  /// The number find(n) answers for: n itself while an inode holds it,
+  /// else where the correlation sends it.
+  u64 current(u64 n) const {
+    if (live.contains(n)) return n;
+    auto it = old_to_new.find(n);
+    return it == old_to_new.end() ? n : it->second;
+  }
+  void moved(u64 from, u64 to) {
+    for (auto& [stale, cur] : old_to_new) {
+      if (cur == from) cur = to;
+    }
+    old_to_new[from] = to;
+  }
+  /// [parent, ..., root] for a current number.
+  std::vector<u64> chain(u64 n, u32 root_id) const {
+    std::vector<u64> out;
+    for (u32 id = live.at(n).parent_id;; id = live.at(dir_number.at(id)).parent_id) {
+      out.push_back(dir_number.at(id));
+      if (id == root_id) return out;
+    }
+  }
+  bool inside(u32 dir_id, u32 ancestor_id, u32 root_id) const {
+    for (u32 id = dir_id;; id = live.at(dir_number.at(id)).parent_id) {
+      if (id == ancestor_id) return true;
+      if (id == root_id) return false;
+    }
+  }
+};
+
+TEST_F(EmbeddedFixture, MatchesReferenceInodeMapInLockstep) {
+  ReferenceNamespace ref;
+  const u32 root_id = l().find(root())->dir_id.v;
+  ref.dir_number[root_id] = root().v;
+  ref.dirs[root_id];
+  Rng rng(23);
+  u64 serial = 0;
+  u64 reused = 0;  // creates that took a number handed out before
+  auto dir_ids = [&] {
+    std::vector<u32> ids;
+    for (const auto& [id, entries] : ref.dirs) ids.push_back(id);
+    return ids;
+  };
+  auto pick_entry = [&](u32& dir, std::string& name) {
+    std::vector<std::pair<u32, std::string>> all;
+    for (const auto& [id, entries] : ref.dirs)
+      for (const auto& [n, num] : entries) all.emplace_back(id, n);
+    if (all.empty()) return false;
+    std::tie(dir, name) = all[rng.uniform(0, all.size() - 1)];
+    return true;
+  };
+  auto check_all = [&](int step) {
+    for (u64 n : ref.seen) {
+      const Inode* node = l().find(InodeNo{n});
+      const u64 cur = ref.current(n);
+      const auto it = ref.live.find(cur);
+      ASSERT_EQ(node != nullptr, it != ref.live.end())
+          << "step " << step << " number " << n;
+      if (!node) continue;
+      ASSERT_EQ(node->num.v, cur) << "step " << step;
+      ASSERT_EQ(node->type, it->second.type) << "step " << step;
+      if (node->is_dir()) {
+        ASSERT_EQ(node->dir_id.v, it->second.dir_id);
+      }
+      auto chain = l().resolve_by_number(InodeNo{n});
+      ASSERT_TRUE(chain) << "step " << step;
+      std::vector<u64> got;
+      for (InodeNo c : *chain) got.push_back(c.v);
+      ASSERT_EQ(got, ref.chain(cur, root_id)) << "step " << step;
+    }
+    const NamespaceVerifyReport v = l().verify();
+    ASSERT_TRUE(v.ok()) << "step " << step;
+    ASSERT_EQ(v.inodes, ref.live.size() + 1) << "step " << step;
+    ASSERT_EQ(v.directories, ref.dirs.size()) << "step " << step;
+  };
+
+  for (int step = 0; step < 1500; ++step) {
+    const u64 op = rng.uniform(0, 99);
+    const std::vector<u32> ids = dir_ids();
+    // Half the creates land in the root, so its lazy-free batches fill and
+    // its slots (stale numbers among them) are handed out again.
+    const u32 some_dir =
+        rng.chance(0.5) ? root_id : ids[rng.uniform(0, ids.size() - 1)];
+    if (op < 45) {
+      // create or mkdir
+      const u32 dir = some_dir;
+      const bool make_dir = rng.chance(0.08);
+      const std::string name = "n" + std::to_string(serial++);
+      const InodeNo parent{ref.dir_number.at(dir)};
+      auto made = make_dir ? l().mkdir(parent, name) : l().create(parent, name);
+      ASSERT_TRUE(made) << "step " << step;
+      ASSERT_EQ(EmbeddedInodeNo::dir_of(*made).v, dir);
+      ASSERT_FALSE(ref.live.contains(made->v)) << "step " << step;
+      ReferenceNamespace::Node node;
+      node.type = make_dir ? FileType::kDirectory : FileType::kFile;
+      node.parent_id = dir;
+      if (make_dir) {
+        node.dir_id = l().find(*made)->dir_id.v;
+        ref.dirs[node.dir_id];
+        ref.dir_number[node.dir_id] = made->v;
+      }
+      ref.live[made->v] = node;
+      ref.dirs[dir][name] = made->v;
+      if (std::find(ref.seen.begin(), ref.seen.end(), made->v) !=
+          ref.seen.end()) {
+        ++reused;
+      } else {
+        ref.seen.push_back(made->v);
+      }
+    } else if (op < 75) {
+      // unlink (directories only when empty)
+      u32 dir = 0;
+      std::string name;
+      if (!pick_entry(dir, name)) continue;
+      const u64 num = ref.dirs[dir][name];
+      const ReferenceNamespace::Node node = ref.live.at(num);
+      const bool busy =
+          node.type == FileType::kDirectory && !ref.dirs[node.dir_id].empty();
+      const Status st = l().unlink(InodeNo{ref.dir_number.at(dir)}, name);
+      if (busy) {
+        ASSERT_EQ(st.error(), Errc::kNotEmpty) << "step " << step;
+        continue;
+      }
+      ASSERT_TRUE(st.ok()) << "step " << step;
+      if (node.type == FileType::kDirectory) {
+        ref.dirs.erase(node.dir_id);
+        ref.dir_number.erase(node.dir_id);
+      }
+      ref.dirs[dir].erase(name);
+      ref.live.erase(num);
+    } else {
+      // rename a file or a directory, across directories or within one
+      u32 src = 0;
+      std::string name;
+      if (!pick_entry(src, name)) continue;
+      const u32 dst = some_dir;
+      const u64 num = ref.dirs[src][name];
+      ReferenceNamespace::Node node = ref.live.at(num);
+      if (node.type == FileType::kDirectory &&
+          ref.inside(dst, node.dir_id, root_id))
+        continue;  // a move into its own subtree (Mfs::rename refuses it)
+      const std::string to = "r" + std::to_string(serial++);
+      auto moved = l().rename(InodeNo{ref.dir_number.at(src)}, name,
+                              InodeNo{ref.dir_number.at(dst)}, to);
+      ASSERT_TRUE(moved) << "step " << step;
+      ASSERT_EQ(EmbeddedInodeNo::dir_of(*moved).v, dst);
+      ref.dirs[src].erase(name);
+      ref.live.erase(num);
+      node.parent_id = dst;
+      ref.live[moved->v] = node;
+      ref.dirs[dst][to] = moved->v;
+      if (node.type == FileType::kDirectory)
+        ref.dir_number[node.dir_id] = moved->v;
+      ref.moved(num, moved->v);
+      if (std::find(ref.seen.begin(), ref.seen.end(), moved->v) ==
+          ref.seen.end())
+        ref.seen.push_back(moved->v);
+    }
+    if (step % 25 == 0) {
+      ASSERT_NO_FATAL_FAILURE(check_all(step));
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(check_all(-1));
+  // The walk reclaimed slots through lazy-free and moved both kinds of
+  // entry, so those paths ran.
+  EXPECT_GT(l().op_stats().renames, 100u);
+  EXPECT_GT(l().op_stats().unlinks, 300u);
+  EXPECT_GT(reused, 20u);
+}
+
+// A find() pointer stays valid while its directory grows: creates add slot
+// groups and grow the content reservation (twice here), and the inode stays
+// where it was until it is unlinked.
+TEST_F(EmbeddedFixture, FindPointerSurvivesDirectoryGrowth) {
+  auto d = l().mkdir(root(), "d");
+  ASSERT_TRUE(d);
+  auto f = l().create(*d, "f");
+  ASSERT_TRUE(f);
+  Inode* held = l().find(*f);
+  ASSERT_NE(held, nullptr);
+  ASSERT_TRUE(l().sync_layout(*f, 3).ok());
+  const u64 blocks = l().content_blocks(*d);
+  const u64 creates = 3 * blocks * Format::kEmbeddedSlotsPerBlock;
+  for (u64 i = 0; i < creates; ++i) {
+    ASSERT_TRUE(l().create(*d, "g" + std::to_string(i)));
+    ASSERT_EQ(l().find(*f), held) << "after create " << i;
+  }
+  EXPECT_GE(l().content_blocks(*d), 4 * blocks);
+  EXPECT_EQ(held->num.v, f->v);
+  EXPECT_EQ(held->last_synced_extents, 3u);
+  ASSERT_TRUE(l().unlink(*d, "f").ok());
+  EXPECT_EQ(l().find(*f), nullptr);
 }
 
 }  // namespace

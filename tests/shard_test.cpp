@@ -575,6 +575,52 @@ TEST(ShardedRename, FaultBetweenPhasesRollsBackWithoutOrphan) {
   EXPECT_EQ(sharded->stats().renames_recovered, 1u);
 }
 
+// A cross-shard rename re-creates its entry as a file on the target shard,
+// which would strand a directory's entries and mirrors: it is refused before
+// phase 1 and the directory stays whole under its old name.
+void expect_directory_rename_refused(core::ParallelFileSystem& fs,
+                                     const std::string& from,
+                                     const std::string& to) {
+  const shard::ShardedTransport& sharded = *fs.transport().sharded();
+  auto moved = fs.rpc().rename(from, to);
+  ASSERT_FALSE(moved);
+  EXPECT_EQ(moved.error(), Errc::kInvalid);
+  EXPECT_TRUE(fs.rpc().create(from + "/x"));
+  EXPECT_EQ(fs.rpc().stat(to).error(), Errc::kNotFound);
+  EXPECT_FALSE(fs.rpc().create(to + "/x"));
+  EXPECT_EQ(sharded.stats().renames_cross, 0u);
+  EXPECT_EQ(sharded.stats().rename_failures, 0u);
+  EXPECT_TRUE(sharded.router().journal_snapshot().empty());
+  for (std::size_t s = 0; s < fs.mds_shards(); ++s) {
+    EXPECT_TRUE(fs.mds(s).fs().layout().verify().ok());
+  }
+}
+
+TEST(ShardedRename, AcrossShardsRefusesDirectoryUnderHashPlacement) {
+  core::ParallelFileSystem fs(sharded_cfg(3, shard::Policy::kHash));
+  const shard::Map map(3, shard::Policy::kHash);
+  std::string to;
+  for (int i = 0; to.empty(); ++i) {
+    const std::string p = "e" + std::to_string(i);
+    if (map.owner_of(p) != map.owner_of("d")) to = p;
+  }
+  ASSERT_TRUE(fs.rpc().mkdir("d"));
+  expect_directory_rename_refused(fs, "d", to);
+}
+
+TEST(ShardedRename, AcrossShardsRefusesDirectoryUnderSubtreePlacement) {
+  core::ParallelFileSystem fs(sharded_cfg(3, shard::Policy::kSubtree));
+  ASSERT_TRUE(fs.rpc().mkdir("a"));  // delegated to shard 0
+  ASSERT_TRUE(fs.rpc().mkdir("b"));  // delegated to shard 1
+  ASSERT_TRUE(fs.rpc().mkdir("a/sub"));
+  expect_directory_rename_refused(fs, "a/sub", "b/sub2");
+  // Within one shard the directory still moves, entries and all.
+  ASSERT_TRUE(fs.rpc().rename("a/sub", "a/sub3"));
+  EXPECT_TRUE(fs.rpc().stat("a/sub3/x").ok());
+  EXPECT_TRUE(fs.rpc().create("a/sub3/y"));
+  EXPECT_EQ(fs.transport().sharded()->stats().renames_local, 1u);
+}
+
 // --- observability ----------------------------------------------------------
 
 TEST(ShardedObservability, MetricsAndSpansExport) {

@@ -46,6 +46,14 @@ HONOURED = {FIG6A: ("--trace",), FIG7: tuple(OBSERVERS),
 # The four disk-time components an attribution account splits disk_ms into.
 DISK = ("disk_seek_ms", "disk_rotation_ms", "disk_skip_ms",
         "disk_transfer_ms")
+# The recorder each sim-clock span comes from: the last word of the label
+# its lane was claimed with ("osd 3 disk (mount 0)", "meta net (mount 1)").
+SIM_RECORDER = {"disk.seek": "disk", "disk.skip": "disk",
+                "disk.transfer": "disk", "io.queue_wait": "queue",
+                "net.exchange": "net", "mds.cpu": "cpu", "rpc.async": "async",
+                "rpc.stall": "stall", "rpc.qos.wait": "qos",
+                "qos.dropped_error": "qos", "fault.delay": "fault",
+                "formation.dropped_error": "formation"}
 
 
 class Fail(Exception):
@@ -230,6 +238,60 @@ def spans(doc, trace):
         require(phase in hist, f"histogram '{phase}' missing from metrics")
         for q in ("p50", "p95", "p99", "p999"):
             require(q in hist[phase], f"'{phase}' missing quantile '{q}'")
+
+
+def sim_lane_labels(trace):
+    """{tid: label} of the sim lanes (pid 2) in a trace."""
+    return {e["tid"]: e["args"]["name"] for e in trace.get("traceEvents", [])
+            if e.get("ph") == "M" and e.get("name") == "thread_name"
+            and e.get("pid") == 2}
+
+
+def sim_lane_recorders(trace):
+    """{tid: set of recorders} whose spans each sim lane carries."""
+    lanes = {}
+    for e in trace.get("traceEvents", []):
+        if e.get("ph") == "X" and e.get("pid") == 2:
+            lanes.setdefault(e["tid"], set()).add(
+                SIM_RECORDER.get(e["name"], e["name"]))
+    return lanes
+
+
+def sim_lanes(doc, trace):
+    """Each sim lane carries one recorder's spans and is named after it: a
+    lane with disk.* spans is a disk lane and carries nothing else, and so
+    for the queue, network, MDS-CPU, async-channel and stall lanes; no two
+    lanes share a label across the mounts that share the collector."""
+    labels = sim_lane_labels(trace)
+    lanes = sim_lane_recorders(trace)
+    require(lanes, "no sim spans in trace")
+    for tid, recorders in lanes.items():
+        require(len(recorders) == 1,
+                f"sim lane {tid} mixes recorders {sorted(recorders)}")
+        recorder = next(iter(recorders))
+        require(recorder in SIM_RECORDER.values(),
+                f"sim lane {tid} carries unknown span '{recorder}'")
+        label = labels.get(tid)
+        require(label is not None, f"sim lane {tid} has no thread_name")
+        named = label.split(" (mount ")[0].split()[-1]
+        require(named == recorder, f"sim lane {tid} carries {recorder} "
+                f"spans but is named '{label}'")
+    names = list(labels.values())
+    require(len(set(names)) == len(names), "two sim lanes share a label")
+    for recorder in ("disk", "queue", "net", "cpu", "async", "stall"):
+        require(any(recorder in r for r in lanes.values()),
+                f"no {recorder} lane in the trace")
+
+
+def swap_disk_and_net_labels(doc, trace):
+    lanes = sim_lane_recorders(trace)
+    disk = next(t for t, r in lanes.items() if r == {"disk"})
+    net = next(t for t, r in lanes.items() if r == {"net"})
+    metas = {e["tid"]: e for e in trace["traceEvents"]
+             if e.get("ph") == "M" and e.get("name") == "thread_name"
+             and e.get("pid") == 2}
+    metas[disk]["args"], metas[net]["args"] = (metas[net]["args"],
+                                               metas[disk]["args"])
 
 
 def shards(doc):
@@ -612,6 +674,8 @@ ROWS = (
                  read_errors=1)),
     scenario(FIG7, ("--list-io", "64", "--attribution"), list_io,
              just_under_5x),
+    scenario(FIG7, (*TRACE, "--attribution", "--pipeline-depth", "4"),
+             sim_lanes, swap_disk_and_net_labels),
     scenario(FIG7, (*TRACE, "--timeseries"), counter_tracks,
              lambda doc, trace: trace.update(traceEvents=[
                  e for e in trace["traceEvents"] if e.get("ph") != "i"])),

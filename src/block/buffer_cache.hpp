@@ -72,7 +72,6 @@ class BufferCache {
   void invalidate_all();
 
   const CacheStats& stats() const { return stats_; }
-  CacheStats snapshot() const { return stats_; }
   void reset_stats() { stats_ = {}; }
   u64 resident_blocks() const { return slots_.size(); }
 

@@ -11,6 +11,7 @@ namespace mif::block {
 Journal::Journal(sim::IoScheduler& io, DiskBlock area_start, u64 area_blocks,
                  u64 checkpoint_interval, u64 commit_batch)
     : io_(io),
+      sinks_(io.disk().sinks()),
       area_start_(area_start),
       area_blocks_(area_blocks),
       checkpoint_interval_(std::max<u64>(1, checkpoint_interval)),
@@ -51,7 +52,7 @@ void Journal::mark_pending(const BlockRange& r) {
 void Journal::commit() {
   since_commit_ = 0;
   const u64 blocks = uncommitted_blocks_ + 1;  // + commit block
-  obs::ScopedSpan span(spans_, "journal.commit", blocks);
+  obs::ScopedSpan span(sinks_.spans, "journal.commit", blocks);
   uncommitted_blocks_ = 0;
   stats_.journal_blocks += 1;
 
@@ -71,7 +72,7 @@ void Journal::checkpoint() {
   since_checkpoint_ = 0;
   if (uncommitted_blocks_ > 0) commit();
   if (pending_ranges_ == 0) return;
-  obs::ScopedSpan span(spans_, "journal.checkpoint", pending_ranges_);
+  obs::ScopedSpan span(sinks_.spans, "journal.checkpoint", pending_ranges_);
   // Write back each maximal run of marked blocks, lowest first: duplicate
   // and adjacent logged ranges merge, and the pass is one elevator sweep.
   BlockRange run{DiskBlock{0}, 0};

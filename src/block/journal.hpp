@@ -17,10 +17,6 @@
 #include "sim/io_scheduler.hpp"
 #include "util/types.hpp"
 
-namespace mif::obs {
-class SpanCollector;
-}
-
 namespace mif::block {
 
 struct JournalStats {
@@ -37,7 +33,9 @@ class Journal {
   /// checkpoints.  `commit_batch` = transactions folded into one compound
   /// commit before the journal write is issued (jbd-style batching — even a
   /// "synchronous" ext3 merges concurrent handles into one running
-  /// transaction); 1 ⇒ a journal write per operation.
+  /// transaction); 1 ⇒ a journal write per operation.  Commits and
+  /// checkpoints record `journal.commit` / `journal.checkpoint` phases into
+  /// the attachment of the disk behind `io`.
   Journal(sim::IoScheduler& io, DiskBlock area_start, u64 area_blocks,
           u64 checkpoint_interval = 64, u64 commit_batch = 1);
 
@@ -62,7 +60,6 @@ class Journal {
   void checkpoint();
 
   const JournalStats& stats() const { return stats_; }
-  JournalStats snapshot() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
   /// Blocks the journal still owes the disk: the running compound
@@ -70,16 +67,12 @@ class Journal {
   /// Timeline gauge — shows commit/checkpoint sawtooth over sim time.
   u64 backlog_blocks() const { return uncommitted_blocks_ + pending_blocks_; }
 
-  /// Attach a span collector: commits and checkpoints then record
-  /// `journal.commit` / `journal.checkpoint` phases (nullptr detaches).
-  void set_spans(obs::SpanCollector* spans) { spans_ = spans; }
-
  private:
   /// Add `r`'s blocks to the set the next checkpoint writes back.
   void mark_pending(const BlockRange& r);
 
   sim::IoScheduler& io_;
-  obs::SpanCollector* spans_{nullptr};
+  const obs::Sinks& sinks_;
   DiskBlock area_start_;
   u64 area_blocks_;
   u64 checkpoint_interval_;

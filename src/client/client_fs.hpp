@@ -117,7 +117,6 @@ class ClientFs {
 
   ClientId id() const { return id_; }
   const ClientStats& stats() const { return stats_; }
-  ClientStats snapshot() const { return stats_; }
   void reset_stats() { stats_ = {}; }
   /// Publish this client's counters under `<prefix>.…` into the registry.
   void export_metrics(obs::MetricsRegistry& reg,

@@ -30,16 +30,22 @@ std::function<double()> cluster_clock(std::vector<osd::StorageTarget*> tgts,
 }  // namespace
 
 ParallelFileSystem::ParallelFileSystem(ClusterConfig cfg)
-    : cfg_(cfg), stripe_{static_cast<u32>(cfg.num_targets)} {
+    : cfg_(cfg),
+      stripe_{static_cast<u32>(cfg.num_targets)},
+      sinks_(std::make_unique<obs::Sinks>()) {
   assert(cfg_.num_targets >= 1);
   const std::size_t shards = std::max<u32>(cfg_.mds.shards, 1);
   mds_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
-    mds_.push_back(std::make_unique<mds::Mds>(cfg_.mds));
+    // Servers are named like their metric prefixes: "mds", or "mds i".
+    mds_.push_back(std::make_unique<mds::Mds>(
+        cfg_.mds, sinks_.get(),
+        shards == 1 ? "mds" : "mds " + std::to_string(i)));
   }
   targets_.reserve(cfg_.num_targets);
   for (std::size_t i = 0; i < cfg_.num_targets; ++i) {
-    targets_.push_back(std::make_unique<osd::StorageTarget>(cfg_.target));
+    targets_.push_back(std::make_unique<osd::StorageTarget>(
+        cfg_.target, *sinks_, "osd " + std::to_string(i)));
   }
   rpc::Endpoints eps;
   for (auto& m : mds_) eps.mds.push_back(m.get());
@@ -48,7 +54,7 @@ ParallelFileSystem::ParallelFileSystem(ClusterConfig cfg)
   // user flags with exit 2 before getting here; this guards programmatic use).
   assert(rpc::validate(cfg_.rpc.qos).empty());
   assert(redundancy::validate(cfg_.redundancy, stripe_.width).empty());
-  rpc_stack_ = rpc::TransportStack(std::move(eps), cfg_.rpc);
+  rpc_stack_ = rpc::TransportStack(std::move(eps), cfg_.rpc, *sinks_);
   rpc_client_ = std::make_unique<rpc::Client>(rpc_stack_.top());
   // Closures below capture raw pointers to the heap-pinned targets, NOT
   // `this` — benches move the PFS value around.
@@ -86,7 +92,8 @@ ParallelFileSystem::ParallelFileSystem(ClusterConfig cfg)
         stripe_, cfg_.redundancy, *health_, tgts, *rpc_client_,
         cfg_.list_io_max_runs > 0
             ? cfg_.list_io_max_runs
-            : redundancy::RepairService::kDefaultRunsPerEnvelope);
+            : redundancy::RepairService::kDefaultRunsPerEnvelope,
+        *sinks_);
     repair_->set_clock(cluster_now);
   }
   if (rpc::FaultTransport* fault = rpc_stack_.fault()) {
@@ -242,28 +249,29 @@ void ParallelFileSystem::tick_timeline() {
   // Gauges for principals that appeared since the last safe point must be
   // registered BEFORE the tick — add_gauge and tick share the timeline's
   // mutex, so a gauge callback can never register another gauge.
-  if (timeline_ && attrib_) sync_attrib_gauges();
-  if (timeline_) timeline_->tick();
+  obs::Timeline* const tl = sinks_->timeline;
+  if (tl && sinks_->attrib) sync_attrib_gauges(*tl);
+  if (tl) tl->tick();
 }
 
-void ParallelFileSystem::sync_attrib_gauges() {
-  obs::Attribution* a = attrib_;  // raw ledger pointer, NOT `this` — benches
-                                  // move the PFS value around.
+void ParallelFileSystem::sync_attrib_gauges(obs::Timeline& tl) {
+  obs::Attribution* a = sinks_->attrib;  // raw ledger pointer, NOT `this` —
+                                         // benches move the PFS value around.
   if (!attrib_gauges_bound_) {
     attrib_gauges_bound_ = true;
-    timeline_->add_gauge("attrib.principals", [a] {
+    tl.add_gauge("attrib.principals", [a] {
       return static_cast<double>(a->accounts().size());
     });
-    timeline_->add_gauge("attrib.fairness", [a] { return a->fairness(); });
+    tl.add_gauge("attrib.fairness", [a] { return a->fairness(); });
   }
-  for (const auto& [key, acct] : attrib_->accounts()) {
+  for (const auto& [key, acct] : a->accounts()) {
     if (std::find(attrib_gauge_keys_.begin(), attrib_gauge_keys_.end(),
                   key) != attrib_gauge_keys_.end()) {
       continue;
     }
     attrib_gauge_keys_.push_back(key);
     const u64 k = key;
-    timeline_->add_gauge(
+    tl.add_gauge(
         "attrib." + obs::Principal::from_key(key).label() + ".total_ms",
         [a, k] {
           const auto accts = a->accounts();
@@ -273,17 +281,11 @@ void ParallelFileSystem::sync_attrib_gauges() {
   }
 }
 
-void ParallelFileSystem::set_attribution(obs::Attribution* attrib) {
-  attrib_ = attrib;
-  rpc_stack_.set_attribution(attrib);
-  for (auto& t : targets_) t->set_attribution(attrib);
-  for (auto& m : mds_) m->set_attribution(attrib);
-}
-
 obs::Json ParallelFileSystem::attribution_json() const {
-  if (!attrib_) return obs::Json{};
+  const obs::Attribution* attrib = sinks_->attrib;
+  if (!attrib) return obs::Json{};
   obs::Json j;
-  j["principals"] = attrib_->to_json();
+  j["principals"] = attrib->to_json();
   // The independent cluster totals the per-principal ledger must conserve
   // against (the attrib_test / bench-gate invariant): sums over principals
   // equal these to within FP accumulation order.
@@ -307,19 +309,18 @@ obs::Json ParallelFileSystem::attribution_json() const {
     global["fault_delay_ms"] = fault->stats().delay_total_ms;
   }
   j["global"] = global;
-  j["fairness"] = attrib_->fairness();
+  j["fairness"] = attrib->fairness();
   return j;
 }
 
 void ParallelFileSystem::set_timeline(obs::Timeline* tl) {
-  timeline_ = tl;
+  // The shards tick it from their handler boundaries through the shared
+  // attachment; the cluster registers every gauge itself (per-shard
+  // Mds::set_timeline would collide on the lens names).
+  sinks_->timeline = tl;
   frag_lens_.reset();
   attrib_gauges_bound_ = false;
   attrib_gauge_keys_.clear();
-  // The shards drive sampling from their handler boundaries; the cluster
-  // registers all gauges itself (per-shard Mds::set_timeline would collide
-  // on the lens names).
-  for (auto& m : mds_) m->set_timeline_ticker(tl);
   if (!tl) return;
 
   // Gauge closures capture raw pointers to the heap-pinned servers/targets
@@ -399,20 +400,8 @@ void ParallelFileSystem::set_timeline(obs::Timeline* tl) {
 
   const bool single = servers.size() == 1;
   for (std::size_t i = 0; i < servers.size(); ++i) {
-    mds::Mds* m = servers[i];
-    const std::string p = single ? "mds" : "mds." + std::to_string(i);
-    tl->add_gauge(p + ".rpcs", [m] {
-      return static_cast<double>(m->stats().rpcs);
-    });
-    tl->add_gauge(p + ".journal.backlog_blocks", [m] {
-      return static_cast<double>(m->fs().journal().backlog_blocks());
-    });
-    tl->add_gauge(p + ".cache.resident_blocks", [m] {
-      return static_cast<double>(m->fs().cache().resident_blocks());
-    });
-    tl->add_gauge(p + ".disk.queue_depth", [m] {
-      return static_cast<double>(m->fs().io().queue_depth());
-    });
+    servers[i]->add_timeline_gauges(
+        *tl, single ? "mds" : "mds." + std::to_string(i));
   }
 
   // Cluster fragmentation lens: the data-side per-subfile extent
@@ -434,20 +423,6 @@ void ParallelFileSystem::set_timeline(obs::Timeline* tl) {
     });
   }
   frag_lens_->bind(*tl);
-}
-
-void ParallelFileSystem::set_spans(obs::SpanCollector* spans) {
-  spans_ = spans;
-  for (auto& m : mds_) m->set_spans(spans);
-  rpc_stack_.set_spans(spans);
-  // One track namespace per attachment: a bench sweeping configurations
-  // recreates the cluster against a shared collector, and each mount's
-  // disks must keep their own timelines (lane = target index).
-  const u32 inst = spans ? spans->reserve_track_namespace() : 0;
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    targets_[i]->set_spans(spans, obs::make_track(inst, static_cast<u32>(i)));
-  }
-  if (repair_) repair_->set_spans(spans);
 }
 
 void ParallelFileSystem::export_metrics(obs::MetricsRegistry& reg) const {
@@ -523,7 +498,7 @@ void ParallelFileSystem::export_metrics(obs::MetricsRegistry& reg) const {
 
   // Per-phase request-span latency distributions (span.<phase>), when a
   // collector is attached.
-  if (spans_) spans_->export_metrics(reg);
+  if (sinks_->spans) sinks_->spans->export_metrics(reg);
 
   // End-of-run fragmentation snapshot, when a timeline is attached (the
   // lens caches the last sample, so this equals the final series values —

@@ -20,6 +20,7 @@
 #include "client/client_fs.hpp"
 #include "mds/mds.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sinks.hpp"
 #include "obs/span.hpp"
 #include "osd/storage_target.hpp"
 #include "osd/striping.hpp"
@@ -141,14 +142,18 @@ class ParallelFileSystem {
   void reset_data_stats();
 
   // --- observability -------------------------------------------------------
+  // Each setter writes one field of the mount's attachment (obs/sinks.hpp),
+  // which every server, target, transport layer and the repair service hold.
+
   /// Attach one span collector to the whole cluster: client ops become root
   /// spans, MDS RPCs / allocator decisions / journal commits become child
-  /// phases, and every disk (data disks on tracks 0..N-1, metadata disk on
-  /// track 255) records its simulated mechanical phases.  nullptr detaches.
-  void set_spans(obs::SpanCollector* spans);
+  /// phases, and every disk ("osd i disk", "mds disk") records its
+  /// simulated mechanical phases on a sim track of its own.  nullptr
+  /// detaches.
+  void set_spans(obs::SpanCollector* spans) { sinks_->spans = spans; }
 
   /// The attached collector (nullptr when none); clients read this per op.
-  obs::SpanCollector* spans() const { return spans_; }
+  obs::SpanCollector* spans() const { return sinks_->spans; }
 
   /// Attach a flight recorder (obs/timeline.hpp) to the whole cluster:
   /// cluster-max sim clock, per-OSD disk gauges (queue depth, busy
@@ -160,7 +165,7 @@ class ParallelFileSystem {
   /// tick_timeline() — never from threaded data-path internals.  nullptr
   /// detaches.
   void set_timeline(obs::Timeline* tl);
-  obs::Timeline* timeline() const { return timeline_; }
+  obs::Timeline* timeline() const { return sinks_->timeline; }
   /// Safe-point sample hook for single-threaded drivers (workload loops,
   /// phase boundaries).  Cheap when no timeline is attached or none is due.
   void tick_timeline();
@@ -172,8 +177,7 @@ class ParallelFileSystem {
   /// IO scheduler (data targets and each shard's metadata disk) stamps
   /// submitters and splits merged dispatches back to them, and MDS handler
   /// CPU is charged to the ambient principal.  nullptr detaches.
-  void set_attribution(obs::Attribution* attrib);
-  obs::Attribution* attribution() const { return attrib_; }
+  void set_attribution(obs::Attribution* attrib) { sinks_->attrib = attrib; }
 
   /// The attribution report: `principals` (per-principal cost accounts),
   /// `global` (the independent cluster-wide totals the ledger must
@@ -197,18 +201,19 @@ class ParallelFileSystem {
   /// Register timeline gauges for principals that appeared since the last
   /// safe point (tick_timeline calls this BEFORE ticking — add_gauge and
   /// tick share the timeline mutex, so gauges cannot be added from a tick).
-  void sync_attrib_gauges();
+  void sync_attrib_gauges(obs::Timeline& tl);
 
   ClusterConfig cfg_;
   osd::StripeLayout stripe_;
+  /// The mount's attachment.  Heap-pinned (benches move the PFS value while
+  /// every recorder holds a reference) and declared before them, so it
+  /// outlives the transport decorators' destructors that still record.
+  std::unique_ptr<obs::Sinks> sinks_;
   /// One Mds per metadata shard; size 1 unless cfg.mds.shards >= 2.
   std::vector<std::unique_ptr<mds::Mds>> mds_;
   std::vector<std::unique_ptr<osd::StorageTarget>> targets_;
   rpc::TransportStack rpc_stack_;
   std::unique_ptr<rpc::Client> rpc_client_;
-  obs::SpanCollector* spans_{nullptr};
-  obs::Attribution* attrib_{nullptr};
-  obs::Timeline* timeline_{nullptr};
   /// attrib.* gauge bookkeeping: fixed gauges bound once, one total_ms
   /// gauge per principal key seen so far.
   bool attrib_gauges_bound_{false};

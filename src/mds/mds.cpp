@@ -16,24 +16,25 @@ constexpr double kCpuUsPerExtent = 20.0;
 constexpr double kCpuUsPerRpc = 2.0;
 }  // namespace
 
-Mds::Mds(MdsConfig cfg) : cfg_(cfg), fs_(cfg.mfs) {}
+Mds::Mds(MdsConfig cfg, obs::Sinks* mount, std::string_view name)
+    : cfg_(cfg),
+      sinks_(mount ? *mount : own_sinks_),
+      fs_(cfg.mfs, sinks_, name),
+      cpu_track_(sinks_, std::string(name) + " cpu") {}
 
 Mds::TimelineTick::~TimelineTick() {
-  if (m.timeline_) m.timeline_->tick();
+  if (obs::Timeline* tl = m.sinks_.timeline) tl->tick();
 }
 
 void Mds::charge_cpu(double cpu_ms) {
   stats_.cpu_ms += cpu_ms;
-  if (!attrib_ || cpu_ms <= 0.0) return;
-  attrib_->charge_mds(obs::ambient_principal(), cpu_ms);
-  if (spans_) {
-    if (!cpu_ns_set_) {
-      cpu_ns_ = spans_->reserve_track_namespace();
-      cpu_ns_set_ = true;
-    }
+  obs::Attribution* const attrib = sinks_.attrib;
+  if (!attrib || cpu_ms <= 0.0) return;
+  attrib->charge_mds(obs::ambient_principal(), cpu_ms);
+  if (obs::SpanCollector* spans = sinks_.spans) {
     // Cumulative CPU clock: stats_.cpu_ms just grew by exactly cpu_ms.
-    spans_->record_sim("mds.cpu", obs::make_track(cpu_ns_, 0),
-                       stats_.cpu_ms - cpu_ms, cpu_ms, spans_->ambient());
+    spans->record_sim("mds.cpu", cpu_track_.id(*spans), stats_.cpu_ms - cpu_ms,
+                      cpu_ms, spans->ambient());
   }
 }
 
@@ -47,11 +48,6 @@ void Mds::charge_extents(u64 n) {
   charge_cpu(static_cast<double>(n) * kCpuUsPerExtent / 1000.0);
 }
 
-void Mds::set_attribution(obs::Attribution* attrib) {
-  attrib_ = attrib;
-  fs_.io().set_attribution(attrib);
-}
-
 Result<InodeNo> Mds::mkdir(std::string_view path) {
   TimelineTick tick(*this);
   return fs_.mkdir(path);
@@ -59,14 +55,14 @@ Result<InodeNo> Mds::mkdir(std::string_view path) {
 
 Result<InodeNo> Mds::create(std::string_view path) {
   TimelineTick tick(*this);
-  obs::ScopedSpan span(spans_, "mds.create");
+  obs::ScopedSpan span(sinks_.spans, "mds.create");
   return fs_.create(path);
 }
 
 Status Mds::stat(std::string_view path) {
   TimelineTick tick(*this);
   // A stat is a pure namespace lookup: one path walk, no layout work.
-  obs::ScopedSpan span(spans_, "mds.lookup");
+  obs::ScopedSpan span(sinks_.spans, "mds.lookup");
   return fs_.stat(path);
 }
 
@@ -87,9 +83,9 @@ Result<InodeNo> Mds::rename(std::string_view from, std::string_view to) {
 
 Result<OpenResult> Mds::open_getlayout(std::string_view path) {
   TimelineTick tick(*this);
-  obs::ScopedSpan span(spans_, "mds.open_getlayout");
+  obs::ScopedSpan span(sinks_.spans, "mds.open_getlayout");
   auto ino = [&] {
-    obs::ScopedSpan lookup(spans_, "mds.lookup");
+    obs::ScopedSpan lookup(sinks_.spans, "mds.lookup");
     return fs_.resolve(path);
   }();
   if (!ino) return ino.error();
@@ -119,7 +115,8 @@ Status Mds::report_extents(InodeNo file, u64 extent_count) {
   // The MDS merges the newly grown part of the layout into its index; CPU
   // is paid per extent it has to process, i.e. the delta since the last
   // report.
-  obs::ScopedSpan span(spans_, "mds.report_extents", file.v, extent_count);
+  obs::ScopedSpan span(sinks_.spans, "mds.report_extents", file.v,
+                       extent_count);
   mfs::Inode* node = fs_.find(file);
   if (!node) return Errc::kNotFound;
   const u64 before = node->last_synced_extents;
@@ -129,22 +126,26 @@ Status Mds::report_extents(InodeNo file, u64 extent_count) {
   return fs_.sync_file_layout(file, extent_count);
 }
 
+void Mds::add_timeline_gauges(obs::Timeline& tl, const std::string& prefix) {
+  tl.add_gauge(prefix + ".rpcs",
+               [this] { return static_cast<double>(stats_.rpcs); });
+  tl.add_gauge(prefix + ".journal.backlog_blocks", [this] {
+    return static_cast<double>(fs_.journal().backlog_blocks());
+  });
+  tl.add_gauge(prefix + ".cache.resident_blocks", [this] {
+    return static_cast<double>(fs_.cache().resident_blocks());
+  });
+  tl.add_gauge(prefix + ".disk.queue_depth", [this] {
+    return static_cast<double>(fs_.io().queue_depth());
+  });
+}
+
 void Mds::set_timeline(obs::Timeline* tl) {
-  timeline_ = tl;
+  sinks_.timeline = tl;
   frag_lens_.reset();
   if (!tl) return;
   tl->set_clock([this] { return fs_.elapsed_ms(); });
-  tl->add_gauge("mds.rpcs",
-                [this] { return static_cast<double>(stats_.rpcs); });
-  tl->add_gauge("mds.journal.backlog_blocks", [this] {
-    return static_cast<double>(fs_.journal().backlog_blocks());
-  });
-  tl->add_gauge("mds.cache.resident_blocks", [this] {
-    return static_cast<double>(fs_.cache().resident_blocks());
-  });
-  tl->add_gauge("mds.disk.queue_depth", [this] {
-    return static_cast<double>(fs_.io().queue_depth());
-  });
+  add_timeline_gauges(*tl, "mds");
   tl->add_gauge("mds.disk.busy_frac", [this] {
     const double now = fs_.disk().now_ms();
     return now > 0.0 ? fs_.disk().stats().busy_ms() / now : 0.0;

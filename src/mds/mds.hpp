@@ -15,16 +15,16 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <string_view>
 
 #include "mfs/mfs.hpp"
 #include "obs/fraglens.hpp"
+#include "obs/sinks.hpp"
 #include "shard/map.hpp"
 
 namespace mif::obs {
-class Attribution;
 class MetricsRegistry;
-class SpanCollector;
 class Timeline;
 }
 
@@ -54,7 +54,11 @@ struct OpenResult {
 
 class Mds {
  public:
-  explicit Mds(MdsConfig cfg = {});
+  /// A server records into its mount's attachment `mount`, on sim tracks
+  /// labelled after `name` ("mds", "mds 2"); a bare server (no `mount`)
+  /// owns its attachment, which set_spans and set_timeline below write.
+  explicit Mds(MdsConfig cfg = {}, obs::Sinks* mount = nullptr,
+               std::string_view name = "mds");
 
   // --- namespace RPC handlers ----------------------------------------------
   Result<InodeNo> mkdir(std::string_view path);
@@ -87,41 +91,40 @@ class Mds {
   const MdsConfig& config() const { return cfg_; }
   mfs::Mfs& fs() { return fs_; }
   const MdsStats& stats() const { return stats_; }
-  MdsStats snapshot() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
-  /// Attach a span collector: namespace RPCs record `mds.*` phases and the
-  /// metadata stack (journal, MDS disk) records its own (nullptr detaches).
-  void set_spans(obs::SpanCollector* spans) {
-    spans_ = spans;
-    fs_.set_spans(spans);
-  }
+  /// The attachment this server and its metadata stack record into: its
+  /// own when bare, the mount's otherwise.  With a ledger attached, handler
+  /// CPU is charged to the ambient principal (plus an `mds.cpu` sim span on
+  /// a cumulative CPU clock when a collector is attached too), and the
+  /// metadata disk's scheduler stamps and charges its submitters.
+  obs::Sinks& sinks() { return sinks_; }
 
-  /// Attach cost attribution: handler CPU is charged to the ambient
-  /// principal (`mds.cpu` sim spans ride a cumulative CPU clock when spans
-  /// are also attached), and the metadata disk's scheduler stamps/charges
-  /// its submitters too.  nullptr detaches.
-  void set_attribution(obs::Attribution* attrib);
+  /// Attach a span collector: namespace RPCs record `mds.*` phases and the
+  /// metadata stack (journal, MDS disk and its queue) records its own
+  /// (nullptr detaches).
+  void set_spans(obs::SpanCollector* spans) { sinks_.spans = spans; }
 
   /// Publish MDS RPC/CPU counters plus the whole MFS stack under
   /// `<prefix>.…`.
   void export_metrics(obs::MetricsRegistry& reg,
                       std::string_view prefix) const;
 
-  /// Attach a flight recorder (obs/timeline.hpp): wires this server's own
-  /// gauges — journal backlog, cache occupancy, metadata-disk queue depth /
-  /// busy fraction / head position, RPC count — plus a fragmentation lens
-  /// over the namespace and the metadata free space, and ticks the timeline
-  /// at the end of every handler.  nullptr detaches.
+  /// Attach a flight recorder (obs/timeline.hpp) to a bare server: its
+  /// own clock, the gauges of add_timeline_gauges plus metadata-disk busy
+  /// fraction / head position, and a fragmentation lens over the namespace
+  /// and the metadata free space.  nullptr detaches.  Whatever timeline the
+  /// attachment holds — this one, or a mount's — is ticked at the end of
+  /// every handler, the safe points where no block operation is mid-flight.
   void set_timeline(obs::Timeline* tl);
 
-  /// Tick-only attachment: the owner (core::ParallelFileSystem) registers
-  /// cluster-level gauges itself; this server merely drives sampling from
-  /// its handler boundaries — the safe points where no block operation is
-  /// mid-flight.
-  void set_timeline_ticker(obs::Timeline* tl) { timeline_ = tl; }
+  /// Register this server's gauges as `<prefix>.rpcs`,
+  /// `<prefix>.journal.backlog_blocks`, `<prefix>.cache.resident_blocks`
+  /// and `<prefix>.disk.queue_depth` (the mount registers every server's
+  /// under its own prefix).
+  void add_timeline_gauges(obs::Timeline& tl, const std::string& prefix);
 
-  obs::Timeline* timeline() { return timeline_; }
+  obs::Timeline* timeline() { return sinks_.timeline; }
   const obs::FragLens* frag_lens() const { return frag_lens_.get(); }
 
   /// CPU utilisation over the run so far: CPU time ÷ elapsed (disk) time.
@@ -144,15 +147,12 @@ class Mds {
   };
 
   MdsConfig cfg_;
+  obs::Sinks own_sinks_;  // a bare server's attachment (unused otherwise)
+  obs::Sinks& sinks_;
   mfs::Mfs fs_;
   MdsStats stats_;
-  obs::SpanCollector* spans_{nullptr};
-  obs::Attribution* attrib_{nullptr};
-  obs::Timeline* timeline_{nullptr};
+  obs::SimTrack cpu_track_;  // the cumulative CPU clock's lane
   std::unique_ptr<obs::FragLens> frag_lens_;
-  /// Lazily-reserved namespace for `mds.cpu` sim spans.
-  bool cpu_ns_set_{false};
-  u32 cpu_ns_{0};
 };
 
 }  // namespace mif::mds

@@ -36,7 +36,11 @@ std::vector<std::string_view> split_path(std::string_view path) {
   return parts;
 }
 
-Mfs::Mfs(MfsConfig cfg) : cfg_(cfg), disk_(cfg.geometry), io_(disk_) {
+Mfs::Mfs(MfsConfig cfg, const obs::Sinks& sinks, std::string_view name)
+    : cfg_(cfg),
+      disk_(cfg.geometry, sinks, std::string(name) + " disk"),
+      io_(disk_, sim::IoScheduler::kDefaultQueue, 0,
+          std::string(name) + " queue") {
   // Disk map: [journal][data area].  The layout engines carve their fixed
   // regions (tables, bitmaps) from the head of the data area themselves.
   const u64 data_start = cfg_.journal_area_blocks;

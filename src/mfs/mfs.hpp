@@ -18,7 +18,7 @@
 #include "mfs/embedded_dir.hpp"
 #include "mfs/layout.hpp"
 #include "mfs/normal_dir.hpp"
-#include "obs/span.hpp"
+#include "obs/sinks.hpp"
 #include "sim/disk.hpp"
 #include "sim/io_scheduler.hpp"
 
@@ -47,7 +47,13 @@ class Mfs {
   /// jbd-style compound-transaction batching.
   static constexpr u64 kJournalCommitBatch = 16;
 
-  explicit Mfs(MfsConfig cfg = {});
+  /// `sinks` is the owning server's attachment: journal commits and
+  /// checkpoints, the metadata disk's mechanical phases and its scheduler's
+  /// queue waits record into it, the disk and queue on tracks labelled
+  /// "<name> disk" and "<name> queue".
+  explicit Mfs(MfsConfig cfg = {},
+               const obs::Sinks& sinks = obs::Sinks::none(),
+               std::string_view name = "mds");
 
   // --- path API (charges lookup traffic along the walk) ------------------
   Result<InodeNo> mkdir(std::string_view path);
@@ -84,19 +90,6 @@ class Mfs {
   u64 disk_accesses() const { return io_.stats().dispatched; }
   double elapsed_ms() const { return disk_.now_ms(); }
   void reset_io_stats();
-
-  /// Metadata disk's span track *lane* (data disks take lanes 0..N-1 in
-  /// their own namespace; compare with obs::track_lane).
-  static constexpr u32 kMdsDiskTrack = 255;
-
-  /// Attach a span collector to the metadata stack: journal commits /
-  /// checkpoints plus the metadata disk's mechanical phases (nullptr
-  /// detaches).  Claims its own track namespace per attachment.
-  void set_spans(obs::SpanCollector* spans) {
-    journal_->set_spans(spans);
-    const u32 inst = spans ? spans->reserve_track_namespace() : 0;
-    disk_.set_spans(spans, obs::make_track(inst, kMdsDiskTrack));
-  }
 
   /// Publish cache/journal/disk/scheduler counters under `<prefix>.…`.
   void export_metrics(obs::MetricsRegistry& reg,

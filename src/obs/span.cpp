@@ -24,10 +24,14 @@ u32 thread_lane() {
   return lane;
 }
 
+std::atomic<u64> g_next_serial{1};
+
 }  // namespace
 
 SpanCollector::SpanCollector(Config cfg)
-    : cfg_(cfg), epoch_(std::chrono::steady_clock::now()) {
+    : cfg_(cfg),
+      epoch_(std::chrono::steady_clock::now()),
+      serial_(g_next_serial.fetch_add(1, std::memory_order_relaxed)) {
   cfg_.span_capacity = std::max<std::size_t>(1, cfg_.span_capacity);
   ring_.reserve(cfg_.span_capacity);
 }
@@ -116,6 +120,21 @@ void SpanCollector::record_sim(std::string_view name, u32 track,
   r.arg0 = arg0;
   r.arg1 = arg1;
   finish_span(r, /*root=*/false);
+}
+
+u32 SpanCollector::claim_track(u64 mount, std::string_view label) {
+  std::lock_guard lock(mu_);
+  const auto it = std::find(mounts_.begin(), mounts_.end(), mount);
+  const std::size_t k = static_cast<std::size_t>(it - mounts_.begin());
+  if (it == mounts_.end()) mounts_.push_back(mount);
+  track_labels_.push_back(std::string(label) + " (mount " +
+                          std::to_string(k) + ")");
+  return static_cast<u32>(track_labels_.size() - 1);
+}
+
+std::vector<std::string> SpanCollector::track_labels() const {
+  std::lock_guard lock(mu_);
+  return track_labels_;
 }
 
 std::size_t SpanCollector::size() const {
@@ -253,25 +272,21 @@ Json chrome_trace_json(const SpanCollector& c) {
     events.push_back(std::move(e));
   };
   meta("process_name", 1, 0, "mif host (wall clock)");
-  meta("process_name", 2, 0, "mif sim disks (simulated time)");
+  meta("process_name", 2, 0, "mif sim (simulated time)");
 
+  // Sim lanes carry the label their recorder claimed them with; a track id
+  // no recorder claimed (a hand-made record) falls back to its number.
+  const std::vector<std::string> labels = c.track_labels();
   std::vector<std::pair<u64, u32>> named_tracks;  // (pid, tid) already named
   for (const SpanRecord& s : c.spans()) {
     const u64 pid = s.clock == SpanClock::kHost ? 1 : 2;
     if (std::find(named_tracks.begin(), named_tracks.end(),
                   std::make_pair(pid, s.track)) == named_tracks.end()) {
       named_tracks.emplace_back(pid, s.track);
-      std::string label;
-      if (pid == 1) {
-        label = "thread " + std::to_string(s.track);
-      } else {
-        // Sim lanes: "<disk> (mount k)" — k counts set_spans attachments.
-        const u32 lane = track_lane(s.track);
-        label = (lane == 0xffu ? std::string("mds disk")
-                               : "disk " + std::to_string(lane)) +
-                " (mount " + std::to_string(track_instance(s.track)) + ")";
-      }
-      meta("thread_name", pid, s.track, label);
+      meta("thread_name", pid, s.track,
+           pid == 2 && s.track < labels.size()
+               ? labels[s.track]
+               : (pid == 1 ? "thread " : "track ") + std::to_string(s.track));
     }
     Json e;
     e["name"] = s.name;

@@ -29,7 +29,9 @@
 // would time the model's arithmetic instead of the disk.  Every SpanRecord
 // says which clock it is on (`clock`); the Chrome-trace writer keeps the two
 // families on separate process tracks so a viewer never compares them
-// side-by-side by accident.
+// side-by-side by accident.  Each simulated timeline records on a track of
+// its own, which its recorder claims with a label (obs::SimTrack), so the
+// writer names every sim lane after the recorder that owns it.
 //
 // Propagation
 // -----------
@@ -87,17 +89,6 @@ struct SpanContext {
   bool valid() const { return trace_id != 0; }
 };
 
-/// Sim-clock track ids combine a per-attachment *instance* (upper 24 bits,
-/// from SpanCollector::reserve_track_namespace) with a disk *lane* (low
-/// byte).  A bench sweep recreates the cluster per configuration while
-/// sharing one collector; separate namespaces keep two different disks'
-/// private timelines from interleaving on one viewer lane.
-constexpr u32 make_track(u32 instance, u32 lane) {
-  return (instance << 8) | (lane & 0xffu);
-}
-constexpr u32 track_lane(u32 track) { return track & 0xffu; }
-constexpr u32 track_instance(u32 track) { return track >> 8; }
-
 /// One completed phase.  `name` must point at storage that outlives the
 /// collector — every call site passes a string literal from the phase
 /// taxonomy above.
@@ -107,7 +98,7 @@ struct SpanRecord {
   u64 parent_id{0};  // 0 = root span of its trace
   std::string_view name;
   SpanClock clock{SpanClock::kHost};
-  u32 track{0};       // host: per-thread lane; sim: disk track id
+  u32 track{0};  // host: per-thread lane; sim: a claimed track (claim_track)
   double start_us{0.0};
   double dur_us{0.0};
   u64 arg0{0};  // phase-specific (inode, blocks, target index, …)
@@ -146,11 +137,19 @@ class SpanCollector {
   void record_sim(std::string_view name, u32 track, double start_ms,
                   double dur_ms, SpanContext ctx, u64 arg0 = 0, u64 arg1 = 0);
 
-  /// Claim a fresh sim-track instance (see make_track above).  Called once
-  /// per set_spans attachment that owns disks.
-  u32 reserve_track_namespace() {
-    return next_instance_.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// A fresh sim track labelled `label (mount k)`, where k numbers the
+  /// distinct `mount`s (Sinks::mount) that claimed tracks here, in order of
+  /// their first claim — so lanes of mounts sharing this collector never
+  /// share a label.  Recorders claim through obs::SimTrack.  Labels survive
+  /// clear(); ids count from 0.
+  u32 claim_track(u64 mount, std::string_view label);
+
+  /// Every claimed track's label, indexed by track id.
+  std::vector<std::string> track_labels() const;
+
+  /// Process-unique identity of this collector (never reused, unlike its
+  /// address), which a SimTrack keys its claimed id on.
+  u64 serial() const { return serial_; }
 
   // --- introspection -------------------------------------------------------
   std::size_t size() const;
@@ -181,7 +180,7 @@ class SpanCollector {
   Json slow_json() const;
 
   /// Drop all retained spans, slow traces and phase stats (ids keep
-  /// counting; config unchanged).
+  /// counting; config and track labels unchanged).
   void clear();
 
   const Config& config() const { return cfg_; }
@@ -211,7 +210,7 @@ class SpanCollector {
   std::chrono::steady_clock::time_point epoch_;
   std::atomic<u64> next_trace_id_{1};
   std::atomic<u64> next_span_id_{1};
-  std::atomic<u32> next_instance_{0};
+  const u64 serial_;
 
   mutable std::mutex mu_;
   std::vector<SpanRecord> ring_;  // reserved once; grows to capacity max
@@ -223,6 +222,8 @@ class SpanCollector {
   /// Slowest-first finished traces, at most kSlowK entries.
   std::vector<SlowTrace> slow_;
   std::map<std::string, PhaseStats, std::less<>> phases_;
+  std::vector<std::string> track_labels_;  // by sim track id
+  std::vector<u64> mounts_;                // Sinks::mount by k
 };
 
 /// RAII phase timer.  Null collector → every member is a no-op, so call
@@ -256,8 +257,9 @@ class ScopedSpan {
 ///    "slowTraces": [...]}            // extra key; viewers ignore it
 ///
 /// Host-clock spans appear under pid 1 ("mif host"), one tid lane per
-/// recording thread; sim-clock spans under pid 2 ("mif sim disks"), one tid
-/// per disk track.  Load the file at ui.perfetto.dev or chrome://tracing.
+/// recording thread; sim-clock spans under pid 2 ("mif sim"), one tid per
+/// claimed track, named by its label.  Load the file at ui.perfetto.dev or
+/// chrome://tracing.
 Json chrome_trace_json(const SpanCollector& c);
 
 }  // namespace mif::obs

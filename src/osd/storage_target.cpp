@@ -7,10 +7,13 @@
 
 namespace mif::osd {
 
-StorageTarget::StorageTarget(TargetConfig cfg)
+StorageTarget::StorageTarget(TargetConfig cfg, const obs::Sinks& sinks,
+                             std::string_view name)
     : cfg_(cfg),
-      disk_(cfg.geometry),
-      io_(disk_, cfg.scheduler_queue, kWritebackQueue) {
+      sinks_(sinks),
+      disk_(cfg.geometry, sinks, std::string(name) + " disk"),
+      io_(disk_, cfg.scheduler_queue, kWritebackQueue,
+          std::string(name) + " queue") {
   space_ = std::make_unique<block::FreeSpace>(
       DiskBlock{0}, cfg_.geometry.capacity_blocks, kAllocGroups);
   alloc_ = alloc::make_allocator(cfg_.allocator, *space_, cfg_.tuning);
@@ -126,7 +129,7 @@ Status StorageTarget::write_runs(InodeNo inode, StreamId stream,
   for (const BlockRun& run : runs) {
     alloc::AllocContext ctx{inode, stream, run.start, run.count};
     {
-      obs::ScopedSpan span(spans_, "alloc.decide", inode.v, run.count);
+      obs::ScopedSpan span(sinks_.spans, "alloc.decide", inode.v, run.count);
       if (Status s = alloc_->extend(ctx, f.map); !s) return s;
     }
     // Submit the data writes along the physical runs the placement produced

@@ -8,8 +8,10 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string_view>
 
 #include "alloc/allocator.hpp"
+#include "obs/sinks.hpp"
 #include "sim/disk.hpp"
 #include "sim/io_scheduler.hpp"
 #include "util/u64_map.hpp"
@@ -17,7 +19,6 @@
 namespace mif::obs {
 class MetricsRegistry;
 class Histo;
-class SpanCollector;
 }
 
 namespace mif::osd {
@@ -39,7 +40,13 @@ class StorageTarget {
   /// streams amortise positioning far better than readers can.
   static constexpr std::size_t kWritebackQueue = 4096;
 
-  explicit StorageTarget(TargetConfig cfg = {});
+  /// `sinks` is the owning mount's attachment: allocator decisions record
+  /// `alloc.decide`, the data disk its `disk.*` phases and the scheduler its
+  /// queue waits into it, the disk and queue on sim tracks labelled
+  /// "<name> disk" and "<name> queue".
+  explicit StorageTarget(TargetConfig cfg = {},
+                         const obs::Sinks& sinks = obs::Sinks::none(),
+                         std::string_view name = "osd");
 
   /// Extend-and-write [logical, logical+count) of the target-local subfile
   /// of `inode` on behalf of `stream`.  Allocates through the configured
@@ -105,23 +112,6 @@ class StorageTarget {
   VerifyReport verify() const;
 
   // --- observability -------------------------------------------------------
-  /// Attach a span collector: allocator decisions record `alloc.decide` and
-  /// the data disk records `disk.*` on span track `track` (nullptr
-  /// detaches).  The scheduler's aggregated `io.queue_wait` spans get their
-  /// own lane (track + 64) so their cumulative wait clock never interleaves
-  /// with the disk's real timeline on one viewer lane.
-  void set_spans(obs::SpanCollector* spans, u32 track) {
-    spans_ = spans;
-    disk_.set_spans(spans, track);
-    io_.set_spans(spans, track + 64);
-  }
-
-  /// Attach cost attribution: the scheduler stamps submitters and splits
-  /// merged dispatches back to them (see sim::IoScheduler::set_attribution).
-  void set_attribution(obs::Attribution* attrib) {
-    io_.set_attribution(attrib);
-  }
-
   /// Publish this target's counters under `<prefix>.…`: disk, scheduler,
   /// allocator, free-space gauges and the per-file extent-count histogram.
   void export_metrics(obs::MetricsRegistry& reg,
@@ -173,7 +163,7 @@ class StorageTarget {
   FileState* find_file(InodeNo inode) const;
 
   TargetConfig cfg_;
-  obs::SpanCollector* spans_{nullptr};
+  const obs::Sinks& sinks_;
   sim::Disk disk_;
   /// The scheduler (and the disk behind it) is single-threaded state; all
   /// submissions and drains serialise here.

@@ -113,13 +113,15 @@ u64 run_blocks(const std::vector<BlockRun>& runs) {
 RepairService::RepairService(osd::StripeLayout stripe, Policy policy,
                              HealthMap& health,
                              std::vector<osd::StorageTarget*> targets,
-                             rpc::Client& rpc, u64 max_runs_per_envelope)
+                             rpc::Client& rpc, u64 max_runs_per_envelope,
+                             const obs::Sinks& sinks)
     : stripe_(stripe),
       policy_(policy),
       health_(health),
       targets_(std::move(targets)),
       rpc_(rpc),
-      max_runs_per_envelope_(max_runs_per_envelope) {}
+      max_runs_per_envelope_(max_runs_per_envelope),
+      sinks_(sinks) {}
 
 void RepairService::request(u32 target) {
   if (target >= targets_.size()) return;
@@ -167,7 +169,7 @@ long long RepairService::rebuild_subfile(
       subtract_runs(need, logical_runs(*targets_[dead], dst_ino));
   if (missing.empty()) return 0;
 
-  obs::ScopedSpan span(spans_, "repair.rebuild", dst_ino.v,
+  obs::ScopedSpan span(sinks_.spans, "repair.rebuild", dst_ino.v,
                        run_blocks(missing));
   long long written = 0;
   for (std::size_t s = 0; s < sources.size() && !missing.empty(); ++s) {
@@ -250,7 +252,7 @@ bool RepairService::pump() {
   // exact and client-facing Jain fairness untouched.
   obs::ScopedPrincipal who{obs::Principal{}};
   Job& job = queue_.front();
-  obs::ScopedSpan pass(spans_, "repair.pass", job.target);
+  obs::ScopedSpan pass(sinks_.spans, "repair.pass", job.target);
   if (!job.enumerated) {
     job.work = survivor_inos(job.target);
     std::reverse(job.work.begin(), job.work.end());  // pop_back ascends

@@ -39,7 +39,7 @@
 #include "redundancy/redundancy.hpp"
 
 namespace mif::obs {
-class SpanCollector;
+struct Sinks;
 }
 namespace mif::osd {
 class StorageTarget;
@@ -71,11 +71,12 @@ class RepairService {
   /// Files rebuilt per pump() — the online granularity.
   static constexpr u32 kFilesPerPump = 4;
 
+  /// Passes and rebuilds record `repair.pass` / `repair.rebuild` spans into
+  /// the mount's attachment `sinks`.
   RepairService(osd::StripeLayout stripe, Policy policy, HealthMap& health,
                 std::vector<osd::StorageTarget*> targets, rpc::Client& rpc,
-                u64 max_runs_per_envelope);
+                u64 max_runs_per_envelope, const obs::Sinks& sinks);
 
-  void set_spans(obs::SpanCollector* spans) { spans_ = spans; }
   /// Simulated clock for the completion stamp (cluster-max, wired at
   /// mount).
   void set_clock(std::function<double()> clock) { clock_ = std::move(clock); }
@@ -131,7 +132,7 @@ class RepairService {
   std::vector<osd::StorageTarget*> targets_;
   rpc::Client& rpc_;
   u64 max_runs_per_envelope_;
-  obs::SpanCollector* spans_{nullptr};
+  const obs::Sinks& sinks_;
   std::function<double()> clock_;
   std::deque<Job> queue_;
   RepairStats stats_;

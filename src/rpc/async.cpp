@@ -9,11 +9,23 @@
 namespace mif::rpc {
 
 AsyncTransport::AsyncTransport(Transport& inner, AsyncConfig cfg)
-    : inner_(inner),
+    : Transport(inner.sinks()),
+      inner_(inner),
       cfg_(cfg),
       pipe_(cfg.depth),
+      stall_track_(sinks(), "pipeline stall"),
       depth_min_seen_(std::max<u32>(cfg.depth, 1)),
       depth_max_seen_(std::max<u32>(cfg.depth, 1)) {}
+
+obs::SimTrack& AsyncTransport::channel_track_locked(const Address& to,
+                                                    u32 channel) {
+  if (auto it = channel_tracks_.find(channel); it != channel_tracks_.end())
+    return it->second;
+  const char* kind = to.kind == Address::Kind::kOsd ? "osd " : "mds ";
+  return channel_tracks_
+      .try_emplace(channel, sinks(), kind + std::to_string(to.index) + " async")
+      .first->second;
+}
 
 void AsyncTransport::set_queue_probe(std::function<double(u32)> probe) {
   std::lock_guard lock(mu_);
@@ -95,34 +107,29 @@ Ticket AsyncTransport::call_async(const Address& to, const Request& req) {
   const sim::Pipeline::Times t = pipe_.submit(channel, service);
   inflight_.add(pipe_.inflight());
   cq_.set_clock(pipe_.issue_clock_ms());
-  if (attrib_ && t.stall_ms > 0.0) {
+  obs::SpanCollector* const spans = sinks().spans;
+  if (obs::Attribution* attrib = sinks().attrib; attrib && t.stall_ms > 0.0) {
     // The issuer waited out the window's backpressure — a cost of the
     // pipeline, not of any disk or network, so it gets its own category.
-    attrib_->charge_stall(obs::ambient_principal(), t.stall_ms);
-    if (spans_) {
-      // Lane 255 of this transport's namespace, on the cumulative stall
-      // clock (stats_.stall_ms grew by exactly t.stall_ms above).
-      spans_->record_sim("rpc.stall", obs::make_track(track_ns_, 255),
-                         pipe_.stats().stall_ms - t.stall_ms, t.stall_ms,
-                         spans_->ambient(), static_cast<u64>(op));
+    attrib->charge_stall(obs::ambient_principal(), t.stall_ms);
+    if (spans) {
+      // On the cumulative stall clock (stats_.stall_ms grew by exactly
+      // t.stall_ms above).
+      spans->record_sim("rpc.stall", stall_track_.id(*spans),
+                        pipe_.stats().stall_ms - t.stall_ms, t.stall_ms,
+                        spans->ambient(), static_cast<u64>(op));
     }
   }
-  if (spans_) {
+  if (spans) {
     // One sim-clock span per ticket, issue → complete, on the destination's
-    // channel lane.  arg0 = op (decode with rpc::to_string), arg1 = wire
+    // channel track.  arg0 = op (decode with rpc::to_string), arg1 = wire
     // bytes.  Distinct name from the inner host-clock rpc.<op> spans so the
     // two clock families never share a phase-stats bucket.
-    spans_->record_sim("rpc.async", obs::make_track(track_ns_, channel),
-                       t.issue_ms, t.done_ms - t.issue_ms, spans_->ambient(),
-                       static_cast<u64>(op), wire);
+    spans->record_sim("rpc.async", channel_track_locked(to, channel).id(*spans),
+                      t.issue_ms, t.done_ms - t.issue_ms, spans->ambient(),
+                      static_cast<u64>(op), wire);
   }
   return cq_.admit(to, op, std::move(resp), t.done_ms);
-}
-
-void AsyncTransport::set_spans(obs::SpanCollector* spans) {
-  spans_ = spans;
-  if (spans) track_ns_ = spans->reserve_track_namespace();
-  inner_.set_spans(spans);
 }
 
 AsyncReport AsyncTransport::report() const {

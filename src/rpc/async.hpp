@@ -29,6 +29,7 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <mutex>
 
 #include "obs/metrics.hpp"
@@ -97,11 +98,6 @@ class AsyncTransport final : public Transport {
   /// consulted when cfg.depth_max >= 2; unset probe = controller dormant.
   void set_queue_probe(std::function<double(u32)> probe);
 
-  void set_spans(obs::SpanCollector* spans) override;
-  void set_attribution(obs::Attribution* attrib) override {
-    attrib_ = attrib;
-    inner_.set_attribution(attrib);
-  }
   void export_metrics(obs::MetricsRegistry& reg,
                       std::string_view prefix) const override;
 
@@ -115,11 +111,14 @@ class AsyncTransport final : public Transport {
   }
 
  private:
-  /// One pipeline channel per destination: OSDs on their own lanes, MDS
-  /// addresses offset past any realistic OSD count.
+  /// One pipeline channel per destination: OSD and MDS addresses
+  /// interleave, so neither kind's indices can collide with the other's.
   static u32 channel_of(const Address& to) {
-    return to.kind == Address::Kind::kOsd ? to.index : 128u + to.index;
+    return 2 * to.index + (to.kind == Address::Kind::kMds ? 1u : 0u);
   }
+  /// The `rpc.async` track of `to`'s channel, claimed on its first ticket.
+  /// mu_ held.
+  obs::SimTrack& channel_track_locked(const Address& to, u32 channel);
   /// Modeled end-to-end service time of one exchange (ms).
   double price(const Address& to, const Request& req,
                const Result<Response>& resp) const;
@@ -140,11 +139,12 @@ class AsyncTransport final : public Transport {
   // cost() only — never charged; the same GbE model InprocTransport charges.
   sim::Network meta_model_;
   sim::Network data_model_;
-  obs::SpanCollector* spans_{nullptr};
-  obs::Attribution* attrib_{nullptr};
-  u32 track_ns_{0};
   mutable std::mutex mu_;
   sim::Pipeline pipe_;
+  /// Sim tracks (mu_): one per destination channel, and the cumulative
+  /// `rpc.stall` clock's.
+  std::map<u32, obs::SimTrack> channel_tracks_;
+  obs::SimTrack stall_track_;
   obs::Histo inflight_{16};  // window occupancy at each issue
   CompletionQueue cq_;
   // Adaptive-controller state (mu_).

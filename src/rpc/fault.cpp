@@ -29,16 +29,12 @@ bool FaultTransport::fires() {
     // An injected delay is a fault of the harness, not of any disk or
     // queue: it gets its own attribution category (`fault.delay`), so
     // fault runs don't skew per-principal disk accounts.
-    if (attrib_) {
-      attrib_->charge_fault_delay(obs::ambient_principal(), cfg_.delay_ms);
-      if (spans_) {
-        if (!span_ns_set_) {
-          span_ns_ = spans_->reserve_track_namespace();
-          span_ns_set_ = true;
-        }
-        spans_->record_sim("fault.delay", obs::make_track(span_ns_, 0),
-                           stats_.delay_total_ms - cfg_.delay_ms,
-                           cfg_.delay_ms, spans_->ambient());
+    if (obs::Attribution* attrib = sinks().attrib) {
+      attrib->charge_fault_delay(obs::ambient_principal(), cfg_.delay_ms);
+      if (obs::SpanCollector* spans = sinks().spans) {
+        spans->record_sim("fault.delay", track_.id(*spans),
+                          stats_.delay_total_ms - cfg_.delay_ms, cfg_.delay_ms,
+                          spans->ambient());
       }
     }
   }

@@ -28,6 +28,7 @@
 
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "rpc/transport.hpp"
@@ -52,7 +53,8 @@ struct FaultStats {
 
 class FaultTransport final : public Transport {
  public:
-  explicit FaultTransport(Transport& inner) : inner_(inner) {}
+  explicit FaultTransport(Transport& inner)
+      : Transport(inner.sinks()), inner_(inner), track_(sinks(), "fault") {}
 
   void arm(FaultConfig cfg) {
     std::lock_guard lock(mu_);
@@ -84,17 +86,14 @@ class FaultTransport final : public Transport {
   void set_dead_probe(std::function<bool(u32)> dead);
 
   Result<Response> call(const Address& to, const Request& req) override {
-    poll_kills();
-    if (fires()) return Errc::kIo;
-    if (refuses(to, req)) return Errc::kIo;
+    if (auto lost = admit(to, req)) return *lost;
     return inner_.call(to, req);
   }
   Ticket call_async(const Address& to, const Request& req) override {
     // A dropped issue still yields a ticket: the loss surfaces as kIo when
     // the caller drains, on exactly the envelope that was lost.
-    poll_kills();
-    if (fires()) return completions().admit(to, op_of(req), Errc::kIo);
-    if (refuses(to, req)) return completions().admit(to, op_of(req), Errc::kIo);
+    if (auto lost = admit(to, req))
+      return completions().admit(to, op_of(req), *lost);
     return inner_.call_async(to, req);
   }
   CompletionQueue& completions() override { return inner_.completions(); }
@@ -106,18 +105,18 @@ class FaultTransport final : public Transport {
     poll_kills();
     inner_.pump();
   }
-  void set_spans(obs::SpanCollector* spans) override {
-    spans_ = spans;
-    inner_.set_spans(spans);
-  }
-  void set_attribution(obs::Attribution* attrib) override {
-    attrib_ = attrib;
-    inner_.set_attribution(attrib);
-  }
   void export_metrics(obs::MetricsRegistry& reg,
                       std::string_view prefix) const override;
 
  private:
+  /// The one admission decision both call shapes act on: fire due kills,
+  /// then the kIo that loses this envelope (a drop, a timeout, or a read
+  /// refused by a dead target), or nullopt to forward it.
+  std::optional<Errc> admit(const Address& to, const Request& req) {
+    poll_kills();
+    if (fires() || refuses(to, req)) return Errc::kIo;
+    return std::nullopt;
+  }
   /// True when this call must fail with kIo (drop or timeout).
   bool fires();
   /// Fire any scheduled kill whose time has come (sink runs unlocked).
@@ -140,12 +139,7 @@ class FaultTransport final : public Transport {
   std::function<double()> kill_clock_;
   std::function<void(u32)> kill_sink_;
   std::function<bool(u32)> dead_probe_;
-  obs::SpanCollector* spans_{nullptr};
-  obs::Attribution* attrib_{nullptr};
-  /// Lazily-reserved namespace for `fault.delay` sim spans (cumulative
-  /// delay clock).  Guarded by mu_.
-  bool span_ns_set_{false};
-  u32 span_ns_{0};
+  obs::SimTrack track_;  // `fault.delay` spans, cumulative delay clock (mu_)
 };
 
 }  // namespace mif::rpc

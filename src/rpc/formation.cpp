@@ -8,12 +8,8 @@
 
 namespace mif::rpc {
 
-namespace {
-/// Viewer lane for formation drop markers (qos uses 254, async stall 255).
-constexpr u32 kFormationLane = 253;
-}  // namespace
-
-FormationTransport::FormationTransport(Transport& inner) : inner_(inner) {}
+FormationTransport::FormationTransport(Transport& inner)
+    : Transport(inner.sinks()), inner_(inner), track_(sinks(), "formation") {}
 
 FormationTransport::~FormationTransport() {
   // Leftovers a caller never flushed still have to reach the servers; their
@@ -24,23 +20,16 @@ FormationTransport::~FormationTransport() {
   flush_all_locked();
   if (!sticky_.ok()) {
     ++stats_.dropped_errors;
-    if (spans_)
-      spans_->record_sim("formation.dropped_error",
-                         obs::make_track(track_ns_, kFormationLane), 0.0, 0.0,
-                         spans_->ambient(), static_cast<u64>(sticky_.error()),
-                         1);
+    if (obs::SpanCollector* spans = sinks().spans)
+      spans->record_sim("formation.dropped_error", track_.id(*spans), 0.0,
+                        0.0, spans->ambient(),
+                        static_cast<u64>(sticky_.error()), 1);
     std::fprintf(stderr,
                  "[mif.formation] destructor dropped sticky deferred error: "
                  "%.*s\n",
                  static_cast<int>(to_string(sticky_.error()).size()),
                  to_string(sticky_.error()).data());
   }
-}
-
-void FormationTransport::set_spans(obs::SpanCollector* spans) {
-  spans_ = spans;
-  if (spans) track_ns_ = spans->reserve_track_namespace();
-  inner_.set_spans(spans);
 }
 
 bool FormationTransport::coalesce_locked(Queue& q, const BlockWriteRequest& w) {
@@ -93,7 +82,7 @@ Status FormationTransport::flush_queue_locked(Queue& q) {
     ++stats_.folded_lists;
   }
   order_urgent_locked(q);
-  const bool tagged = attrib_ && q.principals.size() == q.reqs.size();
+  const bool tagged = sinks().attrib && q.principals.size() == q.reqs.size();
   // First-fit packing in queue order.  A frame's wire cost is one header
   // plus the marginal bodies (InprocTransport::call_batch charges exactly
   // this), so the bound is checked against that same sum.
@@ -147,11 +136,10 @@ Status FormationTransport::take_sticky_locked() {
   return s;
 }
 
-Result<Response> FormationTransport::call(const Address& to,
-                                          const Request& req) {
-  const OpTraits& tr = traits(op_of(req));
-  if (tr.deferrable) {
-    std::lock_guard lock(mu_);
+std::optional<Result<Response>> FormationTransport::admit(
+    const Address& to, const Request& req) {
+  std::lock_guard lock(mu_);
+  if (traits(op_of(req)).deferrable) {
     Queue& q = queues_[key(to)];
     q.addr = to;
     ++stats_.queued;
@@ -162,7 +150,7 @@ Result<Response> FormationTransport::call(const Address& to,
     } else {
       q.bytes += wire_bytes(req);
       q.reqs.push_back(req);
-      if (attrib_) q.principals.push_back(obs::ambient_principal());
+      if (sinks().attrib) q.principals.push_back(obs::ambient_principal());
     }
     if (q.bytes >= kWatermarkBytes || q.reqs.size() >= kMaxQueueMsgs) {
       ++stats_.watermark_flushes;
@@ -170,40 +158,29 @@ Result<Response> FormationTransport::call(const Address& to,
     }
     return Response{VoidResponse{}};  // deferred ack
   }
-
   // Non-deferrable: a barrier.  Everything staged anywhere must be on the
   // servers before this op runs (a read must see queued writes, an unlink
   // must follow queued utimes), and a deferred failure surfaces here.
-  {
-    std::lock_guard lock(mu_);
-    if (!queues_.empty()) {
-      ++stats_.barrier_flushes;
-      flush_all_locked();
-    }
-    if (Status s = take_sticky_locked(); !s) return s.error();
+  if (!queues_.empty()) {
+    ++stats_.barrier_flushes;
+    flush_all_locked();
   }
+  if (Status s = take_sticky_locked(); !s) return s.error();
+  return std::nullopt;
+}
+
+Result<Response> FormationTransport::call(const Address& to,
+                                          const Request& req) {
+  if (auto answer = admit(to, req)) return std::move(*answer);
   return inner_.call(to, req);
 }
 
 Ticket FormationTransport::call_async(const Address& to, const Request& req) {
-  // Same split as call(): deferrable envelopes join their destination queue
-  // and the ticket is an immediate ack (a deferred failure stays sticky for
-  // the next barrier); non-deferrable envelopes are barriers and the issue
-  // itself flows to the inner transport's async path.
-  const OpTraits& tr = traits(op_of(req));
-  if (tr.deferrable) {
-    Result<Response> ack = call(to, req);  // enqueue + early ack
-    return completions().admit(to, op_of(req), std::move(ack));
-  }
-  {
-    std::lock_guard lock(mu_);
-    if (!queues_.empty()) {
-      ++stats_.barrier_flushes;
-      flush_all_locked();
-    }
-    if (Status s = take_sticky_locked(); !s)
-      return completions().admit(to, op_of(req), s.error());
-  }
+  // A staged envelope's ticket is its immediate ack (a deferred failure
+  // stays sticky for the next barrier); a barrier's issue itself flows to
+  // the inner transport's async path.
+  if (auto answer = admit(to, req))
+    return completions().admit(to, op_of(req), std::move(*answer));
   return inner_.call_async(to, req);
 }
 

@@ -25,13 +25,10 @@
 
 #include <map>
 #include <mutex>
+#include <optional>
 
 #include "obs/attrib.hpp"
 #include "rpc/transport.hpp"
-
-namespace mif::obs {
-class SpanCollector;
-}
 
 namespace mif::rpc {
 
@@ -68,11 +65,6 @@ class FormationTransport final : public Transport {
   Status flush() override;
   void pump() override { inner_.pump(); }
 
-  void set_spans(obs::SpanCollector* spans) override;
-  void set_attribution(obs::Attribution* attrib) override {
-    attrib_ = attrib;
-    inner_.set_attribution(attrib);
-  }
   void export_metrics(obs::MetricsRegistry& reg,
                       std::string_view prefix) const override;
 
@@ -87,14 +79,19 @@ class FormationTransport final : public Transport {
   struct Queue {
     Address addr;
     std::vector<Request> reqs;
-    /// Parallel per-envelope principal tags (only filled while attribution
-    /// is attached); a coalesced run keeps its tail envelope's tag.
+    /// Parallel per-envelope principal tags (only filled while a ledger is
+    /// attached); a coalesced run keeps its tail envelope's tag.
     std::vector<obs::Principal> principals;
     u64 bytes{0};
   };
   static u64 key(const Address& a) {
     return (static_cast<u64>(a.kind) << 32) | a.index;
   }
+  /// The one admission decision both call shapes act on: a deferrable
+  /// envelope is staged and answered with its early ack; any other is a
+  /// barrier — everything staged is flushed first, and a sticky deferred
+  /// failure answers it — or, with nothing to report, forwarded (nullopt).
+  std::optional<Result<Response>> admit(const Address& to, const Request& req);
   /// Try to merge a block write into the queue's pending tail envelope.
   bool coalesce_locked(Queue& q, const BlockWriteRequest& w);
   /// Stable-partition metadata envelopes (and their principal tags) ahead of
@@ -109,13 +106,11 @@ class FormationTransport final : public Transport {
   Status take_sticky_locked();
 
   Transport& inner_;
-  obs::Attribution* attrib_{nullptr};
-  obs::SpanCollector* spans_{nullptr};
-  u32 track_ns_{0};
   mutable std::mutex mu_;
   std::map<u64, Queue> queues_;  // MDS keys sort before OSD: meta frames first
   Status sticky_{};
   FormationStats stats_;
+  obs::SimTrack track_;  // the destructor's `formation.dropped_error` marker
 };
 
 }  // namespace mif::rpc

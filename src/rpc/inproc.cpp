@@ -119,7 +119,11 @@ Result<Response> dispatch_osd(osd::StorageTarget& t, const Request& req) {
 
 }  // namespace
 
-InprocTransport::InprocTransport(Endpoints eps) : eps_(std::move(eps)) {}
+InprocTransport::InprocTransport(Endpoints eps, const obs::Sinks& sinks)
+    : Transport(sinks),
+      eps_(std::move(eps)),
+      net_track_{obs::SimTrack(sinks, "meta net"),
+                 obs::SimTrack(sinks, "data net")} {}
 
 double InprocTransport::charge(Address::Kind kind, u64 bytes) {
   const bool meta = kind == Address::Kind::kMds;
@@ -127,14 +131,11 @@ double InprocTransport::charge(Address::Kind kind, u64 bytes) {
   const double cost = (meta ? meta_net_ : data_net_).rpc(bytes);
   // With attribution on, each network exchange also becomes a sim span on a
   // cumulative per-network clock (critical-path "network" segment).
-  if (attrib_ && spans_) {
-    if (!net_ns_set_) {
-      net_ns_ = spans_->reserve_track_namespace();
-      net_ns_set_ = true;
-    }
+  obs::SpanCollector* const spans = sinks().spans;
+  if (sinks().attrib && spans) {
     double& clock = net_clock_[meta ? 0 : 1];
-    spans_->record_sim("net.exchange", obs::make_track(net_ns_, meta ? 0 : 1),
-                       clock, cost, spans_->ambient(), bytes);
+    spans->record_sim("net.exchange", net_track_[meta ? 0 : 1].id(*spans),
+                      clock, cost, spans->ambient(), bytes);
     clock += cost;
   }
   return cost;
@@ -161,7 +162,7 @@ Result<Response> InprocTransport::call(const Address& to, const Request& req) {
   const OpTraits& tr = traits(op);
   PerOp& po = ops_[static_cast<std::size_t>(op)];
   const u64 wire = wire_bytes(req);
-  obs::ScopedSpan span(spans_, tr.span, to.index, wire);
+  obs::ScopedSpan span(sinks().spans, tr.span, to.index, wire);
 
   double cost_ms = 0.0;
   if (!tr.free) cost_ms = charge(to.kind, wire);
@@ -178,10 +179,10 @@ Result<Response> InprocTransport::call(const Address& to, const Request& req) {
   }
   po.bytes.fetch_add(bytes, std::memory_order_relaxed);
   po.latency_us.add(static_cast<u64>(cost_ms * 1000.0));
-  if (attrib_) {
+  if (obs::Attribution* attrib = sinks().attrib) {
     const obs::Principal p = obs::ambient_principal();
-    attrib_->count_rpc(p);
-    if (cost_ms > 0.0 || bytes > 0) attrib_->charge_net(p, cost_ms, bytes);
+    attrib->count_rpc(p);
+    if (cost_ms > 0.0 || bytes > 0) attrib->charge_net(p, cost_ms, bytes);
   }
   return resp;
 }
@@ -189,11 +190,12 @@ Result<Response> InprocTransport::call(const Address& to, const Request& req) {
 Status InprocTransport::call_batch(const Address& to,
                                    std::vector<Request> reqs) {
   if (reqs.empty()) return {};
+  obs::Attribution* const attrib = sinks().attrib;
   // A flushed frame carries its contributors' principals (FormationTransport
   // runs the flush on whatever thread tripped the watermark — the ambient
   // there is the flusher, not the contributors).
   const auto [fp, fp_n] = obs::frame_principals();
-  const bool tagged = attrib_ && fp != nullptr && fp_n == reqs.size();
+  const bool tagged = attrib && fp != nullptr && fp_n == reqs.size();
   if (reqs.size() == 1) {
     std::optional<obs::ScopedPrincipal> tag;
     if (tagged) tag.emplace(fp[0]);
@@ -204,7 +206,7 @@ Status InprocTransport::call_batch(const Address& to,
   // data payload).  This — not the dispatch below — is what formation buys.
   u64 frame = kHeaderBytes;
   for (const Request& r : reqs) frame += wire_bytes(r) - kHeaderBytes;
-  obs::ScopedSpan span(spans_, "rpc.frame", to.index, reqs.size());
+  obs::ScopedSpan span(sinks().spans, "rpc.frame", to.index, reqs.size());
   double cost_ms = charge(to.kind, frame);
 
   // Frame-cost split, pro-rata by bytes: contributor i owns its own body
@@ -213,7 +215,7 @@ Status InprocTransport::call_batch(const Address& to,
   // remainder so they sum to the charge exactly.
   std::vector<u64> share_bytes;
   std::vector<double> share_ms;
-  if (attrib_) {
+  if (attrib) {
     share_bytes.resize(reqs.size());
     for (std::size_t i = 0; i < reqs.size(); ++i)
       share_bytes[i] = wire_bytes(reqs[i]) - kHeaderBytes;
@@ -236,14 +238,14 @@ Status InprocTransport::call_batch(const Address& to,
     // Dispatch under the contributor's identity so MDS handler time and
     // disk-scheduler submits attribute to whoever enqueued the envelope.
     const obs::Principal p =
-        tagged ? fp[i] : (attrib_ ? obs::ambient_principal() : obs::Principal{});
+        tagged ? fp[i] : (attrib ? obs::ambient_principal() : obs::Principal{});
     std::optional<obs::ScopedPrincipal> tag;
     if (tagged) tag.emplace(p);
     Result<Response> resp = dispatch(to, r);
     po.count.fetch_add(1, std::memory_order_relaxed);
     u64 bytes = wire_bytes(r);
-    double env_ms = attrib_ ? share_ms[i] : 0.0;
-    u64 env_bytes = attrib_ ? share_bytes[i] : 0;
+    double env_ms = attrib ? share_ms[i] : 0.0;
+    u64 env_bytes = attrib ? share_bytes[i] : 0;
     if (resp) {
       if (const u64 bulk = bulk_bytes(*resp); bulk > 0) {
         const double bulk_ms = charge(to.kind, bulk);
@@ -257,9 +259,9 @@ Status InprocTransport::call_batch(const Address& to,
       if (first.ok()) first = resp.error();
     }
     po.bytes.fetch_add(bytes, std::memory_order_relaxed);
-    if (attrib_) {
-      attrib_->count_rpc(p);
-      attrib_->charge_net(p, env_ms, env_bytes);
+    if (attrib) {
+      attrib->count_rpc(p);
+      attrib->charge_net(p, env_ms, env_bytes);
     }
   }
   // Every batched envelope experienced the frame's exchange latency.

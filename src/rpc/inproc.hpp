@@ -14,6 +14,10 @@
 // call_batch() delivers several envelopes as ONE wire frame (one shared
 // header, one network exchange) — the quantity FormationTransport optimises.
 //
+// With both a ledger and a collector attached, every exchange also becomes a
+// `net.exchange` sim span on a cumulative per-network clock (the critical
+// path's "network" segment), on the tracks "meta net" and "data net".
+//
 // Thread-safety: dispatch into storage targets may run concurrently (the
 // targets lock internally); both sim::Network instances are plain
 // accumulators and are guarded by net_mu_.  Metadata dispatch is
@@ -32,13 +36,13 @@ namespace mif::rpc {
 
 class InprocTransport final : public Transport {
  public:
-  explicit InprocTransport(Endpoints eps);
+  /// `sinks`: the attachment the whole chain records into.
+  explicit InprocTransport(Endpoints eps,
+                           const obs::Sinks& sinks = obs::Sinks::none());
 
   Result<Response> call(const Address& to, const Request& req) override;
   Status call_batch(const Address& to, std::vector<Request> reqs) override;
 
-  void set_spans(obs::SpanCollector* spans) override { spans_ = spans; }
-  void set_attribution(obs::Attribution* attrib) override { attrib_ = attrib; }
   void export_metrics(obs::MetricsRegistry& reg,
                       std::string_view prefix) const override;
 
@@ -67,17 +71,13 @@ class InprocTransport final : public Transport {
   };
 
   Endpoints eps_;
-  obs::SpanCollector* spans_{nullptr};
-  obs::Attribution* attrib_{nullptr};
   mutable std::mutex net_mu_;
   sim::Network meta_net_;
   sim::Network data_net_;
-  /// `net.exchange` sim spans ride a cumulative per-network clock (lane
-  /// 0 = meta, 1 = data) in a lazily-reserved track namespace; only emitted
-  /// while BOTH attribution and spans are attached.  Guarded by net_mu_.
-  bool net_ns_set_{false};
-  u32 net_ns_{0};
+  /// The `net.exchange` clocks and their tracks, meta then data.  Guarded
+  /// by net_mu_.
   std::array<double, 2> net_clock_{0.0, 0.0};
+  std::array<obs::SimTrack, 2> net_track_;
   std::array<PerOp, kOpCount> ops_;
 };
 

@@ -1,5 +1,7 @@
 // MdsNode: one metadata server bundled with its transport and stub — the
 // unit metadata-only fixtures (mds_test, workload/metarates, fig8) drive.
+// The transport records into the server's own attachment, so
+// `mds().set_spans` traces the whole node.
 //
 // Everything the old direct-call code measured is still reachable
 // (`mds().stats()`, `mds().fs()`), but the request path goes through the
@@ -16,7 +18,9 @@ namespace mif::rpc {
 class MdsNode {
  public:
   explicit MdsNode(mds::MdsConfig cfg = {})
-      : mds_(cfg), transport_(Endpoints{{&mds_}, {}}), client_(transport_) {}
+      : mds_(cfg),
+        transport_(Endpoints{{&mds_}, {}}, mds_.sinks()),
+        client_(transport_) {}
 
   MdsNode(const MdsNode&) = delete;
   MdsNode& operator=(const MdsNode&) = delete;

@@ -25,9 +25,6 @@ std::optional<InodeNo> ino_of(const Request& req) {
       req);
 }
 
-/// Viewer lane for qos wait spans (async stall spans use 255).
-constexpr u32 kQosLane = 254;
-
 }  // namespace
 
 std::string validate(const QosConfig& cfg) {
@@ -37,7 +34,10 @@ std::string validate(const QosConfig& cfg) {
 }
 
 QosTransport::QosTransport(Transport& inner, QosConfig cfg)
-    : inner_(inner), cfg_(std::move(cfg)) {}
+    : Transport(inner.sinks()),
+      inner_(inner),
+      cfg_(std::move(cfg)),
+      track_(sinks(), "qos") {}
 
 QosTransport::~QosTransport() {
   // Leftovers a caller never flushed still have to reach the servers; an
@@ -47,21 +47,15 @@ QosTransport::~QosTransport() {
   release_all_locked();
   if (!sticky_.ok()) {
     ++stats_.dropped_errors;
-    if (spans_)
-      spans_->record_sim("qos.dropped_error", obs::make_track(track_ns_, kQosLane),
-                         now_locked(), 0.0, spans_->ambient(),
-                         static_cast<u64>(sticky_.error()), 1);
+    if (obs::SpanCollector* spans = sinks().spans)
+      spans->record_sim("qos.dropped_error", track_.id(*spans), now_locked(),
+                        0.0, spans->ambient(),
+                        static_cast<u64>(sticky_.error()), 1);
     std::fprintf(stderr,
                  "[mif.qos] destructor dropped sticky deferred error: %.*s\n",
                  static_cast<int>(to_string(sticky_.error()).size()),
                  to_string(sticky_.error()).data());
   }
-}
-
-void QosTransport::set_spans(obs::SpanCollector* spans) {
-  spans_ = spans;
-  if (spans) track_ns_ = spans->reserve_track_namespace();
-  inner_.set_spans(spans);
 }
 
 void QosTransport::set_clock(std::function<double()> clock) {
@@ -90,10 +84,10 @@ void QosTransport::release_locked(Parked&& p, bool forced) {
     ++stats_.released;
   const double waited = std::max(0.0, now - p.enqueue_ms);
   wait_ms_.add(waited);
-  if (spans_)
-    spans_->record_sim("rpc.qos.wait", obs::make_track(track_ns_, kQosLane),
-                       p.enqueue_ms, waited, spans_->ambient(),
-                       static_cast<u64>(p.principal.client), p.bytes);
+  if (obs::SpanCollector* spans = sinks().spans)
+    spans->record_sim("rpc.qos.wait", track_.id(*spans), p.enqueue_ms, waited,
+                      spans->ambient(), static_cast<u64>(p.principal.client),
+                      p.bytes);
   // Dispatch under the OWNER's identity, not the thread that happened to
   // pump — the attribution ledger must keep charging the client that issued
   // the envelope (conservation holds because nothing new is charged here).
@@ -182,106 +176,65 @@ Status QosTransport::take_sticky_locked() {
   return s;
 }
 
-Result<Response> QosTransport::call(const Address& to, const Request& req) {
+std::optional<Result<Response>> QosTransport::admit(
+    const Address& to, const Request& req,
+    std::unique_lock<std::mutex>& lock) {
   const OpTraits& tr = traits(op_of(req));
   const obs::Principal p = obs::ambient_principal();
-  if (tr.deferrable) {
-    if (meterable(tr, p)) {
-      std::lock_guard lock(mu_);
-      const double now = now_locked();
-      pump_locked(now);  // drain refilled backlog first: per-client FIFO
-      Lane& l = lane_locked(p.client);
-      l.bucket.refill(now);
-      const u64 bytes = wire_bytes(req);
-      if (l.backlog.empty() &&
-          (l.bucket.try_consume(bytes) || bytes > l.bucket.burst_bytes())) {
-        ++stats_.admitted;
-        return inner_.call(to, req);
-      }
-      ++stats_.throttled;
-      l.backlog.push_back(Parked{to, req, p, bytes, now});
-      ++backlog_count_;
-      backlog_bytes_ += bytes;
-      note_backlog_locked();
-      return Response{VoidResponse{}};  // deferred ack, formation semantics
+  lock.lock();
+  const double now = now_locked();
+  // Every admission first releases what refilled buckets cover: a metered
+  // envelope queues behind its client's backlog (per-client FIFO), and a
+  // backlog keeps draining as the clock advances under unmetered traffic.
+  pump_locked(now);
+  if (tr.deferrable && meterable(tr, p)) {
+    Lane& l = lane_locked(p.client);
+    l.bucket.refill(now);
+    const u64 bytes = wire_bytes(req);
+    if (l.backlog.empty() &&
+        (l.bucket.try_consume(bytes) || bytes > l.bucket.burst_bytes())) {
+      ++stats_.admitted;
+      return std::nullopt;
     }
-    // Unmetered deferrable work (metadata, system principal) passes through,
-    // but still pumps so a waiting backlog drains as the clock advances.
-    {
-      std::lock_guard lock(mu_);
-      pump_locked(now_locked());
-    }
-    return inner_.call(to, req);
+    ++stats_.throttled;
+    l.backlog.push_back(Parked{to, req, p, bytes, now});
+    ++backlog_count_;
+    backlog_bytes_ += bytes;
+    note_backlog_locked();
+    return Response{VoidResponse{}};  // deferred ack, formation semantics
   }
-
   // kGetExtents is an advisory statistics poll (the client's periodic
   // layout-report cadence), not a data dependency: treating it as a barrier
   // would force-release a throttled client's entire backlog every report
   // interval — a scheduler bypass the client earns just by streaming.
   // A deferred-ack write that has not been released simply does not appear
   // in the count yet.
-  if (op_of(req) == Op::kGetExtents) {
-    std::lock_guard lock(mu_);
-    pump_locked(now_locked());
-    return inner_.call(to, req);
-  }
-
-  // Non-deferrable: an ino-scoped barrier (see release_ino_locked).  A
-  // sticky deferred failure surfaces here, like the formation layer's.
-  {
-    std::lock_guard lock(mu_);
+  if (op_of(req) == Op::kGetExtents) return std::nullopt;
+  if (!tr.deferrable) {
+    // Non-deferrable: an ino-scoped barrier (see release_ino_locked).  A
+    // sticky deferred failure surfaces here, like the formation layer's.
     ++stats_.barriers;
-    pump_locked(now_locked());
     if (std::optional<InodeNo> ino = ino_of(req)) release_ino_locked(*ino);
     if (Status s = take_sticky_locked(); !s) return s.error();
   }
+  // Unmetered deferrable work (metadata, system principal) and barriers
+  // pass through unlocked.
+  lock.unlock();
+  return std::nullopt;
+}
+
+Result<Response> QosTransport::call(const Address& to, const Request& req) {
+  std::unique_lock lock(mu_, std::defer_lock);
+  if (auto answer = admit(to, req, lock)) return std::move(*answer);
   return inner_.call(to, req);
 }
 
 Ticket QosTransport::call_async(const Address& to, const Request& req) {
-  // Same admission split as call(); an admitted envelope keeps the inner
-  // async path (pipelined), a parked one gets an immediate-ack ticket.
-  const OpTraits& tr = traits(op_of(req));
-  const obs::Principal p = obs::ambient_principal();
-  if (tr.deferrable) {
-    if (meterable(tr, p)) {
-      std::lock_guard lock(mu_);
-      const double now = now_locked();
-      pump_locked(now);
-      Lane& l = lane_locked(p.client);
-      l.bucket.refill(now);
-      const u64 bytes = wire_bytes(req);
-      if (l.backlog.empty() &&
-          (l.bucket.try_consume(bytes) || bytes > l.bucket.burst_bytes())) {
-        ++stats_.admitted;
-        return inner_.call_async(to, req);
-      }
-      ++stats_.throttled;
-      l.backlog.push_back(Parked{to, req, p, bytes, now});
-      ++backlog_count_;
-      backlog_bytes_ += bytes;
-      note_backlog_locked();
-      return completions().admit(to, op_of(req), Response{VoidResponse{}});
-    }
-    {
-      std::lock_guard lock(mu_);
-      pump_locked(now_locked());
-    }
-    return inner_.call_async(to, req);
-  }
-  if (op_of(req) == Op::kGetExtents) {  // advisory poll; see call()
-    std::lock_guard lock(mu_);
-    pump_locked(now_locked());
-    return inner_.call_async(to, req);
-  }
-  {
-    std::lock_guard lock(mu_);
-    ++stats_.barriers;
-    pump_locked(now_locked());
-    if (std::optional<InodeNo> ino = ino_of(req)) release_ino_locked(*ino);
-    if (Status s = take_sticky_locked(); !s)
-      return completions().admit(to, op_of(req), s.error());
-  }
+  // An admitted envelope keeps the inner async path (pipelined); one
+  // answered here gets an immediate ticket.
+  std::unique_lock lock(mu_, std::defer_lock);
+  if (auto answer = admit(to, req, lock))
+    return completions().admit(to, op_of(req), std::move(*answer));
   return inner_.call_async(to, req);
 }
 

@@ -30,6 +30,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 
 #include "obs/attrib.hpp"
 #include "obs/metrics.hpp"
@@ -115,11 +116,6 @@ class QosTransport final : public Transport {
   Status flush() override;
   void pump() override;
 
-  void set_spans(obs::SpanCollector* spans) override;
-  void set_attribution(obs::Attribution* attrib) override {
-    attrib_ = attrib;
-    inner_.set_attribution(attrib);
-  }
   void export_metrics(obs::MetricsRegistry& reg,
                       std::string_view prefix) const override;
 
@@ -157,6 +153,16 @@ class QosTransport final : public Transport {
     return tr.deferrable && !tr.meta && !p.system();
   }
 
+  /// The one admission decision both call shapes act on: nullopt forwards
+  /// the envelope down the chain, a value answers it here — the deferred
+  /// ack of a parked envelope, or the sticky error a barrier surfaces.
+  /// `lock` (on mu_, unlocked on entry) stays held on return except for an
+  /// unmetered or barrier pass-through: an answer is given under it, and an
+  /// admitted metered envelope is forwarded under it, so no pump on another
+  /// thread overtakes it in its client's FIFO order.
+  std::optional<Result<Response>> admit(const Address& to, const Request& req,
+                                        std::unique_lock<std::mutex>& lock);
+
   double now_locked() const { return clock_ ? clock_() : 0.0; }
   Lane& lane_locked(u32 client);
   /// Refill every bucket and release backlogged envelopes round-robin, one
@@ -174,9 +180,6 @@ class QosTransport final : public Transport {
 
   Transport& inner_;
   QosConfig cfg_;
-  obs::Attribution* attrib_{nullptr};
-  obs::SpanCollector* spans_{nullptr};
-  u32 track_ns_{0};
   std::function<double()> clock_;
   mutable std::mutex mu_;
   std::map<u32, Lane> lanes_;  // keyed by client id (deterministic order)
@@ -186,6 +189,9 @@ class QosTransport final : public Transport {
   Status sticky_{};
   QosStats stats_;
   obs::Stat wait_ms_;  // backlog residency of released envelopes
+  /// `rpc.qos.wait` spans (on the backlog's enqueue clock) and the
+  /// destructor's `qos.dropped_error` marker (mu_).
+  obs::SimTrack track_;
 };
 
 }  // namespace mif::rpc

@@ -7,7 +7,8 @@
 
 namespace mif::rpc {
 
-TransportStack::TransportStack(Endpoints eps, const TransportOptions& opt) {
+TransportStack::TransportStack(Endpoints eps, const TransportOptions& opt,
+                               const obs::Sinks& sinks) {
   const u32 shards = static_cast<u32>(eps.mds.size());
   const shard::Policy placement =
       shards >= 2 ? eps.mds.front()->config().placement
@@ -15,7 +16,7 @@ TransportStack::TransportStack(Endpoints eps, const TransportOptions& opt) {
   const sim::DiskGeometry geometry = eps.osds.empty()
                                         ? sim::DiskGeometry{}
                                         : eps.osds.front()->disk().geometry();
-  inproc_ = std::make_unique<InprocTransport>(std::move(eps));
+  inproc_ = std::make_unique<InprocTransport>(std::move(eps), sinks);
   top_ = inproc_.get();
   if (opt.pipeline_depth >= 2 || opt.adaptive_depth_max >= 2) {
     AsyncConfig acfg;

@@ -17,8 +17,8 @@
 // were mounted with (MdsConfig::placement) — above the fault layer, because
 // multi-MDS routing is client-library logic and each of its sub-envelopes
 // (fan-out legs, rename phases) must individually cross the "NIC".
-// core::ParallelFileSystem holds one stack; tests build their own around
-// hand-made Endpoints.
+// core::ParallelFileSystem holds one stack, built on its attachment
+// (obs/sinks.hpp); tests build their own around hand-made Endpoints.
 #pragma once
 
 #include <memory>
@@ -56,7 +56,9 @@ struct TransportOptions {
 class TransportStack {
  public:
   TransportStack() = default;
-  TransportStack(Endpoints eps, const TransportOptions& opt);
+  /// Every layer records into `sinks`, the innermost's attachment.
+  TransportStack(Endpoints eps, const TransportOptions& opt,
+                 const obs::Sinks& sinks = obs::Sinks::none());
 
   TransportStack(TransportStack&&) = default;
   TransportStack& operator=(TransportStack&&) = default;
@@ -85,14 +87,6 @@ class TransportStack {
   const sim::Network& meta_network() const { return inproc_->meta_network(); }
   const sim::Network& data_network() const { return inproc_->data_network(); }
 
-  void set_spans(obs::SpanCollector* spans) {
-    // Decorators forward set_spans inward; the async layer also claims its
-    // sim-track namespace on the way through.
-    if (top_) top_->set_spans(spans);
-  }
-  void set_attribution(obs::Attribution* attrib) {
-    if (top_) top_->set_attribution(attrib);
-  }
   void export_metrics(obs::MetricsRegistry& reg,
                       std::string_view prefix) const {
     if (top_) top_->export_metrics(reg, prefix);

@@ -28,6 +28,9 @@
 // every existing transport composes without knowing about tickets.  Each
 // decorator forwards completions() to its inner transport — ONE queue per
 // chain, owned by the innermost transport that actually defers completion.
+// The innermost transport is built with its mount's observability
+// attachment (obs/sinks.hpp); every decorator takes it from the layer it
+// wraps.
 #pragma once
 
 #include <deque>
@@ -36,6 +39,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/sinks.hpp"
 #include "rpc/envelope.hpp"
 #include "util/result.hpp"
 
@@ -46,10 +50,8 @@ namespace mif::osd {
 class StorageTarget;
 }
 namespace mif::obs {
-class Attribution;
 class MetricsRegistry;
-class SpanCollector;
-}  // namespace mif::obs
+}
 
 namespace mif::rpc {
 
@@ -143,6 +145,10 @@ class CompletionQueue {
 
 class Transport {
  public:
+  /// `sinks`: the mount's attachment — the innermost transport's own, a
+  /// decorator's inner.sinks().
+  explicit Transport(const obs::Sinks& sinks = obs::Sinks::none())
+      : sinks_(sinks) {}
   virtual ~Transport() = default;
 
   /// Deliver one envelope and wait for its response.
@@ -183,20 +189,17 @@ class Transport {
   /// the default is a no-op.  Called from client drain points.
   virtual void pump() {}
 
-  virtual void set_spans(obs::SpanCollector* spans) { (void)spans; }
-
-  /// Attach per-principal cost attribution (see obs/attrib.hpp).  Decorators
-  /// keep a pointer for their own charges (stall, fault delay, frame
-  /// splitting) and forward inward; with none attached the chain's cost
-  /// accounting is unchanged.  nullptr detaches.
-  virtual void set_attribution(obs::Attribution* attrib) { (void)attrib; }
   virtual void export_metrics(obs::MetricsRegistry& reg,
                               std::string_view prefix) const {
     (void)reg;
     (void)prefix;
   }
 
+  /// The attachment every layer of this chain records into.
+  const obs::Sinks& sinks() const { return sinks_; }
+
  private:
+  const obs::Sinks& sinks_;
   CompletionQueue cq_;
 };
 

@@ -86,7 +86,7 @@ Result<Response> ShardedTransport::route_meta(const Request& req) {
         } else if constexpr (std::is_same_v<T, rpc::ReportExtentsRequest>) {
           // Ino-keyed: the tag IS the route.
           const u32 shard = Router::shard_of(r.ino);
-          obs::ScopedSpan span(spans_, "rpc.shard", shard);
+          obs::ScopedSpan span(sinks().spans, "rpc.shard", shard);
           rpc::ReportExtentsRequest local = r;
           local.ino = Router::untag(r.ino);
           return send_to(shard, Request{local});
@@ -98,7 +98,7 @@ Result<Response> ShardedTransport::route_meta(const Request& req) {
                                    std::is_same_v<T, rpc::OpenGetLayoutRequest>;
           if (kLookup && router_.filters_miss(r.path)) return Errc::kNotFound;
           const u32 shard = router_.route_path(r.path);
-          obs::ScopedSpan span(spans_, "rpc.shard", shard);
+          obs::ScopedSpan span(sinks().spans, "rpc.shard", shard);
           Result<Response> resp = send_to(shard, Request{r});
           if constexpr (std::is_same_v<T, rpc::CreateRequest>) {
             if (resp) router_.note_created(r.path, /*dir=*/false);
@@ -116,7 +116,7 @@ Result<Response> ShardedTransport::do_mkdir(const rpc::MkdirRequest& r) {
     // Mirror the directory skeleton to every shard so hash-placed children
     // always find their parent; the hash owner's inode is authoritative.
     const u32 primary = router_.route_path(r.path);
-    obs::ScopedSpan span(spans_, "rpc.shard", primary);
+    obs::ScopedSpan span(sinks().spans, "rpc.shard", primary);
     Result<Response> out = Errc::kInvalid;
     for (u32 s = 0; s < router_.shards(); ++s) {
       Result<Response> resp = send_to(s, Request{r});
@@ -132,7 +132,7 @@ Result<Response> ShardedTransport::do_mkdir(const rpc::MkdirRequest& r) {
   const u32 shard = parts.size() == 1
                         ? router_.delegate_top_level(parts.front())
                         : router_.route_path(r.path);
-  obs::ScopedSpan span(spans_, "rpc.shard", shard);
+  obs::ScopedSpan span(sinks().spans, "rpc.shard", shard);
   return send_to(shard, Request{r});
 }
 
@@ -140,7 +140,7 @@ Result<Response> ShardedTransport::do_unlink(const rpc::UnlinkRequest& r) {
   if (router_.filters_miss(r.path)) return Errc::kNotFound;
   if (router_.mirrored_dir(r.path)) return sweep_dir(r);
   const u32 shard = router_.route_path(r.path);
-  obs::ScopedSpan span(spans_, "rpc.shard", shard);
+  obs::ScopedSpan span(sinks().spans, "rpc.shard", shard);
   Result<Response> resp = send_to(shard, Request{r});
   if (resp) router_.note_removed(r.path);
   return resp;
@@ -154,7 +154,7 @@ Result<Response> ShardedTransport::sweep_dir(const rpc::UnlinkRequest& r) {
   // converges.
   const u32 shards = router_.shards();
   const u32 owner = router_.route_path(r.path);
-  obs::ScopedSpan span(spans_, "rpc.shard", shards);
+  obs::ScopedSpan span(sinks().spans, "rpc.shard", shards);
   u64 sent = 0;
   auto sweep = [&]() -> Result<Response> {
     for (u32 s = 0; s < shards; ++s) {
@@ -189,10 +189,10 @@ Result<Response> ShardedTransport::do_readdir(const Request& req,
                                               std::string_view path) {
   if (!router_.needs_fanout(path)) {
     const u32 shard = router_.route_path(path);
-    obs::ScopedSpan span(spans_, "rpc.shard", shard);
+    obs::ScopedSpan span(sinks().spans, "rpc.shard", shard);
     return send_to(shard, req);
   }
-  obs::ScopedSpan span(spans_, "rpc.shard", router_.shards());
+  obs::ScopedSpan span(sinks().spans, "rpc.shard", router_.shards());
   rpc::ReaddirResponse merged;
   std::unordered_set<std::string> seen;
   Errc first_error = Errc::kNotFound;
@@ -224,7 +224,7 @@ Result<Response> ShardedTransport::do_rename(const rpc::RenameRequest& r) {
   const u32 src = router_.route_path(r.from);
   const u32 dst = router_.route_path(r.to);
   if (src == dst) {
-    obs::ScopedSpan span(spans_, "rpc.shard", src);
+    obs::ScopedSpan span(sinks().spans, "rpc.shard", src);
     Result<Response> resp = send_to(src, Request{r});
     if (resp) {
       router_.count_rename(false);
@@ -237,7 +237,7 @@ Result<Response> ShardedTransport::do_rename(const rpc::RenameRequest& r) {
   // Each phase is its own wire envelope through the inner chain, so a fault
   // can kill the protocol between them; the journal records enough to roll
   // back (recover()).
-  obs::ScopedSpan span(spans_, "rpc.shard", src, dst);
+  obs::ScopedSpan span(sinks().spans, "rpc.shard", src, dst);
   Result<Response> resolved =
       inner_.call(mds_at(src), Request{rpc::ResolveRequest{r.from}});
   if (!resolved) return resolved;

@@ -52,7 +52,7 @@ namespace mif::shard {
 class ShardedTransport final : public rpc::Transport {
  public:
   ShardedTransport(rpc::Transport& inner, u32 shards, Policy policy)
-      : inner_(inner), router_(shards, policy) {}
+      : rpc::Transport(inner.sinks()), inner_(inner), router_(shards, policy) {}
 
   Result<rpc::Response> call(const rpc::Address& to,
                              const rpc::Request& req) override;
@@ -63,15 +63,6 @@ class ShardedTransport final : public rpc::Transport {
   }
   Status flush() override { return inner_.flush(); }
   void pump() override { inner_.pump(); }
-  void set_spans(obs::SpanCollector* spans) override {
-    spans_ = spans;
-    inner_.set_spans(spans);
-  }
-  void set_attribution(obs::Attribution* attrib) override {
-    // Pure routing: every sub-envelope (fan-out leg, rename phase) is
-    // charged by the layers below under the caller's ambient principal.
-    inner_.set_attribution(attrib);
-  }
   void export_metrics(obs::MetricsRegistry& reg,
                       std::string_view prefix) const override;
 
@@ -99,7 +90,6 @@ class ShardedTransport final : public rpc::Transport {
 
   rpc::Transport& inner_;
   Router router_;
-  obs::SpanCollector* spans_{nullptr};
 };
 
 }  // namespace mif::shard

@@ -7,7 +7,11 @@
 
 namespace mif::sim {
 
-Disk::Disk(DiskGeometry geometry) : geometry_(geometry), head_{0} {}
+Disk::Disk(DiskGeometry geometry, const obs::Sinks& sinks, std::string track)
+    : geometry_(geometry),
+      head_{0},
+      sinks_(sinks),
+      track_(sinks, std::move(track)) {}
 
 double Disk::seek_time_ms(u64 distance) const {
   if (distance == 0) return 0.0;
@@ -25,7 +29,8 @@ double Disk::service(const DiskRequest& req) {
   double t = 0.0;
   ++stats_.requests;
   last_ = {};
-  const obs::SpanContext ctx = spans_ ? spans_->ambient() : obs::SpanContext{};
+  obs::SpanCollector* const spans = sinks_.spans;
+  const obs::SpanContext ctx = spans ? spans->ambient() : obs::SpanContext{};
   if (req.start == head_) {
     // Head already on the right spot: pure streaming.
     ++stats_.sequential_hits;
@@ -44,9 +49,9 @@ double Disk::service(const DiskRequest& req) {
       stats_.skip_ms += skip;
       last_.skip_ms = skip;
       ++stats_.skips;
-      if (spans_)
-        spans_->record_sim("disk.skip", span_track_, now_ms_, skip, ctx,
-                           req.start.v, dist);
+      if (spans)
+        spans->record_sim("disk.skip", track_.id(*spans), now_ms_, skip, ctx,
+                          req.start.v, dist);
     } else {
       const double seek = seek_time_ms(dist);
       t += seek + geometry_.rotational_ms;
@@ -56,10 +61,10 @@ double Disk::service(const DiskRequest& req) {
       last_.rotation_ms = geometry_.rotational_ms;
       ++stats_.positionings;
       position_times_ms_.add(seek + geometry_.rotational_ms);
-      if (spans_)
-        spans_->record_sim("disk.seek", span_track_, now_ms_,
-                           seek + geometry_.rotational_ms, ctx, req.start.v,
-                           dist);
+      if (spans)
+        spans->record_sim("disk.seek", track_.id(*spans), now_ms_,
+                          seek + geometry_.rotational_ms, ctx, req.start.v,
+                          dist);
     }
   }
 
@@ -67,9 +72,9 @@ double Disk::service(const DiskRequest& req) {
                                                      : geometry_.seq_write_mbps;
   const double bytes = static_cast<double>(blocks_to_bytes(req.count));
   const double transfer = bytes / (rate_mbps * 1e6) * 1e3;  // ms
-  if (spans_)
-    spans_->record_sim("disk.transfer", span_track_, now_ms_ + t, transfer,
-                       ctx, req.start.v, req.count);
+  if (spans)
+    spans->record_sim("disk.transfer", track_.id(*spans), now_ms_ + t,
+                      transfer, ctx, req.start.v, req.count);
   t += transfer;
   stats_.transfer_ms += transfer;
   last_.transfer_ms = transfer;

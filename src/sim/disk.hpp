@@ -12,13 +12,11 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 
+#include "obs/sinks.hpp"
 #include "util/stats.hpp"
 #include "util/types.hpp"
-
-namespace mif::obs {
-class SpanCollector;
-}
 
 namespace mif::sim {
 
@@ -86,7 +84,14 @@ inline double stream_transfer_ms(const DiskGeometry& g, u64 blocks,
 
 class Disk {
  public:
-  explicit Disk(DiskGeometry geometry = {});
+  /// `sinks` is the owning mount's attachment: with a collector attached,
+  /// every serviced request emits `disk.seek` / `disk.skip` /
+  /// `disk.transfer` spans on this disk's simulated timeline (a track
+  /// labelled `track`), attributed to the collector's ambient trace context
+  /// at service time.
+  explicit Disk(DiskGeometry geometry = {},
+                const obs::Sinks& sinks = obs::Sinks::none(),
+                std::string track = "disk");
 
   /// Services one request immediately, advancing this disk's private
   /// timeline.  Returns the service time in milliseconds.
@@ -123,14 +128,8 @@ class Disk {
     position_times_ms_ = {};
   }
 
-  /// Attach a span collector: every serviced request then emits
-  /// `disk.seek` / `disk.skip` / `disk.transfer` spans on this disk's
-  /// simulated timeline (track = `track`), attributed to the collector's
-  /// ambient trace context at service time.  nullptr detaches.
-  void set_spans(obs::SpanCollector* spans, u32 track) {
-    spans_ = spans;
-    span_track_ = track;
-  }
+  /// The owning mount's attachment (the scheduler in front shares it).
+  const obs::Sinks& sinks() const { return sinks_; }
 
   /// Seek time for a head movement of `distance` blocks.  Square-root model:
   /// short seeks are dominated by head settle, long ones by the arm sweep.
@@ -143,8 +142,8 @@ class Disk {
   DiskStats stats_;
   ServiceBreakdown last_;
   RunningStats position_times_ms_;
-  obs::SpanCollector* spans_{nullptr};
-  u32 span_track_{0};
+  const obs::Sinks& sinks_;
+  obs::SimTrack track_;
 };
 
 }  // namespace mif::sim

@@ -8,17 +8,19 @@
 namespace mif::sim {
 
 IoScheduler::IoScheduler(Disk& disk, std::size_t max_queue,
-                         std::size_t max_write_queue)
+                         std::size_t max_write_queue, std::string track)
     : disk_(disk),
       max_queue_(max_queue),
-      max_write_queue_(max_write_queue ? max_write_queue : max_queue) {
+      max_write_queue_(max_write_queue ? max_write_queue : max_queue),
+      sinks_(disk.sinks()),
+      track_(sinks_, std::move(track)) {
   queue_.reserve(max_queue_);
 }
 
 void IoScheduler::submit(const DiskRequest& req) {
   ++stats_.queued;
   queue_.push_back(req);
-  if (attrib_) {
+  if (sinks_.attrib) {
     queue_.back().principal = obs::ambient_principal().key();
     queue_.back().submit_ms = disk_.now_ms();
   }
@@ -57,7 +59,8 @@ double IoScheduler::drain() {
     const double start_ms = disk_.now_ms();
     elapsed += disk_.service(merged);
     ++stats_.dispatched;
-    if (attrib_) attribute_dispatch(i, j, start_ms);
+    if (obs::Attribution* attrib = sinks_.attrib)
+      attribute_dispatch(*attrib, i, j, start_ms);
     i = j;
   }
   queue_.clear();
@@ -71,15 +74,16 @@ double IoScheduler::drain() {
 /// count, with the LAST contributor taking the remainder so the shares sum
 /// to the disk's charge exactly; queue wait is per contributor, service
 /// start minus its submit stamp on the same disk clock.
-void IoScheduler::attribute_dispatch(std::size_t first, std::size_t last,
+void IoScheduler::attribute_dispatch(obs::Attribution& attrib,
+                                     std::size_t first, std::size_t last,
                                      double start_ms) {
   const Disk::ServiceBreakdown& b = disk_.last_service();
   double total_wait = 0.0;
   for (std::size_t k = first; k < last; ++k) {
     const obs::Principal p = obs::Principal::from_key(queue_[k].principal);
     const double wait = start_ms - queue_[k].submit_ms;
-    attrib_->charge_queue_wait(p, wait);
-    attrib_->count_disk_request(p);
+    attrib.charge_queue_wait(p, wait);
+    attrib.count_disk_request(p);
     total_wait += wait;
   }
   // Single contributor (or a uniform group) keeps the charge exact.
@@ -90,22 +94,22 @@ void IoScheduler::attribute_dispatch(std::size_t first, std::size_t last,
     total_blocks += queue_[k].count;
   }
   if (uniform) {
-    attrib_->charge_disk(obs::Principal::from_key(queue_[first].principal),
-                         b.seek_ms, b.rotation_ms, b.skip_ms, b.transfer_ms);
+    attrib.charge_disk(obs::Principal::from_key(queue_[first].principal),
+                       b.seek_ms, b.rotation_ms, b.skip_ms, b.transfer_ms);
   } else {
     double seek_left = b.seek_ms, rotation_left = b.rotation_ms;
     double skip_left = b.skip_ms, transfer_left = b.transfer_ms;
     for (std::size_t k = first; k < last; ++k) {
       const obs::Principal p = obs::Principal::from_key(queue_[k].principal);
       if (k + 1 == last) {
-        attrib_->charge_disk(p, seek_left, rotation_left, skip_left,
-                             transfer_left);
+        attrib.charge_disk(p, seek_left, rotation_left, skip_left,
+                           transfer_left);
       } else {
         const double w = static_cast<double>(queue_[k].count) /
                          static_cast<double>(total_blocks);
         const double seek = b.seek_ms * w, rotation = b.rotation_ms * w;
         const double skip = b.skip_ms * w, transfer = b.transfer_ms * w;
-        attrib_->charge_disk(p, seek, rotation, skip, transfer);
+        attrib.charge_disk(p, seek, rotation, skip, transfer);
         seek_left -= seek;
         rotation_left -= rotation;
         skip_left -= skip;
@@ -113,9 +117,10 @@ void IoScheduler::attribute_dispatch(std::size_t first, std::size_t last,
       }
     }
   }
-  if (spans_ && total_wait > 0.0) {
-    spans_->record_sim("io.queue_wait", span_track_, qwait_clock_, total_wait,
-                       spans_->ambient(), last - first, total_blocks);
+  if (obs::SpanCollector* spans = sinks_.spans; spans && total_wait > 0.0) {
+    spans->record_sim("io.queue_wait", track_.id(*spans), qwait_clock_,
+                      total_wait, spans->ambient(), last - first,
+                      total_blocks);
     qwait_clock_ += total_wait;
   }
 }

@@ -10,13 +10,10 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "sim/disk.hpp"
-
-namespace mif::obs {
-class Attribution;
-}
 
 namespace mif::sim {
 
@@ -28,14 +25,26 @@ struct SchedulerStats {
 
 class IoScheduler {
  public:
+  /// The default bounded read queue (block-layer nr_requests).
+  static constexpr std::size_t kDefaultQueue = 128;
+
   /// `max_queue` bounds READ batching: once that many reads are queued they
   /// are drained, mimicking the bounded nr_requests block-layer queue a
   /// synchronous reader is exposed to.  WRITES may accumulate up to
   /// `max_write_queue` (0 ⇒ same as max_queue): write-back caching lets
   /// dirty data pile up and flush in long per-region runs, which is why
   /// writes tolerate stream interleaving far better than reads.
-  explicit IoScheduler(Disk& disk, std::size_t max_queue = 128,
-                       std::size_t max_write_queue = 0);
+  ///
+  /// With a ledger in its disk's attachment, submit() stamps each request
+  /// with the ambient principal and the disk time, and drain() splits each
+  /// merged dispatch's service time back to its contributors pro-rata by
+  /// block count and charges their queue waits (service start − submit);
+  /// with a collector too, each dispatch that waited emits one
+  /// `io.queue_wait` span on a cumulative queue-wait clock, on its own
+  /// track labelled `track`.
+  explicit IoScheduler(Disk& disk, std::size_t max_queue = kDefaultQueue,
+                       std::size_t max_write_queue = 0,
+                       std::string track = "queue");
 
   /// Queue a request; may trigger a drain when the queue fills.
   void submit(const DiskRequest& req);
@@ -49,25 +58,9 @@ class IoScheduler {
   /// Requests currently queued (pre-merge) — the timeline's queue gauge.
   std::size_t queue_depth() const { return queue_.size(); }
 
-  /// Attach cost attribution: submit() then stamps each request with the
-  /// ambient principal and the disk time at submit; drain() splits every
-  /// merged dispatch's service time back to its contributors pro-rata by
-  /// block count and charges each contributor's queue wait
-  /// (service start − submit).  nullptr detaches.
-  void set_attribution(obs::Attribution* attrib) { attrib_ = attrib; }
-
-  /// Attach a span collector for aggregated `io.queue_wait` sim spans (one
-  /// per dispatch that waited, on a cumulative queue-wait clock so spans on
-  /// one track never overlap).  Only emitted while attribution is also
-  /// attached — plain `--trace` output is unchanged.
-  void set_spans(obs::SpanCollector* spans, u32 track) {
-    spans_ = spans;
-    span_track_ = track;
-  }
-
  private:
-  void attribute_dispatch(std::size_t first, std::size_t last,
-                          double start_ms);
+  void attribute_dispatch(obs::Attribution& attrib, std::size_t first,
+                          std::size_t last, double start_ms);
 
   Disk& disk_;
   std::size_t max_queue_;
@@ -76,9 +69,8 @@ class IoScheduler {
   std::size_t queued_writes_{0};
   std::vector<DiskRequest> queue_;
   SchedulerStats stats_;
-  obs::Attribution* attrib_{nullptr};
-  obs::SpanCollector* spans_{nullptr};
-  u32 span_track_{0};
+  const obs::Sinks& sinks_;
+  obs::SimTrack track_;
   double qwait_clock_{0.0};
 };
 

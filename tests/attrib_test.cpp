@@ -398,6 +398,104 @@ TEST(Attribution, JsonShape) {
   EXPECT_TRUE(fs.attribution_json().is_null());
 }
 
+// --- spans against the ledger ------------------------------------------------
+
+/// Sim-clock span milliseconds summed per ledger cost family.
+struct SpanFamilies {
+  double queue_wait_ms{0.0};
+  double net_ms{0.0};
+  double disk_ms{0.0};
+  double mds_cpu_ms{0.0};
+  double stall_ms{0.0};
+};
+
+SpanFamilies span_families(const obs::SpanCollector& spans) {
+  SpanFamilies f;
+  for (const obs::SpanRecord& s : spans.spans()) {
+    const double ms = s.dur_us / 1000.0;
+    if (s.name == "io.queue_wait") f.queue_wait_ms += ms;
+    if (s.name == "net.exchange") f.net_ms += ms;
+    if (s.name.starts_with("disk.")) f.disk_ms += ms;
+    if (s.name == "mds.cpu") f.mds_cpu_ms += ms;
+    if (s.name == "rpc.stall") f.stall_ms += ms;
+  }
+  return f;
+}
+
+// Every recorder that charges the ledger records the matching sim span into
+// the same attachment, so on every mount shape each cost family's spans sum
+// to the ledger's total for it; a recorder left out of the attachment
+// breaks its family's pair.
+TEST(Attribution, SpanFamiliesMatchLedgerOnEveryMountShape) {
+  std::vector<std::pair<const char*, core::ClusterConfig>> shapes;
+  core::ClusterConfig base = small_cluster();
+  base.mds.mfs.cache_blocks = 64;  // metadata misses queue on the MDS disk
+  shapes.emplace_back("plain", base);
+  shapes.emplace_back("pipelined", base);
+  shapes.back().second.rpc.pipeline_depth = 4;
+  shapes.emplace_back("formation", base);
+  shapes.back().second.rpc.kind = rpc::TransportOptions::Kind::kFormation;
+  shapes.emplace_back("qos", base);
+  shapes.back().second.rpc.qos.rate_bytes_per_ms = 4000.0;
+  shapes.emplace_back("hash shards", base);
+  shapes.back().second.mds.shards = 3;
+  shapes.back().second.mds.placement = shard::Policy::kHash;
+  shapes.emplace_back("replicas", base);
+  shapes.back().second.redundancy.replicas = 2;
+
+  for (const auto& [name, cfg] : shapes) {
+    SCOPED_TRACE(name);
+    obs::Config big;
+    big.span_capacity = std::size_t{1} << 17;
+    obs::SpanCollector spans(big);
+    obs::Attribution attrib;
+    core::ParallelFileSystem fs(cfg);
+    fs.set_spans(&spans);
+    fs.set_attribution(&attrib);
+    constexpr int kFiles = 120;
+    {
+      // One large write fills a pipelined window (rpc.stall).
+      auto c = fs.connect(ClientId{1});
+      auto fh = c.create("big");
+      ASSERT_TRUE(fh);
+      ASSERT_TRUE(c.write(*fh, 0, 0, 8 << 20).ok());
+      ASSERT_TRUE(c.close(*fh).ok());
+    }
+    for (int i = 0; i < kFiles; ++i) {
+      auto c = fs.connect(ClientId{static_cast<u32>(1 + i % 2)});
+      auto fh = c.create("f" + std::to_string(i));
+      ASSERT_TRUE(fh);
+      ASSERT_TRUE(c.write(*fh, 0, 0, 64 * 1024).ok());
+      ASSERT_TRUE(c.close(*fh).ok());
+    }
+    for (int i = 0; i < kFiles; ++i) {
+      obs::ScopedPrincipal sp({3, obs::OpClass::kMeta});
+      ASSERT_TRUE(fs.rpc().stat("f" + std::to_string(i)).ok());
+    }
+    fs.finish_mds();
+    fs.drain_data();
+
+    ASSERT_EQ(spans.dropped(), 0u);
+    const SpanFamilies f = span_families(spans);
+    const obs::CostAccount total = attrib.total();
+    EXPECT_GT(total.queue_wait_ms, 0.0);
+    EXPECT_GT(total.mds_cpu_ms, 0.0);
+    if (cfg.rpc.pipeline_depth >= 2) {
+      EXPECT_GT(total.stall_ms, 0.0);
+    }
+    auto expect_family = [](const char* family, double spans_ms,
+                            double ledger_ms) {
+      SCOPED_TRACE(family);
+      ExpectConserved(spans_ms, ledger_ms);
+    };
+    expect_family("io.queue_wait", f.queue_wait_ms, total.queue_wait_ms);
+    expect_family("net.exchange", f.net_ms, total.net_ms);
+    expect_family("disk.*", f.disk_ms, total.disk_ms());
+    expect_family("mds.cpu", f.mds_cpu_ms, total.mds_cpu_ms);
+    expect_family("rpc.stall", f.stall_ms, total.stall_ms);
+  }
+}
+
 // --- critical path -----------------------------------------------------------
 
 /// One deterministic mixed workload against a fresh cluster + collector +

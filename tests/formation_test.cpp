@@ -263,12 +263,13 @@ TEST(Formation, DeferredErrorGoesStickyAndSurfacesAtTheBarrier) {
 
 TEST(Formation, DestructorDropIsObservable) {
   obs::SpanCollector spans;  // outlives the transport, like the timeline's
+  obs::Sinks sinks;
+  sinks.spans = &spans;
   OsdPair osds;
-  InprocTransport inproc(osds.eps());
+  InprocTransport inproc(osds.eps(), sinks);
   FaultTransport fault(inproc);
   {
     FormationTransport f(fault);
-    f.set_spans(&spans);
     ASSERT_TRUE(f.call(osd_at(0), write_req(1, 0, 1)).ok());
     fault.arm({.drop_after = 0, .drop_count = 1});
     // Destroyed with a staged envelope whose flush will fail: the sticky

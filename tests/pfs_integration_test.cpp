@@ -5,6 +5,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/pfs.hpp"
 #include "obs/span.hpp"
@@ -135,13 +136,17 @@ TEST(PfsIntegration, SharedFileWriteSpansEveryLayer) {
   const auto res = workload::run_shared_file(fs, wcfg);
   EXPECT_GT(res.phase2_throughput_mbps, 0.0);
 
+  // Sim spans are told apart by the label their track was claimed with.
+  const std::vector<std::string> labels = spans.track_labels();
   std::set<std::string> phases;
   bool data_disk = false, mds_disk = false;
   for (const obs::SpanRecord& s : spans.spans()) {
     phases.emplace(s.name);
     if (s.clock == obs::SpanClock::kSim) {
-      if (obs::track_lane(s.track) == mfs::Mfs::kMdsDiskTrack) mds_disk = true;
-      else data_disk = true;
+      ASSERT_LT(s.track, labels.size());
+      const std::string& label = labels[s.track];
+      if (label.starts_with("mds disk")) mds_disk = true;
+      else if (label.starts_with("osd ")) data_disk = true;
     }
   }
   for (const char* phase :
@@ -151,7 +156,7 @@ TEST(PfsIntegration, SharedFileWriteSpansEveryLayer) {
     EXPECT_TRUE(phases.count(phase)) << phase;
   }
   // Both disk families recorded mechanical spans: the striped data disks
-  // and the MDS metadata disk (track 255).
+  // and the MDS metadata disk.
   EXPECT_TRUE(data_disk);
   EXPECT_TRUE(mds_disk);
 

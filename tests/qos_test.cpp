@@ -375,12 +375,13 @@ TEST(QosTransport, DeferredReleaseErrorSurfacesAtFlush) {
 
 TEST(QosTransport, DestructorDropIsObservable) {
   obs::SpanCollector spans;  // outlives the transport, like the timeline's
+  obs::Sinks sinks;
+  sinks.spans = &spans;
   OsdPair osds;
-  InprocTransport inproc(osds.eps());
+  InprocTransport inproc(osds.eps(), sinks);
   FaultTransport fault(inproc);
   {
     QosTransport qos(fault, at_rate(0.001));
-    qos.set_spans(&spans);
     obs::ScopedPrincipal sp({1, obs::OpClass::kData});
     ASSERT_TRUE(qos.call(osd_at(0), write_req(1, 0, kDrainBlocks)).ok());
     ASSERT_TRUE(qos.call(osd_at(0), write_req(1, kDrainBlocks, 1)).ok());
@@ -398,10 +399,11 @@ TEST(QosTransport, DestructorDropIsObservable) {
 
 TEST(QosTransport, ReleasedEnvelopesChargeTheirOwner) {
   OsdPair osds;
-  InprocTransport inner(osds.eps());
   obs::Attribution attrib;
+  obs::Sinks sinks;
+  sinks.attrib = &attrib;
+  InprocTransport inner(osds.eps(), sinks);
   QosTransport qos(inner, at_rate(1e9));
-  qos.set_attribution(&attrib);
   double now = 0.0;
   qos.set_clock([&now] { return now; });
   {

@@ -10,6 +10,7 @@
 
 #include "core/pfs.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sinks.hpp"
 #include "obs/span.hpp"
 
 namespace mif::obs {
@@ -291,6 +292,45 @@ TEST(Span, ClearDropsDataKeepsIdentity) {
   EXPECT_TRUE(c.slow_traces().empty());
   ScopedSpan span(&c, "client.write");
   EXPECT_GT(span.context().trace_id, first_trace);  // ids keep counting
+}
+
+// A recorder claims its sim track once per collector; two mounts sharing a
+// collector get distinct tracks and labels, the labels survive clear(), and
+// the Chrome writer names each sim lane from its label.
+TEST(Span, SimTracksAreLabelledPerMount) {
+  SpanCollector c;
+  Sinks mount_a, mount_b;
+  SimTrack disk_a(mount_a, "osd 0 disk");
+  SimTrack disk_b(mount_b, "osd 0 disk");
+  const u32 a = disk_a.id(c);
+  EXPECT_EQ(disk_a.id(c), a);
+  const u32 b = disk_b.id(c);
+  EXPECT_NE(a, b);
+  c.record_sim("disk.seek", a, 0.0, 1.0, {});
+  c.clear();
+  c.record_sim("disk.transfer", a, 1.0, 1.0, {});
+  c.record_sim("disk.transfer", b, 1.0, 1.0, {});
+  const std::vector<std::string> labels = c.track_labels();
+  ASSERT_EQ(labels.size(), 2u);
+  EXPECT_EQ(labels[a], "osd 0 disk (mount 0)");
+  EXPECT_EQ(labels[b], "osd 0 disk (mount 1)");
+
+  const auto doc = Json::parse(chrome_trace_json(c).dump());
+  ASSERT_TRUE(doc.has_value());
+  std::set<std::string> lanes;
+  for (const Json& e : doc->at("traceEvents").as_array()) {
+    if (e.at("ph").as_string() == "M" && e.at("pid").as_u64() == 2 &&
+        e.at("name").as_string() == "thread_name")
+      lanes.insert(e.at("args").at("name").as_string());
+  }
+  EXPECT_EQ(lanes, (std::set<std::string>{"osd 0 disk (mount 0)",
+                                          "osd 0 disk (mount 1)"}));
+
+  // Another collector hands out its own ids, numbering its own mounts.
+  SpanCollector other;
+  EXPECT_EQ(disk_b.id(other), 0u);
+  EXPECT_EQ(other.track_labels(),
+            std::vector<std::string>{"osd 0 disk (mount 0)"});
 }
 
 TEST(Span, SharedObsConfigSizesSpanRing) {

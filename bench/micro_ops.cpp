@@ -1,11 +1,13 @@
 // google-benchmark micro-benchmarks of the hot library primitives: bitmap
 // run search (fragmented, young and aged groups), extent-map insert (in file
 // order, and interleaved across regions) and lookup, allocator extend per
-// strategy (appending, and strided over thousands of extents), the metadata
-// buffer cache's hit and miss-and-evict paths, the name index under churn,
-// disk service and scheduler drain.  These guard the simulator's own performance
-// (the figure benches replay hundreds of thousands of operations).  Takes
-// google-benchmark's own flags plus the harness flags of obs/report.hpp.
+// strategy (appending, strided over thousands of extents, and 64 streams
+// appending to one file), the metadata buffer cache's hit and
+// miss-and-evict paths, the name index under churn, disk service and
+// scheduler drain (a metadata queue and a data target's writeback queue).
+// These guard the simulator's own performance (the figure benches replay
+// hundreds of thousands of operations).  Takes google-benchmark's own flags
+// plus the harness flags of obs/report.hpp.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -167,6 +169,46 @@ BENCHMARK(BM_AllocatorExtend)
     ->Arg(static_cast<int>(alloc::AllocatorMode::kReservation))
     ->Arg(static_cast<int>(alloc::AllocatorMode::kOnDemand));
 
+// The shape of each perfbench shared_stream target's map: 64 streams of one
+// file append 4-block writes round-robin, each to its own region, through
+// the on-demand allocator, and each write's placed runs are walked as the
+// target walks them to submit the I/O.  The file starts over once its map
+// holds 513 extents.
+void BM_ExtentMapStreamWrite(benchmark::State& state) {
+  constexpr u64 kStreams = 64, kRegionBlocks = 1 << 16, kMaxExtents = 513;
+  block::FreeSpace space(DiskBlock{0}, u64{8} * 1024 * 1024, 16);
+  auto a = alloc::make_allocator(alloc::AllocatorMode::kOnDemand, space);
+  block::ExtentMap map;
+  std::vector<u64> next(kStreams);
+  auto restart = [&] {
+    a->delete_file(InodeNo{1}, map);
+    for (u64 k = 0; k < kStreams; ++k) next[k] = k * kRegionBlocks;
+  };
+  restart();
+  u64 k = 0, blocks = 0;
+  for (auto _ : state) {
+    if (map.extent_count() >= kMaxExtents) {
+      state.PauseTiming();
+      restart();
+      state.ResumeTiming();
+    }
+    const FileBlock at{next[k]};
+    if (!a->extend({InodeNo{1}, StreamId{1, static_cast<u32>(k)}, at, 4}, map)
+             .ok()) {
+      state.SkipWithError("extend failed");
+      break;
+    }
+    map.map_range(at, 4, [&blocks](const block::BlockRange& r) {
+      blocks += r.length;
+    });
+    next[k] += 4;
+    k = (k + 1) % kStreams;
+  }
+  benchmark::DoNotOptimize(blocks);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ExtentMapStreamWrite);
+
 // Strided one-block writes at the end of a file that already has thousands
 // of extents: each write leaves a hole behind it, and each extend asks where
 // the hole at the write ends (ExtentMap::next_mapped).
@@ -290,6 +332,27 @@ void BM_SchedulerDrain128(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchedulerDrain128);
+
+// A data target's writeback drain: 64 streams, each appending 4-block
+// writes to its own region, interleaved round-robin until 4096 are queued.
+void BM_SchedulerDrain4096(benchmark::State& state) {
+  constexpr u64 kStreams = 64, kRegionBlocks = 1 << 16;
+  sim::Disk d;
+  sim::IoScheduler s(d, 1 << 20);
+  std::vector<u64> next(kStreams, 0);  // each stream's offset in its region
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (u64 i = 0; i < 4096; ++i) {
+      const u64 k = i % kStreams;
+      s.submit({sim::IoKind::kWrite, DiskBlock{k * kRegionBlocks + next[k]},
+                4});
+      next[k] = (next[k] + 4) % kRegionBlocks;
+    }
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(s.drain());
+  }
+}
+BENCHMARK(BM_SchedulerDrain4096);
 
 // Replicated stripe-unit writes through the whole stack (4 targets,
 // --replicas-way); with --kill-osd the scheduled fault fires mid-run and the

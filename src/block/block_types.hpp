@@ -7,6 +7,7 @@
 // counts these entries).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <iterator>
 #include <optional>
@@ -67,6 +68,14 @@ struct BlockRange {
 /// does not shift the whole file's map on every write.  No leaf reserves
 /// kLeafExtents slots up front: a map that fits in one leaf grows like the
 /// flat vector it replaces.
+///
+/// The map remembers where its last search ended.  A search tries that
+/// extent first and takes it when it still starts at or before the offset
+/// and its successor starts after it, so the several searches a write makes
+/// at the offset it places (the allocator's lookup and hole probe, the
+/// insert, the range walk that submits the I/O) descend the leaves once.
+/// Searches therefore mutate the map like any edit does: the caller
+/// serialises every use of one map (the OSD's per-file lock).
 class ExtentMap {
   using Leaf = std::vector<Extent>;
 
@@ -121,9 +130,12 @@ class ExtentMap {
   /// is where the hole at `b` ends, clamped to `limit`.  O(log extents).
   u64 next_mapped(FileBlock b, u64 limit) const;
 
-  /// Translate a logical run [b, b+len) into physical runs.  Holes and
-  /// unmapped tails are skipped (a real FS would return zeros).
-  std::vector<BlockRange> map_range(FileBlock b, u64 len) const;
+  /// Translate a logical run [b, b+len) into physical runs, handing each to
+  /// `visit(const BlockRange&)` in file order.  Holes and unmapped tails are
+  /// skipped (a real FS would return zeros); physically contiguous pieces
+  /// reach `visit` as one run.
+  template <typename Visit>
+  void map_range(FileBlock b, u64 len, Visit&& visit) const;
 
   /// Clear the unwritten flag over [b, b+len), splitting extents as needed.
   void mark_written(FileBlock b, u64 len);
@@ -144,14 +156,48 @@ class ExtentMap {
   u64 mapped_blocks() const;
 
  private:
+  // An extent's place: its leaf and its index within that leaf.
+  struct Pos {
+    std::size_t leaf{0};
+    std::size_t i{0};
+  };
   // Index of the last leaf whose first extent starts at or before `off`, or
   // 0 when there is none; the map must not be empty.
   std::size_t leaf_for(u64 off) const;
+  // Place of the last extent whose file_off is at most `off`, or of the
+  // first extent when there is none; the map must not be empty.  Tries the
+  // previous search's answer before descending.
+  Pos find(u64 off) const;
   // Last extent whose file_off is at most `b`; begin() if there is none.
   const_iterator last_at_or_before(FileBlock b) const;
 
   std::vector<Leaf> leaves_;  // each non-empty, in file order
   std::size_t count_{0};
+  // The last search's answer.  Checked against the map before each use, so
+  // no edit has to keep it current.
+  mutable Pos hint_;
 };
+
+template <typename Visit>
+void ExtentMap::map_range(FileBlock b, u64 len, Visit&& visit) const {
+  const u64 stop = b.v + len;
+  BlockRange run{};
+  for (auto it = last_at_or_before(b); it != end() && it->file_off.v < stop;
+       ++it) {
+    const u64 lo = std::max(b.v, it->file_off.v);
+    const u64 hi = std::min(stop, it->file_end());
+    if (lo >= hi) continue;
+    const DiskBlock at = it->map(FileBlock{lo});
+    // Physically contiguous with the run so far: coalesce so callers see
+    // the true contiguity of the placement.
+    if (run.length > 0 && run.end() == at.v) {
+      run.length += hi - lo;
+      continue;
+    }
+    if (run.length > 0) visit(run);
+    run = {at, hi - lo};
+  }
+  if (run.length > 0) visit(run);
+}
 
 }  // namespace mif::block

@@ -21,20 +21,42 @@ std::size_t ExtentMap::leaf_for(u64 off) const {
   return it == leaves_.begin() ? 0 : (it - leaves_.begin()) - 1;
 }
 
+ExtentMap::Pos ExtentMap::find(u64 off) const {
+  if (hint_.leaf < leaves_.size()) {
+    const Leaf& leaf = leaves_[hint_.leaf];
+    if (hint_.i < leaf.size() && leaf[hint_.i].file_off.v <= off) {
+      // The remembered extent starts at or before `off`; it is the last
+      // such extent exactly when its successor, if any, starts after `off`.
+      const Extent* next = hint_.i + 1 < leaf.size() ? &leaf[hint_.i + 1]
+                           : hint_.leaf + 1 < leaves_.size()
+                               ? &leaves_[hint_.leaf + 1].front()
+                               : nullptr;
+      if (!next || starts_before(off, *next)) return hint_;
+    }
+  }
+  const std::size_t li = leaf_for(off);
+  const Leaf& leaf = leaves_[li];
+  const std::size_t i =
+      std::upper_bound(leaf.begin(), leaf.end(), off, starts_before) -
+      leaf.begin();
+  hint_ = {li, i == 0 ? 0 : i - 1};
+  return hint_;
+}
+
 void ExtentMap::insert(Extent e) {
   assert(e.length > 0);
   if (leaves_.empty()) {
     leaves_.push_back(Leaf{e});
     count_ = 1;
+    hint_ = {};
     return;
   }
-  std::size_t li = leaf_for(e.file_off.v);
+  const Pos at = find(e.file_off.v);
+  std::size_t li = at.leaf;
   Leaf* leaf = &leaves_[li];
   // First extent after e: at index i of this leaf, or else the next leaf's
   // first.  Its predecessor is in this leaf unless e precedes every extent.
-  std::size_t i = std::upper_bound(leaf->begin(), leaf->end(), e.file_off.v,
-                                   starts_before) -
-                  leaf->begin();
+  std::size_t i = (*leaf)[at.i].file_off.v <= e.file_off.v ? at.i + 1 : 0;
   Extent* prev = i > 0 ? &(*leaf)[i - 1] : nullptr;
   Leaf* next_leaf = li + 1 < leaves_.size() ? &leaves_[li + 1] : nullptr;
   Extent* next = i < leaf->size() ? &(*leaf)[i]
@@ -44,7 +66,7 @@ void ExtentMap::insert(Extent e) {
   assert(!next || e.file_end() <= next->file_off.v);
   assert(!prev || prev->file_end() <= e.file_off.v);
 
-  // Try merging with the predecessor.
+  // Try merging with the predecessor, which then still sits at `at`.
   if (prev && mergeable(*prev, e)) {
     prev->length += e.length;
     // The grown predecessor may now touch the successor too, which may sit
@@ -67,6 +89,7 @@ void ExtentMap::insert(Extent e) {
     next->file_off = e.file_off;
     next->disk_off = e.disk_off;
     next->length += e.length;
+    hint_ = i < leaf->size() ? Pos{li, i} : Pos{li + 1, 0};
     return;
   }
   if (leaf->size() == kLeafExtents) {
@@ -87,16 +110,13 @@ void ExtentMap::insert(Extent e) {
   leaf->insert(leaf->begin() + static_cast<std::ptrdiff_t>(i), e);
   assert(leaf->size() <= kLeafExtents);
   ++count_;
+  hint_ = {li, i};
 }
 
 ExtentMap::const_iterator ExtentMap::last_at_or_before(FileBlock b) const {
   if (leaves_.empty()) return end();
-  const std::size_t li = leaf_for(b.v);
-  const Leaf& leaf = leaves_[li];
-  const std::size_t i =
-      std::upper_bound(leaf.begin(), leaf.end(), b.v, starts_before) -
-      leaf.begin();
-  return {&leaf, i == 0 ? 0 : i - 1};
+  const Pos at = find(b.v);
+  return {&leaves_[at.leaf], at.i};
 }
 
 std::optional<Extent> ExtentMap::lookup(FileBlock b) const {
@@ -109,26 +129,6 @@ u64 ExtentMap::next_mapped(FileBlock b, u64 limit) const {
   auto it = last_at_or_before(b);
   if (it != end() && it->file_off.v <= b.v) ++it;
   return it == end() ? limit : std::min(limit, it->file_off.v);
-}
-
-std::vector<BlockRange> ExtentMap::map_range(FileBlock b, u64 len) const {
-  std::vector<BlockRange> out;
-  const u64 stop = b.v + len;
-  for (auto it = last_at_or_before(b); it != end() && it->file_off.v < stop;
-       ++it) {
-    const u64 lo = std::max(b.v, it->file_off.v);
-    const u64 hi = std::min(stop, it->file_end());
-    if (lo >= hi) continue;
-    BlockRange r{DiskBlock{it->disk_off.v + (lo - it->file_off.v)}, hi - lo};
-    // Physically contiguous with the previous run: coalesce so callers see
-    // the true contiguity of the placement.
-    if (!out.empty() && out.back().end() == r.start.v) {
-      out.back().length += r.length;
-    } else {
-      out.push_back(r);
-    }
-  }
-  return out;
 }
 
 void ExtentMap::mark_written(FileBlock b, u64 len) {

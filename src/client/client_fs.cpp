@@ -88,10 +88,11 @@ ClientFs::Issue ClientFs::issue_context() {
 void ClientFs::gather_runs(
     u64 first, u64 last,
     std::map<u32, std::vector<BlockRun>>& per_target) const {
-  for (const osd::StripeSlice& s :
-       osd::slices_for(fs_->stripe(), FileBlock{first}, last - first)) {
-    util::append_run(per_target[s.target], BlockRun{s.local_start, s.count});
-  }
+  osd::slices_for(fs_->stripe(), FileBlock{first}, last - first,
+                  [&per_target](const osd::StripeSlice& s) {
+                    util::append_run(per_target[s.target],
+                                     BlockRun{s.local_start, s.count});
+                  });
 }
 
 Status ClientFs::issue_write_runs_to(const Issue& io, InodeNo ino,
@@ -247,15 +248,16 @@ Status ClientFs::write_async(const FileHandle& fh, u32 pid, u64 offset_bytes,
   } else {
     // Per-block mode: each slice becomes one block_write envelope for the
     // primary, plus one per alive copy when the mount replicates.  A
-    // failure that completes at issue stops the loop before the next slice.
-    for (const osd::StripeSlice& s :
-         osd::slices_for(fs_->stripe(), FileBlock{first}, last - first)) {
-      const BlockRun run{s.local_start, s.count};
-      if (Status st =
-              issue_write_runs(io, fh, stream, s.target, {&run, 1}, out);
-          !st)
-        return st;
-    }
+    // failure that completes at issue stops issuing before the next slice.
+    Status issued{};
+    osd::slices_for(fs_->stripe(), FileBlock{first}, last - first,
+                    [&](const osd::StripeSlice& s) {
+                      if (!issued) return;
+                      const BlockRun run{s.local_start, s.count};
+                      issued = issue_write_runs(io, fh, stream, s.target,
+                                                {&run, 1}, out);
+                    });
+    if (!issued) return issued;
   }
   ++stats_.writes;
   stats_.bytes_written += len_bytes;
@@ -312,12 +314,13 @@ Status ClientFs::read_blocks(const FileHandle& fh, u64 first, u64 last) {
   } else {
     // Per-block mode: one block_read envelope per slice, routed around dead
     // targets when the mount replicates.
-    for (const osd::StripeSlice& s :
-         osd::slices_for(fs_->stripe(), FileBlock{first}, last - first)) {
-      const BlockRun run{s.local_start, s.count};
-      issued = issue_read_runs(io, fh, s.target, {&run, 1}, pending);
-      if (!issued) break;
-    }
+    osd::slices_for(fs_->stripe(), FileBlock{first}, last - first,
+                    [&](const osd::StripeSlice& s) {
+                      if (!issued) return;
+                      const BlockRun run{s.local_start, s.count};
+                      issued = issue_read_runs(io, fh, s.target, {&run, 1},
+                                               pending);
+                    });
   }
   Status drained = drain(pending);
   return issued.ok() ? drained : issued;

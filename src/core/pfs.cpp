@@ -117,15 +117,14 @@ client::ClientFs ParallelFileSystem::connect(ClientId id) {
 }
 
 Status ParallelFileSystem::preallocate(InodeNo ino, u64 total_blocks) {
-  // Split the whole-file reservation the way the stripe splits the data.
-  const auto slices =
-      osd::slices_for(stripe_, FileBlock{0}, total_blocks);
-  // Per-target local sizes: the maximum local end seen per target.
+  // Split the whole-file reservation the way the stripe splits the data:
+  // each target's local size is the largest local end of its slices.
   std::vector<u64> local_end(targets_.size(), 0);
-  for (const osd::StripeSlice& s : slices) {
-    local_end[s.target] =
-        std::max(local_end[s.target], s.local_start.v + s.count);
-  }
+  osd::slices_for(stripe_, FileBlock{0}, total_blocks,
+                  [&local_end](const osd::StripeSlice& s) {
+                    local_end[s.target] = std::max(
+                        local_end[s.target], s.local_start.v + s.count);
+                  });
   // Fan the per-target reservations out as tickets (one per OSD) and drain:
   // under an async transport the targets reserve concurrently.
   rpc::CompletionQueue& cq = rpc_client_->completions();

@@ -161,6 +161,8 @@ Json analyze_critical_path(const SpanCollector& c, std::size_t top_k) {
   j["segment_totals"] = segments_json(agg);
   j["attributed_ms"] = agg.total_ms;
   j["traced_requests"] = traced;
+  // The section covers the spans the ring kept; this many it did not.
+  j["spans_dropped"] = c.dropped();
   return j;
 }
 

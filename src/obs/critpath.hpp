@@ -72,7 +72,10 @@ std::vector<CriticalPathEntry> critical_path_entries(const SpanCollector& c,
 ///                  "segments": {"queue_ms", "network_ms", "disk_ms",
 ///                               "mds_ms", "stall_ms", "fault_ms"}}, ...],
 ///    "segment_totals": {...same keys, summed over EVERY trace...},
-///    "traced_requests": <traces with at least one cost span>}
+///    "traced_requests": <traces with at least one cost span>,
+///    "spans_dropped": <SpanCollector::dropped()>}
+/// Every figure covers the spans the collector's ring retained only; a
+/// non-zero `spans_dropped` says how many older ones it overwrote.
 Json analyze_critical_path(const SpanCollector& c, std::size_t top_k = 8);
 
 }  // namespace mif::obs

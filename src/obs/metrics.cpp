@@ -114,7 +114,10 @@ Json MetricsRegistry::to_json() const {
     Json::Array buckets;
     for (std::size_t i = 0; i < snap.buckets(); ++i) {
       if (snap.bucket(i) == 0) continue;
-      buckets.push_back(Json(Json::Array{Json(u64{i}), Json(snap.bucket(i))}));
+      Json::Array pair;
+      pair.emplace_back(u64{i});
+      pair.emplace_back(snap.bucket(i));
+      buckets.emplace_back(std::move(pair));
     }
     entry["buckets"] = std::move(buckets);
     histograms[name] = std::move(entry);

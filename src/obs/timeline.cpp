@@ -156,7 +156,7 @@ Json Timeline::to_json() const {
   doc["epochs"] = std::move(epochs);
   Json::Array times;
   times.reserve(times_.size());
-  for (double t : times_) times.push_back(Json(t));
+  for (double t : times_) times.emplace_back(t);
   doc["times_ms"] = std::move(times);
   Json& series = doc["series"];
   series = Json::Object{};
@@ -168,7 +168,7 @@ Json Timeline::to_json() const {
     entry["count"] = s.count;
     Json::Array values;
     values.reserve(s.values.size());
-    for (double v : s.values) values.push_back(Json(v));
+    for (double v : s.values) values.emplace_back(v);
     entry["values"] = std::move(values);
     series[name] = std::move(entry);
   }

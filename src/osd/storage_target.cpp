@@ -135,9 +135,9 @@ Status StorageTarget::write_runs(InodeNo inode, StreamId stream,
     // Submit the data writes along the physical runs the placement produced
     // — this is where fragmentation turns into positioning time.
     std::lock_guard io_lock(io_mu_);
-    for (const block::BlockRange& r : f.map.map_range(run.start, run.count)) {
+    f.map.map_range(run.start, run.count, [this](const block::BlockRange& r) {
       io_.submit({sim::IoKind::kWrite, r.start, r.length});
-    }
+    });
   }
   return {};
 }
@@ -154,9 +154,9 @@ Status StorageTarget::read_runs(InodeNo inode,
   std::lock_guard lock(f->mu);
   std::lock_guard io_lock(io_mu_);
   for (const BlockRun& run : runs) {
-    for (const block::BlockRange& r : f->map.map_range(run.start, run.count)) {
+    f->map.map_range(run.start, run.count, [this](const block::BlockRange& r) {
       io_.submit({sim::IoKind::kRead, r.start, r.length});
-    }
+    });
   }
   return {};
 }

@@ -12,6 +12,14 @@ struct LiveFile {
   InodeNo ino{};
   u64 size{0};
 };
+
+// "s<d>", the name of subdirectory d.  Appended in place: GCC 12 reads
+// `"s" + std::to_string(d)` as a memcpy that may overlap (-Wrestrict).
+std::string subdir(u32 d) {
+  std::string name = "s";
+  name += std::to_string(d);
+  return name;
+}
 }  // namespace
 
 PostmarkResult run_postmark(core::ParallelFileSystem& fs,
@@ -24,7 +32,7 @@ PostmarkResult run_postmark(core::ParallelFileSystem& fs,
   const double data0 = fs.data_elapsed_ms();
 
   for (u32 d = 0; d < cfg.subdirectories; ++d) {
-    auto r = fs.rpc().mkdir("s" + std::to_string(d));
+    auto r = fs.rpc().mkdir(subdir(d));
     assert(r);
     (void)r;
   }
@@ -36,7 +44,9 @@ PostmarkResult run_postmark(core::ParallelFileSystem& fs,
   auto make_file = [&]() {
     const u32 d = static_cast<u32>(rng.uniform(0, cfg.subdirectories - 1));
     LiveFile f;
-    f.path = "s" + std::to_string(d) + "/p" + std::to_string(serial++);
+    f.path = subdir(d);
+    f.path += "/p";
+    f.path += std::to_string(serial++);
     auto fh = client.create(f.path);
     assert(fh);
     f.ino = fh->ino;

@@ -16,6 +16,13 @@ Extent ext(u64 file, u64 disk, u64 len, u32 flags = kExtentNone) {
   return Extent{FileBlock{file}, DiskBlock{disk}, len, flags};
 }
 
+// The runs map_range hands its visitor, in order.
+std::vector<BlockRange> runs_of(const ExtentMap& m, FileBlock b, u64 len) {
+  std::vector<BlockRange> out;
+  m.map_range(b, len, [&out](const BlockRange& r) { out.push_back(r); });
+  return out;
+}
+
 TEST(ExtentMap, InsertAndLookup) {
   ExtentMap m;
   m.insert(ext(0, 100, 10));
@@ -96,7 +103,7 @@ TEST(ExtentMap, MapRangeCrossesExtentsAndSkipsHoles) {
   ExtentMap m;
   m.insert(ext(0, 100, 4));
   m.insert(ext(8, 300, 4));  // hole at [4, 8)
-  auto runs = m.map_range(FileBlock{0}, 12);
+  auto runs = runs_of(m, FileBlock{0}, 12);
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_EQ(runs[0].start.v, 100u);
   EXPECT_EQ(runs[0].length, 4u);
@@ -108,7 +115,7 @@ TEST(ExtentMap, MapRangeCoalescesPhysicallyContiguousRuns) {
   ExtentMap m;
   m.insert(ext(0, 100, 4));
   m.insert(ext(4, 104, 4, kExtentUnwritten));  // separate extent, same run
-  auto runs = m.map_range(FileBlock{0}, 8);
+  auto runs = runs_of(m, FileBlock{0}, 8);
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0].length, 8u);
 }
@@ -116,7 +123,7 @@ TEST(ExtentMap, MapRangeCoalescesPhysicallyContiguousRuns) {
 TEST(ExtentMap, MapRangePartialOverlap) {
   ExtentMap m;
   m.insert(ext(0, 100, 10));
-  auto runs = m.map_range(FileBlock{3}, 4);
+  auto runs = runs_of(m, FileBlock{3}, 4);
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0].start.v, 103u);
   EXPECT_EQ(runs[0].length, 4u);
@@ -182,7 +189,7 @@ TEST(ExtentMapProperty, MapRangeMatchesBlockwiseLookup) {
   for (int q = 0; q < 200; ++q) {
     const u64 start = rng.uniform(0, file);
     const u64 len = rng.uniform(1, 32);
-    auto runs = m.map_range(FileBlock{start}, len);
+    auto runs = runs_of(m, FileBlock{start}, len);
     u64 covered = 0;
     for (const auto& r : runs) covered += r.length;
     u64 expect = 0;
@@ -363,6 +370,17 @@ class Lockstep {
   }
   const ExtentMap& map() const { return map_; }
   Rng& rng() { return rng_; }
+  // lookup, next_mapped and map_range at `at` (over a random length) must
+  // answer as the reference does.
+  void probe(u64 at) {
+    const FileBlock b{at};
+    const u64 len = rng_.uniform(1, 96);
+    ASSERT_EQ(map_.lookup(b), ref_.lookup(b)) << "step " << step_ << " at " << at;
+    ASSERT_EQ(map_.next_mapped(b, at + len), ref_.next_mapped(b, at + len))
+        << "step " << step_ << " at " << at;
+    ASSERT_EQ(runs_of(map_, b, len), ref_.map_range(b, len))
+        << "step " << step_ << " at " << at << " len " << len;
+  }
 
  private:
   void check() {
@@ -384,15 +402,6 @@ class Lockstep {
       for (u64 b : {e.file_off.v, e.file_end() - 1, e.file_end()}) probe(b);
       if (e.file_off.v > 0) probe(e.file_off.v - 1);
     }
-  }
-  void probe(u64 at) {
-    const FileBlock b{at};
-    const u64 len = rng_.uniform(1, 96);
-    ASSERT_EQ(map_.lookup(b), ref_.lookup(b)) << "step " << step_ << " at " << at;
-    ASSERT_EQ(map_.next_mapped(b, at + len), ref_.next_mapped(b, at + len))
-        << "step " << step_ << " at " << at;
-    ASSERT_EQ(map_.map_range(b, len), ref_.map_range(b, len))
-        << "step " << step_ << " at " << at << " len " << len;
   }
 
   Rng rng_;
@@ -502,6 +511,60 @@ TEST(ExtentMapDifferential, MarkWrittenAcrossLeaves) {
   for (int i = 0; i < 200; ++i) {
     const u64 at = s.rng().uniform(0, 6000);
     s.mark_written(FileBlock{at}, s.rng().uniform(1, 1200));
+    if (HasFatalFailure()) return;
+  }
+}
+
+// The map's searches start from where the last one ended.  Here every edit
+// is preceded by a search at the far side of the map and followed by the
+// lockstep probes (random offsets and the edges of a random extent), so
+// edits and searches alike start from a remembered extent that is far away,
+// right beside the edit, or moved by it.  The edits: appends that split full
+// leaves, hole fills whose merges drain leaves from the head until they are
+// gone, and mark_written refills of every leaf.
+TEST(ExtentMapDifferential, SearchesJumpAroundEveryEdit) {
+  constexpr u64 kExtents = 1200;  // 18 leaves once the appends have split
+  Lockstep s(31);
+  auto edit_at = [&s](u64 at) {
+    const u64 span = s.map().logical_end() + 2;
+    s.probe((at + span / 2) % span);
+  };
+  // Appends: each one past a full last leaf splits it.
+  for (u64 i = 0; i < kExtents; ++i) {
+    edit_at(2 * i);
+    s.insert({FileBlock{2 * i}, DiskBlock{500 + 2 * i}, 1, kExtentNone});
+    if (HasFatalFailure()) return;
+  }
+  // Hole fills from the left: each merges both neighbours, so the first
+  // extent grows across the map, taking each next leaf's head until the
+  // leaf's last extent goes and the leaf with it.
+  for (u64 i = 0; i + 1 < kExtents; ++i) {
+    edit_at(2 * i + 1);
+    s.insert({FileBlock{2 * i + 1}, DiskBlock{501 + 2 * i}, 1, kExtentNone});
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(s.map().extent_count(), 1u);
+  // Unwritten and written pieces behind it, in random order, then
+  // mark_written over ranges that span leaves: each one refills them all.
+  const u64 base = 4 * kExtents;
+  std::vector<Extent> pieces;
+  for (u64 slot = 0; slot < kExtents; ++slot) {
+    pieces.push_back({FileBlock{base + slot * 4},
+                      DiskBlock{base + 1000 + slot * 4}, s.rng().uniform(2, 4),
+                      s.rng().chance(0.7) ? kExtentUnwritten : kExtentNone});
+  }
+  shuffle(pieces, s.rng());
+  for (const Extent& e : pieces) {
+    edit_at(e.file_off.v);
+    s.insert(e);
+    if (HasFatalFailure()) return;
+  }
+  for (int i = 0; i < 150; ++i) {
+    const u64 at = base + s.rng().uniform(0, 4 * kExtents);
+    edit_at(at);
+    s.mark_written(FileBlock{at}, s.rng().uniform(1, 900));
+    if (HasFatalFailure()) return;
+    s.probe(at);
     if (HasFatalFailure()) return;
   }
 }

@@ -1,11 +1,48 @@
 // Unit tests for striping math and the storage target data path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "osd/storage_target.hpp"
 #include "osd/striping.hpp"
+#include "util/rng.hpp"
 
 namespace mif::osd {
 namespace {
+
+// The slices slices_for hands its visitor, in order.
+std::vector<StripeSlice> slices_of(const StripeLayout& l, FileBlock start,
+                                   u64 count) {
+  std::vector<StripeSlice> out;
+  slices_for(l, start, count,
+             [&out](const StripeSlice& s) { out.push_back(s); });
+  return out;
+}
+
+// slices_for as it was when it returned a vector, kept verbatim as the
+// reference the visitor must reproduce.
+std::vector<StripeSlice> ref_slices_for(const StripeLayout& layout,
+                                        FileBlock start, u64 count) {
+  constexpr u64 kUnit = StripeLayout::kUnitBlocks;
+  std::vector<StripeSlice> out;
+  u64 pos = start.v;
+  const u64 end = start.v + count;
+  while (pos < end) {
+    const u64 unit_end = (pos / kUnit + 1) * kUnit;
+    const u64 take = std::min(end, unit_end) - pos;
+    const FileBlock g{pos};
+    StripeSlice s{target_of(layout, g), to_local(layout, g), take, g};
+    if (!out.empty() && out.back().target == s.target &&
+        out.back().local_start.v + out.back().count == s.local_start.v) {
+      out.back().count += take;
+    } else {
+      out.push_back(s);
+    }
+    pos += take;
+  }
+  return out;
+}
 
 TEST(Striping, TargetRoundRobinByUnit) {
   StripeLayout l{4};
@@ -26,7 +63,7 @@ TEST(Striping, LocalOffsetsCompact) {
 
 TEST(Striping, SlicesCoverRangeExactlyOnce) {
   StripeLayout l{3};
-  auto slices = slices_for(l, FileBlock{5}, 40);
+  auto slices = slices_of(l, FileBlock{5}, 40);
   u64 covered = 0;
   u64 expect_next = 5;
   for (const auto& s : slices) {
@@ -41,7 +78,7 @@ TEST(Striping, SlicesCoverRangeExactlyOnce) {
 
 TEST(Striping, SingleTargetDegeneratesToIdentity) {
   StripeLayout l{1};
-  auto slices = slices_for(l, FileBlock{100}, 100);
+  auto slices = slices_of(l, FileBlock{100}, 100);
   ASSERT_EQ(slices.size(), 1u);
   EXPECT_EQ(slices[0].local_start.v, 100u);
   EXPECT_EQ(slices[0].count, 100u);
@@ -49,9 +86,34 @@ TEST(Striping, SingleTargetDegeneratesToIdentity) {
 
 TEST(Striping, SubUnitRequestIsOneSlice) {
   StripeLayout l{5};
-  auto slices = slices_for(l, FileBlock{18}, 4);
+  auto slices = slices_of(l, FileBlock{18}, 4);
   ASSERT_EQ(slices.size(), 1u);
   EXPECT_EQ(slices[0].target, 1u);
+}
+
+// The visitor yields the vector the old slices_for returned, for every
+// width from 1 to 8 and for ranges that start and end inside a unit, span
+// several stripe rows, or cover nothing; the three cases above are among
+// the inputs.
+TEST(Striping, SliceVisitorMatchesReference) {
+  struct Range {
+    u64 start, count;
+  };
+  std::vector<Range> ranges = {{5, 40}, {100, 100}, {18, 4}, {0, 0},
+                               {0, 16}, {15, 2},    {16, 16}, {3, 1},
+                               {7, 129}, {31, 97},  {64, 256}, {1, 1023}};
+  Rng rng(9);
+  for (int i = 0; i < 64; ++i)
+    ranges.push_back({rng.uniform(0, 4096), rng.uniform(1, 600)});
+  for (u32 width = 1; width <= 8; ++width) {
+    const StripeLayout l{width};
+    for (const Range& r : ranges) {
+      EXPECT_EQ(slices_of(l, FileBlock{r.start}, r.count),
+                ref_slices_for(l, FileBlock{r.start}, r.count))
+          << "width " << width << " start " << r.start << " count "
+          << r.count;
+    }
+  }
 }
 
 struct TargetFixture : ::testing::Test {

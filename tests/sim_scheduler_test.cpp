@@ -1,7 +1,13 @@
 // Unit tests for the elevator/merging IO scheduler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "obs/sinks.hpp"
+#include "obs/span.hpp"
 #include "sim/io_scheduler.hpp"
+#include "util/rng.hpp"
 
 namespace mif::sim {
 namespace {
@@ -79,6 +85,91 @@ TEST(IoScheduler, ElevatorOrderReducesSeekTime) {
   }
   const double sched_time = s.drain();
   EXPECT_LT(sched_time, raw_time);
+}
+
+// The dispatches a drain of `q` must make: std::stable_sort by start block,
+// so ties keep submit order, then one dispatch per chain of back-to-back or
+// overlapping requests of one kind.
+std::vector<DiskRequest> reference_dispatches(std::vector<DiskRequest> q) {
+  std::stable_sort(q.begin(), q.end(),
+                   [](const DiskRequest& a, const DiskRequest& b) {
+                     return a.start.v < b.start.v;
+                   });
+  std::vector<DiskRequest> out;
+  for (std::size_t i = 0; i < q.size();) {
+    DiskRequest merged = q[i];
+    std::size_t j = i + 1;
+    for (; j < q.size() && q[j].kind == merged.kind &&
+           q[j].start.v <= merged.start.v + merged.count;
+         ++j) {
+      merged.count = std::max(merged.start.v + merged.count,
+                              q[j].start.v + q[j].count) -
+                     merged.start.v;
+    }
+    out.push_back(merged);
+    i = j;
+  }
+  return out;
+}
+
+// A disk's serviced requests as its spans show them: position, kind (the
+// transfer time differs between reads and writes) and length, in order.
+struct Dispatch {
+  double start_us, dur_us;
+  u64 block, count;
+  bool operator==(const Dispatch&) const = default;
+};
+std::vector<Dispatch> dispatches(const obs::SpanCollector& spans) {
+  std::vector<Dispatch> out;
+  for (const obs::SpanRecord& r : spans.spans()) {
+    if (r.name == "disk.transfer")
+      out.push_back({r.start_us, r.dur_us, r.arg0, r.arg1});
+  }
+  return out;
+}
+
+// Random queues of a metadata drain's length and of a data target's
+// writeback length, with repeated start blocks, touching and overlapping
+// requests and reads mixed with writes.  The starts spread over the whole
+// disk, so a radix order needs more than one digit.  The drain must
+// dispatch exactly the reference's requests in the reference's order.
+TEST(IoScheduler, DrainOrderMatchesStableSort) {
+  for (const std::size_t n : {std::size_t{128}, std::size_t{4096}}) {
+    for (const u64 seed : {1u, 2u, 3u}) {
+      Rng rng(seed * 10007 + n);
+      const DiskGeometry geometry;
+      std::vector<u64> pool(n / 8);
+      for (u64& b : pool) b = rng.uniform(0, geometry.capacity_blocks - 16);
+      std::vector<DiskRequest> q(n);
+      for (DiskRequest& r : q) {
+        r.kind = rng.chance(0.5) ? IoKind::kRead : IoKind::kWrite;
+        r.start = DiskBlock{pool[rng.uniform(0, pool.size() - 1)] +
+                            rng.uniform(0, 3) * 2};
+        r.count = rng.uniform(1, 4);
+      }
+
+      obs::Sinks sinks;
+      obs::SpanCollector spans;
+      sinks.spans = &spans;
+      Disk d(geometry, sinks);
+      IoScheduler s(d, n + 1);  // drains only when asked
+      for (const DiskRequest& r : q) s.submit(r);
+      s.drain();
+
+      const std::vector<DiskRequest> ref = reference_dispatches(q);
+      obs::Sinks ref_sinks;
+      obs::SpanCollector ref_spans;
+      ref_sinks.spans = &ref_spans;
+      Disk ref_disk(geometry, ref_sinks);
+      for (const DiskRequest& r : ref) ref_disk.service(r);
+
+      EXPECT_EQ(s.stats().dispatched, ref.size()) << "n " << n;
+      EXPECT_EQ(s.stats().merged, n - ref.size()) << "n " << n;
+      EXPECT_EQ(dispatches(spans), dispatches(ref_spans))
+          << "n " << n << " seed " << seed;
+      EXPECT_EQ(d.now_ms(), ref_disk.now_ms());
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/pfs.hpp"
+#include "obs/critpath.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
 #include "obs/span.hpp"
@@ -129,6 +130,29 @@ TEST(Span, RingOverwritesOldestAndCountsDrops) {
   const auto spans = c.spans();
   ASSERT_EQ(spans.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(spans[i].arg0, 6 + i);
+}
+
+// The critical-path section reads only the ring's survivors, so it says
+// how many spans the ring dropped.
+TEST(Span, CriticalPathReportsDroppedSpans) {
+  Config cfg;
+  cfg.span_capacity = 8;
+  SpanCollector c(cfg);
+  for (u64 t = 1; t <= 5; ++t) {
+    ScopedSpan root(&c, "client.write", t);
+    for (int k = 0; k < 3; ++k)
+      c.record_sim("disk.transfer", 0, 0.0, 0.5, c.ambient());
+  }
+  EXPECT_EQ(c.total_spans(), 20u);
+  EXPECT_EQ(c.dropped(), 12u);
+  EXPECT_EQ(analyze_critical_path(c).at("spans_dropped").as_u64(), 12u);
+
+  SpanCollector roomy;
+  {
+    ScopedSpan root(&roomy, "client.write", 1);
+    roomy.record_sim("disk.transfer", 0, 0.0, 0.5, roomy.ambient());
+  }
+  EXPECT_EQ(analyze_critical_path(roomy).at("spans_dropped").as_u64(), 0u);
 }
 
 TEST(Span, SlowLogRetainsExactlyTopKByDuration) {

@@ -30,6 +30,8 @@ void CompletionQueue::set_clock(double now_ms) {
   clock_ms_ = std::max(clock_ms_, now_ms);
 }
 
+// Each take path moves the entry's result once, straight into the object
+// it returns.
 std::optional<Completion> CompletionQueue::poll() {
   std::lock_guard lock(mu_);
   auto best = entries_.end();
@@ -37,37 +39,42 @@ std::optional<Completion> CompletionQueue::poll() {
     if (it->done_ms > clock_ms_) continue;  // still in flight at the clock
     if (best == entries_.end() || before(*it, *best)) best = it;
   }
-  if (best == entries_.end()) return std::nullopt;
-  Completion c{best->ticket, std::move(best->result),
-               best->done_ms < 0 ? 0.0 : best->done_ms};
-  entries_.erase(best);
+  std::optional<Completion> c;
+  if (best != entries_.end()) {
+    c.emplace(best->ticket, std::move(best->result),
+              best->done_ms < 0 ? 0.0 : best->done_ms);
+    entries_.erase(best);
+  }
   return c;
 }
 
 std::optional<Result<Response>> CompletionQueue::try_take(const Ticket& t) {
   std::lock_guard lock(mu_);
+  std::optional<Result<Response>> r;
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->ticket.id != t.id) continue;
-    if (it->done_ms > clock_ms_) return std::nullopt;
-    Result<Response> r = std::move(it->result);
-    entries_.erase(it);
-    return r;
+    if (it->done_ms <= clock_ms_) {
+      r.emplace(std::move(it->result));
+      entries_.erase(it);
+    }
+    break;
   }
-  return std::nullopt;
+  return r;
 }
 
 Result<Response> CompletionQueue::wait(const Ticket& t) {
   std::lock_guard lock(mu_);
+  Result<Response> r{Errc::kInvalid};  // unknown or already claimed
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->ticket.id != t.id) continue;
     // Waiting blocks the caller to the ticket's completion: the modeled
     // timeline advances, so everything issued before it becomes pollable.
     clock_ms_ = std::max(clock_ms_, it->done_ms);
-    Result<Response> r = std::move(it->result);
+    r = std::move(it->result);
     entries_.erase(it);
-    return r;
+    break;
   }
-  return Errc::kInvalid;  // unknown or already claimed
+  return r;
 }
 
 Status CompletionQueue::wait_all() {

@@ -1,9 +1,6 @@
 #include "sim/io_scheduler.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
-#include <utility>
 
 #include "obs/attrib.hpp"
 #include "obs/span.hpp"
@@ -36,52 +33,14 @@ void IoScheduler::submit(const DiskRequest& req) {
     drain();
 }
 
-namespace {
-// Queue length from which the radix order is used.  It wins micro_ops'
-// data-target writeback drain, 4096 writes from 64 interleaved streams
-// (BM_SchedulerDrain4096), by 1.8x.  A metadata queue holds at most 128
-// requests, and there std::stable_sort stays: perfbench mds_aging ran at
-// 0.68x with the radix from 64, though the radix wins micro_ops' drain of
-// 128 random reads (BM_SchedulerDrain128).  The data targets' 256-entry
-// read drains are as fast either way (EXPERIMENTS.md, "Host cost: one
-// search per placed write").
-constexpr std::size_t kRadixFrom = 1024;
-constexpr unsigned kDigitBits = 11;
-constexpr u64 kDigitMask = (u64{1} << kDigitBits) - 1;
-}  // namespace
-
-void IoScheduler::sort_queue() {
-  if (queue_.size() < kRadixFrom) {
-    std::stable_sort(queue_.begin(), queue_.end(),
-                     [](const DiskRequest& a, const DiskRequest& b) {
-                       return a.start.v < b.start.v;
-                     });
-    return;
-  }
-  // LSD radix on the start block, one pass per 11-bit digit the largest
-  // start has.  Each pass is stable, so ties keep their submit order.
-  u64 max_start = 0;
-  for (const DiskRequest& r : queue_)
-    max_start = std::max(max_start, r.start.v);
-  sorted_.resize(queue_.size());
-  const int bits = std::bit_width(max_start);
-  for (int shift = 0; shift < bits; shift += kDigitBits) {
-    std::array<u32, kDigitMask + 1> at{};
-    for (const DiskRequest& r : queue_)
-      ++at[(r.start.v >> shift) & kDigitMask];
-    u32 sum = 0;
-    for (u32& n : at) sum += std::exchange(n, sum);
-    for (const DiskRequest& r : queue_)
-      sorted_[at[(r.start.v >> shift) & kDigitMask]++] = r;
-    queue_.swap(sorted_);
-  }
-}
-
 double IoScheduler::drain() {
   if (queue_.empty()) return 0.0;
   // One-way elevator: ascending block order.  Reads and writes keep their
   // own merge chains but share the sweep, as in CFQ's sync service tree.
-  sort_queue();
+  std::stable_sort(queue_.begin(), queue_.end(),
+                   [](const DiskRequest& a, const DiskRequest& b) {
+                     return a.start.v < b.start.v;
+                   });
 
   double elapsed = 0.0;
   std::size_t i = 0;

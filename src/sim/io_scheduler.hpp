@@ -59,8 +59,6 @@ class IoScheduler {
   std::size_t queue_depth() const { return queue_.size(); }
 
  private:
-  /// Order the queue by start block, ties in submit order.
-  void sort_queue();
   void attribute_dispatch(obs::Attribution& attrib, std::size_t first,
                           std::size_t last, double start_ms);
 
@@ -70,7 +68,6 @@ class IoScheduler {
   std::size_t queued_reads_{0};
   std::size_t queued_writes_{0};
   std::vector<DiskRequest> queue_;
-  std::vector<DiskRequest> sorted_;  // radix passes' other buffer
   SchedulerStats stats_;
   const obs::Sinks& sinks_;
   obs::SimTrack track_;

@@ -130,9 +130,9 @@ std::vector<Dispatch> dispatches(const obs::SpanCollector& spans) {
 
 // Random queues of a metadata drain's length and of a data target's
 // writeback length, with repeated start blocks, touching and overlapping
-// requests and reads mixed with writes.  The starts spread over the whole
-// disk, so a radix order needs more than one digit.  The drain must
-// dispatch exactly the reference's requests in the reference's order.
+// requests and reads mixed with writes, the starts spread over the whole
+// disk.  The drain must dispatch exactly the reference's requests in the
+// reference's order.
 TEST(IoScheduler, DrainOrderMatchesStableSort) {
   for (const std::size_t n : {std::size_t{128}, std::size_t{4096}}) {
     for (const u64 seed : {1u, 2u, 3u}) {

@@ -31,7 +31,8 @@ void CompletionQueue::set_clock(double now_ms) {
 }
 
 // Each take path moves the entry's result once, straight into the object
-// it returns.
+// it returns: moving it into a local and then out again makes GCC 12 warn
+// -Wmaybe-uninitialized through the Response variant.
 std::optional<Completion> CompletionQueue::poll() {
   std::lock_guard lock(mu_);
   auto best = entries_.end();

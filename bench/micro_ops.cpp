@@ -10,6 +10,7 @@
 // plus the harness flags of obs/report.hpp.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -316,22 +317,41 @@ void BM_DiskServiceSequential(benchmark::State& state) {
 }
 BENCHMARK(BM_DiskServiceSequential);
 
-void BM_SchedulerDrain128(benchmark::State& state) {
+// A metadata server's drain, shaped after perfbench mds_aging's at seed 7
+// (EXPERIMENTS.md, "The metadata drain shape"): 79 one-block requests in
+// groups of 8 consecutive blocks about 512 apart, all reads in 15 of 16
+// drains, arriving already ascending in 7 of 8 and as two ascending runs in
+// the rest.  64 such queues are generated up front and drained in turn.
+void BM_SchedulerDrainMetadata(benchmark::State& state) {
+  constexpr u64 kRequests = 79, kGroup = 8, kQueues = 64;
   sim::Disk d;
   sim::IoScheduler s(d, 1 << 20);
   Rng rng(7);
+  std::vector<std::vector<sim::DiskRequest>> queues(kQueues);
+  for (std::vector<sim::DiskRequest>& q : queues) {
+    u64 start = rng.uniform(0, d.geometry().capacity_blocks / 2);
+    for (u64 i = 0; i < kRequests; ++i) {
+      if (i > 0 && i % kGroup == 0) start += rng.uniform(1, 1024);
+      q.push_back({sim::IoKind::kRead, DiskBlock{start++}, 1});
+    }
+    if (rng.chance(1.0 / 16))
+      q[rng.uniform(0, kRequests - 1)].kind = sim::IoKind::kWrite;
+    if (rng.chance(1.0 / 8)) {
+      const u64 split = rng.uniform(1, kRequests - 1);
+      std::rotate(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(split),
+                  q.end());
+    }
+  }
+  std::size_t next = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    for (int i = 0; i < 128; ++i) {
-      s.submit({sim::IoKind::kRead,
-                DiskBlock{rng.uniform(0, d.geometry().capacity_blocks - 8)},
-                4});
-    }
+    for (const sim::DiskRequest& r : queues[next]) s.submit(r);
+    next = (next + 1) % kQueues;
     state.ResumeTiming();
     benchmark::DoNotOptimize(s.drain());
   }
 }
-BENCHMARK(BM_SchedulerDrain128);
+BENCHMARK(BM_SchedulerDrainMetadata);
 
 // A data target's writeback drain: 64 streams, each appending 4-block
 // writes to its own region, interleaved round-robin until 4096 are queued.

@@ -95,28 +95,18 @@ void ClientFs::gather_runs(
                   });
 }
 
-Status ClientFs::issue_write_runs_to(const Issue& io, InodeNo ino,
-                                     StreamId stream, u32 target,
-                                     std::span<const BlockRun> runs,
-                                     std::vector<rpc::Ticket>& out) {
+template <typename IssueOne>
+Status ClientFs::issue_chunks(const Issue& io, u32 target,
+                              std::span<const BlockRun> runs,
+                              std::vector<rpc::Ticket>& out,
+                              IssueOne issue_one) {
   for (std::size_t at = 0; at < runs.size(); at += io.max_runs) {
     const std::span<const BlockRun> chunk =
         runs.subspan(at, std::min<std::size_t>(io.max_runs, runs.size() - at));
     u64 blocks = 0;
     for (const BlockRun& r : chunk) blocks += r.count;
     obs::ScopedSpan unit(fs_->spans(), "osd.stripe_unit", target, blocks);
-    rpc::Ticket t;
-    util::StridedRuns pat;
-    if (chunk.size() == 1) {
-      t = fs_->rpc().block_write_async(target, ino, stream, chunk[0].start,
-                                       chunk[0].count);
-    } else if (util::as_strided(chunk, pat)) {
-      t = fs_->rpc().write_strided_async(target, ino, stream, pat.start,
-                                         pat.count, pat.stride, pat.block_len);
-    } else {
-      t = fs_->rpc().write_list_async(
-          target, ino, stream, {chunk.begin(), chunk.end()});
-    }
+    const rpc::Ticket t = issue_one(chunk);
     if (auto r = io.cq.try_take(t)) {
       if (!*r) return r->error();
     } else {
@@ -130,8 +120,12 @@ Status ClientFs::issue_write_runs(const Issue& io, const FileHandle& fh,
                                   StreamId stream, u32 target,
                                   std::span<const BlockRun> runs,
                                   std::vector<rpc::Ticket>& out) {
-  if (!io.replicas)
-    return issue_write_runs_to(io, fh.ino, stream, target, runs, out);
+  const auto write_to = [&](u32 t, InodeNo ino) {
+    return issue_chunks(io, t, runs, out, [&](std::span<const BlockRun> c) {
+      return fs_->rpc().write_runs_async(t, ino, stream, c);
+    });
+  };
+  if (!io.replicas) return write_to(target, fh.ino);
   // Replica fan: the same local runs go to the primary and to every copy's
   // rotated target, under the tagged subfile ino (the copies keep the
   // primary's local addresses — the invariant degraded reads rely on).
@@ -152,10 +146,7 @@ Status ClientFs::issue_write_runs(const Issue& io, const FileHandle& fh,
     const InodeNo ino =
         c == 0 ? fh.ino : redundancy::replica_ino(fh.ino, c);
     if (c > 0) red.replica_writes.fetch_add(1, std::memory_order_relaxed);
-    if (Status st = issue_write_runs_to(io, ino, stream, t, runs, out);
-        !st && first.ok()) {
-      first = st;
-    }
+    if (Status st = write_to(t, ino); !st && first.ok()) first = st;
     ++issued;
   }
   if (issued == 0) {
@@ -163,36 +154,6 @@ Status ClientFs::issue_write_runs(const Issue& io, const FileHandle& fh,
     return Errc::kIo;
   }
   return first;
-}
-
-Status ClientFs::issue_read_runs_to(const Issue& io, InodeNo ino, u32 target,
-                                    std::span<const BlockRun> runs,
-                                    std::vector<rpc::Ticket>& out) {
-  for (std::size_t at = 0; at < runs.size(); at += io.max_runs) {
-    const std::span<const BlockRun> chunk =
-        runs.subspan(at, std::min<std::size_t>(io.max_runs, runs.size() - at));
-    u64 blocks = 0;
-    for (const BlockRun& r : chunk) blocks += r.count;
-    obs::ScopedSpan unit(fs_->spans(), "osd.stripe_unit", target, blocks);
-    rpc::Ticket t;
-    util::StridedRuns pat;
-    if (chunk.size() == 1) {
-      t = fs_->rpc().block_read_async(target, ino, chunk[0].start,
-                                      chunk[0].count);
-    } else if (util::as_strided(chunk, pat)) {
-      t = fs_->rpc().read_strided_async(target, ino, pat.start, pat.count,
-                                        pat.stride, pat.block_len);
-    } else {
-      t = fs_->rpc().read_list_async(target, ino,
-                                     {chunk.begin(), chunk.end()});
-    }
-    if (auto r = io.cq.try_take(t)) {
-      if (!*r) return r->error();
-    } else {
-      out.push_back(t);
-    }
-  }
-  return {};
 }
 
 Status ClientFs::issue_read_runs(const Issue& io, const FileHandle& fh,
@@ -206,7 +167,9 @@ Status ClientFs::issue_read_runs(const Issue& io, const FileHandle& fh,
     t = routed->first;
     ino = routed->second;
   }
-  return issue_read_runs_to(io, ino, t, runs, out);
+  return issue_chunks(io, t, runs, out, [&](std::span<const BlockRun> c) {
+    return fs_->rpc().read_runs_async(t, ino, c);
+  });
 }
 
 Result<std::pair<u32, InodeNo>> ClientFs::route_read(u32 target, InodeNo ino) {

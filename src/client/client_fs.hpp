@@ -144,12 +144,13 @@ class ClientFs {
   void gather_runs(u64 first, u64 last,
                    std::map<u32, std::vector<BlockRun>>& per_target) const;
 
-  /// Ship one target's run list as block/list/strided envelope(s) through
-  /// the async path, chunked at `io.max_runs`; tickets that complete at
-  /// issue are claimed inline (sync-chain fast path).  With replication
-  /// mounted, writes fan to the primary and every alive replica copy (a
-  /// dead primary degrades the write; repair re-converges it later) and
-  /// reads route to the first alive copy (redundancy.degraded_reads).
+  /// Ship one target's run list through the async path, one envelope per
+  /// chunk of `io.max_runs` runs (rpc::Client lowers each to a block, list
+  /// or strided op); tickets that complete at issue are claimed inline
+  /// (sync-chain fast path).  With replication mounted, writes fan to the
+  /// primary and every alive replica copy (a dead primary degrades the
+  /// write; repair re-converges it later) and reads route to the first
+  /// alive copy (redundancy.degraded_reads).
   Status issue_write_runs(const Issue& io, const FileHandle& fh,
                           StreamId stream, u32 target,
                           std::span<const BlockRun> runs,
@@ -158,14 +159,14 @@ class ClientFs {
                          std::span<const BlockRun> runs,
                          std::vector<rpc::Ticket>& out);
 
-  /// The single-destination workers behind the fan/route wrappers above
-  /// (`ino` is the primary or a redundancy::replica_ino-tagged subfile).
-  Status issue_write_runs_to(const Issue& io, InodeNo ino, StreamId stream,
-                             u32 target, std::span<const BlockRun> runs,
-                             std::vector<rpc::Ticket>& out);
-  Status issue_read_runs_to(const Issue& io, InodeNo ino, u32 target,
-                            std::span<const BlockRun> runs,
-                            std::vector<rpc::Ticket>& out);
+  /// The single-destination chunk loop behind both wrappers above:
+  /// `issue_one(chunk)` is the bound write_runs_async or read_runs_async
+  /// stub (its ino the primary or a redundancy::replica_ino-tagged
+  /// subfile), the loop's only difference between the two.
+  template <typename IssueOne>
+  Status issue_chunks(const Issue& io, u32 target,
+                      std::span<const BlockRun> runs,
+                      std::vector<rpc::Ticket>& out, IssueOne issue_one);
 
   /// Health-aware read routing: a dead primary resolves to the first alive
   /// copy's (target, tagged ino); kIo when every copy is gone.

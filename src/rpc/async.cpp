@@ -5,11 +5,12 @@
 #include "obs/attrib.hpp"
 #include "obs/export.hpp"
 #include "obs/span.hpp"
+#include "sim/network.hpp"
 
 namespace mif::rpc {
 
 AsyncTransport::AsyncTransport(Transport& inner, AsyncConfig cfg)
-    : Transport(inner.sinks()),
+    : Transport(inner.sinks(), queue_),
       inner_(inner),
       cfg_(cfg),
       pipe_(cfg.depth),
@@ -57,37 +58,23 @@ void AsyncTransport::adapt_locked(double queue_depth) {
   depth_max_seen_ = std::max(depth_max_seen_, next);
 }
 
-double AsyncTransport::price(const Address& to, const Request& req,
+double AsyncTransport::price(const Request& req, u64 wire,
                              const Result<Response>& resp) const {
   const OpTraits& tr = traits(op_of(req));
   if (tr.free) return 0.0;
-  const sim::Network& net =
-      to.kind == Address::Kind::kMds ? meta_model_ : data_model_;
-  double ms = net.cost(wire_bytes(req));
+  double ms = sim::Network::cost(wire);
   if (resp) {
-    if (const u64 bulk = bulk_bytes(*resp); bulk > 0) ms += net.cost(bulk);
+    if (const u64 bulk = bulk_bytes(*resp); bulk > 0)
+      ms += sim::Network::cost(bulk);
   }
-  // Block I/O also occupies the destination's spindle; the streaming floor
-  // is the portion that pipelining genuinely overlaps across targets.
-  if (const auto* w = std::get_if<BlockWriteRequest>(&req)) {
-    ms += sim::stream_transfer_ms(cfg_.geometry, w->blocks(),
-                                  sim::IoKind::kWrite);
-  } else if (const auto* r = std::get_if<BlockReadRequest>(&req)) {
-    ms += sim::stream_transfer_ms(cfg_.geometry, r->blocks(),
-                                  sim::IoKind::kRead);
-  } else if (const auto* lw = std::get_if<WriteListRequest>(&req)) {
-    ms += sim::stream_transfer_ms(cfg_.geometry, lw->blocks(),
-                                  sim::IoKind::kWrite);
-  } else if (const auto* lr = std::get_if<ReadListRequest>(&req)) {
-    ms += sim::stream_transfer_ms(cfg_.geometry, lr->blocks(),
-                                  sim::IoKind::kRead);
-  } else if (const auto* sw = std::get_if<WriteStridedRequest>(&req)) {
-    ms += sim::stream_transfer_ms(cfg_.geometry, sw->blocks(),
-                                  sim::IoKind::kWrite);
-  } else if (const auto* sr = std::get_if<ReadStridedRequest>(&req)) {
-    ms += sim::stream_transfer_ms(cfg_.geometry, sr->blocks(),
-                                  sim::IoKind::kRead);
-  }
+  // An envelope that moves blocks also occupies the destination's spindle;
+  // the streaming floor is the portion that pipelining genuinely overlaps
+  // across targets.
+  if (tr.direction != Direction::kNone)
+    ms += sim::stream_transfer_ms(cfg_.geometry, data_blocks(req),
+                                  tr.direction == Direction::kWrite
+                                      ? sim::IoKind::kWrite
+                                      : sim::IoKind::kRead);
   return ms;
 }
 
@@ -98,7 +85,7 @@ Ticket AsyncTransport::call_async(const Address& to, const Request& req) {
   const Op op = op_of(req);
   const u64 wire = wire_bytes(req);
   Result<Response> resp = inner_.call(to, req);
-  const double service = price(to, req, resp);
+  const double service = price(req, wire, resp);
 
   const u32 channel = channel_of(to);
   std::lock_guard lock(mu_);
@@ -106,7 +93,7 @@ Ticket AsyncTransport::call_async(const Address& to, const Request& req) {
     adapt_locked(probe_(to.index));
   const sim::Pipeline::Times t = pipe_.submit(channel, service);
   inflight_.add(pipe_.inflight());
-  cq_.set_clock(pipe_.issue_clock_ms());
+  queue_.set_clock(pipe_.issue_clock_ms());
   obs::SpanCollector* const spans = sinks().spans;
   if (obs::Attribution* attrib = sinks().attrib; attrib && t.stall_ms > 0.0) {
     // The issuer waited out the window's backpressure — a cost of the
@@ -129,7 +116,7 @@ Ticket AsyncTransport::call_async(const Address& to, const Request& req) {
                       t.issue_ms, t.done_ms - t.issue_ms, spans->ambient(),
                       static_cast<u64>(op), wire);
   }
-  return cq_.admit(to, op, std::move(resp), t.done_ms);
+  return queue_.admit(to, op, std::move(resp), t.done_ms);
 }
 
 AsyncReport AsyncTransport::report() const {

@@ -35,7 +35,6 @@
 #include "obs/metrics.hpp"
 #include "rpc/transport.hpp"
 #include "sim/disk.hpp"
-#include "sim/network.hpp"
 #include "sim/pipeline.hpp"
 
 namespace mif::rpc {
@@ -84,8 +83,6 @@ class AsyncTransport final : public Transport {
   /// Eager dispatch, deferred retirement (see file comment).
   Ticket call_async(const Address& to, const Request& req) override;
 
-  CompletionQueue& completions() override { return cq_; }
-
   Status call_batch(const Address& to, std::vector<Request> reqs) override {
     return inner_.call_batch(to, std::move(reqs));
   }
@@ -119,8 +116,9 @@ class AsyncTransport final : public Transport {
   /// The `rpc.async` track of `to`'s channel, claimed on its first ticket.
   /// mu_ held.
   obs::SimTrack& channel_track_locked(const Address& to, u32 channel);
-  /// Modeled end-to-end service time of one exchange (ms).
-  double price(const Address& to, const Request& req,
+  /// Modeled end-to-end service time of one exchange (ms) on the GbE model
+  /// InprocTransport charges; `wire` is wire_bytes(req).
+  double price(const Request& req, u64 wire,
                const Result<Response>& resp) const;
   /// One controller step: fold `queue_depth` into the sample window and,
   /// every kAdaptPeriod OSD issues, resize the pipeline window.  mu_ held.
@@ -136,9 +134,6 @@ class AsyncTransport final : public Transport {
 
   Transport& inner_;
   AsyncConfig cfg_;
-  // cost() only — never charged; the same GbE model InprocTransport charges.
-  sim::Network meta_model_;
-  sim::Network data_model_;
   mutable std::mutex mu_;
   sim::Pipeline pipe_;
   /// Sim tracks (mu_): one per destination channel, and the cumulative
@@ -146,7 +141,9 @@ class AsyncTransport final : public Transport {
   std::map<u32, obs::SimTrack> channel_tracks_;
   obs::SimTrack stall_track_;
   obs::Histo inflight_{16};  // window occupancy at each issue
-  CompletionQueue cq_;
+  /// The chain's queue from this layer up: its tickets retire on the
+  /// pipelined timeline.
+  CompletionQueue queue_;
   // Adaptive-controller state (mu_).
   std::function<double(u32)> probe_;
   double probe_sum_{0.0};

@@ -2,6 +2,41 @@
 
 namespace mif::rpc {
 
+namespace {
+
+/// The lowering rule, once for both directions: one run is a block op
+/// (`Block`), a regular pattern a strided datatype (`Strided`), anything
+/// else a list (`List`).  A read's stream is ignored (its requests carry
+/// none).
+template <typename Block, typename Strided, typename List>
+Request lower(InodeNo ino, StreamId stream, std::span<const BlockRun> runs) {
+  const auto head = [&](auto& req) {
+    req.ino = ino;
+    if constexpr (requires { req.stream; }) req.stream = stream;
+  };
+  if (runs.size() == 1) {
+    Block req;
+    head(req);
+    req.runs.push_back(runs[0]);
+    return req;
+  }
+  if (util::StridedRuns pat; util::as_strided(runs, pat)) {
+    Strided req;
+    head(req);
+    req.start = pat.start;
+    req.count = pat.count;
+    req.stride = pat.stride;
+    req.block_len = pat.block_len;
+    return req;
+  }
+  List req;
+  head(req);
+  req.runs.assign(runs.begin(), runs.end());
+  return req;
+}
+
+}  // namespace
+
 Result<InodeNo> Client::mkdir(std::string_view path) {
   auto r = expect<InodeResponse>(
       transport_->call(mds_, MkdirRequest{std::string(path)}));
@@ -87,62 +122,20 @@ Status Client::read_list(u32 target, InodeNo ino, std::vector<BlockRun> runs) {
   return to_status(transport_->call(osd_at(target), std::move(req)));
 }
 
-Ticket Client::block_write_async(u32 target, InodeNo ino, StreamId stream,
-                                 FileBlock start, u64 count) {
-  BlockWriteRequest req;
-  req.ino = ino;
-  req.stream = stream;
-  req.runs.push_back(BlockRun{start, count});
-  return transport_->call_async(osd_at(target), std::move(req));
+Ticket Client::write_runs_async(u32 target, InodeNo ino, StreamId stream,
+                                std::span<const BlockRun> runs) {
+  return transport_->call_async(
+      osd_at(target),
+      lower<BlockWriteRequest, WriteStridedRequest, WriteListRequest>(
+          ino, stream, runs));
 }
 
-Ticket Client::block_read_async(u32 target, InodeNo ino, FileBlock start,
-                                u64 count) {
-  BlockReadRequest req;
-  req.ino = ino;
-  req.runs.push_back(BlockRun{start, count});
-  return transport_->call_async(osd_at(target), std::move(req));
-}
-
-Ticket Client::write_list_async(u32 target, InodeNo ino, StreamId stream,
-                                std::vector<BlockRun> runs) {
-  WriteListRequest req;
-  req.ino = ino;
-  req.stream = stream;
-  req.runs = std::move(runs);
-  return transport_->call_async(osd_at(target), std::move(req));
-}
-
-Ticket Client::read_list_async(u32 target, InodeNo ino,
-                               std::vector<BlockRun> runs) {
-  ReadListRequest req;
-  req.ino = ino;
-  req.runs = std::move(runs);
-  return transport_->call_async(osd_at(target), std::move(req));
-}
-
-Ticket Client::write_strided_async(u32 target, InodeNo ino, StreamId stream,
-                                   FileBlock start, u64 count, u64 stride,
-                                   u64 block_len) {
-  WriteStridedRequest req;
-  req.ino = ino;
-  req.stream = stream;
-  req.start = start;
-  req.count = count;
-  req.stride = stride;
-  req.block_len = block_len;
-  return transport_->call_async(osd_at(target), req);
-}
-
-Ticket Client::read_strided_async(u32 target, InodeNo ino, FileBlock start,
-                                  u64 count, u64 stride, u64 block_len) {
-  ReadStridedRequest req;
-  req.ino = ino;
-  req.start = start;
-  req.count = count;
-  req.stride = stride;
-  req.block_len = block_len;
-  return transport_->call_async(osd_at(target), req);
+Ticket Client::read_runs_async(u32 target, InodeNo ino,
+                               std::span<const BlockRun> runs) {
+  return transport_->call_async(
+      osd_at(target),
+      lower<BlockReadRequest, ReadStridedRequest, ReadListRequest>(ino, {},
+                                                                   runs));
 }
 
 Ticket Client::preallocate_async(u32 target, InodeNo ino, u64 total_blocks) {

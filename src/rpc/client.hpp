@@ -1,12 +1,17 @@
 // rpc::Client — the typed stub callers use instead of server method calls.
 //
-// One method per operation: it builds the request envelope, sends it through
-// the transport, and unwraps the expected response alternative.  ClientFs,
+// One method per metadata and control operation: it builds the request
+// envelope, sends it through the transport, and unwraps the expected
+// response alternative.  The striped data path has two stubs,
+// write_runs_async and read_runs_async, and they hold the one rule that
+// lowers a target's run list onto the wire: one run is a block op, a
+// regular pattern a strided datatype, anything else a list.  ClientFs,
 // workloads and benches all speak to servers exclusively through this
 // class; nothing above the transport ever touches a server object's RPC
 // surface directly.
 #pragma once
 
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -46,17 +51,14 @@ class Client {
   // --- async data ops: issue a ticket, drain via completions() -------------
   // The striped data path issues many of these before claiming any result,
   // so an async transport keeps a window in flight across the targets.
-  Ticket block_write_async(u32 target, InodeNo ino, StreamId stream,
-                           FileBlock start, u64 count);
-  Ticket block_read_async(u32 target, InodeNo ino, FileBlock start, u64 count);
-  Ticket write_list_async(u32 target, InodeNo ino, StreamId stream,
-                          std::vector<BlockRun> runs);
-  Ticket read_list_async(u32 target, InodeNo ino, std::vector<BlockRun> runs);
-  Ticket write_strided_async(u32 target, InodeNo ino, StreamId stream,
-                             FileBlock start, u64 count, u64 stride,
-                             u64 block_len);
-  Ticket read_strided_async(u32 target, InodeNo ino, FileBlock start,
-                            u64 count, u64 stride, u64 block_len);
+  /// Write (read) the target-local `runs` of `ino` as ONE envelope: a
+  /// single run ships as block_write (block_read), a regular pattern
+  /// (util::as_strided) as list.write_strided (list.read_strided), anything
+  /// else as list.write (list.read).
+  Ticket write_runs_async(u32 target, InodeNo ino, StreamId stream,
+                          std::span<const BlockRun> runs);
+  Ticket read_runs_async(u32 target, InodeNo ino,
+                         std::span<const BlockRun> runs);
   Ticket preallocate_async(u32 target, InodeNo ino, u64 total_blocks);
   Ticket close_file_async(u32 target, InodeNo ino);
   Ticket delete_file_async(u32 target, InodeNo ino);

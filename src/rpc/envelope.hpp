@@ -14,12 +14,21 @@
 // readdirplus) is ONE envelope, and block I/O envelopes carry *batches* of
 // runs so the formation layer can coalesce them.
 //
+// Every fact about an op lives here: its traits row (routing, staging, the
+// direction its file data moves), its request struct's sizes, and the
+// blocks a data envelope moves (data_blocks).  The transports read those
+// facts and name no data request type: wire_bytes adds a write's payload,
+// the async pipeline prices a spindle floor for every envelope that moves
+// blocks, and the fault layer refuses a dead target's reads.
+//
 // Adding an op (see docs/ARCHITECTURE.md for the walk-through):
 //   1. add the enum value + a row in kOpTraits (same order!),
-//   2. define the request struct (kOp member + body_bytes()),
+//   2. define the request struct (kOp member + body_bytes(), plus blocks()
+//      and ino/stream/runs when it moves file data),
 //   3. add it to the Request variant (same position as the enum value),
-//   4. extend the dispatch visitor in inproc.cpp, plus a stub method on
-//      rpc::Client.
+//   4. a metadata op or a data op that moves no blocks gets its own branch
+//      in inproc.cpp's dispatch visitor and a stub method on rpc::Client;
+//      a block-moving op is one more outcome of rpc::Client's lowering.
 //
 // Replica-target annotation (src/redundancy/redundancy.hpp): an envelope
 // addressed to a replica subfile carries the copy tag INSIDE its InodeNo
@@ -31,6 +40,7 @@
 // ever folds the tag back out (redundancy::primary_ino).
 #pragma once
 
+#include <array>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -72,6 +82,14 @@ enum class Op : u8 {
 };
 inline constexpr std::size_t kOpCount = 21;
 
+/// Which way an op moves file data between a client and a storage target.
+enum class Direction : u8 {
+  kNone,   // moves none (metadata, preallocate, close, delete)
+  kRead,   // brings target data back: the blocks, or get_extents's count; a
+           // dead target cannot serve it
+  kWrite,  // carries data_blocks() blocks of payload to the target
+};
+
 /// Per-op routing/charging properties.  `span` strings have static storage —
 /// ScopedSpan requires it.
 struct OpTraits {
@@ -80,9 +98,44 @@ struct OpTraits {
   bool meta;              // addressed to an MDS (vs a storage target)
   bool free;              // costs no wire message (client-local revalidation)
   bool deferrable;        // the formation layer may stage + ack it early
+  Direction direction;    // which way the op's file data moves
 };
-const OpTraits& traits(Op op);
-std::string_view to_string(Op op);
+
+namespace detail {
+using enum Direction;
+// Op order!  Span names must be string literals (static storage) because
+// ScopedSpan keeps the pointer.
+inline constexpr std::array<OpTraits, kOpCount> kOpTraits{{
+    {"mkdir", "rpc.mkdir", true, false, false, kNone},
+    {"create", "rpc.create", true, false, false, kNone},
+    {"stat", "rpc.stat", true, false, false, kNone},
+    {"utime", "rpc.utime", true, false, true, kNone},
+    {"unlink", "rpc.unlink", true, false, false, kNone},
+    {"rename", "rpc.rename", true, false, false, kNone},
+    {"resolve", "rpc.resolve", true, true, false, kNone},
+    {"open_getlayout", "rpc.open_getlayout", true, false, false, kNone},
+    {"readdir", "rpc.readdir", true, false, false, kNone},
+    {"readdirplus", "rpc.readdirplus", true, false, false, kNone},
+    {"report_extents", "rpc.report_extents", true, false, true, kNone},
+    {"block_write", "rpc.block_write", false, false, true, kWrite},
+    {"block_read", "rpc.block_read", false, false, false, kRead},
+    {"get_extents", "rpc.get_extents", false, false, false, kRead},
+    {"preallocate", "rpc.preallocate", false, false, false, kNone},
+    {"close_file", "rpc.close_file", false, false, false, kNone},
+    {"delete_file", "rpc.delete_file", false, false, false, kNone},
+    {"list.write", "rpc.list.write", false, false, false, kWrite},
+    {"list.read", "rpc.list.read", false, false, false, kRead},
+    {"list.write_strided", "rpc.list.write_strided", false, false, false,
+     kWrite},
+    {"list.read_strided", "rpc.list.read_strided", false, false, false,
+     kRead},
+}};
+}  // namespace detail
+
+constexpr const OpTraits& traits(Op op) {
+  return detail::kOpTraits[static_cast<std::size_t>(op)];
+}
+constexpr std::string_view to_string(Op op) { return traits(op).name; }
 
 /// Envelope destination: which server of which kind.
 struct Address {
@@ -350,8 +403,13 @@ using Response = std::variant<VoidResponse, InodeResponse,
 
 Op op_of(const Request& req);
 
+/// Blocks of file data `req` moves: the run total of a block, list or
+/// strided envelope (the ops whose direction is kRead or kWrite, but for
+/// get_extents), 0 for every other op.
+u64 data_blocks(const Request& req);
+
 /// Total bytes this request puts on the wire: framing header + body
-/// + any data payload riding along (block writes).
+/// + the data payload of a kWrite envelope.
 u64 wire_bytes(const Request& req);
 
 /// Bytes of the variable-length reply transfer; 0 when the response

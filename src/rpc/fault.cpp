@@ -85,17 +85,15 @@ void FaultTransport::poll_kills() {
 }
 
 bool FaultTransport::refuses(const Address& to, const Request& req) {
-  if (to.kind != Address::Kind::kOsd) return false;
+  // A dead OSD has nothing to serve reads from; writes pass — they land on
+  // the freshly formatted replacement (that is the repair write path).
+  if (to.kind != Address::Kind::kOsd ||
+      traits(op_of(req)).direction != Direction::kRead)
+    return false;
   // The probe is the HealthMap's lock-free dead mask — safe to call under
   // mu_ (it takes no locks of its own).
   std::lock_guard lock(mu_);
   if (!dead_probe_ || !dead_probe_(to.index)) return false;
-  // A dead OSD has nothing to serve reads from; writes pass — they land on
-  // the freshly formatted replacement (that is the repair write path).
-  const Op op = op_of(req);
-  const bool is_read = op == Op::kBlockRead || op == Op::kReadList ||
-                       op == Op::kReadStrided || op == Op::kGetExtents;
-  if (!is_read) return false;
   ++stats_.dead_reads;
   return true;
 }

@@ -13,11 +13,11 @@
 //     after `at_ms` trips the kill: the sink callback (wired by
 //     core::ParallelFileSystem) marks the target dead in the
 //     redundancy::HealthMap, wipes its contents (disk replacement) and
-//     queues repair.  While a target is dead, READ-class envelopes
-//     addressed to it fail with kIo here — defense in depth under the
-//     client's own health-aware routing; write-class envelopes pass (they
-//     land on the freshly formatted replacement, which is how the repair
-//     service rebuilds it).
+//     queues repair.  While a target is dead, envelopes whose traits
+//     direction is kRead fail with kIo here — defense in depth under the
+//     client's own health-aware routing; every other envelope passes
+//     (writes land on the freshly formatted replacement, which is how the
+//     repair service rebuilds it).
 //
 // It is the only fault injector: storage targets themselves never fail.
 //
@@ -54,7 +54,9 @@ struct FaultStats {
 class FaultTransport final : public Transport {
  public:
   explicit FaultTransport(Transport& inner)
-      : Transport(inner.sinks()), inner_(inner), track_(sinks(), "fault") {}
+      : Transport(inner.sinks(), inner.completions()),
+        inner_(inner),
+        track_(sinks(), "fault") {}
 
   void arm(FaultConfig cfg) {
     std::lock_guard lock(mu_);
@@ -81,7 +83,7 @@ class FaultTransport final : public Transport {
   /// Invoked exactly once per fired kill, outside the fault lock (it wipes
   /// the target and queues repair).
   void set_kill_sink(std::function<void(u32)> sink);
-  /// Per-OSD death probe (the redundancy::HealthMap); when set, read-class
+  /// Per-OSD death probe (the redundancy::HealthMap); when set, kRead
   /// envelopes to a dead OSD fail with kIo.
   void set_dead_probe(std::function<bool(u32)> dead);
 
@@ -96,7 +98,6 @@ class FaultTransport final : public Transport {
       return completions().admit(to, op_of(req), *lost);
     return inner_.call_async(to, req);
   }
-  CompletionQueue& completions() override { return inner_.completions(); }
   Status flush() override {
     poll_kills();
     return inner_.flush();
@@ -121,7 +122,7 @@ class FaultTransport final : public Transport {
   bool fires();
   /// Fire any scheduled kill whose time has come (sink runs unlocked).
   void poll_kills();
-  /// True when `req` is a read-class envelope addressed to a dead OSD.
+  /// True when `req` is a kRead envelope addressed to a dead OSD.
   bool refuses(const Address& to, const Request& req);
 
   struct KillEvent {

@@ -1,6 +1,5 @@
 #include "rpc/formation.hpp"
 
-#include <cstdio>
 #include <optional>
 
 #include "obs/export.hpp"
@@ -9,27 +8,16 @@
 namespace mif::rpc {
 
 FormationTransport::FormationTransport(Transport& inner)
-    : Transport(inner.sinks()), inner_(inner), track_(sinks(), "formation") {}
+    : Transport(inner.sinks(), inner.completions()),
+      inner_(inner),
+      track_(sinks(), "formation") {}
 
 FormationTransport::~FormationTransport() {
-  // Leftovers a caller never flushed still have to reach the servers; their
-  // errors have nowhere to go at this point — but a silently vanished write
-  // error is the worst kind of loss, so make the drop observable: count it,
-  // stamp a span for the tail/slow log, and shout on stderr.
+  // Leftovers a caller never flushed still have to reach the servers.  The
+  // drop marker sits at time 0: this layer keeps no clock.
   std::lock_guard lock(mu_);
   flush_all_locked();
-  if (!sticky_.ok()) {
-    ++stats_.dropped_errors;
-    if (obs::SpanCollector* spans = sinks().spans)
-      spans->record_sim("formation.dropped_error", track_.id(*spans), 0.0,
-                        0.0, spans->ambient(),
-                        static_cast<u64>(sticky_.error()), 1);
-    std::fprintf(stderr,
-                 "[mif.formation] destructor dropped sticky deferred error: "
-                 "%.*s\n",
-                 static_cast<int>(to_string(sticky_.error()).size()),
-                 to_string(sticky_.error()).data());
-  }
+  deferred_.drop(sinks(), track_, [] { return 0.0; }, stats_.dropped_errors);
 }
 
 bool FormationTransport::coalesce_locked(Queue& q, const BlockWriteRequest& w) {
@@ -112,7 +100,7 @@ Status FormationTransport::flush_queue_locked(Queue& q) {
     }
     if (!s) {
       ++stats_.deferred_errors;
-      if (sticky_.ok()) sticky_ = s;
+      deferred_.hold(s);
       if (first.ok()) first = s;
     }
     i = j;
@@ -128,12 +116,6 @@ void FormationTransport::flush_all_locked() {
   // metadata frames hit the wire before the bulk data frames they describe.
   for (auto& [k, q] : queues_) (void)flush_queue_locked(q);
   queues_.clear();
-}
-
-Status FormationTransport::take_sticky_locked() {
-  Status s = sticky_;
-  sticky_ = {};
-  return s;
 }
 
 std::optional<Result<Response>> FormationTransport::admit(
@@ -165,7 +147,7 @@ std::optional<Result<Response>> FormationTransport::admit(
     ++stats_.barrier_flushes;
     flush_all_locked();
   }
-  if (Status s = take_sticky_locked(); !s) return s.error();
+  if (Status s = deferred_.take(); !s) return s.error();
   return std::nullopt;
 }
 
@@ -190,7 +172,7 @@ Status FormationTransport::flush() {
     std::lock_guard lock(mu_);
     ++stats_.flushes;
     flush_all_locked();
-    mine = take_sticky_locked();
+    mine = deferred_.take();
   }
   Status inner = inner_.flush();
   return mine.ok() ? inner : mine;

@@ -61,7 +61,6 @@ class FormationTransport final : public Transport {
 
   Result<Response> call(const Address& to, const Request& req) override;
   Ticket call_async(const Address& to, const Request& req) override;
-  CompletionQueue& completions() override { return inner_.completions(); }
   Status flush() override;
   void pump() override { inner_.pump(); }
 
@@ -103,12 +102,11 @@ class FormationTransport final : public Transport {
   /// servers regardless).
   Status flush_queue_locked(Queue& q);
   void flush_all_locked();
-  Status take_sticky_locked();
 
   Transport& inner_;
   mutable std::mutex mu_;
   std::map<u64, Queue> queues_;  // MDS keys sort before OSD: meta frames first
-  Status sticky_{};
+  DeferredError deferred_{"formation.dropped_error"};  // mu_
   FormationStats stats_;
   obs::SimTrack track_;  // the destructor's `formation.dropped_error` marker
 };

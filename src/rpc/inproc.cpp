@@ -71,35 +71,34 @@ Result<Response> dispatch_mds(mds::Mds& m, const Request& req) {
       req);
 }
 
+/// The runs a data envelope names: a block or list envelope's own vector
+/// (no copy), a strided one's expansion (the server expands the datatype).
+template <typename T>
+decltype(auto) runs_of(const T& r) {
+  if constexpr (requires { r.runs(); }) {
+    return r.runs();
+  } else {
+    return (r.runs);
+  }
+}
+
 Result<Response> dispatch_osd(osd::StorageTarget& t, const Request& req) {
   return std::visit(
       [&](const auto& r) -> Result<Response> {
         using T = std::decay_t<decltype(r)>;
-        if constexpr (std::is_same_v<T, BlockWriteRequest>) {
-          if (Status s = t.write_runs(r.ino, r.stream, r.runs); !s)
-            return s.error();
-          return Response{VoidResponse{}};
-        } else if constexpr (std::is_same_v<T, BlockReadRequest>) {
-          if (Status s = t.read_runs(r.ino, r.runs); !s) return s.error();
-          return Response{BlockDataResponse{r.blocks()}};
-        } else if constexpr (std::is_same_v<T, WriteListRequest>) {
-          // One server pass over the whole run list (PVFS list I/O).
-          if (Status s = t.write_runs(r.ino, r.stream, r.runs); !s)
-            return s.error();
-          return Response{VoidResponse{}};
-        } else if constexpr (std::is_same_v<T, ReadListRequest>) {
-          if (Status s = t.read_runs(r.ino, r.runs); !s) return s.error();
-          return Response{BlockDataResponse{r.blocks()}};
-        } else if constexpr (std::is_same_v<T, WriteStridedRequest>) {
-          // The server expands the (count, stride, block_len) datatype.
-          if (Status s = t.write_runs(r.ino, r.stream, r.runs()); !s)
-            return s.error();
-          return Response{VoidResponse{}};
-        } else if constexpr (std::is_same_v<T, ReadStridedRequest>) {
-          if (Status s = t.read_runs(r.ino, r.runs()); !s) return s.error();
-          return Response{BlockDataResponse{r.blocks()}};
+        constexpr OpTraits tr = traits(T::kOp);
+        if constexpr (tr.meta) {
+          return Errc::kInvalid;  // metadata op addressed to a target
         } else if constexpr (std::is_same_v<T, GetExtentsRequest>) {
           return Response{ExtentCountResponse{t.extent_count(r.ino)}};
+        } else if constexpr (tr.direction == Direction::kWrite) {
+          // One server pass over every run the envelope names.
+          if (Status s = t.write_runs(r.ino, r.stream, runs_of(r)); !s)
+            return s.error();
+          return Response{VoidResponse{}};
+        } else if constexpr (tr.direction == Direction::kRead) {
+          if (Status s = t.read_runs(r.ino, runs_of(r)); !s) return s.error();
+          return Response{BlockDataResponse{r.blocks()}};
         } else if constexpr (std::is_same_v<T, PreallocateRequest>) {
           if (Status s = t.preallocate(r.ino, r.total_blocks); !s)
             return s.error();
@@ -107,11 +106,10 @@ Result<Response> dispatch_osd(osd::StorageTarget& t, const Request& req) {
         } else if constexpr (std::is_same_v<T, CloseFileRequest>) {
           t.close_file(r.ino);
           return Response{VoidResponse{}};
-        } else if constexpr (std::is_same_v<T, DeleteFileRequest>) {
+        } else {
+          static_assert(std::is_same_v<T, DeleteFileRequest>);
           t.delete_file(r.ino);
           return Response{VoidResponse{}};
-        } else {
-          return Errc::kInvalid;  // metadata op addressed to a target
         }
       },
       req);
@@ -120,7 +118,7 @@ Result<Response> dispatch_osd(osd::StorageTarget& t, const Request& req) {
 }  // namespace
 
 InprocTransport::InprocTransport(Endpoints eps, const obs::Sinks& sinks)
-    : Transport(sinks),
+    : Transport(sinks, queue_),
       eps_(std::move(eps)),
       net_track_{obs::SimTrack(sinks, "meta net"),
                  obs::SimTrack(sinks, "data net")} {}

@@ -79,6 +79,9 @@ class InprocTransport final : public Transport {
   std::array<double, 2> net_clock_{0.0, 0.0};
   std::array<obs::SimTrack, 2> net_track_;
   std::array<PerOp, kOpCount> ops_;
+  /// The chain's queue unless an AsyncTransport wraps this one: the sync
+  /// fallback admits every ticket here already complete.
+  CompletionQueue queue_;
 };
 
 }  // namespace mif::rpc

@@ -1,6 +1,5 @@
 #include "rpc/qos.hpp"
 
-#include <cstdio>
 #include <optional>
 
 #include "obs/export.hpp"
@@ -34,28 +33,18 @@ std::string validate(const QosConfig& cfg) {
 }
 
 QosTransport::QosTransport(Transport& inner, QosConfig cfg)
-    : Transport(inner.sinks()),
+    : Transport(inner.sinks(), inner.completions()),
       inner_(inner),
       cfg_(std::move(cfg)),
       track_(sinks(), "qos") {}
 
 QosTransport::~QosTransport() {
-  // Leftovers a caller never flushed still have to reach the servers; an
-  // error at this point has nowhere to surface — make the loss observable
-  // (same contract as the formation layer's destructor).
+  // Leftovers a caller never flushed still have to reach the servers.  The
+  // drop marker sits at the bucket clock's time.
   std::lock_guard lock(mu_);
   release_all_locked();
-  if (!sticky_.ok()) {
-    ++stats_.dropped_errors;
-    if (obs::SpanCollector* spans = sinks().spans)
-      spans->record_sim("qos.dropped_error", track_.id(*spans), now_locked(),
-                        0.0, spans->ambient(),
-                        static_cast<u64>(sticky_.error()), 1);
-    std::fprintf(stderr,
-                 "[mif.qos] destructor dropped sticky deferred error: %.*s\n",
-                 static_cast<int>(to_string(sticky_.error()).size()),
-                 to_string(sticky_.error()).data());
-  }
+  deferred_.drop(sinks(), track_, [this] { return now_locked(); },
+                 stats_.dropped_errors);
 }
 
 void QosTransport::set_clock(std::function<double()> clock) {
@@ -95,7 +84,7 @@ void QosTransport::release_locked(Parked&& p, bool forced) {
   Result<Response> r = inner_.call(p.to, p.req);
   if (!r) {
     ++stats_.deferred_errors;
-    if (sticky_.ok()) sticky_ = r.error();
+    deferred_.hold(r.error());
   }
 }
 
@@ -170,12 +159,6 @@ void QosTransport::release_all_locked() {
   }
 }
 
-Status QosTransport::take_sticky_locked() {
-  Status s = sticky_;
-  sticky_ = {};
-  return s;
-}
-
 std::optional<Result<Response>> QosTransport::admit(
     const Address& to, const Request& req,
     std::unique_lock<std::mutex>& lock) {
@@ -215,7 +198,7 @@ std::optional<Result<Response>> QosTransport::admit(
     // sticky deferred failure surfaces here, like the formation layer's.
     ++stats_.barriers;
     if (std::optional<InodeNo> ino = ino_of(req)) release_ino_locked(*ino);
-    if (Status s = take_sticky_locked(); !s) return s.error();
+    if (Status s = deferred_.take(); !s) return s.error();
   }
   // Unmetered deferrable work (metadata, system principal) and barriers
   // pass through unlocked.
@@ -245,7 +228,7 @@ Status QosTransport::flush() {
     ++stats_.flushes;
     pump_locked(now_locked());
     release_all_locked();
-    mine = take_sticky_locked();
+    mine = deferred_.take();
   }
   Status inner = inner_.flush();
   return mine.ok() ? inner : mine;

@@ -112,7 +112,6 @@ class QosTransport final : public Transport {
 
   Result<Response> call(const Address& to, const Request& req) override;
   Ticket call_async(const Address& to, const Request& req) override;
-  CompletionQueue& completions() override { return inner_.completions(); }
   Status flush() override;
   void pump() override;
 
@@ -175,7 +174,6 @@ class QosTransport final : public Transport {
   /// client, any destination) so the non-deferrable op observes them.
   void release_ino_locked(InodeNo ino);
   void release_all_locked();
-  Status take_sticky_locked();
   void note_backlog_locked();
 
   Transport& inner_;
@@ -186,7 +184,7 @@ class QosTransport final : public Transport {
   u64 rr_cursor_{0};           // last-served position in the RR cycle
   u64 backlog_count_{0};
   u64 backlog_bytes_{0};
-  Status sticky_{};
+  DeferredError deferred_{"qos.dropped_error"};  // mu_
   QosStats stats_;
   obs::Stat wait_ms_;  // backlog residency of released envelopes
   /// `rpc.qos.wait` spans (on the backlog's enqueue clock) and the

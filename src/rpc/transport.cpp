@@ -1,6 +1,9 @@
 #include "rpc/transport.hpp"
 
 #include <algorithm>
+#include <cstdio>
+
+#include "obs/span.hpp"
 
 namespace mif::rpc {
 
@@ -33,22 +36,6 @@ void CompletionQueue::set_clock(double now_ms) {
 // Each take path moves the entry's result once, straight into the object
 // it returns: moving it into a local and then out again makes GCC 12 warn
 // -Wmaybe-uninitialized through the Response variant.
-std::optional<Completion> CompletionQueue::poll() {
-  std::lock_guard lock(mu_);
-  auto best = entries_.end();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->done_ms > clock_ms_) continue;  // still in flight at the clock
-    if (best == entries_.end() || before(*it, *best)) best = it;
-  }
-  std::optional<Completion> c;
-  if (best != entries_.end()) {
-    c.emplace(best->ticket, std::move(best->result),
-              best->done_ms < 0 ? 0.0 : best->done_ms);
-    entries_.erase(best);
-  }
-  return c;
-}
-
 std::optional<Result<Response>> CompletionQueue::try_take(const Ticket& t) {
   std::lock_guard lock(mu_);
   std::optional<Result<Response>> r;
@@ -93,6 +80,25 @@ Status CompletionQueue::wait_all() {
 std::size_t CompletionQueue::in_flight() const {
   std::lock_guard lock(mu_);
   return entries_.size();
+}
+
+void DeferredError::drop(const obs::Sinks& sinks, obs::SimTrack& track,
+                         const std::function<double()>& now_ms,
+                         u64& dropped) {
+  // Leftovers a caller never flushed reached the servers, but an error at
+  // this point has nowhere to surface — and a silently vanished write error
+  // is the worst kind of loss, so make the drop observable.
+  if (held_.ok()) return;
+  ++dropped;
+  if (obs::SpanCollector* spans = sinks.spans)
+    spans->record_sim(marker_, track.id(*spans), now_ms(), 0.0,
+                      spans->ambient(), static_cast<u64>(held_.error()), 1);
+  const std::string_view layer = marker_.substr(0, marker_.find('.'));
+  const std::string_view err = to_string(held_.error());
+  std::fprintf(stderr,
+               "[mif.%.*s] destructor dropped sticky deferred error: %.*s\n",
+               static_cast<int>(layer.size()), layer.data(),
+               static_cast<int>(err.size()), err.data());
 }
 
 }  // namespace mif::rpc

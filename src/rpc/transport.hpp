@@ -25,18 +25,21 @@
 //
 // The base class provides a correct-by-default sync fallback: call_async()
 // performs the call immediately and admits an already-completed ticket, so
-// every existing transport composes without knowing about tickets.  Each
-// decorator forwards completions() to its inner transport — ONE queue per
-// chain, owned by the innermost transport that actually defers completion.
-// The innermost transport is built with its mount's observability
-// attachment (obs/sinks.hpp); every decorator takes it from the layer it
-// wraps.
+// every existing transport composes without knowing about tickets.  ONE
+// completion queue serves a chain, held by the transports that retire
+// tickets: InprocTransport (its sync fallback) and AsyncTransport (which
+// defers completion).  The innermost transport is built with its mount's
+// observability attachment (obs/sinks.hpp) and its own queue; every
+// decorator takes both from the layer it wraps, and AsyncTransport puts its
+// own queue in place of the inner one.
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/sinks.hpp"
@@ -64,20 +67,12 @@ struct Endpoints {
 };
 
 /// Handle to one in-flight envelope.  Its Result<Response> is claimed from
-/// the chain's CompletionQueue (wait/try_take); id 0 = invalid.
+/// the chain's CompletionQueue (try_take/wait/wait_all); id 0 = invalid.
 struct Ticket {
   u64 id{0};
   Address to{};
   Op op{Op::kMkdir};
   bool valid() const { return id != 0; }
-};
-
-/// One retired envelope: the ticket plus its result and the simulated time
-/// (ms on the transport's pipeline timeline) at which it completed.
-struct Completion {
-  Ticket ticket;
-  Result<Response> result{Errc::kInvalid};
-  double done_ms{0.0};
 };
 
 /// The chain's completion side: every call_async() admits a ticket here and
@@ -91,9 +86,10 @@ struct Completion {
 ///     per-destination channel clocks are monotonic, so a destination's
 ///     done_ms never reorders against its issue order.
 ///
-/// poll() only surfaces tickets whose modeled completion lies at or before
-/// the issue clock (what a non-blocking client would see); wait()/wait_all()
-/// block the modeled timeline forward and retire regardless.
+/// try_take() only claims a ticket whose modeled completion lies at or
+/// before the issue clock (what a non-blocking client would see);
+/// wait()/wait_all() block the modeled timeline forward and retire
+/// regardless.
 ///
 /// Thread-safety: one mutex; concurrent clients admit and retire their own
 /// tickets by id without observing each other's results.
@@ -106,10 +102,6 @@ class CompletionQueue {
 
   /// Advance the retirement horizon (the async transport's issue clock).
   void set_clock(double now_ms);
-
-  /// Next ticket already complete at the current clock, oldest completion
-  /// first; nullopt when everything still in flight is ahead of the clock.
-  std::optional<Completion> poll();
 
   /// Non-blocking claim of one specific ticket: its result if it has
   /// completed by the current clock, nullopt otherwise (ticket stays).
@@ -143,12 +135,43 @@ class CompletionQueue {
   std::deque<Entry> entries_;  // admit order; scanned in completion order
 };
 
+/// The deferred-error contract of the two staging layers (formation, QoS),
+/// which ack envelopes before they run.  The first failure of such an
+/// envelope is held until the next barrier or flush takes it; one still
+/// held when the layer is destroyed is dropped observably — counted in the
+/// layer's `dropped_errors`, marked by a `<layer>.dropped_error` span on the
+/// layer's track, and printed on stderr.  The owning layer's lock guards it.
+class DeferredError {
+ public:
+  /// `marker`: the drop span's name, "<layer>.dropped_error" (a string
+  /// literal — spans keep the pointer); "<layer>" tags the stderr line.
+  explicit DeferredError(const char* marker) : marker_(marker) {}
+
+  /// Hold `s` unless an earlier failure is already held.
+  void hold(Status s) {
+    if (held_.ok()) held_ = s;
+  }
+  /// The held failure (ok when none); nothing is held afterwards.
+  Status take() { return std::exchange(held_, Status{}); }
+
+  /// The destructor's step: a failure still held is counted in `dropped`,
+  /// marked at `now_ms()` on `track` and printed.
+  void drop(const obs::Sinks& sinks, obs::SimTrack& track,
+            const std::function<double()>& now_ms, u64& dropped);
+
+ private:
+  std::string_view marker_;
+  Status held_{};
+};
+
 class Transport {
  public:
   /// `sinks`: the mount's attachment — the innermost transport's own, a
-  /// decorator's inner.sinks().
-  explicit Transport(const obs::Sinks& sinks = obs::Sinks::none())
-      : sinks_(sinks) {}
+  /// decorator's inner.sinks().  `cq`: the chain's completion queue — a
+  /// member of the transport that retires tickets, a decorator's
+  /// inner.completions().
+  Transport(const obs::Sinks& sinks, CompletionQueue& cq)
+      : sinks_(sinks), cq_(cq) {}
   virtual ~Transport() = default;
 
   /// Deliver one envelope and wait for its response.
@@ -160,12 +183,11 @@ class Transport {
   /// semantics exactly.  Decorators forward to their inner transport so the
   /// deferring layer (AsyncTransport) sees every issue.
   virtual Ticket call_async(const Address& to, const Request& req) {
-    return completions().admit(to, op_of(req), call(to, req));
+    return cq_.admit(to, op_of(req), call(to, req));
   }
 
-  /// The chain's single completion queue.  Decorators forward to the inner
-  /// transport; the innermost (or the async decorator) owns the real one.
-  virtual CompletionQueue& completions() { return cq_; }
+  /// The chain's single completion queue.
+  CompletionQueue& completions() { return cq_; }
 
   /// Deliver several envelopes to one destination as a single wire message.
   /// The default unrolls into individual calls; InprocTransport overrides it
@@ -200,7 +222,7 @@ class Transport {
 
  private:
   const obs::Sinks& sinks_;
-  CompletionQueue cq_;
+  CompletionQueue& cq_;
 };
 
 }  // namespace mif::rpc

@@ -52,15 +52,14 @@ namespace mif::shard {
 class ShardedTransport final : public rpc::Transport {
  public:
   ShardedTransport(rpc::Transport& inner, u32 shards, Policy policy)
-      : rpc::Transport(inner.sinks()), inner_(inner), router_(shards, policy) {}
+      : rpc::Transport(inner.sinks(), inner.completions()),
+        inner_(inner),
+        router_(shards, policy) {}
 
   Result<rpc::Response> call(const rpc::Address& to,
                              const rpc::Request& req) override;
   rpc::Ticket call_async(const rpc::Address& to,
                          const rpc::Request& req) override;
-  rpc::CompletionQueue& completions() override {
-    return inner_.completions();
-  }
   Status flush() override { return inner_.flush(); }
   void pump() override { inner_.pump(); }
   void export_metrics(obs::MetricsRegistry& reg,

@@ -2,12 +2,10 @@
 
 namespace mif::sim {
 
-Network::Network(NetworkConfig cfg) : cfg_(cfg) {}
-
-double Network::cost(u64 payload_bytes) const {
+double Network::cost(u64 payload_bytes) {
   const double xfer =
-      static_cast<double>(payload_bytes) / (cfg_.bandwidth_mbps * 1e6) * 1e3;
-  return cfg_.rtt_ms + xfer;
+      static_cast<double>(payload_bytes) / (kBandwidthMbps * 1e6) * 1e3;
+  return kRttMs + xfer;
 }
 
 double Network::rpc(u64 payload_bytes) {

@@ -9,11 +9,6 @@
 
 namespace mif::sim {
 
-struct NetworkConfig {
-  double rtt_ms{0.12};          // GbE switch round trip
-  double bandwidth_mbps{117.0}; // achievable GbE payload rate
-};
-
 struct NetworkStats {
   u64 rpcs{0};
   u64 bytes{0};
@@ -22,12 +17,15 @@ struct NetworkStats {
 
 class Network {
  public:
-  explicit Network(NetworkConfig cfg = {});
+  /// GbE switch round trip.
+  static constexpr double kRttMs = 0.12;
+  /// Achievable GbE payload rate.
+  static constexpr double kBandwidthMbps = 117.0;
 
   /// Cost of one request/response exchange carrying `payload_bytes`,
   /// without charging it (no stats).  The async transport prices envelopes
   /// with this to build its pipelined timeline.
-  double cost(u64 payload_bytes) const;
+  static double cost(u64 payload_bytes);
 
   /// Cost of one request/response exchange carrying `payload_bytes`,
   /// charged to the stats.
@@ -37,7 +35,6 @@ class Network {
   void reset_stats() { stats_ = {}; }
 
  private:
-  NetworkConfig cfg_;
   NetworkStats stats_;
 };
 

@@ -4,9 +4,6 @@
 
 namespace mif::sim {
 
-Readahead::Readahead(ReadaheadConfig cfg)
-    : cfg_(cfg), window_(cfg.initial_blocks) {}
-
 u64 Readahead::advise(u64 pos, u64 want) {
   const bool sequential =
       next_expected_ != kNoBlock &&
@@ -20,11 +17,11 @@ u64 Readahead::advise(u64 pos, u64 want) {
       return 0;
     }
     // Correct prediction: grow the window before fetching further.
-    window_ = std::min(window_ * 2, cfg_.max_blocks);
+    window_ = std::min(window_ * 2, kMaxBlocks);
   } else if (next_expected_ != kNoBlock) {
     // Pattern broken: collapse to the initial window.
     ++misses_;
-    window_ = cfg_.initial_blocks;
+    window_ = kInitialBlocks;
   }
 
   const u64 fetch = std::max(want, window_);

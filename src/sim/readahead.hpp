@@ -12,14 +12,12 @@
 
 namespace mif::sim {
 
-struct ReadaheadConfig {
-  u64 initial_blocks{4};   // 16 KiB
-  u64 max_blocks{128};     // 512 KiB — the kernel default max_readahead
-};
-
 class Readahead {
  public:
-  explicit Readahead(ReadaheadConfig cfg = {});
+  /// The first window, and the one a broken pattern collapses to: 16 KiB.
+  static constexpr u64 kInitialBlocks = 4;
+  /// The window's cap: 512 KiB, the kernel default max_readahead.
+  static constexpr u64 kMaxBlocks = 128;
 
   /// Ask the window how many blocks to read for an access of `want` blocks
   /// at logical position `pos`.  Contract: the caller reads logical range
@@ -33,10 +31,9 @@ class Readahead {
   u64 misses() const { return misses_; }
 
  private:
-  ReadaheadConfig cfg_;
   u64 next_expected_{kNoBlock};
   u64 prefetched_until_{0};  // exclusive logical bound already fetched
-  u64 window_;
+  u64 window_{kInitialBlocks};
   u64 hits_{0};
   u64 misses_{0};
 };

@@ -33,8 +33,10 @@ BlockWriteRequest write_req(u64 ino, u64 start, u64 count) {
 
 /// Inner transport that records every wire message the formation layer
 /// ships: packed frames (call_batch) and passed-through singles (call), in
-/// arrival order.
+/// arrival order.  Its queue takes the tickets of the chain above it.
 struct ProbeTransport final : Transport {
+  ProbeTransport() : Transport(obs::Sinks::none(), queue) {}
+  CompletionQueue queue;
   struct Frame {
     Address to;
     std::vector<Request> reqs;

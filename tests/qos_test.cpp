@@ -259,6 +259,8 @@ TEST(QosTransport, OversizeEnvelopesNeverWedgeTheLane) {
 /// Inner transport that records the ambient principal of every call — the
 /// release order and the identity each released envelope dispatches under.
 struct RecordingTransport final : Transport {
+  RecordingTransport() : Transport(obs::Sinks::none(), queue) {}
+  CompletionQueue queue;
   std::vector<u32> clients;
   Result<Response> call(const Address&, const Request&) override {
     clients.push_back(obs::ambient_principal().client);

@@ -76,25 +76,34 @@ TEST(Pipeline, WindowBackpressureStallsTheIssueClock) {
 
 TEST(CompletionQueue, SyncTicketsRetireInAdmissionOrder) {
   CompletionQueue cq;
+  // Completed at issue: claimable at clock 0.
   const Ticket a = cq.admit(mds_at(0), Op::kMkdir, Response{VoidResponse{}});
   const Ticket b = cq.admit(mds_at(0), Op::kCreate, Response{VoidResponse{}});
   ASSERT_TRUE(a.valid());
   ASSERT_NE(a.id, b.id);
-  auto first = cq.poll();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->ticket.id, a.id);
-  auto second = cq.poll();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->ticket.id, b.id);
+  auto ra = cq.try_take(a);
+  ASSERT_TRUE(ra.has_value());
+  EXPECT_TRUE(ra->ok());
+  EXPECT_TRUE(cq.try_take(b).has_value());
   EXPECT_EQ(cq.in_flight(), 0u);
+  // Between tickets completed at issue, admission decides: the first
+  // admitted failure is the one wait_all reports, whichever error it is.
+  cq.admit(mds_at(0), Op::kMkdir, Errc::kNotFound);
+  cq.admit(mds_at(0), Op::kCreate, Errc::kIo);
+  EXPECT_EQ(cq.wait_all().error(), Errc::kNotFound);
+  cq.admit(mds_at(0), Op::kMkdir, Errc::kIo);
+  cq.admit(mds_at(0), Op::kCreate, Errc::kNotFound);
+  EXPECT_EQ(cq.wait_all().error(), Errc::kIo);
 }
 
-TEST(CompletionQueue, PollIsBoundedByTheClock) {
+TEST(CompletionQueue, TakeIsBoundedByTheClock) {
   CompletionQueue cq;
   const Ticket t =
       cq.admit(osd_at(0), Op::kBlockWrite, Response{VoidResponse{}}, 5.0);
-  EXPECT_FALSE(cq.poll().has_value());  // still in flight at clock 0
-  EXPECT_FALSE(cq.try_take(t).has_value());
+  EXPECT_FALSE(cq.try_take(t).has_value());  // still in flight at clock 0
+  cq.set_clock(4.999);
+  EXPECT_FALSE(cq.try_take(t).has_value());  // ticket stays
+  EXPECT_EQ(cq.in_flight(), 1u);
   cq.set_clock(5.0);
   auto r = cq.try_take(t);
   ASSERT_TRUE(r.has_value());
@@ -104,29 +113,39 @@ TEST(CompletionQueue, PollIsBoundedByTheClock) {
 
 TEST(CompletionQueue, RetirementFollowsModeledCompletionOrder) {
   CompletionQueue cq;
-  const Ticket slow =
-      cq.admit(osd_at(0), Op::kBlockWrite, Response{VoidResponse{}}, 9.0);
+  const Ticket slow = cq.admit(osd_at(0), Op::kBlockWrite, Errc::kIo, 9.0);
   const Ticket fast =
-      cq.admit(osd_at(1), Op::kBlockWrite, Response{VoidResponse{}}, 2.0);
-  cq.set_clock(100.0);
-  auto first = cq.poll();
+      cq.admit(osd_at(1), Op::kBlockWrite, Errc::kNotFound, 2.0);
+  // Stepped clocks: the later issue completes first.
+  cq.set_clock(2.0);
+  EXPECT_FALSE(cq.try_take(slow).has_value());
+  auto first = cq.try_take(fast);
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->ticket.id, fast.id);  // later issue, earlier completion
-  EXPECT_DOUBLE_EQ(first->done_ms, 2.0);
-  auto second = cq.poll();
+  EXPECT_EQ(first->error(), Errc::kNotFound);
+  cq.set_clock(9.0);
+  auto second = cq.try_take(slow);
   ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->ticket.id, slow.id);
+  EXPECT_EQ(second->error(), Errc::kIo);
+  // Drained together, the earlier completion's error is the one reported.
+  cq.admit(osd_at(0), Op::kBlockWrite, Errc::kIo, 19.0);
+  cq.admit(osd_at(1), Op::kBlockWrite, Errc::kNotFound, 12.0);
+  EXPECT_EQ(cq.wait_all().error(), Errc::kNotFound);
 }
 
 TEST(CompletionQueue, WaitAdvancesTheTimeline) {
   CompletionQueue cq;
   const Ticket late =
       cq.admit(osd_at(0), Op::kBlockWrite, Response{VoidResponse{}}, 7.0);
-  cq.admit(osd_at(1), Op::kBlockWrite, Response{VoidResponse{}}, 3.0);
+  const Ticket early =
+      cq.admit(osd_at(1), Op::kBlockWrite, Response{VoidResponse{}}, 3.0);
+  const Ticket later =
+      cq.admit(osd_at(2), Op::kBlockWrite, Response{VoidResponse{}}, 8.0);
   // Blocking on the late ticket moves the clock to 7.0, so the earlier
-  // completion becomes pollable without a set_clock.
+  // completion becomes claimable without a set_clock, and the later one
+  // does not.
   EXPECT_TRUE(cq.wait(late).ok());
-  EXPECT_TRUE(cq.poll().has_value());
+  EXPECT_TRUE(cq.try_take(early).has_value());
+  EXPECT_FALSE(cq.try_take(later).has_value());
   // An already-claimed (unknown) ticket is an invalid wait.
   EXPECT_EQ(cq.wait(late).error(), Errc::kInvalid);
 }
@@ -172,7 +191,7 @@ TEST(AsyncTransport, DefersCompletionAgainstThePipelinedTimeline) {
   AsyncTransport t(inner, cfg);
   const Ticket tk = t.call_async(osd_at(0), write_req(1, 0, 64));
   ASSERT_TRUE(tk.valid());
-  // Not pollable yet: the issue clock has not reached its completion.
+  // Not claimable yet: the issue clock has not reached its completion.
   EXPECT_FALSE(t.completions().try_take(tk).has_value());
   EXPECT_EQ(t.completions().in_flight(), 1u);
   auto r = t.completions().wait(tk);
@@ -193,16 +212,15 @@ TEST(AsyncTransport, OutOfOrderAcrossOsdsFifoPerOsd) {
   const Ticket big2 = t.call_async(osd_at(0), write_req(1, 4096, 4096));
   const Ticket tiny = t.call_async(osd_at(1), write_req(2, 0, 1));
   CompletionQueue& cq = t.completions();
-  cq.set_clock(1e9);  // everything is complete at the horizon
-  auto c1 = cq.poll();
-  auto c2 = cq.poll();
-  auto c3 = cq.poll();
-  ASSERT_TRUE(c1 && c2 && c3);
-  EXPECT_EQ(c1->ticket.id, tiny.id);
-  EXPECT_EQ(c2->ticket.id, big1.id);
-  EXPECT_EQ(c3->ticket.id, big2.id);
-  EXPECT_LE(c1->done_ms, c2->done_ms);
-  EXPECT_LE(c2->done_ms, c3->done_ms);
+  // Waiting on a ticket moves the clock to its completion: whatever is
+  // still unclaimable then completes strictly later.
+  ASSERT_TRUE(cq.wait(tiny).ok());
+  EXPECT_FALSE(cq.try_take(big1).has_value());  // tiny overtook both
+  EXPECT_FALSE(cq.try_take(big2).has_value());
+  ASSERT_TRUE(cq.wait(big1).ok());
+  EXPECT_FALSE(cq.try_take(big2).has_value());  // FIFO behind big1
+  ASSERT_TRUE(cq.wait(big2).ok());
+  EXPECT_EQ(cq.in_flight(), 0u);
 }
 
 TEST(AsyncTransport, OverlapBeatsTheSerialSum) {

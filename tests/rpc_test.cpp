@@ -1,19 +1,23 @@
-// RPC layer tests: every op's wire size and the envelope traits,
-// InprocTransport equivalence with the pre-RPC direct-call semantics, frame
-// formation on a mounted cluster (coalescing, backpressure, deferred errors,
-// list folding), and the fault-injecting transport decorator.
+// RPC layer tests: every op's wire size and the envelope traits (and what
+// the transports make of the direction column), InprocTransport equivalence
+// with the pre-RPC direct-call semantics, frame formation on a mounted
+// cluster (coalescing, backpressure, deferred errors, list folding), and the
+// fault-injecting transport decorator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "core/pfs.hpp"
 #include "mds/mds.hpp"
 #include "obs/metrics.hpp"
+#include "rpc/async.hpp"
 #include "rpc/envelope.hpp"
 #include "rpc/fault.hpp"
 #include "rpc/mds_node.hpp"
 #include "rpc/stack.hpp"
+#include "sim/network.hpp"
 
 namespace mif::rpc {
 namespace {
@@ -131,6 +135,90 @@ TEST(Envelope, TraitsClassifyOps) {
   }
   EXPECT_EQ(to_string(Op::kWriteList), "list.write");
   EXPECT_EQ(to_string(Op::kReadStrided), "list.read_strided");
+  // Which way each op's file data moves, in enum order.
+  using enum Direction;
+  const std::vector<Direction> direction = {
+      kNone,  kNone, kNone,  kNone, kNone, kNone, kNone,  // mkdir … resolve
+      kNone,  kNone, kNone,  kNone,  // open_getlayout … report_extents
+      kWrite,                        // block_write
+      kRead,                         // block_read
+      kRead,  // get_extents: a count, but only a live target can give it
+      kNone,  kNone, kNone,          // preallocate, close_file, delete_file
+      kWrite, kRead, kWrite, kRead,  // list.write … list.read_strided
+  };
+  ASSERT_EQ(direction.size(), kOpCount);
+  for (std::size_t i = 0; i < kOpCount; ++i) {
+    const Op op = static_cast<Op>(i);
+    EXPECT_EQ(traits(op).direction, direction[i]) << to_string(op);
+  }
+}
+
+/// Answers every envelope with an empty response (no reply payload), so a
+/// decorator above it is measured alone.
+struct NullTransport final : Transport {
+  NullTransport() : Transport(obs::Sinks::none(), queue) {}
+  CompletionQueue queue;
+  Result<Response> call(const Address&, const Request&) override {
+    return Response{VoidResponse{}};
+  }
+};
+
+// What the transports make of the direction column, op by op: the payload
+// wire_bytes adds, the envelopes a dead target refuses, and the envelopes
+// the async pipeline prices a spindle floor for.
+TEST(Envelope, DirectionDrivesPayloadRefusalAndSpindleFloor) {
+  const std::vector<Op> writes = {Op::kBlockWrite, Op::kWriteList,
+                                  Op::kWriteStrided};
+  const std::vector<Op> refused = {Op::kBlockRead, Op::kReadList,
+                                   Op::kReadStrided, Op::kGetExtents};
+  const std::vector<Op> moves_blocks = {
+      Op::kBlockWrite, Op::kBlockRead,    Op::kWriteList,
+      Op::kReadList,   Op::kWriteStrided, Op::kReadStrided};
+  const auto in = [](const std::vector<Op>& set, Op op) {
+    return std::find(set.begin(), set.end(), op) != set.end();
+  };
+  for (const Request& req : every_request()) {
+    const Op op = op_of(req);
+    const OpTraits& tr = traits(op);
+    const Address to = tr.meta ? mds_at(0) : osd_at(0);
+
+    // wire_bytes: header + body, plus blocks × kBlockSize for a write.
+    const u64 body = std::visit([](const auto& r) { return r.body_bytes(); },
+                                req);
+    const u64 payload = wire_bytes(req) - kHeaderBytes - body;
+    if (in(writes, op)) {
+      EXPECT_GT(data_blocks(req), 0u) << to_string(op);
+      EXPECT_EQ(payload, data_blocks(req) * kBlockSize) << to_string(op);
+    } else {
+      EXPECT_EQ(payload, 0u) << to_string(op);
+    }
+    EXPECT_EQ(data_blocks(req) > 0, in(moves_blocks, op)) << to_string(op);
+
+    // A target the dead probe marks dead serves none of its reads.
+    NullTransport null;
+    FaultTransport fault(null);
+    fault.set_dead_probe([](u32) { return true; });
+    const Result<Response> r = fault.call(to, req);
+    EXPECT_EQ(fault.stats().dead_reads, in(refused, op) ? 1u : 0u)
+        << to_string(op);
+    EXPECT_EQ(r.error(), in(refused, op) ? Errc::kIo : Errc::kOk)
+        << to_string(op);
+
+    // The pipeline prices the network exchange, plus a spindle floor for
+    // exactly the envelopes that move blocks.
+    AsyncConfig cfg;
+    cfg.depth = 2;
+    AsyncTransport async(null, cfg);
+    (void)async.call_async(to, req);
+    const double network =
+        tr.free ? 0.0 : sim::Network::cost(wire_bytes(req));
+    const double floor = async.report().serial_ms - network;
+    if (in(moves_blocks, op)) {
+      EXPECT_GT(floor, 0.0) << to_string(op);
+    } else {
+      EXPECT_EQ(floor, 0.0) << to_string(op);
+    }
+  }
 }
 
 // Zero-length runs and zero-count patterns are legal list payloads
@@ -490,9 +578,9 @@ TEST(Stack, FullChainComposesAndSharesOneCompletionQueue) {
   ASSERT_NE(fs.transport().async(), nullptr);
   ASSERT_NE(fs.transport().formation(), nullptr);
   ASSERT_NE(fs.transport().fault(), nullptr);
-  // completions() forwards through every decorator to the async layer's
-  // queue: a ticket issued at the top retires from the same queue the
-  // client drains.
+  // Every decorator above the async layer holds that layer's queue: a
+  // ticket issued at the top retires from the same queue the client
+  // drains.
   EXPECT_EQ(&fs.transport().top().completions(),
             &fs.transport().async()->completions());
 

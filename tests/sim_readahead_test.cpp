@@ -8,12 +8,13 @@ namespace mif::sim {
 namespace {
 
 TEST(Readahead, FirstAccessFetchesInitialWindow) {
-  Readahead ra({4, 128});
+  Readahead ra;
+  static_assert(Readahead::kInitialBlocks == 4);
   EXPECT_EQ(ra.advise(0, 1), 4u);  // want 1, window 4
 }
 
 TEST(Readahead, SequentialAccessesAreAbsorbedThenGrow) {
-  Readahead ra({4, 128});
+  Readahead ra;
   EXPECT_EQ(ra.advise(0, 1), 4u);
   // Blocks 1..3 covered by the prefetch: zero new I/O.
   EXPECT_EQ(ra.advise(1, 1), 0u);
@@ -26,19 +27,19 @@ TEST(Readahead, SequentialAccessesAreAbsorbedThenGrow) {
 }
 
 TEST(Readahead, WindowDoublesUpToMax) {
-  Readahead ra({4, 64});
+  Readahead ra;
   u64 pos = 0;
   // Long sequential scan: window must saturate at max.
-  for (int i = 0; i < 200; ++i) {
+  for (int i = 0; i < 400; ++i) {
     const u64 f = ra.advise(pos, 1);
     pos += 1;
     (void)f;
   }
-  EXPECT_EQ(ra.window(), 64u);
+  EXPECT_EQ(ra.window(), Readahead::kMaxBlocks);
 }
 
 TEST(Readahead, RandomAccessCollapsesWindow) {
-  Readahead ra({4, 128});
+  Readahead ra;
   ra.advise(0, 1);
   ra.advise(1, 1);
   ra.advise(2, 1);
@@ -48,14 +49,14 @@ TEST(Readahead, RandomAccessCollapsesWindow) {
 }
 
 TEST(Readahead, LargeWantFetchesAtLeastWant) {
-  Readahead ra({4, 128});
+  Readahead ra;
   EXPECT_GE(ra.advise(0, 32), 32u);
 }
 
 TEST(Readahead, SequentialScanIssuesFarFewerFetches) {
   // The Fig. 8 readdir-stat mechanism: a growing window turns N unit reads
   // into O(log N + N/max) fetches.
-  Readahead ra({4, 128});
+  Readahead ra;
   u64 fetches = 0;
   for (u64 b = 0; b < 1024; ++b) {
     if (ra.advise(b, 1) > 0) ++fetches;
@@ -64,9 +65,9 @@ TEST(Readahead, SequentialScanIssuesFarFewerFetches) {
 }
 
 TEST(Network, RpcChargesLatencyPlusBandwidth) {
-  Network n({1.0, 100.0});  // 1 ms RTT, 100 MB/s
-  const double t = n.rpc(1000000);  // 1 MB → 10 ms transfer
-  EXPECT_NEAR(t, 11.0, 1e-9);
+  Network n;
+  const double t = n.rpc(1000000);  // 1 MB at kBandwidthMbps MB/s
+  EXPECT_NEAR(t, Network::kRttMs + 1e3 / Network::kBandwidthMbps, 1e-9);
   EXPECT_EQ(n.stats().rpcs, 1u);
   EXPECT_EQ(n.stats().bytes, 1000000u);
 }

@@ -23,7 +23,9 @@
 # tests rewritten against the mount constants: the client's readahead
 # buffer, the two-phase collective's
 # domain split, the timeline's decimation past its row bound and the
-# reservation allocator's window refill.  The tree also builds with
+# reservation allocator's window refill; and util_test, whose run and range
+# merges (u64 end arithmetic) serve the client, the collective writer and
+# the repair service.  The tree also builds with
 # -D_GLIBCXX_ASSERTIONS, so every std::vector/std::span index and
 # front()/back() on those tables is bounds-checked.  Skips cleanly (exit 0)
 # when the toolchain has no sanitizer runtime, so plain CI environments are
@@ -50,4 +52,4 @@ mif_sanitized_ctest check_asan "$SRC" "$SRC/build-asan" "$SANITIZERS" \
     mfs_dirtable_rename_test util_u64_map_test osd_test shard_test qos_test \
     formation_test attrib_test span_test redundancy_test obs_test \
     client_readahead_test collective_test timeline_test \
-    alloc_vanilla_reservation_test
+    alloc_vanilla_reservation_test util_test

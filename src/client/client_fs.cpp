@@ -1,5 +1,6 @@
 #include "client/client_fs.hpp"
 
+#include <map>
 #include <optional>
 
 #include "core/pfs.hpp"
@@ -79,21 +80,6 @@ Status ClientFs::write(const FileHandle& fh, u32 pid, u64 offset_bytes,
 }
 
 u64 ClientFs::list_io_runs() const { return fs_->config().list_io_max_runs; }
-
-ClientFs::Issue ClientFs::issue_context() {
-  return Issue{fs_->rpc().completions(), std::max<u64>(list_io_runs(), 1),
-               fs_->redundancy_policy().enabled()};
-}
-
-void ClientFs::gather_runs(
-    u64 first, u64 last,
-    std::map<u32, std::vector<BlockRun>>& per_target) const {
-  osd::slices_for(fs_->stripe(), FileBlock{first}, last - first,
-                  [&per_target](const osd::StripeSlice& s) {
-                    util::append_run(per_target[s.target],
-                                     BlockRun{s.local_start, s.count});
-                  });
-}
 
 template <typename IssueOne>
 Status ClientFs::issue_chunks(const Issue& io, u32 target,
@@ -190,38 +176,63 @@ Result<std::pair<u32, InodeNo>> ClientFs::route_read(u32 target, InodeNo ino) {
   return Errc::kIo;
 }
 
+template <rpc::Direction D>
+Status ClientFs::issue_ranges(const FileHandle& fh, StreamId stream,
+                              std::span<const util::ByteRange> ranges,
+                              std::vector<rpc::Ticket>& out) {
+  static_assert(D == rpc::Direction::kWrite || D == rpc::Direction::kRead);
+  const u64 list_runs = list_io_runs();
+  const Issue io{fs_->rpc().completions(), std::max<u64>(list_runs, 1),
+                 fs_->redundancy_policy().enabled()};
+  const auto issue = [&](u32 target, std::span<const BlockRun> runs) {
+    if constexpr (D == rpc::Direction::kWrite) {
+      return issue_write_runs(io, fh, stream, target, runs, out);
+    } else {
+      return issue_read_runs(io, fh, target, runs, out);
+    }
+  };
+  const auto for_each_slice = [&](auto&& visit) {
+    for (const util::ByteRange& r : ranges) {
+      if (r.len == 0) continue;
+      const BlockRun blocks = util::blocks_of(r);
+      osd::slices_for(fs_->stripe(), blocks.start, blocks.count, visit);
+    }
+  };
+  if (list_runs == 0) {
+    // Per-block mode: each slice becomes one envelope for the primary (plus
+    // one per alive copy when the mount replicates), in stripe order.  A
+    // failure that completes at issue stops issuing before the next slice.
+    Status issued{};
+    for_each_slice([&](const osd::StripeSlice& s) {
+      if (!issued) return;
+      const BlockRun run{s.local_start, s.count};
+      issued = issue(s.target, {&run, 1});
+    });
+    return issued;
+  }
+  // List mode: a call spanning several stripe rounds becomes one merged run
+  // list per target — one envelope per chunk of it — instead of one
+  // envelope per slice, issued in ascending target order.
+  std::map<u32, std::vector<BlockRun>> per_target;
+  for_each_slice([&per_target](const osd::StripeSlice& s) {
+    util::append_run(per_target[s.target], BlockRun{s.local_start, s.count});
+  });
+  for (const auto& [target, runs] : per_target) {
+    if (Status st = issue(target, runs); !st) return st;
+  }
+  return {};
+}
+
 Status ClientFs::write_async(const FileHandle& fh, u32 pid, u64 offset_bytes,
                              u64 len_bytes, std::vector<rpc::Ticket>& out) {
   if (!fh.valid() || len_bytes == 0) return Errc::kInvalid;
   obs::ScopedSpan span(fs_->spans(), "client.write", fh.ino.v, len_bytes);
   obs::ScopedPrincipal who({id_.v, obs::OpClass::kData});
-  const u64 first = offset_bytes / kBlockSize;
-  const u64 last = (offset_bytes + len_bytes + kBlockSize - 1) / kBlockSize;
-  const StreamId stream{id_.v, pid};
-  const Issue io = issue_context();
-  if (list_io_runs() > 0) {
-    // List mode: a region spanning several stripe rounds becomes one merged
-    // run set per target — one envelope each — instead of one per slice.
-    std::map<u32, std::vector<BlockRun>> per_target;
-    gather_runs(first, last, per_target);
-    for (const auto& [target, runs] : per_target) {
-      if (Status st = issue_write_runs(io, fh, stream, target, runs, out); !st)
-        return st;
-    }
-  } else {
-    // Per-block mode: each slice becomes one block_write envelope for the
-    // primary, plus one per alive copy when the mount replicates.  A
-    // failure that completes at issue stops issuing before the next slice.
-    Status issued{};
-    osd::slices_for(fs_->stripe(), FileBlock{first}, last - first,
-                    [&](const osd::StripeSlice& s) {
-                      if (!issued) return;
-                      const BlockRun run{s.local_start, s.count};
-                      issued = issue_write_runs(io, fh, stream, s.target,
-                                                {&run, 1}, out);
-                    });
-    if (!issued) return issued;
-  }
+  const util::ByteRange range{offset_bytes, len_bytes};
+  if (Status st = issue_ranges<rpc::Direction::kWrite>(
+          fh, StreamId{id_.v, pid}, {&range, 1}, out);
+      !st)
+    return st;
   ++stats_.writes;
   stats_.bytes_written += len_bytes;
   note_writes(fh.ino, 1);
@@ -265,26 +276,10 @@ Status ClientFs::read_blocks(const FileHandle& fh, u64 first, u64 last) {
   // Issue every slice before claiming any completion, so reads (including
   // readahead top-ups) overlap across the striped targets too.
   std::vector<rpc::Ticket> pending;
-  Status issued{};
-  const Issue io = issue_context();
-  if (list_io_runs() > 0) {
-    std::map<u32, std::vector<BlockRun>> per_target;
-    gather_runs(first, last, per_target);
-    for (const auto& [target, runs] : per_target) {
-      issued = issue_read_runs(io, fh, target, runs, pending);
-      if (!issued) break;
-    }
-  } else {
-    // Per-block mode: one block_read envelope per slice, routed around dead
-    // targets when the mount replicates.
-    osd::slices_for(fs_->stripe(), FileBlock{first}, last - first,
-                    [&](const osd::StripeSlice& s) {
-                      if (!issued) return;
-                      const BlockRun run{s.local_start, s.count};
-                      issued = issue_read_runs(io, fh, s.target, {&run, 1},
-                                               pending);
-                    });
-  }
+  const util::ByteRange range{blocks_to_bytes(first),
+                              blocks_to_bytes(last - first)};
+  Status issued =
+      issue_ranges<rpc::Direction::kRead>(fh, {}, {&range, 1}, pending);
   Status drained = drain(pending);
   return issued.ok() ? drained : issued;
 }
@@ -305,20 +300,13 @@ Status ClientFs::write_strided(const FileHandle& fh, u32 pid, u64 offset_bytes,
   obs::ScopedSpan span(fs_->spans(), "client.write_strided", fh.ino.v,
                        count * piece_bytes);
   obs::ScopedPrincipal who({id_.v, obs::OpClass::kData});
-  std::map<u32, std::vector<BlockRun>> per_target;
-  for (u64 i = 0; i < count; ++i) {
-    const u64 off = offset_bytes + i * stride_bytes;
-    gather_runs(off / kBlockSize,
-                (off + piece_bytes + kBlockSize - 1) / kBlockSize, per_target);
-  }
-  const StreamId stream{id_.v, pid};
-  const Issue io = issue_context();
+  std::vector<util::ByteRange> pieces;
+  pieces.reserve(count);
+  for (u64 i = 0; i < count; ++i)
+    pieces.push_back({offset_bytes + i * stride_bytes, piece_bytes});
   std::vector<rpc::Ticket> tickets;
-  Status issued{};
-  for (const auto& [target, runs] : per_target) {
-    issued = issue_write_runs(io, fh, stream, target, runs, tickets);
-    if (!issued) break;
-  }
+  Status issued = issue_ranges<rpc::Direction::kWrite>(
+      fh, StreamId{id_.v, pid}, pieces, tickets);
   Status drained = drain(tickets);
   stats_.writes += count;
   stats_.bytes_written += count * piece_bytes;
@@ -335,18 +323,10 @@ Status ClientFs::write_ranges_async(const FileHandle& fh, u32 pid,
   if (total == 0) return {};
   obs::ScopedSpan span(fs_->spans(), "client.write", fh.ino.v, total);
   obs::ScopedPrincipal who({id_.v, obs::OpClass::kData});
-  std::map<u32, std::vector<BlockRun>> per_target;
-  for (const util::ByteRange& r : ranges) {
-    if (r.len == 0) continue;
-    gather_runs(r.offset / kBlockSize,
-                (r.end() + kBlockSize - 1) / kBlockSize, per_target);
-  }
-  const StreamId stream{id_.v, pid};
-  const Issue io = issue_context();
-  for (const auto& [target, runs] : per_target) {
-    if (Status st = issue_write_runs(io, fh, stream, target, runs, out); !st)
-      return st;
-  }
+  if (Status st = issue_ranges<rpc::Direction::kWrite>(
+          fh, StreamId{id_.v, pid}, ranges, out);
+      !st)
+    return st;
   ++stats_.writes;
   stats_.bytes_written += total;
   return {};
@@ -361,16 +341,9 @@ Status ClientFs::read_ranges_async(const FileHandle& fh,
   if (total == 0) return {};
   obs::ScopedSpan span(fs_->spans(), "client.read", fh.ino.v, total);
   obs::ScopedPrincipal who({id_.v, obs::OpClass::kData});
-  std::map<u32, std::vector<BlockRun>> per_target;
-  for (const util::ByteRange& r : ranges) {
-    if (r.len == 0) continue;
-    gather_runs(r.offset / kBlockSize,
-                (r.end() + kBlockSize - 1) / kBlockSize, per_target);
-  }
-  const Issue io = issue_context();
-  for (const auto& [target, runs] : per_target) {
-    if (Status st = issue_read_runs(io, fh, target, runs, out); !st) return st;
-  }
+  if (Status st = issue_ranges<rpc::Direction::kRead>(fh, {}, ranges, out);
+      !st)
+    return st;
   ++stats_.reads;
   stats_.bytes_read += total;
   return {};
@@ -403,8 +376,9 @@ Status ClientFs::read(const FileHandle& fh, u64 offset_bytes, u64 len_bytes) {
   if (!fh.valid() || len_bytes == 0) return Errc::kInvalid;
   obs::ScopedSpan span(fs_->spans(), "client.read", fh.ino.v, len_bytes);
   obs::ScopedPrincipal who({id_.v, obs::OpClass::kData});
-  const u64 first = offset_bytes / kBlockSize;
-  const u64 last = (offset_bytes + len_bytes + kBlockSize - 1) / kBlockSize;
+  const BlockRun blocks = util::blocks_of({offset_bytes, len_bytes});
+  const u64 first = blocks.start.v;
+  const u64 last = first + blocks.count;
   ++stats_.reads;
   stats_.bytes_read += len_bytes;
 

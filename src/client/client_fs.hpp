@@ -7,7 +7,6 @@
 // file do not re-fetch extents.
 #pragma once
 
-#include <map>
 #include <span>
 #include <string>
 #include <utility>
@@ -125,24 +124,32 @@ class ClientFs {
 
  private:
   /// What every slice of one client call issues through, looked up once per
-  /// call rather than once per slice.
+  /// call (by issue_ranges) rather than once per slice.
   struct Issue {
     rpc::CompletionQueue& cq;
     u64 max_runs;   // runs per envelope: list_io_max_runs, or 1 per block
     bool replicas;  // the mount replicates (cfg.redundancy.replicas >= 2)
   };
-  Issue issue_context();
 
-  /// Issue block reads [first, last) to the striped targets.
+  /// Issue block reads [first, last) to the striped targets and drain them.
   Status read_blocks(const FileHandle& fh, u64 first, u64 last);
 
   /// list_io_max_runs from the mount config; 0 = per-block mode.
   u64 list_io_runs() const;
 
-  /// Per-target run accumulation: lower the block range [first, last) via
-  /// the stripe layout, merging adjacent local runs per target.
-  void gather_runs(u64 first, u64 last,
-                   std::map<u32, std::vector<BlockRun>>& per_target) const;
+  /// The one lowering of a data call's byte ranges into envelopes, in
+  /// direction `D` (kWrite under `stream`, or kRead), behind write_async,
+  /// read_blocks, write_strided and the two *_ranges_async calls.  Each range
+  /// covers the blocks it touches (util::blocks_of); empty ones are skipped.
+  /// Per-block mode walks each range's stripe slices in stripe order and
+  /// issues one run per slice; list mode gathers every range into one merged
+  /// run list per target and issues the lists in ascending target order.
+  /// The first error that completes at issue stops issuing; tickets still
+  /// outstanding are appended to `out`.
+  template <rpc::Direction D>
+  Status issue_ranges(const FileHandle& fh, StreamId stream,
+                      std::span<const util::ByteRange> ranges,
+                      std::vector<rpc::Ticket>& out);
 
   /// Ship one target's run list through the async path, one envelope per
   /// chunk of `io.max_runs` runs (rpc::Client lowers each to a block, list

@@ -35,9 +35,10 @@ u32 target_of(const StripeLayout& layout, FileBlock global);
 
 /// Decompose the file-global range [start, start+count) into per-target
 /// slices, handing each to `visit(const StripeSlice&)` in global order.
+/// Inline, so the walk folds into its caller with the visitor.
 template <typename Visit>
-void slices_for(const StripeLayout& layout, FileBlock start, u64 count,
-                Visit&& visit) {
+inline void slices_for(const StripeLayout& layout, FileBlock start, u64 count,
+                       Visit&& visit) {
   assert(layout.width >= 1);
   constexpr u64 kUnit = StripeLayout::kUnitBlocks;
   StripeSlice slice{};

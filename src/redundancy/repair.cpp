@@ -8,6 +8,7 @@
 #include "obs/span.hpp"
 #include "osd/storage_target.hpp"
 #include "rpc/client.hpp"
+#include "util/runs.hpp"
 
 namespace mif::redundancy {
 
@@ -21,42 +22,14 @@ std::vector<BlockRun> logical_runs(const osd::StorageTarget& t, InodeNo ino) {
   for (const block::Extent& e : t.extents(ino)) {
     runs.push_back(BlockRun{e.file_off, e.length});
   }
-  std::sort(runs.begin(), runs.end(), [](const BlockRun& a, const BlockRun& b) {
-    return a.start.v < b.start.v;
-  });
-  std::vector<BlockRun> merged;
-  for (const BlockRun& r : runs) {
-    if (!merged.empty() &&
-        r.start.v <= merged.back().start.v + merged.back().count) {
-      const u64 end = std::max(merged.back().start.v + merged.back().count,
-                               r.start.v + r.count);
-      merged.back().count = end - merged.back().start.v;
-    } else {
-      merged.push_back(r);
-    }
-  }
-  return merged;
+  return util::merge_runs(std::move(runs));
 }
 
 /// Sorted-disjoint interval union.
 std::vector<BlockRun> union_runs(std::vector<BlockRun> a,
                                  const std::vector<BlockRun>& b) {
   a.insert(a.end(), b.begin(), b.end());
-  std::sort(a.begin(), a.end(), [](const BlockRun& x, const BlockRun& y) {
-    return x.start.v < y.start.v;
-  });
-  std::vector<BlockRun> out;
-  for (const BlockRun& r : a) {
-    if (r.count == 0) continue;
-    if (!out.empty() && r.start.v <= out.back().start.v + out.back().count) {
-      const u64 end =
-          std::max(out.back().start.v + out.back().count, r.start.v + r.count);
-      out.back().count = end - out.back().start.v;
-    } else {
-      out.push_back(r);
-    }
-  }
-  return out;
+  return util::merge_runs(std::move(a));
 }
 
 /// Runs of `need` not covered by `have` (both sorted and disjoint).

@@ -155,6 +155,29 @@ Result<Response> InprocTransport::dispatch(const Address& to,
   return dispatch_osd(*eps_.osds[to.index], req);
 }
 
+double InprocTransport::settle(const Address& to, Op op,
+                               const Result<Response>& resp,
+                               const obs::Principal& p, double net_ms,
+                               u64 net_bytes) {
+  const OpTraits& tr = traits(op);
+  PerOp& po = ops_[static_cast<std::size_t>(op)];
+  po.count.fetch_add(1, std::memory_order_relaxed);
+  double bulk_ms = 0.0;
+  if (!resp) {
+    po.errors.fetch_add(1, std::memory_order_relaxed);
+  } else if (const u64 bulk = tr.free ? 0 : bulk_bytes(*resp); bulk > 0) {
+    bulk_ms = charge(to.kind, bulk);
+    po.bytes.fetch_add(bulk, std::memory_order_relaxed);
+    net_ms += bulk_ms;
+    net_bytes += bulk;
+  }
+  if (obs::Attribution* attrib = sinks().attrib) {
+    attrib->count_rpc(p);
+    if (net_ms > 0.0 || net_bytes > 0) attrib->charge_net(p, net_ms, net_bytes);
+  }
+  return bulk_ms;
+}
+
 Result<Response> InprocTransport::call(const Address& to, const Request& req) {
   const Op op = op_of(req);
   const OpTraits& tr = traits(op);
@@ -162,26 +185,15 @@ Result<Response> InprocTransport::call(const Address& to, const Request& req) {
   const u64 wire = wire_bytes(req);
   obs::ScopedSpan span(sinks().spans, tr.span, to.index, wire);
 
-  double cost_ms = 0.0;
-  if (!tr.free) cost_ms = charge(to.kind, wire);
+  const u64 sent = tr.free ? 0 : wire;
+  double cost_ms = tr.free ? 0.0 : charge(to.kind, wire);
+  po.bytes.fetch_add(sent, std::memory_order_relaxed);
   Result<Response> resp = dispatch(to, req);
-  po.count.fetch_add(1, std::memory_order_relaxed);
-  u64 bytes = tr.free ? 0 : wire;
-  if (resp) {
-    if (const u64 bulk = tr.free ? 0 : bulk_bytes(*resp); bulk > 0) {
-      cost_ms += charge(to.kind, bulk);
-      bytes += bulk;
-    }
-  } else {
-    po.errors.fetch_add(1, std::memory_order_relaxed);
-  }
-  po.bytes.fetch_add(bytes, std::memory_order_relaxed);
+  const obs::Principal p =
+      sinks().attrib ? obs::ambient_principal() : obs::Principal{};
+  cost_ms += settle(to, op, resp, p, cost_ms, sent);
+  // A lone call records its own exchange.
   po.latency_us.add(static_cast<u64>(cost_ms * 1000.0));
-  if (obs::Attribution* attrib = sinks().attrib) {
-    const obs::Principal p = obs::ambient_principal();
-    attrib->count_rpc(p);
-    if (cost_ms > 0.0 || bytes > 0) attrib->charge_net(p, cost_ms, bytes);
-  }
   return resp;
 }
 
@@ -202,21 +214,26 @@ Status InprocTransport::call_batch(const Address& to,
   }
   // One wire frame: a single shared header plus every envelope's body (and
   // data payload).  This — not the dispatch below — is what formation buys.
+  // Each envelope is sized once, here: its op counts its wire bytes, and
+  // with a ledger attached its body is its byte share of the frame (the
+  // first also carries the shared header), so the shares sum to the frame.
   u64 frame = kHeaderBytes;
-  for (const Request& r : reqs) frame += wire_bytes(r) - kHeaderBytes;
+  std::vector<u64> share_bytes;
+  if (attrib) share_bytes.reserve(reqs.size());
+  for (const Request& r : reqs) {
+    const u64 wire = wire_bytes(r);
+    frame += wire - kHeaderBytes;
+    ops_[static_cast<std::size_t>(op_of(r))].bytes.fetch_add(
+        wire, std::memory_order_relaxed);
+    if (attrib) share_bytes.push_back(wire - kHeaderBytes);
+  }
   obs::ScopedSpan span(sinks().spans, "rpc.frame", to.index, reqs.size());
   double cost_ms = charge(to.kind, frame);
 
-  // Frame-cost split, pro-rata by bytes: contributor i owns its own body
-  // (the first also carries the shared header), so the byte shares sum to
-  // the frame exactly; ms shares are byte-weighted, last takes the
-  // remainder so they sum to the charge exactly.
-  std::vector<u64> share_bytes;
+  // Frame-cost split, pro-rata by bytes: ms shares are byte-weighted, last
+  // takes the remainder so they sum to the charge exactly.
   std::vector<double> share_ms;
   if (attrib) {
-    share_bytes.resize(reqs.size());
-    for (std::size_t i = 0; i < reqs.size(); ++i)
-      share_bytes[i] = wire_bytes(reqs[i]) - kHeaderBytes;
     share_bytes[0] += kHeaderBytes;
     share_ms.resize(reqs.size());
     double left = cost_ms;
@@ -230,37 +247,16 @@ Status InprocTransport::call_batch(const Address& to,
 
   Status first{};
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    const Request& r = reqs[i];
-    const Op op = op_of(r);
-    PerOp& po = ops_[static_cast<std::size_t>(op)];
     // Dispatch under the contributor's identity so MDS handler time and
     // disk-scheduler submits attribute to whoever enqueued the envelope.
     const obs::Principal p =
         tagged ? fp[i] : (attrib ? obs::ambient_principal() : obs::Principal{});
     std::optional<obs::ScopedPrincipal> tag;
     if (tagged) tag.emplace(p);
-    Result<Response> resp = dispatch(to, r);
-    po.count.fetch_add(1, std::memory_order_relaxed);
-    u64 bytes = wire_bytes(r);
-    double env_ms = attrib ? share_ms[i] : 0.0;
-    u64 env_bytes = attrib ? share_bytes[i] : 0;
-    if (resp) {
-      if (const u64 bulk = bulk_bytes(*resp); bulk > 0) {
-        const double bulk_ms = charge(to.kind, bulk);
-        cost_ms += bulk_ms;
-        bytes += bulk;
-        env_ms += bulk_ms;
-        env_bytes += bulk;
-      }
-    } else {
-      po.errors.fetch_add(1, std::memory_order_relaxed);
-      if (first.ok()) first = resp.error();
-    }
-    po.bytes.fetch_add(bytes, std::memory_order_relaxed);
-    if (attrib) {
-      attrib->count_rpc(p);
-      attrib->charge_net(p, env_ms, env_bytes);
-    }
+    Result<Response> resp = dispatch(to, reqs[i]);
+    cost_ms += settle(to, op_of(reqs[i]), resp, p,
+                      attrib ? share_ms[i] : 0.0, attrib ? share_bytes[i] : 0);
+    if (!resp && first.ok()) first = resp.error();
   }
   // Every batched envelope experienced the frame's exchange latency.
   const u64 us = static_cast<u64>(cost_ms * 1000.0);

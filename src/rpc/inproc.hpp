@@ -32,6 +32,10 @@
 #include "rpc/transport.hpp"
 #include "sim/network.hpp"
 
+namespace mif::obs {
+struct Principal;
+}
+
 namespace mif::rpc {
 
 class InprocTransport final : public Transport {
@@ -62,6 +66,16 @@ class InprocTransport final : public Transport {
   /// Charge one network exchange to the destination-kind's network; returns
   /// the simulated cost in ms.
   double charge(Address::Kind kind, u64 bytes);
+  /// What follows one envelope's dispatch, for a lone call and for each
+  /// envelope of a frame alike: count the op (and its error), charge a bulk
+  /// reply to the network and count its bytes (the request's were counted
+  /// when it was sized), and hand the ledger `p`'s rpc and net charge —
+  /// `net_ms`/`net_bytes` of the request's exchange plus the reply's.
+  /// Returns the reply's charge in ms; the caller records latency.  Inline:
+  /// it runs once per envelope, and a call there costs a per-block stream
+  /// a few percent of its host throughput.
+  inline double settle(const Address& to, Op op, const Result<Response>& resp,
+                       const obs::Principal& p, double net_ms, u64 net_bytes);
 
   struct PerOp {
     std::atomic<u64> count{0};

@@ -192,16 +192,16 @@ std::optional<Result<Response>> QosTransport::admit(
   // interval — a scheduler bypass the client earns just by streaming.
   // A deferred-ack write that has not been released simply does not appear
   // in the count yet.
-  if (op_of(req) == Op::kGetExtents) return std::nullopt;
-  if (!tr.deferrable) {
+  const bool advisory = op_of(req) == Op::kGetExtents;
+  if (!tr.deferrable && !advisory) {
     // Non-deferrable: an ino-scoped barrier (see release_ino_locked).  A
     // sticky deferred failure surfaces here, like the formation layer's.
     ++stats_.barriers;
     if (std::optional<InodeNo> ino = ino_of(req)) release_ino_locked(*ino);
     if (Status s = deferred_.take(); !s) return s.error();
   }
-  // Unmetered deferrable work (metadata, system principal) and barriers
-  // pass through unlocked.
+  // Unmetered deferrable work (metadata, system principal), the advisory
+  // poll and barriers pass through unlocked.
   lock.unlock();
   return std::nullopt;
 }

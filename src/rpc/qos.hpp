@@ -155,10 +155,11 @@ class QosTransport final : public Transport {
   /// The one admission decision both call shapes act on: nullopt forwards
   /// the envelope down the chain, a value answers it here — the deferred
   /// ack of a parked envelope, or the sticky error a barrier surfaces.
-  /// `lock` (on mu_, unlocked on entry) stays held on return except for an
-  /// unmetered or barrier pass-through: an answer is given under it, and an
-  /// admitted metered envelope is forwarded under it, so no pump on another
-  /// thread overtakes it in its client's FIFO order.
+  /// `lock` (on mu_, unlocked on entry) stays held on return except for a
+  /// pass-through (unmetered work, the advisory get_extents poll, or a
+  /// barrier), which leaves by the one unlocking exit: an answer is given
+  /// under it, and an admitted metered envelope is forwarded under it, so no
+  /// pump on another thread overtakes it in its client's FIFO order.
   std::optional<Result<Response>> admit(const Address& to, const Request& req,
                                         std::unique_lock<std::mutex>& lock);
 

@@ -1,6 +1,7 @@
 #include "util/runs.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace mif::util {
 
@@ -17,21 +18,39 @@ bool append_run(std::vector<BlockRun>& runs, BlockRun next) {
   return false;
 }
 
-std::vector<ByteRange> merge_ranges(std::vector<ByteRange> ranges) {
+namespace {
+
+/// The one sort, drop-empty and merge-on-touch body.  `lo(r)` and `len(r)`
+/// reach a range's first unit and its length (mutable for a mutable range).
+template <typename R, typename Lo, typename Len>
+std::vector<R> merge_touching(std::vector<R> ranges, Lo lo, Len len) {
   std::sort(ranges.begin(), ranges.end(),
-            [](const ByteRange& a, const ByteRange& b) {
-              return a.offset < b.offset;
-            });
-  std::vector<ByteRange> out;
-  for (const ByteRange& r : ranges) {
-    if (r.len == 0) continue;
-    if (!out.empty() && r.offset <= out.back().end()) {
-      out.back().len = std::max(out.back().end(), r.end()) - out.back().offset;
+            [&](const R& a, const R& b) { return lo(a) < lo(b); });
+  std::vector<R> out;
+  for (const R& r : ranges) {
+    if (len(r) == 0) continue;
+    if (!out.empty() && lo(r) <= lo(out.back()) + len(out.back())) {
+      R& back = out.back();
+      len(back) = std::max(lo(back) + len(back), lo(r) + len(r)) - lo(back);
     } else {
       out.push_back(r);
     }
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<ByteRange> merge_ranges(std::vector<ByteRange> ranges) {
+  return merge_touching(
+      std::move(ranges), [](auto& r) -> auto& { return r.offset; },
+      [](auto& r) -> auto& { return r.len; });
+}
+
+std::vector<BlockRun> merge_runs(std::vector<BlockRun> runs) {
+  return merge_touching(
+      std::move(runs), [](auto& r) -> auto& { return r.start.v; },
+      [](auto& r) -> auto& { return r.count; });
 }
 
 bool as_strided(std::span<const BlockRun> runs, StridedRuns& out) {

@@ -1,10 +1,11 @@
 // Contiguous-run merging — the one place adjacency logic lives.
 //
-// Three layers used to re-implement "extend the tail if the next piece is
+// Four layers used to re-implement "extend the tail if the next piece is
 // adjacent": FormationTransport's coalescer (block runs), CollectiveWriter's
-// Range merge (byte ranges), and the client's slice grouping.  They all call
-// these helpers now, so the semantics (sort, drop empties, merge on
-// touch-or-overlap) are defined exactly once and unit-tested once.
+// Range merge (byte ranges), the client's slice grouping and the repair
+// service's run unions.  They all call these helpers now, so the semantics
+// (sort, drop empties, merge on touch-or-overlap) are defined exactly once
+// and unit-tested once.
 #pragma once
 
 #include <span>
@@ -27,10 +28,20 @@ struct ByteRange {
   constexpr auto operator<=>(const ByteRange&) const = default;
 };
 
+/// The file blocks `r` touches: its offset rounded down and its end rounded
+/// up to block boundaries (the simulation tracks placement, not payload).
+inline BlockRun blocks_of(const ByteRange& r) {
+  const u64 first = r.offset / kBlockSize;
+  return BlockRun{FileBlock{first}, bytes_to_blocks(r.end()) - first};
+}
+
 /// Sort by offset, drop zero-length ranges, and merge every pair that
 /// touches or overlaps (`r.offset <= back.end()`).  The result is the
 /// minimal sorted set of disjoint non-empty ranges covering the input.
 std::vector<ByteRange> merge_ranges(std::vector<ByteRange> ranges);
+/// The same rule over block runs: the minimal sorted set of disjoint
+/// non-empty runs covering `runs`.
+std::vector<BlockRun> merge_runs(std::vector<BlockRun> runs);
 
 /// A strided pattern equivalent to a run list: `count` pieces of
 /// `block_len` blocks, starts `stride` blocks apart, beginning at `start`.

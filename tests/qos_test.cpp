@@ -1,12 +1,14 @@
 // Token-bucket QoS transport tests: deterministic bucket refill properties,
 // admission vs parking, rate-paced release on the injected clock, per-client
-// FIFO, round-robin sharing, ino-scoped barriers (with the
-// kGetExtents advisory exemption), sticky deferred errors, owner-principal
-// attribution of released envelopes, and a multi-threaded hammering case for
-// the sanitizer suites.
+// FIFO, round-robin sharing, ino-scoped barriers (with the kGetExtents
+// advisory exemption), pass-throughs forwarded unlocked, sticky deferred
+// errors, owner-principal attribution of released envelopes, and a
+// multi-threaded hammering case for the sanitizer suites.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -353,6 +355,44 @@ TEST(QosTransport, GetExtentsIsAdvisoryNotABarrier) {
   const QosStats s = qos.stats();
   EXPECT_EQ(s.barriers, 0u);
   EXPECT_EQ(s.forced, 0u);
+}
+
+/// Inner transport that, while serving an envelope, asks the QoS layer
+/// above it for its backlog from a second thread and waits up to 1 s for
+/// the answer: it comes at once only if the layer forwarded the envelope
+/// with its lock released.
+struct BacklogProbeTransport final : Transport {
+  BacklogProbeTransport() : Transport(obs::Sinks::none(), queue) {}
+  CompletionQueue queue;
+  const QosTransport* qos{nullptr};
+  /// Outlives call(): were it destroyed there, a layer still holding its
+  /// lock would block the destructor instead of failing the probe.
+  std::future<u64> probe;
+  bool answered{false};
+  Result<Response> call(const Address&, const Request&) override {
+    probe = std::async(std::launch::async, [this] { return qos->backlog(); });
+    answered = probe.wait_for(std::chrono::seconds(1)) ==
+               std::future_status::ready;
+    return Response{VoidResponse{}};
+  }
+};
+
+TEST(QosTransport, PassThroughsForwardUnlocked) {
+  GetExtentsRequest poll;
+  poll.ino = InodeNo{10};
+  BlockReadRequest barrier;
+  barrier.ino = InodeNo{10};
+  barrier.runs.push_back(BlockRun{FileBlock{0}, 1});
+  for (const Request& req : {Request{poll}, Request{barrier}}) {
+    SCOPED_TRACE(to_string(op_of(req)));
+    BacklogProbeTransport inner;
+    QosTransport qos(inner, at_rate(0.001));
+    inner.qos = &qos;
+    obs::ScopedPrincipal sp({1, obs::OpClass::kData});
+    EXPECT_TRUE(qos.call(osd_at(0), req).ok());
+    EXPECT_TRUE(inner.answered);
+    EXPECT_EQ(inner.probe.get(), 0u);  // joins before qos goes away
+  }
 }
 
 // --- sticky errors ----------------------------------------------------------

@@ -256,6 +256,41 @@ TEST(Runs, MergeRangesSortsDropsEmptiesAndMergesOverlap) {
   EXPECT_TRUE(util::merge_ranges({{5, 0}}).empty());
 }
 
+TEST(Runs, MergeRunsSortsDropsEmptiesAndMergesOverlap) {
+  const auto run = [](u64 start, u64 count) {
+    return BlockRun{FileBlock{start}, count};
+  };
+  // Unsorted input with an empty run, a touching pair, an overlapping pair
+  // and a lone run.
+  const auto out = util::merge_runs(
+      {run(100, 50), run(0, 10), run(40, 0), run(10, 20), run(120, 100),
+       run(300, 1)});
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0], run(0, 30));     // touching merges
+  EXPECT_EQ(out[1], run(100, 120));  // overlap extends to the max end
+  EXPECT_EQ(out[2], run(300, 1));
+  // A run nested in its predecessor does not shrink it, whichever comes
+  // first in the input.
+  EXPECT_EQ(util::merge_runs({run(0, 100), run(10, 20)}),
+            (std::vector<BlockRun>{run(0, 100)}));
+  EXPECT_EQ(util::merge_runs({run(10, 20), run(0, 100)}),
+            (std::vector<BlockRun>{run(0, 100)}));
+  // A gap of one block keeps two runs apart.
+  EXPECT_EQ(util::merge_runs({run(5, 5), run(0, 4)}),
+            (std::vector<BlockRun>{run(0, 4), run(5, 5)}));
+  EXPECT_TRUE(util::merge_runs({}).empty());
+  EXPECT_TRUE(util::merge_runs({run(5, 0), run(9, 0)}).empty());
+}
+
+TEST(Runs, BlocksOfCoversEveryTouchedBlock) {
+  constexpr u64 kB = kBlockSize;
+  EXPECT_EQ(util::blocks_of({0, kB}), (BlockRun{FileBlock{0}, 1}));
+  EXPECT_EQ(util::blocks_of({kB - 1, 2}), (BlockRun{FileBlock{0}, 2}));
+  EXPECT_EQ(util::blocks_of({3 * kB + 100, 50}), (BlockRun{FileBlock{3}, 1}));
+  EXPECT_EQ(util::blocks_of({2 * kB, 3 * kB}), (BlockRun{FileBlock{2}, 3}));
+  EXPECT_EQ(util::blocks_of({2 * kB, 0}), (BlockRun{FileBlock{2}, 0}));
+}
+
 TEST(Runs, StridedDetectionRoundTrips) {
   const std::vector<BlockRun> pattern = {
       {FileBlock{16}, 4}, {FileBlock{48}, 4}, {FileBlock{80}, 4}};
